@@ -5,22 +5,26 @@ nucleus at position R the intensity around it is expanded as
 
     I(R + r) = sum_kq f_kq(r; R) C^k_q(rhat),
 
-with C^k_q the normalized (Racah) spherical harmonics; diagonal matrix
-elements only ever consume the q = 0 profiles, but all |q| <= k are
-computed so the on-axis q != 0 vanishing can be verified. Real spherical
+with C^k_q the normalized (Racah) spherical harmonics. Real spherical
 harmonics are used internally: the intensity is real.
 
-The expansion coefficients are evaluated by angular quadrature
-(Gauss-Legendre in cos(theta) x trapezoid in phi) at every grid radius,
-with an automatic refinement check. brute_force_average is the independent
-oracle: the direct 3D quadrature of the wavefunction-averaged intensity.
+The expansion coefficients are evaluated by angular quadrature at every
+grid radius, with an automatic refinement check. About a point on the beam
+axis, where every caller decomposes, the intensity does not depend on phi:
+only q = 0 survives, and a 1D Gauss-Legendre rule in cos(theta) gives it;
+such a field stores only the (k, 0) profiles, the only ones diagonal
+matrix elements consume. Off the axis a (theta, phi) product rule
+(Gauss-Legendre x trapezoid) gives every |q| <= k; it is also the
+reference the axial rule is tested against. brute_force_average is the
+independent oracle: the direct 3D quadrature of the wavefunction-averaged
+intensity.
 """
 
 import json
 import warnings
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legvander
 from scipy.special import lpmv, gammaln
 
 from .constants import C
@@ -110,15 +114,20 @@ class TensorField:
 
     Profiles use the real-harmonic convention
     I(R + r) = sum f_kq(r) * sqrt(4 pi/(2k+1)) * Y~_kq(rhat), which for
-    q = 0 reduces to the Legendre form I = sum f_k0 P_k(cos theta).
+    q = 0 reduces to the Legendre form I = sum f_k0 P_k(cos theta). A
+    field about a point on the beam axis holds only the (k, 0) profiles.
+    refinement_residual is the largest profile move, over peak intensity,
+    that decompose's refinement check saw; None when it did not check.
     """
 
-    def __init__(self, position, grid, k_max, profiles, beam_descriptor=None):
+    def __init__(self, position, grid, k_max, profiles, beam_descriptor=None,
+                 refinement_residual=None):
         self.position = np.asarray(position, dtype=float)
         self.grid = grid
         self.k_max = int(k_max)
         self.profiles_by_kq = profiles
         self.beam_descriptor = beam_descriptor or {}
+        self.refinement_residual = refinement_residual
         self.element_cache = {}
 
     def profile(self, k, q=0):
@@ -178,7 +187,24 @@ def _angular_nodes(k_max, n_theta, n_phi):
     return ct, ph, weights, nhat
 
 
-def _decompose_once(beam, position, grid, k_max, n_theta, n_phi, a0_m):
+def _axial_profiles(beam, position, r_m, k_max, n_theta):
+    """q = 0 profiles about a point on the beam axis, by Gauss-Legendre.
+
+    There the intensity does not depend on phi, so
+    f_k0(r) = (2k+1)/2 sum_i w_i I(r, x_i) P_k(x_i) with x = cos(theta).
+    """
+    ct, w_theta = leggauss(n_theta)
+    st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
+    nhat = np.stack([st, np.zeros_like(ct), ct], axis=-1)
+    wmat = legvander(ct, k_max) * w_theta[:, None] \
+        * (np.arange(k_max + 1) + 0.5)
+    pts = position[None, None, :] + r_m[:, None, None] * nhat[None, :, :]
+    block = beam.intensity(pts) @ wmat
+    return {(k, 0): block[:, k].copy() for k in range(k_max + 1)}
+
+
+def _sphere_profiles(beam, position, r_m, k_max, n_theta, n_phi):
+    """All (k, q) profiles about any point, by a (theta, phi) product rule."""
     ct, ph, weights, nhat = _angular_nodes(k_max, n_theta, n_phi)
     # rows: one weighted real harmonic per (k, q), scaled so that the
     # angular sum gives f_kq directly
@@ -187,10 +213,9 @@ def _decompose_once(beam, position, grid, k_max, n_theta, n_phi, a0_m):
     for i, (k, q) in enumerate(kq_list):
         scale = np.sqrt((2 * k + 1) / (4.0 * np.pi))
         wmat[i] = scale * real_sph_harm(k, q, ct, ph) * weights
-    profiles = {kq: np.empty(len(grid)) for kq in kq_list}
+    profiles = {kq: np.empty(len(r_m)) for kq in kq_list}
     chunk = max(1, int(2e6 // len(ct)))
-    r_m = grid.points * a0_m
-    for start in range(0, len(grid), chunk):
+    for start in range(0, len(r_m), chunk):
         r_chunk = r_m[start:start + chunk]
         pts = position[None, None, :] + r_chunk[:, None, None] * nhat[None, :, :]
         ivals = beam.intensity(pts)
@@ -204,9 +229,17 @@ def decompose(beam, position, grid, k_max=4, n_theta=None, n_phi=None,
               check=True, tol=1e-6, a0_m=None):
     """Expand the intensity about `position` into radial tensor profiles.
 
-    The angular quadrature is exact for harmonics up to the rule order;
-    with check=True the rule is refined once and the result must move by
-    less than tol * I0 or QuadratureConvergenceError is raised. Radii on
+    On the beam axis (position's x, y equal to the focus's) the intensity
+    is axisymmetric about the nucleus: only the q = 0 profiles exist, and
+    they come from an n_theta-point Gauss-Legendre rule in cos(theta);
+    the returned field stores only those. Off the axis every |q| <= k
+    profile comes from the n_theta x n_phi (Gauss-Legendre x trapezoid)
+    rule. Either rule is exact for harmonics up to its order. With
+    check=True a coarse pass is compared with the returned pass, refined
+    by 16 nodes per angle; if a profile moved by more than tol * I0,
+    QuadratureConvergenceError is raised, and otherwise the largest move
+    over I0 is kept as the field's refinement_residual. With check=False
+    only the refined pass runs and refinement_residual is None. Radii on
     the grid are in Bohr radii; a0_m overrides the Bohr-to-meter scale.
     """
     if a0_m is None:
@@ -220,19 +253,31 @@ def decompose(beam, position, grid, k_max=4, n_theta=None, n_phi=None,
     if n_phi is None:
         n_phi = max(4 * k_max, 32)
     position = np.asarray(position, dtype=float)
+    r_m = grid.points * a0_m
 
-    coarse = _decompose_once(beam, position, grid, k_max, n_theta, n_phi, a0_m)
-    fine = _decompose_once(beam, position, grid, k_max,
-                           n_theta + 16, n_phi + 16, a0_m)
+    if np.array_equal(position[:2], beam.focus[:2]):
+        def run(extra):
+            return _axial_profiles(beam, position, r_m, k_max,
+                                   n_theta + extra)
+    else:
+        def run(extra):
+            return _sphere_profiles(beam, position, r_m, k_max,
+                                    n_theta + extra, n_phi + extra)
+
+    fine = run(16)
+    residual = None
     if check:
+        coarse = run(0)
         scale = max(beam.peak_intensity, 1e-300)
-        worst = max(np.max(np.abs(fine[kq] - coarse[kq])) for kq in fine)
-        if worst > tol * scale:
+        residual = max(np.max(np.abs(fine[kq] - coarse[kq]))
+                       for kq in fine) / scale
+        if residual > tol:
             raise QuadratureConvergenceError(
                 "angular quadrature not converged: refinement moved a "
                 "profile by %.3g of peak intensity (tol %.3g)"
-                % (worst / scale, tol))
-    return TensorField(position, grid, k_max, fine, beam.descriptor())
+                % (residual, tol))
+    return TensorField(position, grid, k_max, fine, beam.descriptor(),
+                       refinement_residual=residual)
 
 
 def brute_force_average(beam, wf, position, m=None, angular_density=None,

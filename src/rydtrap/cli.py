@@ -9,10 +9,8 @@ the same metadata in comment lines. Exit codes: 1 usage, 2 bad data,
 """
 
 import argparse
-import hashlib
 import json
 import math
-import os
 import re
 import sys
 import warnings
@@ -25,7 +23,7 @@ from . import __version__
 from .constants import CM1_TO_MHZ, H, constants_hash
 from .angular import (Term, HalfInt, angular_table, reference_m, wigner_3j,
                       UnsupportedTermError, TABLE_TERMS)
-from .beam import (TweezerBeam, decompose, TensorField, brute_force_average,
+from .beam import (TweezerBeam, decompose, brute_force_average,
                    QuadratureConvergenceError, ParaxialValidityWarning)
 from .radial import RadialGrid, numerov_radial
 from . import potential
@@ -218,27 +216,9 @@ def _grid_for(n_max):
     return RadialGrid.default(n_max + 3, npoints=npoints)
 
 
-def _field_for(beam, n_max, k_max, args):
-    """Decompose the beam about the focus, with optional on-disk caching."""
-    grid = _grid_for(n_max)
-    cache_dir = getattr(args, "cache_dir", None) \
-        or os.environ.get("RYDTRAP_CACHE_DIR")
-    path = None
-    if cache_dir:
-        blob = json.dumps([beam.descriptor(), len(grid.points),
-                           grid.points[0], grid.points[-1], k_max],
-                          sort_keys=True)
-        digest = hashlib.sha256(blob.encode()).hexdigest()[:24]
-        path = os.path.join(cache_dir, "field_%s.json" % digest)
-        if os.path.exists(path):
-            with open(path) as fh:
-                return TensorField.from_json(fh.read())
-    field = decompose(beam, (0.0, 0.0, 0.0), grid, k_max=k_max)
-    if path:
-        os.makedirs(cache_dir, exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write(field.to_json())
-    return field
+def _field_for(beam, n_max, k_max):
+    """Decompose the beam about the focus on the grid sized for n_max."""
+    return decompose(beam, (0.0, 0.0, 0.0), _grid_for(n_max), k_max=k_max)
 
 
 def _envelope(command, config, data):
@@ -306,7 +286,7 @@ def _cmd_trap_depth(args):
         if args.n_min is None or args.n_max is None:
             raise ValueError("pass --n or both --n-min and --n-max")
         n_values = list(range(args.n_min, args.n_max + 1))
-    field = _field_for(beam, max(n_values), args.k_max, args)
+    field = _field_for(beam, max(n_values), args.k_max)
     header = ["n", "n_star", "u_core_hz", "u_pond_hz", "u_total_hz",
               "depth_hz", "ratio_to_ground"]
     rows = []
@@ -332,7 +312,7 @@ def _cmd_trap_depth(args):
 def _cmd_tensor_shift(args):
     species = _species_from_args(args)
     beam = _beam_from_args(args, species)
-    field = _field_for(beam, args.n, args.k_max, args)
+    field = _field_for(beam, args.n, args.k_max)
     shifts = potential.tensor_splitting(species, args.n, args.series, field,
                                         args.axis_angle)
     header = ["M", "shift_hz"]
@@ -351,7 +331,7 @@ def _cmd_magic_scan(args):
     species = _species_from_args(args)
     beam = _beam_from_args(args, species)
     n_lo, n_hi = args.n_range
-    field = _field_for(beam, n_hi, args.k_max, args)
+    field = _field_for(beam, n_hi, args.k_max)
     header = ["n_a", "n_b", "n_star_a", "n_star_b", "differential_hz"]
     rows = []
     for n in range(n_lo, n_hi + 1):
@@ -553,7 +533,7 @@ def _term_angular_density(term, m):
 def oracle_compare(species, n, term, m, beam, k_max=4):
     """Tensor-path shift vs direct 3D quadrature for one state, in Hz."""
     state = RydbergState(species, n, term, m)
-    field = _field_for(beam, n, k_max, argparse.Namespace(cache_dir=None))
+    field = _field_for(beam, n, k_max)
     tensor_hz, _ = potential.ponderomotive_shift(state, field)
     wf = numerov_radial(state.n_star, state.term.L, field.grid)
     density = _term_angular_density(state.term, state.M)
@@ -594,12 +574,6 @@ def build_parser():
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(func=func)
         _add_output_args(p, default_format)
-        p.add_argument("--threads", type=int, default=None, metavar="N",
-                       help="reserved; computations currently run in a "
-                            "single process")
-        p.add_argument("--cache-dir", metavar="DIR",
-                       help="cache intensity decompositions here "
-                            "(default: RYDTRAP_CACHE_DIR)")
         return p
 
     p = add("angular-table", _cmd_angular_table,

@@ -1,8 +1,10 @@
 """Shared fixtures: the standard tweezer, its tensor decomposition, species."""
 
+import numpy as np
 import pytest
 
-from rydtrap.beam import TweezerBeam, decompose
+from rydtrap.beam import TweezerBeam, _sphere_profiles, decompose
+from rydtrap.constants import A0
 from rydtrap.potential import yb174, power_for_ground_depth
 from rydtrap.radial import RadialGrid
 
@@ -33,6 +35,14 @@ def grid80():
 @pytest.fixture(scope="session")
 def field9(beam9, grid80):
     return decompose(beam9, (0.0, 0.0, 0.0), grid80, k_max=4)
+
+
+@pytest.fixture(scope="session")
+def sphere9(beam9, grid80):
+    """Every (k, q) profile about the focus, k <= 4, from the (theta, phi)
+    rule at the 48 x 48 nodes decompose refines to: the reference for the
+    axial rule, which stores only q = 0."""
+    return _sphere_profiles(beam9, np.zeros(3), grid80.points * A0, 4, 48, 48)
 
 
 @pytest.fixture(scope="session")

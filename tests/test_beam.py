@@ -9,8 +9,8 @@ import pytest
 from scipy.integrate import quad
 
 from rydtrap.beam import (ParaxialValidityWarning, QuadratureConvergenceError,
-                          TensorField, TweezerBeam, brute_force_average,
-                          decompose, real_sph_harm)
+                          TensorField, TweezerBeam, _sphere_profiles,
+                          brute_force_average, decompose, real_sph_harm)
 from rydtrap.constants import A0, C
 from rydtrap.radial import RadialGrid, hydrogen_radial, radial_integral
 
@@ -116,11 +116,36 @@ class TestDecompose:
         assert field9.profile(0, 0)[0] == pytest.approx(
             beam9.peak_intensity, rel=1e-6)
 
-    def test_axisymmetric_q_terms_vanish(self, beam9, field9):
+    def test_axisymmetric_q_terms_vanish(self, beam9, sphere9):
+        # the (theta, phi) rule computes every q; on the axis q != 0 vanish
         i0 = beam9.peak_intensity
-        for (k, q), prof in field9.profiles_by_kq.items():
-            if q != 0:
-                assert np.max(np.abs(prof)) < 1e-12 * i0, (k, q)
+        checked = [kq for kq in sphere9 if kq[1] != 0]
+        assert len(checked) == 20
+        for k, q in checked:
+            assert np.max(np.abs(sphere9[k, q])) < 1e-12 * i0, (k, q)
+
+    def test_on_axis_field_stores_only_q0(self, field9):
+        assert sorted(field9.profiles_by_kq) == [(k, 0) for k in range(5)]
+
+    @pytest.mark.parametrize("z", [0.0, 0.4e-6])
+    def test_axial_rule_matches_sphere_rule(self, beam9, grid80, z):
+        # at z = 0.4 um the odd ranks are nonzero and are compared too
+        position = np.array([0.0, 0.0, z])
+        field = decompose(beam9, position, grid80, k_max=4)
+        reference = _sphere_profiles(beam9, position, grid80.points * A0,
+                                     4, 48, 48)
+        for k in range(5):
+            assert np.max(np.abs(field.profile(k, 0) - reference[k, 0])) \
+                <= 1e-12 * beam9.peak_intensity, k
+
+    def test_off_axis_point_uses_sphere_rule(self, beam9):
+        grid = RadialGrid.default(15, npoints=200)
+        field = decompose(beam9, (0.2e-6, 0.0, 0.0), grid, k_max=2)
+        assert sorted(field.profiles_by_kq) == sorted(
+            (k, q) for k in range(3) for q in range(-k, k + 1))
+        # displaced along +x: the intensity gradient is a (1, 1) term
+        assert np.max(np.abs(field.profile(1, 1))) \
+            > 1e-3 * beam9.peak_intensity
 
     def test_reconstruction_matches_direct_intensity(self, beam9, field9):
         # mid-radius sample points, angles off the symmetry axes
@@ -162,6 +187,21 @@ class TestDecompose:
         grid = RadialGrid.default(10, npoints=100)
         with pytest.raises(QuadratureConvergenceError):
             decompose(beam9, (0.0, 0.0, 0.0), grid, k_max=4, tol=1e-18)
+
+    def test_unchecked_runs_only_the_refined_pass(self, beam9):
+        grid = RadialGrid.default(10, npoints=100)
+        for position in ((0.0, 0.0, 0.0), (0.2e-6, 0.0, 0.0)):
+            unchecked = decompose(beam9, position, grid, k_max=4,
+                                  check=False, tol=1e-18)
+            checked = decompose(beam9, position, grid, k_max=4)
+            assert unchecked.refinement_residual is None
+            assert sorted(unchecked.profiles_by_kq) == \
+                sorted(checked.profiles_by_kq)
+            for kq, prof in checked.profiles_by_kq.items():
+                assert np.array_equal(unchecked.profile(*kq), prof), kq
+
+    def test_refinement_residual_kept(self, field9):
+        assert 0.0 <= field9.refinement_residual < 1e-6
 
     def test_kmax_validation(self, beam9):
         grid = RadialGrid.default(10, npoints=100)

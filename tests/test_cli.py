@@ -1,8 +1,7 @@
-"""Command-line interface: unit grammar, envelopes, exit codes, caching."""
+"""Command-line interface: unit grammar, envelopes, exit codes."""
 
 import argparse
 import json
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +9,7 @@ import pytest
 
 from rydtrap import __version__, cli
 from rydtrap.angular import TABLE_TERMS, Term, angular_table
-from rydtrap.beam import QuadratureConvergenceError, TensorField
+from rydtrap.beam import QuadratureConvergenceError, decompose
 from rydtrap.constants import constants_hash
 from rydtrap.potential import RydbergState, potential_breakdown, yb174
 
@@ -18,16 +17,9 @@ GAMMA0 = 1.0 / 83e-6
 GAMMA_PI = 3.7e5
 
 
-@pytest.fixture(scope="session")
-def cache_dir(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("fieldcache"))
-
-
-def run_json(argv, tmp_path, cache=None, name="out.json"):
+def run_json(argv, tmp_path, name="out.json"):
     out = tmp_path / name
     full = argv + ["--format", "json", "--output", str(out)]
-    if cache is not None:
-        full += ["--cache-dir", cache]
     assert cli.main(full) == 0
     with open(out) as fh:
         return json.load(fh)
@@ -120,6 +112,12 @@ class TestExitCodes:
         assert rc == 3
         assert "did not converge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--cache-dir", "--threads"])
+    def test_removed_flags_are_usage_errors(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["angular-table", flag, "1"])
+        assert exc.value.code == 1
+
     def test_version_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])
@@ -162,17 +160,14 @@ class TestAngularTable:
 
 
 class TestFieldCommands:
-    def test_trap_depth_row_matches_library(self, tmp_path, cache_dir):
+    def test_trap_depth_row_matches_library(self, tmp_path, beam9):
         doc = run_json(["trap-depth", "--power", "9mW", "--n", "40"],
-                       tmp_path, cache=cache_dir)
+                       tmp_path)
         row = doc["data"]["rows"][0]
         assert row["n"] == 40
         assert doc["config"]["power_w"] == pytest.approx(9e-3)
-        # the cached decomposition must reproduce the emitted numbers
-        cached = [f for f in os.listdir(cache_dir) if f.endswith(".json")]
-        assert len(cached) == 1
-        with open(os.path.join(cache_dir, cached[0])) as fh:
-            field = TensorField.from_json(fh.read())
+        # the library decomposition must reproduce the emitted numbers
+        field = decompose(beam9, (0.0, 0.0, 0.0), cli._grid_for(40), k_max=4)
         state = RydbergState(yb174(), 40, Term("3S1"))
         breakdown = potential_breakdown(state, field, 0.0)
         assert row["u_total_hz"] == pytest.approx(breakdown.u_total_hz,
@@ -182,10 +177,10 @@ class TestFieldCommands:
         assert row["ratio_to_ground"] == pytest.approx(
             -breakdown.u_total_hz / breakdown.ground_depth_hz, rel=1e-12)
 
-    def test_tensor_shift_symmetry(self, tmp_path, cache_dir):
+    def test_tensor_shift_symmetry(self, tmp_path):
         doc = run_json(["tensor-shift", "--power", "9mW", "--n", "40",
                         "--series", "3P2", "--axis-angle", "90deg"],
-                       tmp_path, cache=cache_dir)
+                       tmp_path)
         shifts = doc["data"]["shifts_hz"]
         assert set(shifts) == {"-2", "-1", "0", "1", "2"}
         assert sum(shifts.values()) == pytest.approx(
@@ -195,21 +190,19 @@ class TestFieldCommands:
         assert doc["data"]["spread_hz"] == pytest.approx(
             max(shifts.values()) - min(shifts.values()), rel=1e-12)
 
-    def test_magic_scan_rows(self, tmp_path, cache_dir):
+    def test_cache_env_is_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("RYDTRAP_CACHE_DIR", str(tmp_path / "cache"))
+        run_json(["trap-depth", "--power", "9mW", "--n", "20"], tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+    def test_magic_scan_rows(self, tmp_path):
         doc = run_json(["magic-scan", "--power", "9mW",
                         "--n-range", "39:40", "--offset", "-1"],
-                       tmp_path, cache=cache_dir)
+                       tmp_path)
         rows = doc["data"]["rows"]
         assert [r["n_a"] for r in rows] == [39, 40]
         assert [r["n_b"] for r in rows] == [38, 39]
         assert all(np.isfinite(r["differential_hz"]) for r in rows)
-
-    def test_cache_dir_env_fallback(self, tmp_path, monkeypatch):
-        env_dir = tmp_path / "envcache"
-        monkeypatch.setenv("RYDTRAP_CACHE_DIR", str(env_dir))
-        run_json(["trap-depth", "--power", "9mW", "--n", "20"], tmp_path)
-        files = os.listdir(env_dir)
-        assert len(files) == 1 and files[0].startswith("field_")
 
 
 class TestSpectroscopyCommands:
