@@ -20,7 +20,6 @@ independent oracle: the direct 3D quadrature of the wavefunction-averaged
 intensity.
 """
 
-import json
 import warnings
 
 import numpy as np
@@ -142,37 +141,6 @@ class TensorField:
             scale = np.sqrt(4.0 * np.pi / (2 * k + 1))
             total += prof[r_index] * scale * real_sph_harm(k, q, cos_theta, phi)
         return total
-
-    def to_json(self):
-        return json.dumps({
-            "position_m": self.position.tolist(),
-            "grid_a0": self.grid.points.tolist(),
-            "grid_scheme": self.grid.scheme,
-            "k_max": self.k_max,
-            "beam": self.beam_descriptor,
-            "profiles": {"%d,%d" % kq: prof.tolist()
-                         for kq, prof in self.profiles_by_kq.items()},
-        })
-
-    @classmethod
-    def from_json(cls, text):
-        raw = json.loads(text)
-        grid = RadialGrid(np.asarray(raw["grid_a0"]), raw.get("grid_scheme", "custom"))
-        profiles = {}
-        for key, values in raw["profiles"].items():
-            k, q = (int(p) for p in key.split(","))
-            profiles[(k, q)] = np.asarray(values, dtype=float)
-        return cls(np.asarray(raw["position_m"]), grid, raw["k_max"], profiles,
-                   raw.get("beam", {}))
-
-    def write_csv(self, stream):
-        """Profiles as CSV: radius column then one column per (k, q)."""
-        keys = sorted(self.profiles_by_kq)
-        header = ["r_a0"] + ["f_%d_%d" % kq for kq in keys]
-        stream.write(",".join(header) + "\n")
-        cols = [self.grid.points] + [self.profiles_by_kq[kq] for kq in keys]
-        for row in zip(*cols):
-            stream.write(",".join("%.10e" % v for v in row) + "\n")
 
 
 def _angular_nodes(k_max, n_theta, n_phi):

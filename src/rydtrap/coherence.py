@@ -11,6 +11,15 @@ which dephases a Ramsey sequence; an echo refocuses the static part and
 is limited by trajectory evolution between the pulses and by T1. The
 ensemble is sampled with a counter-based generator so results are
 reproducible and independent of evaluation order.
+
+The net echo phase of axis i is 4 sin^2(w_i tau) sin(2 w_i tau + 2 phi_i)
+times a per-atom weight, so over all axes it is a rank-6 product of a
+per-atom (atoms, 6) matrix and a per-time (6, times) matrix. Both
+contrasts draw the ensemble once and accumulate sum cos(phi) and
+sum sin(phi) over fixed-size chunks of atoms, so no (atoms x times) array
+is ever held: memory is flat in the number of times and linear in the
+number of atoms (energies, orbital phases and the per-atom echo factors;
+traced peaks of about 60 B per atom for Ramsey and 170 B for echo).
 """
 
 import math
@@ -18,6 +27,9 @@ import math
 import numpy as np
 
 from .constants import KB, H
+
+# atoms x times elements evaluated at once when accumulating a contrast
+_CHUNK_ELEMENTS = 1 << 18
 
 
 class ContrastCurve:
@@ -96,19 +108,12 @@ class DephasingScenario:
     def _rng(self):
         return np.random.Generator(np.random.Philox(key=self.seed))
 
-    def sample_energies(self):
-        """Per-axis motional energies, shape (n_atoms, 3), in joules.
-
-        Each axis is an independent 1D harmonic Boltzmann energy
-        (exponential with mean k_B T).
-        """
-        rng = self._rng()
-        if self.temperature_k == 0.0:
-            return np.zeros((self.n_atoms, 3))
-        return rng.exponential(KB * self.temperature_k, size=(self.n_atoms, 3))
-
     def sample_energies_and_phases(self):
-        """Energies as above plus uniform orbital phases, both (n_atoms, 3)."""
+        """Per-axis motional energies (J) and orbital phases, both (n_atoms, 3).
+
+        Each axis energy is an independent 1D harmonic Boltzmann energy
+        (exponential with mean k_B T); the phases are uniform in [0, 2 pi).
+        """
         rng = self._rng()
         if self.temperature_k == 0.0:
             energies = np.zeros((self.n_atoms, 3))
@@ -117,6 +122,23 @@ class DephasingScenario:
                                        size=(self.n_atoms, 3))
         phases = rng.uniform(0.0, 2.0 * np.pi, size=(self.n_atoms, 3))
         return energies, phases
+
+
+def _mean_phasor_magnitude(n_atoms, n_times, phase_of_rows):
+    """|<exp(i phi)>| over atoms at each time.
+
+    phase_of_rows(a, b) returns the (b - a, n_times) phases of atoms
+    [a, b); sum cos and sum sin are accumulated over chunks of at most
+    _CHUNK_ELEMENTS elements.
+    """
+    rows = max(1, _CHUNK_ELEMENTS // max(1, n_times))
+    re = np.zeros(n_times)
+    im = np.zeros(n_times)
+    for a in range(0, n_atoms, rows):
+        phase = phase_of_rows(a, min(a + rows, n_atoms))
+        re += np.cos(phase).sum(axis=0)
+        im += np.sin(phase).sum(axis=0)
+    return np.hypot(re, im) / n_atoms
 
 
 def _t1_envelope(times, t1_s):
@@ -140,10 +162,10 @@ def ramsey_contrast(scenario, times_s):
     energy spread does.
     """
     times = np.asarray(times_s, dtype=float)
-    energies = scenario.sample_energies()
-    dnu = orbit_averaged_shift_hz(scenario, energies)
-    phase = 2.0 * np.pi * dnu[:, None] * times[None, :]
-    coherence = np.abs(np.mean(np.exp(1j * phase), axis=0))
+    energies, _ = scenario.sample_energies_and_phases()
+    rate = 2.0 * np.pi * orbit_averaged_shift_hz(scenario, energies)
+    coherence = _mean_phasor_magnitude(
+        len(rate), len(times), lambda a, b: np.outer(rate[a:b], times))
     return ContrastCurve(times, coherence * _t1_envelope(times, scenario.t1_s))
 
 
@@ -169,7 +191,14 @@ def echo_contrast(scenario, times_s):
     + 2 phi_i)); integrating + tau then - tau leaves the net echo phase
 
         -2 pi dnu0 (E_i/(2 U0)) [2 S(tau) - S(2 tau)] / (2 w_i),
-        S(t) = sin(2 w_i t + 2 phi_i) - sin(2 phi_i).
+        S(t) = sin(2 w_i t + 2 phi_i) - sin(2 phi_i),
+
+    and exactly 2 S(tau) - S(2 tau) = 4 sin^2(w_i tau) sin(2 w_i tau +
+    2 phi_i). Expanding the last sine, the phase summed over axes is
+    coef @ basis: per atom, coef = [w_i cos 2phi_i, w_i sin 2phi_i] with
+    w_i = E_i/(2 U0); per time, basis = c_i 4 sin^2(w_i tau) [sin 2 w_i tau,
+    cos 2 w_i tau] with c_i = -2 pi dnu0/(2 w_i). It is accumulated over
+    chunks of atoms. The sin^2 form has no cancellation as w -> 0.
 
     Static dephasing cancels exactly; both the frozen (w -> 0) and the
     fast-orbit (w -> infinity) limits refocus fully.
@@ -177,18 +206,17 @@ def echo_contrast(scenario, times_s):
     times = np.asarray(times_s, dtype=float)
     energies, phases = scenario.sample_energies_and_phases()
     u0 = H * scenario.depth_hz
+    weight = energies / (2.0 * u0)
+    coef = np.hstack([weight * np.cos(2.0 * phases),
+                      weight * np.sin(2.0 * phases)])         # (atoms, 6)
     omega = 2.0 * np.pi * np.asarray(scenario.frequencies_hz())
-    weight = energies / (2.0 * u0)                     # (atoms, 3)
-    tau = times / 2.0
-    total_phase = np.zeros((energies.shape[0], len(times)))
-    for i in range(3):
-        wt = omega[i] * tau[None, :]
-        ph = phases[:, i][:, None]
-        s_tau = np.sin(2.0 * wt + 2.0 * ph) - np.sin(2.0 * ph)
-        s_2tau = np.sin(4.0 * wt + 2.0 * ph) - np.sin(2.0 * ph)
-        total_phase += -2.0 * np.pi * scenario.dnu0_hz \
-            * weight[:, i][:, None] * (2.0 * s_tau - s_2tau) / (2.0 * omega[i])
-    coherence = np.abs(np.mean(np.exp(1j * total_phase), axis=0))
+    wt = omega[:, None] * (times / 2.0)[None, :]              # (3, times)
+    amplitude = -2.0 * np.pi * scenario.dnu0_hz / (2.0 * omega)[:, None] \
+        * 4.0 * np.sin(wt) ** 2
+    basis = np.vstack([amplitude * np.sin(2.0 * wt),
+                       amplitude * np.cos(2.0 * wt)])         # (6, times)
+    coherence = _mean_phasor_magnitude(
+        len(coef), len(times), lambda a, b: coef[a:b] @ basis)
     return ContrastCurve(times, coherence * _t1_envelope(times, scenario.t1_s))
 
 

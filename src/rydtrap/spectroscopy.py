@@ -262,11 +262,6 @@ def fit_threshold(records, fit_range=None, rydberg_cm1=None,
     return model
 
 
-def energy_of(model, n):
-    """Series energy at n from a RitzModel (cm-1)."""
-    return model.energy_cm1(n)
-
-
 def forster_defect(pair_in, pair_out):
     """Pair-channel energy mismatch E(in) - E(out) in MHz.
 

@@ -1,7 +1,5 @@
 """Gaussian beam optics and the spherical-tensor intensity decomposition."""
 
-import io
-import json
 import warnings
 
 import numpy as np
@@ -9,8 +7,8 @@ import pytest
 from scipy.integrate import quad
 
 from rydtrap.beam import (ParaxialValidityWarning, QuadratureConvergenceError,
-                          TensorField, TweezerBeam, _sphere_profiles,
-                          brute_force_average, decompose, real_sph_harm)
+                          TweezerBeam, _sphere_profiles, brute_force_average,
+                          decompose, real_sph_harm)
 from rydtrap.constants import A0, C
 from rydtrap.radial import RadialGrid, hydrogen_radial, radial_integral
 
@@ -214,28 +212,6 @@ class TestDecompose:
         field = decompose(beam9, (0.0, 0.0, 0.4e-6), grid, k_max=3)
         i0 = beam9.peak_intensity
         assert np.max(np.abs(field.profile(1, 0))) > 1e-3 * i0
-
-
-class TestSerialization:
-    def test_json_round_trip(self, field9):
-        clone = TensorField.from_json(field9.to_json())
-        assert clone.k_max == field9.k_max
-        assert clone.grid == field9.grid
-        assert np.array_equal(clone.profile(2, 0), field9.profile(2, 0))
-        assert clone.beam_descriptor["power_w"] == pytest.approx(POWER)
-
-    def test_csv_layout(self, beam9):
-        grid = RadialGrid.default(10, npoints=100)
-        field = decompose(beam9, (0.0, 0.0, 0.0), grid, k_max=2)
-        buf = io.StringIO()
-        field.write_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
-        header = lines[0].split(",")
-        assert header[0] == "r_a0"
-        assert "f_0_0" in header and "f_2_0" in header
-        assert len(lines) == 1 + len(grid)
-        # numeric, dot-decimal cells
-        float(lines[1].split(",")[1])
 
 
 class TestBruteForceAverage:

@@ -1,10 +1,12 @@
 """Ramsey and echo dephasing from thermal sampling of the trap profile."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rydtrap import coherence
 from rydtrap.coherence import (ContrastCurve, DephasingScenario,
                                echo_contrast, orbit_averaged_shift_hz,
                                ramsey_contrast, ramsey_contrast_analytic,
@@ -23,6 +25,36 @@ def scenario(**kw):
                 n_atoms=100000, seed=7)
     base.update(kw)
     return DephasingScenario(**base)
+
+
+def dense_ramsey(sc, times):
+    """Reference: the complex mean of exp(i phi) over an (atoms, times) array."""
+    energies, _ = sc.sample_energies_and_phases()
+    dnu = orbit_averaged_shift_hz(sc, energies)
+    phase = 2.0 * np.pi * dnu[:, None] * times[None, :]
+    return np.abs(np.mean(np.exp(1j * phase), axis=0)) * np.exp(-times / sc.t1_s)
+
+
+def dense_echo(sc, times):
+    """Reference: the echo phase summed over axes from four sines per axis,
+
+    -2 pi dnu0 (E_i/(2 U0)) [2 S(tau) - S(2 tau)] / (2 w_i),
+    S(t) = sin(2 w_i t + 2 phi_i) - sin(2 phi_i), on (atoms, times) arrays.
+    """
+    energies, phases = sc.sample_energies_and_phases()
+    omega = 2.0 * np.pi * np.asarray(sc.frequencies_hz())
+    u0 = H * sc.depth_hz
+    weight = energies / (2.0 * u0)
+    tau = times / 2.0
+    total = np.zeros((sc.n_atoms, len(times)))
+    for i in range(3):
+        wt = omega[i] * tau[None, :]
+        ph = phases[:, i][:, None]
+        s_tau = np.sin(2.0 * wt + 2.0 * ph) - np.sin(2.0 * ph)
+        s_2tau = np.sin(4.0 * wt + 2.0 * ph) - np.sin(2.0 * ph)
+        total += -2.0 * np.pi * sc.dnu0_hz * weight[:, i][:, None] \
+            * (2.0 * s_tau - s_2tau) / (2.0 * omega[i])
+    return np.abs(np.mean(np.exp(1j * total), axis=0)) * np.exp(-times / sc.t1_s)
 
 
 class TestContrastCurve:
@@ -82,14 +114,16 @@ class TestScenario:
 
     def test_energy_sampling(self):
         sc = scenario(n_atoms=200000)
-        e = sc.sample_energies()
+        e = sc.sample_energies_and_phases()[0]
         assert e.shape == (200000, 3)
         assert np.mean(e) == pytest.approx(KB * TEMP, rel=5e-3)
-        assert np.array_equal(e, scenario(n_atoms=200000).sample_energies())
+        assert np.array_equal(
+            e, scenario(n_atoms=200000).sample_energies_and_phases()[0])
         assert not np.array_equal(e[:, 0], e[:, 1])
 
     def test_zero_temperature_energies(self):
-        assert np.all(scenario(temperature_k=0.0).sample_energies() == 0.0)
+        energies = scenario(temperature_k=0.0).sample_energies_and_phases()[0]
+        assert np.all(energies == 0.0)
 
 
 class TestRamsey:
@@ -133,7 +167,8 @@ class TestRamsey:
         x = KB * TEMP / (2.0 * H * DEPTH)
         assert mean == pytest.approx(DNU0 * (1.0 - 3.0 * x), rel=1e-12)
         assert std == pytest.approx(DNU0 * math.sqrt(3.0) * x, rel=1e-12)
-        shifts = orbit_averaged_shift_hz(sc, sc.sample_energies())
+        shifts = orbit_averaged_shift_hz(sc,
+                                         sc.sample_energies_and_phases()[0])
         assert np.mean(shifts) == pytest.approx(mean, abs=4 * std / 600.0)
         assert np.std(shifts) == pytest.approx(std, rel=1e-2)
 
@@ -172,3 +207,48 @@ class TestEcho:
         b = echo_contrast(scenario(seed=5, trap_frequencies_hz=freqs),
                           TIMES).contrast
         assert np.array_equal(a, b)
+
+
+class TestChunkedAccumulation:
+    ECHO_FREQS = ((33e3, 33e3, 6e3), (1e-3, 1e-3, 1e-3), (1e12, 1e12, 1e12))
+
+    def test_ramsey_matches_dense_reference(self):
+        sc = scenario(n_atoms=2000)
+        got = ramsey_contrast(sc, TIMES).contrast
+        assert np.max(np.abs(got - dense_ramsey(sc, TIMES))) <= 1e-12
+
+    @pytest.mark.parametrize("freqs", ECHO_FREQS)
+    def test_echo_matches_dense_reference(self, freqs):
+        sc = scenario(n_atoms=2000, trap_frequencies_hz=freqs)
+        got = echo_contrast(sc, TIMES).contrast
+        assert np.max(np.abs(got - dense_echo(sc, TIMES))) <= 1e-12
+
+    @pytest.mark.parametrize("budget", [1, 7 * len(TIMES)])
+    def test_chunk_size_does_not_change_contrast(self, monkeypatch, budget):
+        # 3000 atoms: one row per chunk, then 7-row chunks with a partial last
+        ram = scenario(n_atoms=3000)
+        echo = scenario(n_atoms=3000, trap_frequencies_hz=(33e3, 33e3, 6e3))
+        want_ram = ramsey_contrast(ram, TIMES).contrast
+        want_echo = echo_contrast(echo, TIMES).contrast
+        monkeypatch.setattr(coherence, "_CHUNK_ELEMENTS", budget)
+        assert np.max(np.abs(ramsey_contrast(ram, TIMES).contrast
+                             - want_ram)) <= 1e-13
+        assert np.max(np.abs(echo_contrast(echo, TIMES).contrast
+                             - want_echo)) <= 1e-13
+
+    def test_echo_memory_is_flat_in_times(self):
+        sc = scenario(n_atoms=20000, trap_frequencies_hz=(33e3, 33e3, 6e3))
+
+        def traced_peak(n_times):
+            times = np.linspace(0.0, 1e-3, n_times)
+            tracemalloc.start()
+            try:
+                echo_contrast(sc, times)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # a dense (atoms, 1001) float64 phase alone would be 160 MB
+        peak_61, peak_1001 = traced_peak(61), traced_peak(1001)
+        assert peak_1001 < 32e6
+        assert peak_1001 <= 1.5 * peak_61
