@@ -15,9 +15,10 @@ only q = 0 survives, and a 1D Gauss-Legendre rule in cos(theta) gives it;
 such a field stores only the (k, 0) profiles, the only ones diagonal
 matrix elements consume. Off the axis a (theta, phi) product rule
 (Gauss-Legendre x trapezoid) gives every |q| <= k; it is also the
-reference the axial rule is tested against. brute_force_average is the
-independent oracle: the direct 3D quadrature of the wavefunction-averaged
-intensity.
+reference the axial rule is tested against. A TensorField keeps the
+TweezerBeam it was decomposed from. brute_force_average is the independent
+oracle: the direct 3D quadrature of the wavefunction-averaged intensity;
+only it and the off-axis rule use the |Y_lm| helper _ylm_theta.
 """
 
 import warnings
@@ -26,7 +27,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 from scipy.special import lpmv, gammaln
 
-from .constants import C
+from .constants import A0, C
 from .radial import RadialGrid, GridMismatchError
 
 
@@ -82,9 +83,19 @@ class TweezerBeam:
         w2 = self.waist**2 * (1.0 + (z / self.rayleigh_range)**2)
         return (2.0 * self.power / (np.pi * w2)) * np.exp(-2.0 * rho2 / w2)
 
-    def descriptor(self):
-        return {"wavelength_m": self.wavelength, "waist_m": self.waist,
-                "power_w": self.power, "focus_m": self.focus.tolist()}
+
+def _ylm_theta(l, m, cos_theta):
+    """The theta factor of Y_lm, without the Condon-Shortley phase.
+
+    sqrt((2l+1)/(4 pi) (l-|m|)!/(l+|m|)!) P_l^|m|(cos theta): the density
+    |Y_lm(theta, phi)|^2 is its square at every phi, for either sign of m.
+    """
+    am = abs(m)
+    lognorm = 0.5 * (np.log((2 * l + 1) / (4.0 * np.pi))
+                     + gammaln(l - am + 1) - gammaln(l + am + 1))
+    # lpmv builds in the Condon-Shortley (-1)^m; cancel it
+    cs = -1.0 if am % 2 else 1.0
+    return cs * np.exp(lognorm) * lpmv(am, l, cos_theta)
 
 
 def real_sph_harm(k, q, cos_theta, phi):
@@ -95,17 +106,12 @@ def real_sph_harm(k, q, cos_theta, phi):
     Signs follow the real-basis convention (no Condon-Shortley phase), so
     Y~_11 is positive along +x.
     """
-    aq = abs(q)
-    lognorm = 0.5 * (np.log((2 * k + 1) / (4.0 * np.pi))
-                     + gammaln(k - aq + 1) - gammaln(k + aq + 1))
-    # lpmv builds in the Condon-Shortley (-1)^q; cancel it
-    cs = -1.0 if aq % 2 else 1.0
-    base = cs * np.exp(lognorm) * lpmv(aq, k, cos_theta)
+    base = _ylm_theta(k, q, cos_theta)
     if q == 0:
         return base * np.ones_like(phi)
     if q > 0:
-        return np.sqrt(2.0) * base * np.cos(aq * phi)
-    return np.sqrt(2.0) * base * np.sin(aq * phi)
+        return np.sqrt(2.0) * base * np.cos(q * phi)
+    return np.sqrt(2.0) * base * np.sin(-q * phi)
 
 
 class TensorField:
@@ -115,17 +121,18 @@ class TensorField:
     I(R + r) = sum f_kq(r) * sqrt(4 pi/(2k+1)) * Y~_kq(rhat), which for
     q = 0 reduces to the Legendre form I = sum f_k0 P_k(cos theta). A
     field about a point on the beam axis holds only the (k, 0) profiles.
-    refinement_residual is the largest profile move, over peak intensity,
-    that decompose's refinement check saw; None when it did not check.
+    beam is the TweezerBeam they were decomposed from. refinement_residual
+    is the largest profile move, over peak intensity, that decompose's
+    refinement check saw; None when it did not check.
     """
 
-    def __init__(self, position, grid, k_max, profiles, beam_descriptor=None,
+    def __init__(self, position, grid, k_max, profiles, beam,
                  refinement_residual=None):
         self.position = np.asarray(position, dtype=float)
         self.grid = grid
         self.k_max = int(k_max)
         self.profiles_by_kq = profiles
-        self.beam_descriptor = beam_descriptor or {}
+        self.beam = beam
         self.refinement_residual = refinement_residual
         self.element_cache = {}
 
@@ -143,7 +150,7 @@ class TensorField:
         return total
 
 
-def _angular_nodes(k_max, n_theta, n_phi):
+def _angular_nodes(n_theta, n_phi):
     cos_theta, w_theta = leggauss(n_theta)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     w_phi = 2.0 * np.pi / n_phi
@@ -173,7 +180,7 @@ def _axial_profiles(beam, position, r_m, k_max, n_theta):
 
 def _sphere_profiles(beam, position, r_m, k_max, n_theta, n_phi):
     """All (k, q) profiles about any point, by a (theta, phi) product rule."""
-    ct, ph, weights, nhat = _angular_nodes(k_max, n_theta, n_phi)
+    ct, ph, weights, nhat = _angular_nodes(n_theta, n_phi)
     # rows: one weighted real harmonic per (k, q), scaled so that the
     # angular sum gives f_kq directly
     kq_list = [(k, q) for k in range(k_max + 1) for q in range(-k, k + 1)]
@@ -210,9 +217,7 @@ def decompose(beam, position, grid, k_max=4, n_theta=None, n_phi=None,
     only the refined pass runs and refinement_residual is None. Radii on
     the grid are in Bohr radii; a0_m overrides the Bohr-to-meter scale.
     """
-    if a0_m is None:
-        from .constants import A0
-        a0_m = A0
+    a0_m = A0 if a0_m is None else a0_m
     k_max = int(k_max)
     if k_max < 0 or k_max > 12:
         raise ValueError("k_max must be in [0, 12]")
@@ -244,7 +249,7 @@ def decompose(beam, position, grid, k_max=4, n_theta=None, n_phi=None,
                 "angular quadrature not converged: refinement moved a "
                 "profile by %.3g of peak intensity (tol %.3g)"
                 % (residual, tol))
-    return TensorField(position, grid, k_max, fine, beam.descriptor(),
+    return TensorField(position, grid, k_max, fine, beam,
                        refinement_residual=residual)
 
 
@@ -258,30 +263,20 @@ def brute_force_average(beam, wf, position, m=None, angular_density=None,
     or a callable angular_density(cos_theta, phi) normalized to integrate
     to 1 over the sphere.
     """
-    if a0_m is None:
-        from .constants import A0
-        a0_m = A0
+    a0_m = A0 if a0_m is None else a0_m
     position = np.asarray(position, dtype=float)
 
     def density_fn(ct, ph):
         if angular_density is not None:
             return angular_density(ct, ph)
-        l = wf.l
         mm = 0 if m is None else int(m)
-        if abs(mm) > l:
+        if abs(mm) > wf.l:
             raise ValueError("|m| > l")
-        y = real_sph_harm(l, abs(mm), ct, ph)
-        if mm == 0:
-            return y * y
-        # |Y_lm|^2 is phi independent; the real harmonic squared needs the
-        # cos^2 -> 1/2 average restored
-        lognorm = gammaln(l - abs(mm) + 1) - gammaln(l + abs(mm) + 1)
-        norm = (2 * l + 1) / (4.0 * np.pi) * np.exp(lognorm)
-        p = lpmv(abs(mm), l, ct)
-        return norm * p * p * np.ones_like(ph)
+        # |Y_lm|^2 is phi independent
+        return _ylm_theta(wf.l, mm, ct) ** 2 * np.ones_like(ph)
 
     def run_full(nt, np_):
-        ct, ph, weights, nhat = _angular_nodes(0, nt, np_)
+        ct, ph, weights, nhat = _angular_nodes(nt, np_)
         dens = density_fn(ct, ph)
         r_m = wf.grid.points * a0_m
         angular_avg = np.empty(len(wf.grid))

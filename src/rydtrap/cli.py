@@ -2,10 +2,10 @@
 
 Every physical input carries an explicit unit suffix (650nm, 9mW, 90kHz,
 13uK, 108us, 107au, 90deg); bare numbers are rejected so quantities can
-never be misread. Results are written as a JSON envelope (command, config
-echo, data, provenance with a hash of the constants table) or as CSV with
-the same metadata in comment lines. Exit codes: 1 usage, 2 bad data,
-3 numerical nonconvergence.
+never be misread. Each command hands its config, data and any CSV table
+to _emit: a JSON envelope (command, config, data, provenance with a hash
+of the constants table) or CSV with that metadata as comments. Exit codes:
+1 usage, 2 bad data (non-positive power, non-finite result), 3 nonconvergence.
 """
 
 import argparse
@@ -17,15 +17,14 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import lpmv, gammaln
 
 from . import __version__
-from .constants import CM1_TO_MHZ, H, constants_hash
-from .angular import (Term, HalfInt, angular_table, reference_m, wigner_3j,
+from .constants import CM1_TO_MHZ, constants_hash
+from .angular import (Term, HalfInt, angular_table, reference_m,
                       UnsupportedTermError, TABLE_TERMS)
-from .beam import (TweezerBeam, decompose, brute_force_average,
-                   QuadratureConvergenceError, ParaxialValidityWarning)
-from .radial import RadialGrid, numerov_radial
+from .beam import (TweezerBeam, decompose, QuadratureConvergenceError,
+                   ParaxialValidityWarning)
+from .radial import RadialGrid
 from . import potential
 from .potential import RydbergState, SPECIES_PRESETS
 from . import spectroscopy
@@ -86,7 +85,8 @@ def time_range(text):
     start, stop, step = (one(p) for p in parts)
     if step <= 0 or stop <= start:
         raise argparse.ArgumentTypeError("empty or backwards time range %r" % text)
-    count = int(round((stop - start) / step)) + 1
+    # last whole step not past stop; the slack absorbs rounding in span/step
+    count = math.floor((stop - start) / step * (1.0 + 1e-9)) + 1
     return start + step * np.arange(count)
 
 
@@ -154,14 +154,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
 
 
-def _add_output_args(parser, default_format):
-    parser.add_argument("--output", metavar="PATH",
-                        help="write the result here instead of stdout")
-    parser.add_argument("--format", choices=("csv", "json"),
-                        default=default_format,
-                        help="output format (default %(default)s)")
-
-
 def _add_beam_args(parser, power=True):
     parser.add_argument("--wavelength", type=unit_quantity("length"),
                         default=532e-9, metavar="L[nm]",
@@ -179,14 +171,39 @@ def _add_beam_args(parser, power=True):
                                 "ground-state trap depth")
 
 
-def _add_species_args(parser):
+def _add_species_args(parser, overrides=True):
     parser.add_argument("--species", choices=sorted(SPECIES_PRESETS),
                         default="yb174", help="species preset (default yb174)")
-    parser.add_argument("--alpha-core", type=unit_quantity("polarizability"),
-                        metavar="A[au]", help="override core polarizability")
-    parser.add_argument("--alpha-ground", type=unit_quantity("polarizability"),
-                        metavar="A[au]",
-                        help="override ground-state polarizability")
+    if overrides:
+        parser.add_argument("--alpha-core", type=unit_quantity("polarizability"),
+                            metavar="A[au]", help="override core polarizability")
+        parser.add_argument("--alpha-ground",
+                            type=unit_quantity("polarizability"),
+                            metavar="A[au]",
+                            help="override ground-state polarizability")
+
+
+def _add_state_args(parser, series=None, axis_angle=True, k_max=True):
+    """Species, beam, --series (series: its keywords), --axis-angle, k-max."""
+    _add_species_args(parser)
+    _add_beam_args(parser)
+    if series is not None:
+        parser.add_argument("--series", type=term_type, **series)
+    if axis_angle:
+        parser.add_argument("--axis-angle", type=unit_quantity("angle"),
+                            default=0.0, metavar="A[deg]",
+                            help="quantization axis tilt from the beam axis")
+    if k_max:
+        parser.add_argument("--k-max", type=int, default=4)
+
+
+def _add_energy_args(parser):
+    """Options shared by the fits of series energies."""
+    _add_species_args(parser, overrides=False)
+    parser.add_argument("--input", metavar="CSV",
+                        help="energy table (default: bundled series data)")
+    parser.add_argument("--range", type=n_range, default=None, metavar="A:B")
+    parser.add_argument("--rydberg-cm1", type=float, default=None)
 
 
 def _species_from_args(args):
@@ -199,16 +216,25 @@ def _species_from_args(args):
 
 
 def _beam_from_args(args, species=None):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ParaxialValidityWarning)
-        beam = TweezerBeam(args.wavelength, args.waist, 1.0)
-    power = getattr(args, "power", None)
-    if power is None:
-        depth = getattr(args, "ground_depth", None)
-        if depth is None:
-            raise ValueError("either --power or --ground-depth is required")
-        power = potential.power_for_ground_depth(species, beam, depth)
+    """Beam at the power of --power or --ground-depth (else 1 W)."""
+    beam = TweezerBeam(args.wavelength, args.waist, 1.0)
+    if getattr(args, "ground_depth", None) is not None:
+        power = potential.power_for_ground_depth(species, beam,
+                                                 args.ground_depth)
+    else:
+        power = getattr(args, "power", 1.0)
+    if not power > 0:
+        raise ValueError("beam power must be positive, got %g W" % power)
     return beam.with_power(power)
+
+
+def _energy_records(args):
+    """Species, Rydberg constant, input path and records of an energy fit."""
+    species = SPECIES_PRESETS[args.species]()
+    ry = args.rydberg_cm1 if args.rydberg_cm1 is not None \
+        else species.rydberg_cm1
+    path = args.input or spectroscopy.bundled_energy_path()
+    return species, ry, path, spectroscopy.load_energy_csv(path)
 
 
 def _grid_for(n_max):
@@ -221,37 +247,32 @@ def _field_for(beam, n_max, k_max):
     return decompose(beam, (0.0, 0.0, 0.0), _grid_for(n_max), k_max=k_max)
 
 
-def _envelope(command, config, data):
-    return {
-        "command": command,
-        "config": config,
-        "data": data,
-        "provenance": {"package": "rydtrap", "version": __version__,
-                       "constants_sha256": constants_hash()},
-    }
+def _table(header, rows):
+    """The JSON form of a CSV table: one dict per row, keyed by header."""
+    return {"rows": [dict(zip(header, row)) for row in rows]}
 
 
-def _emit(args, envelope, header=None, rows=None):
-    """Write JSON envelope or CSV (with metadata comments) per --format."""
-    stream = open(args.output, "w") if args.output else sys.stdout
-    try:
-        if args.format == "json" or rows is None:
-            json.dump(envelope, stream, indent=2)
-            stream.write("\n")
-        else:
-            stream.write("# command: %s\n" % envelope["command"])
-            stream.write("# config: %s\n" % json.dumps(envelope["config"],
-                                                       sort_keys=True))
-            prov = envelope["provenance"]
-            stream.write("# provenance: %s %s constants=%s\n"
-                         % (prov["package"], prov["version"],
-                            prov["constants_sha256"][:16]))
-            stream.write(",".join(header) + "\n")
-            for row in rows:
-                stream.write(",".join(_cell(value) for value in row) + "\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+def _emit(args, command, config, data, header=None, rows=None):
+    """Write the JSON envelope, or with --format csv the table if any; the
+    envelope is encoded either way, so a non-finite value is a ValueError."""
+    provenance = {"package": "rydtrap", "version": __version__,
+                  "constants_sha256": constants_hash()}
+    text = json.dumps({"command": command, "config": config, "data": data,
+                       "provenance": provenance},
+                      indent=2, allow_nan=False) + "\n"
+    if args.format == "csv" and rows is not None:
+        lines = ["# command: %s" % command,
+                 "# config: %s" % json.dumps(config, sort_keys=True),
+                 "# provenance: rydtrap %s constants=%s"
+                 % (__version__, provenance["constants_sha256"][:16]),
+                 ",".join(header)]
+        lines += [",".join(_cell(value) for value in row) for row in rows]
+        text = "\n".join(lines) + "\n"
+    if args.output:
+        with open(args.output, "w") as stream:
+            stream.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cell(value):
@@ -268,13 +289,9 @@ def _cmd_angular_table(args):
         m_ref = reference_m(label)
         rows.append([label, str(m_ref)] + [str(f) for f in factors])
     header = ["term", "M"] + ["k%d" % k for k in args.ranks]
-    data = {"ranks": list(args.ranks),
-            "rows": [{"term": r[0], "M": r[1],
-                      **{"k%d" % k: r[2 + i]
-                         for i, k in enumerate(args.ranks)}} for r in rows]}
-    _emit(args, _envelope("angular-table", {"terms": list(args.terms),
-                                            "ranks": list(args.ranks)}, data),
-          header, rows)
+    _emit(args, "angular-table",
+          {"terms": list(args.terms), "ranks": list(args.ranks)},
+          {"ranks": list(args.ranks), **_table(header, rows)}, header, rows)
 
 
 def _cmd_trap_depth(args):
@@ -305,8 +322,7 @@ def _cmd_trap_depth(args):
               "axis_angle_deg": args.axis_angle,
               "alpha_core_au": species.alpha_core_au,
               "alpha_ground_au": species.alpha_ground_au}
-    data = {"rows": [dict(zip(header, row)) for row in rows]}
-    _emit(args, _envelope("trap-depth", config, data), header, rows)
+    _emit(args, "trap-depth", config, _table(header, rows), header, rows)
 
 
 def _cmd_tensor_shift(args):
@@ -324,7 +340,7 @@ def _cmd_tensor_shift(args):
     spread = max(shifts.values()) - min(shifts.values())
     data = {"shifts_hz": {str(m): v for m, v in shifts.items()},
             "spread_hz": spread}
-    _emit(args, _envelope("tensor-shift", config, data), header, rows)
+    _emit(args, "tensor-shift", config, data, header, rows)
 
 
 def _cmd_magic_scan(args):
@@ -344,18 +360,13 @@ def _cmd_magic_scan(args):
     config = {"species": args.species, "series_a": args.series_a.label,
               "series_b": args.series_b.label, "offset": args.offset,
               "power_w": beam.power}
-    data = {"rows": [dict(zip(header, row)) for row in rows]}
-    _emit(args, _envelope("magic-scan", config, data), header, rows)
+    _emit(args, "magic-scan", config, _table(header, rows), header, rows)
 
 
 def _cmd_ritz_fit(args):
-    species = SPECIES_PRESETS[args.species]()
+    species, ry, path, records = _energy_records(args)
     e_i = args.ionization_cm1 if args.ionization_cm1 is not None \
         else species.ionization_cm1
-    ry = args.rydberg_cm1 if args.rydberg_cm1 is not None \
-        else species.rydberg_cm1
-    path = args.input or spectroscopy.bundled_energy_path()
-    records = spectroscopy.load_energy_csv(path)
     model = spectroscopy.fit_ritz(records, order=args.order,
                                   fit_range=args.range, ionization_cm1=e_i,
                                   rydberg_cm1=ry)
@@ -372,15 +383,11 @@ def _cmd_ritz_fit(args):
     }
     config = {"input": path, "order": args.order,
               "range": list(args.range) if args.range else None}
-    _emit(args, _envelope("ritz-fit", config, data))
+    _emit(args, "ritz-fit", config, data)
 
 
 def _cmd_threshold_fit(args):
-    species = SPECIES_PRESETS[args.species]()
-    ry = args.rydberg_cm1 if args.rydberg_cm1 is not None \
-        else species.rydberg_cm1
-    path = args.input or spectroscopy.bundled_energy_path()
-    records = spectroscopy.load_energy_csv(path)
+    _, ry, path, records = _energy_records(args)
     model = spectroscopy.fit_threshold(records, fit_range=args.range,
                                        rydberg_cm1=ry)
     sigma_mhz = None if model.threshold_sigma_cm1 is None \
@@ -392,7 +399,7 @@ def _cmd_threshold_fit(args):
             "rydberg_cm1": ry}
     config = {"input": path,
               "range": list(args.range) if args.range else None}
-    _emit(args, _envelope("threshold-fit", config, data))
+    _emit(args, "threshold-fit", config, data)
 
 
 def _cmd_forster(args):
@@ -412,13 +419,11 @@ def _cmd_forster(args):
               "channel": "%s + %s -> %s + %s" % tuple(
                   "%d %s" % (s.n, s.term.label)
                   for s in states_in + states_out)}
-    _emit(args, _envelope("forster", config, data))
+    _emit(args, "forster", config, data)
 
 
 def _cmd_pi_fit(args):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ParaxialValidityWarning)
-        beam = TweezerBeam(args.wavelength, args.waist, 1.0)
+    beam = _beam_from_args(args)
     records = loss_mod.load_lifetime_csv(args.input)
     fit = loss_mod.fit_photoionization(records, beam)
     reductions = {}
@@ -436,7 +441,7 @@ def _cmd_pi_fit(args):
     }
     config = {"input": args.input, "waist_m": beam.waist,
               "wavelength_m": beam.wavelength}
-    _emit(args, _envelope("pi-fit", config, data))
+    _emit(args, "pi-fit", config, data)
 
 
 def _cmd_autoion(args):
@@ -447,34 +452,29 @@ def _cmd_autoion(args):
     rate = loss_mod.autoionization_rate(state, beam, core_depth)
     coeff = loss_mod.autoionization_coefficient(species, beam, core_depth)
     data = {"rate_per_s": rate,
-            "lifetime_s": math.inf if rate == 0 else 1.0 / rate,
+            "lifetime_s": None if rate == 0 else 1.0 / rate,
             "coefficient_per_s": coeff, "n_star": state.n_star}
     config = {"species": args.species, "n": args.n,
               "series": args.series.label, "power_w": beam.power}
-    _emit(args, _envelope("autoion", config, data))
+    _emit(args, "autoion", config, data)
 
 
-def _scenario_from_args(args, need_frequencies):
-    species = SPECIES_PRESETS[args.species]()
+def _cmd_contrast(args):
+    """ramsey-sim or echo-sim; echo needs trap frequencies or the beam."""
+    echo = args.command == "echo-sim"
     frequencies = None
     if args.trap_freq_radial is not None or args.trap_freq_axial is not None:
         if args.trap_freq_radial is None or args.trap_freq_axial is None:
             raise ValueError("pass both --trap-freq-radial and --trap-freq-axial")
         frequencies = (args.trap_freq_radial, args.trap_freq_radial,
                        args.trap_freq_axial)
-    beam = None
-    if frequencies is None and need_frequencies:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ParaxialValidityWarning)
-            beam = TweezerBeam(args.wavelength, args.waist, 1.0)
-    return DephasingScenario(
+    scenario = DephasingScenario(
         dnu0_hz=args.dnu, temperature_k=args.temp, depth_hz=args.depth,
         t1_s=args.t1, n_atoms=args.n, seed=args.seed,
-        trap_frequencies_hz=frequencies, beam=beam,
-        mass_kg=species.mass_kg)
-
-
-def _emit_contrast(args, command, curve, scenario):
+        trap_frequencies_hz=frequencies,
+        beam=_beam_from_args(args) if echo and frequencies is None else None,
+        mass_kg=SPECIES_PRESETS[args.species]().mass_kg)
+    curve = (echo_contrast if echo else ramsey_contrast)(scenario, args.times)
     header = ["time_us", "contrast"]
     rows = [[t * 1e6, c] for t, c in zip(curve.times_s, curve.contrast)]
     t_e = curve.one_over_e_time_s
@@ -485,63 +485,7 @@ def _emit_contrast(args, command, curve, scenario):
     data = {"one_over_e_time_us": None if t_e is None else t_e * 1e6,
             "times_us": [t * 1e6 for t in curve.times_s],
             "contrast": list(curve.contrast)}
-    _emit(args, _envelope(command, config, data), header, rows)
-
-
-def _cmd_ramsey_sim(args):
-    scenario = _scenario_from_args(args, need_frequencies=False)
-    curve = ramsey_contrast(scenario, args.times)
-    _emit_contrast(args, "ramsey-sim", curve, scenario)
-
-
-def _cmd_echo_sim(args):
-    scenario = _scenario_from_args(args, need_frequencies=True)
-    curve = echo_contrast(scenario, args.times)
-    _emit_contrast(args, "echo-sim", curve, scenario)
-
-
-def _term_angular_density(term, m):
-    """Angular density of an LS-coupled |term, M> as a callable of (ct, phi).
-
-    Decomposes |J M> over |L mL>|S mS> with squared Clebsch-Gordan weights;
-    the result is phi independent.
-    """
-    weights = []
-    for m_l in range(-term.L, term.L + 1):
-        twice_ms = m.twice - 2 * m_l
-        if abs(twice_ms) > term.S.twice or (twice_ms + term.S.twice) % 2:
-            continue
-        m_s = HalfInt.from_twice(twice_ms)
-        w3 = wigner_3j(term.L, term.S, term.J, m_l, m_s, -m)
-        cg2 = (term.J.twice + 1) * w3 * w3
-        if cg2 > 0:
-            weights.append((m_l, cg2))
-
-    def density(cos_theta, phi):
-        total = np.zeros_like(np.asarray(cos_theta, dtype=float))
-        for m_l, cg2 in weights:
-            am = abs(m_l)
-            lognorm = (np.log((2 * term.L + 1) / (4.0 * np.pi))
-                       + gammaln(term.L - am + 1) - gammaln(term.L + am + 1))
-            p = lpmv(am, term.L, cos_theta)
-            total = total + cg2 * np.exp(lognorm) * p * p
-        return total * np.ones_like(np.asarray(phi, dtype=float))
-
-    return density
-
-
-def oracle_compare(species, n, term, m, beam, k_max=4):
-    """Tensor-path shift vs direct 3D quadrature for one state, in Hz."""
-    state = RydbergState(species, n, term, m)
-    field = _field_for(beam, n, k_max)
-    tensor_hz, _ = potential.ponderomotive_shift(state, field)
-    wf = numerov_radial(state.n_star, state.term.L, field.grid)
-    density = _term_angular_density(state.term, state.M)
-    avg_intensity = brute_force_average(beam, wf, field.position,
-                                       angular_density=density)
-    omega = beam.angular_frequency
-    brute_hz = potential.pond_prefactor(omega) * avg_intensity / H
-    return tensor_hz, brute_hz
+    _emit(args, args.command, config, data, header, rows)
 
 
 def _cmd_oracle_check(args):
@@ -549,15 +493,15 @@ def _cmd_oracle_check(args):
     beam = _beam_from_args(args, species)
     results = []
     for n in args.n:
-        state = RydbergState(species, n, args.series)
-        tensor_hz, brute_hz = oracle_compare(species, n, args.series,
-                                             state.M, beam, args.k_max)
+        tensor_hz, brute_hz = potential.oracle_compare(
+            RydbergState(species, n, args.series),
+            _field_for(beam, n, args.k_max))
         results.append({"n": n, "tensor_hz": tensor_hz, "brute_hz": brute_hz,
                         "relative_difference": abs(tensor_hz - brute_hz)
                         / abs(brute_hz)})
     config = {"species": args.species, "series": args.series.label,
               "power_w": beam.power}
-    _emit(args, _envelope("oracle-check", config, {"comparisons": results}))
+    _emit(args, "oracle-check", config, {"comparisons": results})
 
 
 # ---------------------------------------------------------------- wiring
@@ -573,7 +517,11 @@ def build_parser():
     def add(name, func, help_text, default_format):
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(func=func)
-        _add_output_args(p, default_format)
+        p.add_argument("--output", metavar="PATH",
+                       help="write the result here instead of stdout")
+        p.add_argument("--format", choices=("csv", "json"),
+                       default=default_format,
+                       help="output format (default %(default)s)")
         return p
 
     p = add("angular-table", _cmd_angular_table,
@@ -583,61 +531,37 @@ def build_parser():
 
     p = add("trap-depth", _cmd_trap_depth,
             "total Rydberg trap depth and its ratio to the ground state", "csv")
-    _add_species_args(p)
-    _add_beam_args(p)
-    p.add_argument("--series", type=term_type, default=Term("3S1"))
+    _add_state_args(p, {"default": Term("3S1")})
     p.add_argument("--n", type=int, help="single principal quantum number")
     p.add_argument("--n-min", type=int)
     p.add_argument("--n-max", type=int)
     p.add_argument("--m", type=m_type, default=None,
                    help="magnetic sublevel (default: 0 or 1/2)")
-    p.add_argument("--axis-angle", type=unit_quantity("angle"), default=0.0,
-                   metavar="A[deg]",
-                   help="quantization axis tilt from the beam axis")
-    p.add_argument("--k-max", type=int, default=4)
 
     p = add("tensor-shift", _cmd_tensor_shift,
             "per-M light shifts relative to the M average", "csv")
-    _add_species_args(p)
-    _add_beam_args(p)
-    p.add_argument("--series", type=term_type, required=True)
+    _add_state_args(p, {"required": True})
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--axis-angle", type=unit_quantity("angle"), default=0.0,
-                   metavar="A[deg]")
-    p.add_argument("--k-max", type=int, default=4)
 
     p = add("magic-scan", _cmd_magic_scan,
             "differential shift between two series versus n", "csv")
-    _add_species_args(p)
-    _add_beam_args(p)
+    _add_state_args(p)
     p.add_argument("--series-a", type=term_type, default=Term("3S1"))
     p.add_argument("--series-b", type=term_type, default=Term("3P0"))
     p.add_argument("--offset", type=int, default=-1,
                    help="n_b = n_a + offset (default -1)")
     p.add_argument("--n-range", type=n_range, required=True, metavar="A:B")
-    p.add_argument("--axis-angle", type=unit_quantity("angle"), default=0.0,
-                   metavar="A[deg]")
-    p.add_argument("--k-max", type=int, default=4)
 
     p = add("ritz-fit", _cmd_ritz_fit,
             "fit the extended Ritz defect expansion to series energies",
             "json")
-    p.add_argument("--species", choices=sorted(SPECIES_PRESETS),
-                   default="yb174")
-    p.add_argument("--input", metavar="CSV",
-                   help="energy table (default: bundled series data)")
-    p.add_argument("--range", type=n_range, default=None, metavar="A:B")
+    _add_energy_args(p)
     p.add_argument("--order", type=int, default=8)
     p.add_argument("--ionization-cm1", type=float, default=None)
-    p.add_argument("--rydberg-cm1", type=float, default=None)
 
     p = add("threshold-fit", _cmd_threshold_fit,
             "joint ionization-threshold and flat-defect fit", "json")
-    p.add_argument("--species", choices=sorted(SPECIES_PRESETS),
-                   default="yb174")
-    p.add_argument("--input", metavar="CSV")
-    p.add_argument("--range", type=n_range, default=None, metavar="A:B")
-    p.add_argument("--rydberg-cm1", type=float, default=None)
+    _add_energy_args(p)
 
     p = add("forster", _cmd_forster,
             "pair-channel energy mismatch from the defect models", "json")
@@ -648,30 +572,25 @@ def build_parser():
     p = add("pi-fit", _cmd_pi_fit,
             "photoionization fit of lifetime versus trap power", "json")
     p.add_argument("--input", required=True, metavar="CSV")
-    p.add_argument("--wavelength", type=unit_quantity("length"),
-                   default=532e-9, metavar="L[nm]")
-    p.add_argument("--waist", type=unit_quantity("length"), default=650e-9,
-                   metavar="W[nm]")
+    _add_beam_args(p, power=False)
     p.add_argument("--at-power", type=unit_quantity("power"), nargs="*",
                    default=[9e-3], metavar="P[mW]",
                    help="report lifetime reduction at these powers")
 
     p = add("autoion", _cmd_autoion,
             "isolated-core autoionization rate estimate", "json")
-    _add_species_args(p)
-    _add_beam_args(p)
+    _add_state_args(p, {"default": Term("3S1")}, axis_angle=False, k_max=False)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--series", type=term_type, default=Term("3S1"))
     p.add_argument("--core-depth", type=unit_quantity("frequency"),
                    default=None, metavar="F[MHz]",
                    help="override the core trap depth")
 
-    for name, func, help_text in [
-            ("ramsey-sim", _cmd_ramsey_sim,
+    for name, help_text in [
+            ("ramsey-sim",
              "Monte Carlo Ramsey contrast of a trapped thermal ensemble"),
-            ("echo-sim", _cmd_echo_sim,
+            ("echo-sim",
              "Monte Carlo Hahn-echo contrast with orbital dynamics")]:
-        p = add(name, func, help_text, "csv")
+        p = add(name, _cmd_contrast, help_text, "csv")
         p.add_argument("--dnu", type=unit_quantity("frequency"), required=True,
                        metavar="F[kHz]", help="peak differential shift")
         p.add_argument("--temp", type=unit_quantity("temperature"),
@@ -684,12 +603,8 @@ def build_parser():
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--times", type=time_range, default=time_range("0:60us:1us"),
                        metavar="START:STOP:STEP")
-        p.add_argument("--species", choices=sorted(SPECIES_PRESETS),
-                       default="yb174", help="species preset for the mass")
-        p.add_argument("--wavelength", type=unit_quantity("length"),
-                       default=532e-9, metavar="L[nm]")
-        p.add_argument("--waist", type=unit_quantity("length"),
-                       default=650e-9, metavar="W[nm]")
+        _add_species_args(p, overrides=False)  # for the mass
+        _add_beam_args(p, power=False)
         p.add_argument("--trap-freq-radial", type=unit_quantity("frequency"),
                        default=None, metavar="F[kHz]")
         p.add_argument("--trap-freq-axial", type=unit_quantity("frequency"),
@@ -698,11 +613,8 @@ def build_parser():
     p = add("oracle-check", _cmd_oracle_check,
             "compare the tensor-expansion shift with direct 3D quadrature",
             "json")
-    _add_species_args(p)
-    _add_beam_args(p)
-    p.add_argument("--series", type=term_type, default=Term("3S1"))
+    _add_state_args(p, {"default": Term("3S1")}, axis_angle=False)
     p.add_argument("--n", type=int, nargs="+", required=True)
-    p.add_argument("--k-max", type=int, default=4)
 
     return parser
 
@@ -711,7 +623,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        with warnings.catch_warnings():  # 650 nm waist < 2 x 532 nm
+            warnings.simplefilter("ignore", ParaxialValidityWarning)
+            args.func(args)
     except (QuadratureConvergenceError, FitConvergenceError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_NONCONVERGENCE

@@ -10,20 +10,20 @@ elements of the intensity decomposition, so state dependence enters only
 through (term, M) geometry and the effective quantum number n*.
 
 Energies cross the interface in h*Hz; a positive trap depth means the
-state is trapped at the focus.
+state is trapped at the focus. oracle_compare checks the tensor path
+against the direct 3D quadrature of a Numerov wavefunction.
 """
 
 import math
-import warnings
 
 import numpy as np
 from scipy.special import eval_legendre
 
 from .constants import (AU_POLARIZABILITY, C, E_CHARGE, EPS0, H, M_E, AMU,
                         SPECIES_DATA)
-from .angular import Term, HalfInt, angular_factor, reference_m
-from .beam import TweezerBeam, ParaxialValidityWarning
-from .radial import interpolated_reduced_element
+from .angular import Term, HalfInt, angular_factor, reference_m, wigner_3j
+from .beam import brute_force_average, _ylm_theta
+from .radial import interpolated_reduced_element, numerov_radial
 from .spectroscopy import ritz_delta
 
 
@@ -198,16 +198,6 @@ def power_for_ground_depth(species, beam, depth_hz):
     return depth_hz / per_watt
 
 
-def _beam_from_field(field):
-    desc = field.beam_descriptor
-    if not desc:
-        raise ValueError("field carries no beam descriptor")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ParaxialValidityWarning)
-        return TweezerBeam(desc["wavelength_m"], desc["waist_m"],
-                           desc["power_w"], desc.get("focus_m", (0, 0, 0)))
-
-
 def ponderomotive_shift(state, field, axis_angle_deg=0.0,
                         allow_truncation=False):
     """Ponderomotive expectation for a state, total and per rank, h*Hz.
@@ -227,8 +217,7 @@ def ponderomotive_shift(state, field, axis_angle_deg=0.0,
             "state couples to rank %d but field holds k <= %d; decompose "
             "with a larger k_max or pass allow_truncation=True"
             % (needed, field.k_max))
-    omega = 2.0 * np.pi * C / field.beam_descriptor["wavelength_m"]
-    pref = pond_prefactor(omega)
+    pref = pond_prefactor(field.beam.angular_frequency)
     cos_beta = math.cos(math.radians(axis_angle_deg))
     by_k = {}
     for k in range(0, min(field.k_max, needed) + 1, 2):
@@ -255,7 +244,7 @@ class PotentialBreakdown:
 def potential_breakdown(state, field, axis_angle_deg=0.0,
                         allow_truncation=False):
     """Core + per-rank ponderomotive contributions at the field's nucleus."""
-    beam = _beam_from_field(field)
+    beam = field.beam
     _, by_k = ponderomotive_shift(state, field, axis_angle_deg,
                                   allow_truncation)
     u_core = core_shift(state.species, beam, field.position)
@@ -283,10 +272,9 @@ def trap_depth(state, field, axis_angle_deg=0.0, allow_truncation=False):
 def power_for_rydberg_depth(state, field, depth_hz, axis_angle_deg=0.0):
     """Power at which this state's trap depth equals depth_hz (linear in P)."""
     current, _ = trap_depth(state, field, axis_angle_deg)
-    power = field.beam_descriptor["power_w"]
     if current == 0.0:
         raise ValueError("state has zero depth; no power can reach the target")
-    return power * depth_hz / current
+    return field.beam.power * depth_hz / current
 
 
 def tensor_splitting(species, n, term, field, axis_angle_deg=0.0,
@@ -322,3 +310,41 @@ def differential_shift(a, b, field, axis_angle_deg=0.0,
     total_a, _ = ponderomotive_shift(a, field, axis_angle_deg, allow_truncation)
     total_b, _ = ponderomotive_shift(b, field, axis_angle_deg, allow_truncation)
     return total_a - total_b
+
+
+def _term_angular_density(term, m):
+    """Angular density of an LS-coupled |term, M> as a callable of (ct, phi).
+
+    Decomposes |J M> over |L mL>|S mS> with squared Clebsch-Gordan weights;
+    the result is phi independent.
+    """
+    weights = []
+    for m_l in range(-term.L, term.L + 1):
+        twice_ms = m.twice - 2 * m_l
+        if abs(twice_ms) > term.S.twice or (twice_ms + term.S.twice) % 2:
+            continue
+        m_s = HalfInt.from_twice(twice_ms)
+        w3 = wigner_3j(term.L, term.S, term.J, m_l, m_s, -m)
+        cg2 = (term.J.twice + 1) * w3 * w3
+        if cg2 > 0:
+            weights.append((m_l, cg2))
+
+    def density(cos_theta, phi):
+        total = sum(cg2 * _ylm_theta(term.L, m_l, cos_theta) ** 2
+                    for m_l, cg2 in weights)
+        return total * np.ones_like(np.asarray(phi, dtype=float))
+
+    return density
+
+
+def oracle_compare(state, field):
+    """(tensor_hz, brute_hz): the tensor-path ponderomotive shift and the
+    direct 3D quadrature of field.beam's intensity over a Numerov
+    wavefunction at n* on field.grid and the |term, M> angular density."""
+    tensor_hz, _ = ponderomotive_shift(state, field)
+    wf = numerov_radial(state.n_star, state.term.L, field.grid)
+    avg_intensity = brute_force_average(
+        field.beam, wf, field.position,
+        angular_density=_term_angular_density(state.term, state.M))
+    brute_hz = pond_prefactor(field.beam.angular_frequency) * avg_intensity / H
+    return tensor_hz, brute_hz

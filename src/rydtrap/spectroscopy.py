@@ -110,7 +110,8 @@ class RitzModel:
     """Fitted Ritz expansion with its threshold and series constants."""
 
     def __init__(self, params, ionization_cm1, rydberg_cm1, fit_range=None,
-                 covariance=None, residuals_mhz=None, record_n=None):
+                 covariance=None, residuals_mhz=None, record_n=None,
+                 threshold_sigma_cm1=None):
         self.params = np.asarray(params, dtype=float)
         self.ionization_cm1 = float(ionization_cm1)
         self.rydberg_cm1 = float(rydberg_cm1)
@@ -118,6 +119,7 @@ class RitzModel:
         self.covariance = covariance
         self.residuals_mhz = residuals_mhz
         self.record_n = record_n
+        self.threshold_sigma_cm1 = threshold_sigma_cm1
 
     @property
     def uncertainties(self):
@@ -212,9 +214,9 @@ def fit_threshold(records, fit_range=None, rydberg_cm1=None,
                   ionization_guess_cm1=None):
     """Joint (E_I, flat delta) fit on a window where the defect is constant.
 
-    Returns a RitzModel whose threshold is the fitted E_I; its parameter
-    covariance covers (E_I, d0) and the E_I uncertainty is exposed as
-    threshold_sigma_cm1 on the model.
+    Returns a RitzModel with params [d0] and the fitted E_I, whose
+    threshold_sigma_cm1 is the E_I uncertainty from the joint (E_I, d0)
+    covariance (None if singular); the model keeps no covariance.
     """
     if rydberg_cm1 is None:
         raise ValueError("rydberg_cm1 is required")
@@ -254,12 +256,10 @@ def fit_threshold(records, fit_range=None, rydberg_cm1=None,
         cov = None
     e_i, d0 = result.x
     res_mhz = (e_i - rydberg_cm1 / (n - d0) ** 2 - energy) * CM1_TO_MHZ
-    model = RitzModel([d0], e_i, rydberg_cm1, fit_range=fit_range,
-                      covariance=None, residuals_mhz=res_mhz,
-                      record_n=n.astype(int))
-    model.joint_covariance = cov
-    model.threshold_sigma_cm1 = None if cov is None else float(np.sqrt(cov[0, 0]))
-    return model
+    return RitzModel([d0], e_i, rydberg_cm1, fit_range=fit_range,
+                     residuals_mhz=res_mhz, record_n=n.astype(int),
+                     threshold_sigma_cm1=None if cov is None
+                     else float(np.sqrt(cov[0, 0])))
 
 
 def forster_defect(pair_in, pair_out):

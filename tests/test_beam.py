@@ -7,8 +7,8 @@ import pytest
 from scipy.integrate import quad
 
 from rydtrap.beam import (ParaxialValidityWarning, QuadratureConvergenceError,
-                          TweezerBeam, _sphere_profiles, brute_force_average,
-                          decompose, real_sph_harm)
+                          TweezerBeam, _sphere_profiles, _ylm_theta,
+                          brute_force_average, decompose, real_sph_harm)
 from rydtrap.constants import A0, C
 from rydtrap.radial import RadialGrid, hydrogen_radial, radial_integral
 
@@ -70,11 +70,8 @@ class TestTweezerBeam:
         with pytest.raises(ValueError):
             TweezerBeam(532e-9, 650e-9, -2e-3)
 
-    def test_descriptor_round_trip(self, beam9):
-        desc = beam9.descriptor()
-        assert desc["wavelength_m"] == WAVELENGTH
-        assert desc["waist_m"] == WAIST
-        assert desc["power_w"] == POWER
+    def test_field_keeps_its_beam(self, beam9, field9):
+        assert field9.beam is beam9
 
 
 class TestRealSphHarm:
@@ -107,6 +104,19 @@ class TestRealSphHarm:
         assert real_sph_harm(1, -1, ct, phi) == pytest.approx(
             np.sqrt(3 / (4 * np.pi)) * st * np.sin(phi))
 
+    @pytest.mark.parametrize("l, m, closed_form", [
+        (1, 0, lambda c, s: 3 / (4 * np.pi) * c**2),
+        (1, 1, lambda c, s: 3 / (8 * np.pi) * s**2),
+        (1, -1, lambda c, s: 3 / (8 * np.pi) * s**2),
+        (2, 2, lambda c, s: 15 / (32 * np.pi) * s**4),
+    ], ids=["l1m0", "l1m1", "l1m-1", "l2m2"])
+    def test_ylm_density_closed_forms(self, l, m, closed_form):
+        # |Y_lm|^2 is the square of the theta factor, for either sign of m
+        ct = np.linspace(-1.0, 1.0, 41)
+        st = np.sqrt(1 - ct**2)
+        got = _ylm_theta(l, m, ct) ** 2
+        assert np.max(np.abs(got - closed_form(ct, st))) < 1e-14
+
 
 class TestDecompose:
     def test_monopole_limit_at_origin(self, beam9, field9):
@@ -135,6 +145,18 @@ class TestDecompose:
         for k in range(5):
             assert np.max(np.abs(field.profile(k, 0) - reference[k, 0])) \
                 <= 1e-12 * beam9.peak_intensity, k
+
+    def test_axial_rule_does_not_use_the_ylm_helper(self, beam9,
+                                                    monkeypatch):
+        # the oracle's angular densities come from _ylm_theta; the
+        # production on-axis path must stay independent of it
+        def forbidden(*args):
+            raise AssertionError("on-axis decompose called _ylm_theta")
+        monkeypatch.setattr("rydtrap.beam._ylm_theta", forbidden)
+        grid = RadialGrid.default(10, npoints=100)
+        decompose(beam9, (0.0, 0.0, 0.0), grid, k_max=4)
+        with pytest.raises(AssertionError):
+            decompose(beam9, (0.2e-6, 0.0, 0.0), grid, k_max=4)
 
     def test_off_axis_point_uses_sphere_rule(self, beam9):
         grid = RadialGrid.default(15, npoints=200)

@@ -2,7 +2,9 @@
 
 import argparse
 import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +49,14 @@ class TestUnitGrammar:
         assert len(times) == 61
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(60e-6)
+        # whole-step stops keep their last point, bit for bit
+        for stop_us in (60, 240):
+            times = cli.time_range("0:%dus:1us" % stop_us)
+            assert np.array_equal(times, 1e-6 * np.arange(stop_us + 1))
+        # the stop is inclusive but never overshot
+        times = cli.time_range("0:60us:7us")
+        assert len(times) == 9
+        assert times[-1] == pytest.approx(56e-6)
         with pytest.raises(argparse.ArgumentTypeError):
             cli.time_range("10us:5us:1us")
         with pytest.raises(argparse.ArgumentTypeError):
@@ -117,6 +127,23 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(["angular-table", flag, "1"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["trap-depth", "--power", "0mW", "--n", "40"],
+        ["trap-depth", "--ground-depth", "0MHz", "--n", "40"],
+        ["oracle-check", "--power", "0mW", "--n", "40", "--format", "json"],
+    ], ids=["trap-depth-power", "trap-depth-ground-depth", "oracle-check"])
+    def test_zero_power_is_data_error(self, argv, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "power must be positive" in captured.err
+        assert captured.out == ""
+
+    def test_non_finite_result_is_data_error(self, tmp_path):
+        args = argparse.Namespace(format="json", output=str(tmp_path / "o"))
+        with pytest.raises(ValueError):
+            cli._emit(args, "x", {}, {"value": float("nan")})
+        assert not (tmp_path / "o").exists()
 
     def test_version_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -245,6 +272,19 @@ class TestLossCommands:
         assert doc["data"]["coefficient_per_s"] == pytest.approx(
             54.7e6, rel=1e-3)
 
+    def test_autoion_zero_rate_has_null_lifetime(self, tmp_path):
+        argv = ["autoion", "--power", "9mW", "--n", "40",
+                "--core-depth", "0MHz", "--format", "json",
+                "--output", str(tmp_path / "out.json")]
+        assert cli.main(argv) == 0
+
+        def reject(name):
+            raise AssertionError("non-JSON constant %s" % name)
+        doc = json.loads((tmp_path / "out.json").read_text(),
+                         parse_constant=reject)
+        assert doc["data"]["rate_per_s"] == 0.0
+        assert doc["data"]["lifetime_s"] is None
+
 
 class TestCoherenceCommands:
     ARGS = ["--dnu", "90kHz", "--temp", "13uK", "--depth", "2MHz",
@@ -266,3 +306,69 @@ class TestCoherenceCommands:
         contrast = np.array(doc["data"]["contrast"])
         assert contrast[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(contrast <= 1.0 + 1e-12)
+
+
+# every command whose default output is a CSV table, at small sizes
+SIM_ARGS = ["--dnu", "90kHz", "--temp", "13uK", "--depth", "2MHz",
+            "--t1", "108us", "--n", "200", "--times", "0:10us:2us"]
+CSV_COMMANDS = {
+    "angular-table": ["angular-table"],
+    "trap-depth": ["trap-depth", "--power", "9mW", "--n", "20"],
+    "tensor-shift": ["tensor-shift", "--power", "9mW", "--n", "20",
+                     "--series", "3P2"],
+    "magic-scan": ["magic-scan", "--power", "9mW", "--n-range", "20:21"],
+    "ramsey-sim": ["ramsey-sim"] + SIM_ARGS,
+    "echo-sim": ["echo-sim"] + SIM_ARGS,
+}
+
+
+def json_table(data):
+    """A command's JSON data as the columns and rows of its CSV table."""
+    if "rows" in data:
+        columns = list(data["rows"][0])
+        assert all(list(row) == columns for row in data["rows"])
+        return columns, [list(row.values()) for row in data["rows"]]
+    if "shifts_hz" in data:
+        items = sorted(data["shifts_hz"].items(),
+                       key=lambda kv: Fraction(kv[0]))
+        return ["M", "shift_hz"], [list(kv) for kv in items]
+    return ["time_us", "contrast"], [list(pair) for pair in
+                                     zip(data["times_us"], data["contrast"])]
+
+
+@pytest.mark.parametrize("command", sorted(CSV_COMMANDS))
+def test_csv_table_matches_json_data(command, tmp_path):
+    argv = CSV_COMMANDS[command]
+    doc = run_json(argv, tmp_path)
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--output", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "# command: %s" % command
+    assert lines[1] == "# config: %s" % json.dumps(doc["config"],
+                                                    sort_keys=True)
+    columns, rows = json_table(doc["data"])
+    assert lines[3].split(",") == columns
+    assert len(lines) == 4 + len(rows)
+    for line, row in zip(lines[4:], rows):
+        assert line.split(",") == [cli._cell(value) for value in row]
+
+
+def readme_commands():
+    """argv of every `rydtrap ...` line in README's Command line block."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    block = block.replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("rydtrap ")]
+
+
+def test_readme_command_lines_parse():
+    parser = cli.build_parser()
+    commands = readme_commands()
+    for argv in commands:
+        parser.parse_args(argv)
+    # the block shows every command
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in commands} == set(sub.choices)

@@ -144,6 +144,13 @@ class TestThresholdFit:
             shift, abs=1e-9)
         assert moved.params[0] == pytest.approx(base.params[0], abs=1e-9)
 
+    def test_threshold_sigma_is_a_model_field(self, records):
+        model = fit_threshold(records, fit_range=(60, 80), rydberg_cm1=RY_CM1)
+        assert model.threshold_sigma_cm1 > 0.0
+        assert model.covariance is None
+        # a model with a fixed threshold has no threshold uncertainty
+        assert RitzModel([4.4], EI_CM1, RY_CM1).threshold_sigma_cm1 is None
+
 
 class TestForsterDefect:
     def test_reference_channel(self, species):
