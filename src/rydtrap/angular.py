@@ -157,10 +157,6 @@ class SqrtRational:
     def __float__(self):
         return float(self.r) * math.sqrt(float(self.q))
 
-    @property
-    def is_zero(self):
-        return self.r == 0
-
     def to_fraction(self):
         """Collapse to an exact Fraction; requires sqrt(q) rational."""
         if self.r == 0:

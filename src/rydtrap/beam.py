@@ -16,9 +16,16 @@ such a field stores only the (k, 0) profiles, the only ones diagonal
 matrix elements consume. Off the axis a (theta, phi) product rule
 (Gauss-Legendre x trapezoid) gives every |q| <= k; it is also the
 reference the axial rule is tested against. A TensorField keeps the
-TweezerBeam it was decomposed from. brute_force_average is the independent
-oracle: the direct 3D quadrature of the wavefunction-averaged intensity;
-only it and the off-axis rule use the |Y_lm| helper _ylm_theta.
+TweezerBeam it was decomposed from.
+
+brute_force_average is the independent oracle: the direct 3D quadrature of
+the wavefunction-averaged intensity over a (theta, phi) product rule that
+refines each angle by doubling until two levels agree. It assumes no
+symmetry and does not branch on the axis; it calls beam.intensity at every
+node and nothing of the tensor path (no profiles, Legendre projection,
+angular factors or n* interpolation), so a fault there cannot cancel in
+the comparison. Only it and the off-axis rule use the |Y_lm| helper
+_ylm_theta.
 """
 
 import warnings
@@ -28,7 +35,12 @@ from numpy.polynomial.legendre import leggauss, legvander
 from scipy.special import lpmv, gammaln
 
 from .constants import A0, C
-from .radial import RadialGrid, GridMismatchError
+
+# brute_force_average's rule: its first theta and phi node counts, the phi
+# offset in rad, and the doublings of either angle before it gives up
+_THETA_START, _PHI_START = 32, 8
+_PHI_OFFSET = np.sqrt(2.0) - 1.0
+_MAX_DOUBLINGS = 5
 
 
 class ParaxialValidityWarning(UserWarning):
@@ -150,16 +162,24 @@ class TensorField:
         return total
 
 
-def _angular_nodes(n_theta, n_phi):
-    cos_theta, w_theta = leggauss(n_theta)
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    w_phi = 2.0 * np.pi / n_phi
-    ct = np.repeat(cos_theta, n_phi)
-    ph = np.tile(phi, n_theta)
-    weights = np.repeat(w_theta, n_phi) * w_phi
+def _product_nodes(cos_theta, phi):
+    """Flattened (cos theta, phi) product nodes and their unit vectors."""
+    ct = np.repeat(cos_theta, len(phi))
+    ph = np.tile(phi, len(cos_theta))
     st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
     nhat = np.stack([st * np.cos(ph), st * np.sin(ph), ct], axis=-1)
-    return ct, ph, weights, nhat
+    return ct, ph, nhat
+
+
+def _intensity_sums(beam, position, r_m, nhat, weights):
+    """I(position + r nhat) @ weights at every radius, chunked over radii."""
+    out = np.empty((len(r_m),) + weights.shape[1:])
+    chunk = max(1, int(2e6 // len(nhat)))
+    for start in range(0, len(r_m), chunk):
+        pts = position[None, None, :] \
+            + r_m[start:start + chunk, None, None] * nhat[None, :, :]
+        out[start:start + chunk] = beam.intensity(pts) @ weights
+    return out
 
 
 def _axial_profiles(beam, position, r_m, k_max, n_theta):
@@ -180,24 +200,19 @@ def _axial_profiles(beam, position, r_m, k_max, n_theta):
 
 def _sphere_profiles(beam, position, r_m, k_max, n_theta, n_phi):
     """All (k, q) profiles about any point, by a (theta, phi) product rule."""
-    ct, ph, weights, nhat = _angular_nodes(n_theta, n_phi)
-    # rows: one weighted real harmonic per (k, q), scaled so that the
+    cos_theta, w_theta = leggauss(n_theta)
+    ct, ph, nhat = _product_nodes(cos_theta,
+                                  2.0 * np.pi * np.arange(n_phi) / n_phi)
+    weights = np.repeat(w_theta, n_phi) * (2.0 * np.pi / n_phi)
+    # columns: one weighted real harmonic per (k, q), scaled so that the
     # angular sum gives f_kq directly
     kq_list = [(k, q) for k in range(k_max + 1) for q in range(-k, k + 1)]
-    wmat = np.empty((len(kq_list), len(ct)))
+    wmat = np.empty((len(ct), len(kq_list)))
     for i, (k, q) in enumerate(kq_list):
         scale = np.sqrt((2 * k + 1) / (4.0 * np.pi))
-        wmat[i] = scale * real_sph_harm(k, q, ct, ph) * weights
-    profiles = {kq: np.empty(len(r_m)) for kq in kq_list}
-    chunk = max(1, int(2e6 // len(ct)))
-    for start in range(0, len(r_m), chunk):
-        r_chunk = r_m[start:start + chunk]
-        pts = position[None, None, :] + r_chunk[:, None, None] * nhat[None, :, :]
-        ivals = beam.intensity(pts)
-        block = ivals @ wmat.T
-        for i, kq in enumerate(kq_list):
-            profiles[kq][start:start + chunk] = block[:, i]
-    return profiles
+        wmat[:, i] = scale * real_sph_harm(k, q, ct, ph) * weights
+    block = _intensity_sums(beam, position, r_m, nhat, wmat)
+    return {kq: block[:, i].copy() for i, kq in enumerate(kq_list)}
 
 
 def decompose(beam, position, grid, k_max=4, n_theta=None, n_phi=None,
@@ -254,7 +269,7 @@ def decompose(beam, position, grid, k_max=4, n_theta=None, n_phi=None,
 
 
 def brute_force_average(beam, wf, position, m=None, angular_density=None,
-                        n_theta=96, n_phi=96, check=True, tol=2e-4, a0_m=None):
+                        tol=1e-10, a0_m=None):
     """Direct 3D quadrature of the wavefunction-averaged intensity.
 
     Computes Int |psi|^2 I(r + R) d3r for psi = R_nl(r) Y_lm, without any
@@ -262,38 +277,81 @@ def brute_force_average(beam, wf, position, m=None, angular_density=None,
     for the sampled wavefunction's l (uniform s-state density when l=0),
     or a callable angular_density(cos_theta, phi) normalized to integrate
     to 1 over the sphere.
+
+    The angular integral is a (theta, phi) product rule that refines
+    itself and assumes no symmetry of the beam, the position or the
+    density. In theta it is Gauss-Legendre in cos(theta), from 32 nodes,
+    doubling. At each theta rule phi is a trapezoid rule from 8 nodes,
+    doubling; each doubling evaluates only the midpoints and adds them to
+    the sums kept from the earlier nodes. The phi nodes are offset by
+    sqrt(2) - 1 rad, not a rational multiple of pi, so none lies on a
+    mirror plane of a symmetric beam or density. Harmonics in phi below
+    order 8 are exact at 8 nodes, and one of order 8, which 8 nodes alias,
+    moves the first check (8 against 16 nodes). Each angle refines until
+    two successive averages agree to tol relative; if _MAX_DOUBLINGS
+    doublings do not get there, QuadratureConvergenceError names the
+    angle and the residual reached. On the beam axis the rule stops at
+    32 -> 64 theta and 8 -> 16 phi nodes, 1,536 evaluations per radius.
+
+    Every value is beam.intensity at a quadrature point, summed against
+    the density and the weights, and the radial integral is the grid's
+    Simpson rule. Nothing here uses the tensor path's profiles, its
+    Legendre projection, its angular factors or its n* interpolation, so
+    the oracle shares none of the shortcuts it checks.
     """
     a0_m = A0 if a0_m is None else a0_m
     position = np.asarray(position, dtype=float)
-
-    def density_fn(ct, ph):
-        if angular_density is not None:
-            return angular_density(ct, ph)
+    if angular_density is None:
         mm = 0 if m is None else int(m)
         if abs(mm) > wf.l:
             raise ValueError("|m| > l")
-        # |Y_lm|^2 is phi independent
-        return _ylm_theta(wf.l, mm, ct) ** 2 * np.ones_like(ph)
 
-    def run_full(nt, np_):
-        ct, ph, weights, nhat = _angular_nodes(nt, np_)
-        dens = density_fn(ct, ph)
-        r_m = wf.grid.points * a0_m
-        angular_avg = np.empty(len(wf.grid))
-        chunk = max(1, int(2e6 // len(ct)))
-        for start in range(0, len(wf.grid), chunk):
-            pts = position[None, None, :] \
-                + r_m[start:start + chunk, None, None] * nhat[None, :, :]
-            ivals = beam.intensity(pts)
-            angular_avg[start:start + chunk] = ivals @ (dens * weights)
-        return wf.grid.integrate(wf.density() * angular_avg)
+        def angular_density(ct, ph):
+            return _ylm_theta(wf.l, mm, ct) ** 2 * np.ones_like(ph)
 
-    coarse = run_full(n_theta, n_phi)
-    fine = run_full(n_theta + 32, n_phi + 32)
-    if check:
-        scale = max(abs(fine), beam.peak_intensity * 1e-12, 1e-300)
-        if abs(fine - coarse) > tol * scale:
-            raise QuadratureConvergenceError(
-                "3D quadrature not converged: refinement moved the average "
-                "by %.3g relative" % (abs(fine - coarse) / scale))
-    return fine
+    r_m = wf.grid.points * a0_m
+    radial_density = wf.density()
+    floor = max(beam.peak_intensity * 1e-12, 1e-300)
+
+    def node_sums(cos_theta, w_theta, phi):
+        ct, ph, nhat = _product_nodes(cos_theta, phi)
+        weights = np.repeat(w_theta, len(phi)) * angular_density(ct, ph)
+        return _intensity_sums(beam, position, r_m, nhat, weights)
+
+    def average(sums, n_phi):
+        return wf.grid.integrate(radial_density * sums) \
+            * (2.0 * np.pi / n_phi)
+
+    def moved(value, previous):
+        return abs(value - previous) / max(abs(value), floor)
+
+    def phi_refined(n_theta):
+        cos_theta, w_theta = leggauss(n_theta)
+        n_phi, residual = _PHI_START, np.inf
+        sums = node_sums(cos_theta, w_theta, _PHI_OFFSET
+                         + 2.0 * np.pi * np.arange(n_phi) / n_phi)
+        value = average(sums, n_phi)
+        for _ in range(_MAX_DOUBLINGS):
+            sums += node_sums(cos_theta, w_theta, _PHI_OFFSET
+                              + 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi)
+            n_phi *= 2
+            previous, value = value, average(sums, n_phi)
+            residual = moved(value, previous)
+            if residual <= tol:
+                return value
+        raise QuadratureConvergenceError(
+            "3D quadrature not converged in phi: at %d theta nodes, %d phi "
+            "nodes moved the average by %.3g relative (tol %.3g)"
+            % (n_theta, n_phi, residual, tol))
+
+    n_theta, residual = _THETA_START, np.inf
+    value = phi_refined(n_theta)
+    for _ in range(_MAX_DOUBLINGS):
+        n_theta *= 2
+        previous, value = value, phi_refined(n_theta)
+        residual = moved(value, previous)
+        if residual <= tol:
+            return value
+    raise QuadratureConvergenceError(
+        "3D quadrature not converged in theta: %d theta nodes moved the "
+        "average by %.3g relative (tol %.3g)" % (n_theta, residual, tol))

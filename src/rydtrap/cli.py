@@ -302,6 +302,9 @@ def _cmd_trap_depth(args):
     else:
         if args.n_min is None or args.n_max is None:
             raise ValueError("pass --n or both --n-min and --n-max")
+        if args.n_min > args.n_max:
+            raise ValueError("backwards n range: --n-min %d is above "
+                             "--n-max %d" % (args.n_min, args.n_max))
         n_values = list(range(args.n_min, args.n_max + 1))
     field = _field_for(beam, max(n_values), args.k_max)
     header = ["n", "n_star", "u_core_hz", "u_pond_hz", "u_total_hz",

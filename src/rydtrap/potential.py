@@ -54,9 +54,6 @@ class AtomicSpecies:
         self.alpha_ratio_3p1 = alpha_ratio_3p1
         self.measured_ground_depth = measured_ground_depth
 
-    def has_defect(self, term):
-        return _term_label(term) in self.defects
-
     def defect(self, term, n):
         """Quantum defect delta(term, n) from the stored model."""
         label = _term_label(term)

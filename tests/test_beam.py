@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from rydtrap.angular import Term, reference_m
 from rydtrap.beam import (ParaxialValidityWarning, QuadratureConvergenceError,
                           TweezerBeam, _sphere_profiles, _ylm_theta,
                           brute_force_average, decompose, real_sph_harm)
 from rydtrap.constants import A0, C
-from rydtrap.radial import RadialGrid, hydrogen_radial, radial_integral
+from rydtrap.potential import _term_angular_density
+from rydtrap.radial import (RadialGrid, hydrogen_radial, numerov_radial,
+                            radial_integral)
 
 from conftest import POWER, WAIST, WAVELENGTH
 
@@ -258,3 +261,100 @@ class TestBruteForceAverage:
         wf = hydrogen_radial(20, 1, field9.grid)
         with pytest.raises(ValueError):
             brute_force_average(beam9, wf, (0.0, 0.0, 0.0), m=2)
+
+
+def phi_nodes_seen(monkeypatch, position):
+    """Count the distinct phi angles about position at which the beam's
+    intensity is evaluated; the returned set fills as the oracle runs."""
+    seen = set()
+    intensity = TweezerBeam.intensity
+
+    def counted(self, points):
+        # every node of a call appears at its largest radius
+        rel = np.asarray(points)[-1] - position
+        far = np.hypot(rel[:, 0], rel[:, 1]) > 1e-9  # phi well defined
+        phi = np.arctan2(rel[far, 1], rel[far, 0])
+        seen.update(np.round(phi, 6).tolist())
+        return intensity(self, points)
+
+    monkeypatch.setattr(TweezerBeam, "intensity", counted)
+    return seen
+
+
+class TestSelfRefiningOracle:
+    """The oracle's (theta, phi) rule refines itself and assumes no symmetry."""
+
+    @pytest.fixture(scope="class")
+    def grid40(self):
+        return RadialGrid.default(43, npoints=40 * 43)
+
+    def test_off_axis_matches_sphere_rule(self, beam9, monkeypatch):
+        # displaced along +x the intensity depends on phi: where the first
+        # check (8 -> 16 nodes) stops on the axis, phi must refine further
+        position = np.array([0.2e-6, 0.0, 0.0])
+        grid = RadialGrid.default(63, npoints=40 * 63)
+        wf = hydrogen_radial(60, 0, grid)
+        seen = phi_nodes_seen(monkeypatch, position)
+        direct = brute_force_average(beam9, wf, position)
+        assert len(seen) > 16
+        reference = _sphere_profiles(beam9, position, grid.points * A0,
+                                     0, 64, 64)
+        assert direct == pytest.approx(
+            radial_integral(wf, reference[0, 0]), rel=1e-9)
+
+    def test_phi_density_does_not_alias(self, beam9, grid40, monkeypatch):
+        # cos(8 phi) has the period of the first 8 nodes; the rule must see
+        # it fail to converge there and refine past 16 nodes
+        wf = hydrogen_radial(40, 0, grid40)
+        focus = np.zeros(3)
+        seen = phi_nodes_seen(monkeypatch, focus)
+        plain = brute_force_average(beam9, wf, focus)
+        assert len(seen) == 16  # on the axis phi stops at its first check
+        seen.clear()
+        ripple = brute_force_average(
+            beam9, wf, focus,
+            angular_density=lambda ct, ph: (1.0 + np.cos(8 * ph))
+            / (4.0 * np.pi) * np.ones_like(ct))
+        assert len(seen) > 16
+        assert ripple == pytest.approx(plain, rel=1e-12)
+
+    def test_independent_of_the_tensor_path(self, beam9, grid40,
+                                            monkeypatch):
+        # the oracle checks the tensor path, so it must run with every
+        # piece of that path broken
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle called the tensor path")
+        for name in ("rydtrap.beam._axial_profiles", "rydtrap.beam.legvander",
+                     "rydtrap.angular.angular_factor",
+                     "rydtrap.potential.angular_factor",
+                     "rydtrap.radial.interpolated_reduced_element",
+                     "rydtrap.potential.interpolated_reduced_element"):
+            monkeypatch.setattr(name, forbidden)
+        term = Term("1D2")
+        wf = numerov_radial(38.3, term.L, grid40)
+        density = _term_angular_density(term, reference_m(term))
+        for position in ((0.0, 0.0, 0.0), (0.2e-6, 0.0, 0.3e-6)):
+            avg = brute_force_average(beam9, wf, position,
+                                      angular_density=density)
+            assert 0.0 < avg < beam9.peak_intensity
+        with pytest.raises(AssertionError):
+            decompose(beam9, (0.0, 0.0, 0.0), grid40, k_max=4)
+
+    def test_cap_raises_naming_phi(self, beam9, grid40, monkeypatch):
+        monkeypatch.setattr("rydtrap.beam._MAX_DOUBLINGS", 1)
+        wf = hydrogen_radial(40, 0, grid40)
+        with pytest.raises(QuadratureConvergenceError,
+                           match=r"in phi: .* by \S+ relative \(tol 1e-20\)"):
+            brute_force_average(beam9, wf, (0.2e-6, 0.0, 0.0), tol=1e-20)
+
+    def test_cap_raises_naming_theta(self, beam9, grid40, monkeypatch):
+        # sin(theta) has a kink at the poles in cos(theta): Gauss-Legendre
+        # converges only algebraically, far above the default tol
+        monkeypatch.setattr("rydtrap.beam._MAX_DOUBLINGS", 1)
+        wf = hydrogen_radial(40, 0, grid40)
+        with pytest.raises(QuadratureConvergenceError,
+                           match=r"in theta: 64 theta nodes"):
+            brute_force_average(
+                beam9, wf, (0.0, 0.0, 0.0),
+                angular_density=lambda ct, ph: np.sqrt(1.0 - ct * ct)
+                / np.pi**2 * np.ones_like(ph))

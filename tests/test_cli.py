@@ -1,6 +1,7 @@
 """Command-line interface: unit grammar, envelopes, exit codes."""
 
 import argparse
+import functools
 import json
 import shlex
 from fractions import Fraction
@@ -9,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rydtrap import __version__, cli
+from rydtrap import __version__, cli, potential
 from rydtrap.angular import TABLE_TERMS, Term, angular_table
-from rydtrap.beam import QuadratureConvergenceError, decompose
+from rydtrap.beam import (QuadratureConvergenceError, brute_force_average,
+                          decompose)
 from rydtrap.constants import constants_hash
 from rydtrap.potential import RydbergState, potential_breakdown, yb174
 
@@ -121,6 +123,27 @@ class TestExitCodes:
                        "--depth", "2MHz", "--t1", "108us", "--n", "10"])
         assert rc == 3
         assert "did not converge" in capsys.readouterr().err
+
+    def test_oracle_nonconvergence_exits_3(self, monkeypatch, capsys):
+        # one doubling per angle, and a tol below rounding
+        monkeypatch.setattr("rydtrap.beam._MAX_DOUBLINGS", 1)
+        monkeypatch.setattr(potential, "brute_force_average",
+                            functools.partial(brute_force_average, tol=1e-20))
+        rc = cli.main(["oracle-check", "--power", "9mW", "--series", "1D2",
+                       "--n", "60"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert "3D quadrature not converged in " in captured.err
+        assert captured.out == ""
+
+    def test_backwards_n_range_is_data_error(self, capsys):
+        rc = cli.main(["trap-depth", "--power", "9mW", "--n-min", "40",
+                       "--n-max", "30"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "backwards n range: --n-min 40 is above --n-max 30" \
+            in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("flag", ["--cache-dir", "--threads"])
     def test_removed_flags_are_usage_errors(self, flag):
