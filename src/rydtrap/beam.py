@@ -28,11 +28,11 @@ the comparison. Only it and the off-axis rule use the |Y_lm| helper
 _ylm_theta.
 """
 
+import math
 import warnings
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
-from scipy.special import lpmv, gammaln
 
 from .constants import A0, C
 
@@ -101,10 +101,14 @@ def _ylm_theta(l, m, cos_theta):
 
     sqrt((2l+1)/(4 pi) (l-|m|)!/(l+|m|)!) P_l^|m|(cos theta): the density
     |Y_lm(theta, phi)|^2 is its square at every phi, for either sign of m.
+    Only the oracle and the off-axis rule reach it, so scipy.special is
+    imported here rather than with the module.
     """
+    from scipy.special import lpmv
+
     am = abs(m)
     lognorm = 0.5 * (np.log((2 * l + 1) / (4.0 * np.pi))
-                     + gammaln(l - am + 1) - gammaln(l + am + 1))
+                     + math.lgamma(l - am + 1) - math.lgamma(l + am + 1))
     # lpmv builds in the Condon-Shortley (-1)^m; cancel it
     cs = -1.0 if am % 2 else 1.0
     return cs * np.exp(lognorm) * lpmv(am, l, cos_theta)

@@ -1,7 +1,7 @@
 """Physical constants, unit conversions, and embedded species data.
 
 Everything numeric that the rest of the package relies on is defined here
-exactly once: CODATA constants (via scipy.constants), the cm^-1 <-> MHz
+exactly once: CODATA constants (as literals), the cm^-1 <-> MHz
 conversion, and the per-species data presets (polarizabilities, quantum
 defects, core transition lines, measured calibration anchors). A hash of
 this table is embedded in CLI output provenance so results can be traced
@@ -11,20 +11,19 @@ to the constants they were computed with.
 import hashlib
 import json
 
-import scipy.constants as _sc
-
-# CODATA values
-C = _sc.c                       # speed of light, m/s
-E_CHARGE = _sc.e                # elementary charge, C
-M_E = _sc.m_e                   # electron mass, kg
-EPS0 = _sc.epsilon_0            # vacuum permittivity, F/m
-H = _sc.h                       # Planck constant, J s
-HBAR = _sc.hbar                 # reduced Planck constant, J s
-KB = _sc.k                      # Boltzmann constant, J/K
-AMU = _sc.u                     # atomic mass constant, kg
-A0 = _sc.physical_constants["Bohr radius"][0]                       # m
-AU_POLARIZABILITY = _sc.physical_constants[
-    "atomic unit of electric polarizability"][0]                    # C m^2 / (V/m)
+# CODATA 2022 values as scipy.constants 1.17 holds them, written out so that
+# importing the package does not import scipy; tests/test_constants.py pins
+# each literal to scipy.constants bit for bit.
+C = 299792458.0                 # speed of light, m/s
+E_CHARGE = 1.602176634e-19      # elementary charge, C
+M_E = 9.1093837139e-31          # electron mass, kg
+EPS0 = 8.8541878188e-12         # vacuum permittivity, F/m
+H = 6.62607015e-34              # Planck constant, J s
+HBAR = 1.0545718176461565e-34   # reduced Planck constant h / (2 pi), J s
+KB = 1.380649e-23               # Boltzmann constant, J/K
+AMU = 1.66053906892e-27         # atomic mass constant, kg
+A0 = 5.29177210544e-11          # Bohr radius, m
+AU_POLARIZABILITY = 1.64877727212e-41   # atomic unit of polarizability, C m^2 / (V/m)
 
 # Unit conversions
 CM1_TO_MHZ = 29979.2458         # MHz per cm^-1 (definition of c)

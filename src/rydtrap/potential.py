@@ -17,7 +17,7 @@ against the direct 3D quadrature of a Numerov wavefunction.
 import math
 
 import numpy as np
-from scipy.special import eval_legendre
+from numpy.polynomial.legendre import legval
 
 from .constants import (AU_POLARIZABILITY, C, E_CHARGE, EPS0, H, M_E, AMU,
                         SPECIES_DATA)
@@ -55,16 +55,32 @@ class AtomicSpecies:
         self.measured_ground_depth = measured_ground_depth
 
     def defect(self, term, n):
-        """Quantum defect delta(term, n) from the stored model."""
+        """Quantum defect delta(term, n) from the stored model.
+
+        A Ritz model is refused at n <= d0, its pole, and wherever
+        n* = n - delta(n) stops growing with n (d delta/dn >= 1): below
+        that point a model fitted at high n sends n* off without bound.
+        """
         label = _term_label(term)
         try:
             model = self.defects[label]
         except KeyError:
             raise KeyError("no quantum-defect model for term %s in species %s"
                            % (label, self.name)) from None
-        if isinstance(model, dict):
-            return float(ritz_delta(model["ritz"], n))
-        return float(model)
+        if not isinstance(model, dict):
+            return float(model)
+        params = model["ritz"]
+        gap = n - params[0]
+        if gap > 0:
+            # d delta/dn of d0 + sum_i d_2i (n - d0)^(-2i)
+            slope = sum(-2.0 * i * coeff / gap ** (2 * i + 1)
+                        for i, coeff in enumerate(params[1:], start=1))
+        if gap <= 0 or slope >= 1.0:
+            raise ValueError(
+                "n=%s is outside the range of the %s Ritz model: n <= d0 or "
+                "dn*/dn <= 0 there (fit_range %s)"
+                % (n, label, model.get("fit_range")))
+        return float(ritz_delta(params, n))
 
     def n_star(self, term, n):
         return n - self.defect(term, n)
@@ -223,7 +239,8 @@ def ponderomotive_shift(state, field, axis_angle_deg=0.0,
             by_k[k] = 0.0
             continue
         e_k = interpolated_reduced_element(state.n_star, term.L, k, field)
-        by_k[k] = pref * a_k * eval_legendre(k, cos_beta) * e_k / H
+        p_k = legval(cos_beta, [0.0] * k + [1.0])
+        by_k[k] = pref * a_k * p_k * e_k / H
     total = float(sum(by_k.values()))
     return total, by_k
 

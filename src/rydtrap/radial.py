@@ -8,12 +8,18 @@ path interpolates the radial integrals across integer n (they vary slowly
 with n), and a Numerov integrator for the radial equation at arbitrary n*
 serves as the independent oracle.
 
+Every radial integral is a dot product with the grid's composite-Simpson
+weight vector, built once per grid; it reproduces scipy.integrate.simpson
+on the same points (with its last-interval correction for an even point
+count) without importing scipy.
+
 All radii are in Bohr radii (a0) and the wavefunctions satisfy
 Int r^2 R_nl(r)^2 dr = 1.
 """
 
+import math
+
 import numpy as np
-from scipy.integrate import simpson
 
 _HUGE = 1e150
 _LOG_HUGE = np.log(_HUGE)
@@ -21,6 +27,33 @@ _LOG_HUGE = np.log(_HUGE)
 
 class GridMismatchError(ValueError):
     """Raised when a radial profile does not live on the wavefunction's grid."""
+
+
+def _simpson_weights(x):
+    """Weights w such that w @ y is the composite Simpson integral of y(x).
+
+    The same rule as scipy.integrate.simpson(y, x=x) in scipy 1.17:
+    parabolic panels over points (0, 1, 2), (2, 3, 4), ...; for an even
+    point count the panels stop at the second-to-last point and the last
+    interval gets Cartwright's three-point correction. The per-panel
+    coefficients are scipy's expressions, so the two agree to rounding.
+    """
+    npts = len(x)
+    h = np.diff(x)
+    stop = npts - 2 if npts % 2 else npts - 3
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum = h0 + h1
+    h0divh1 = h0 / h1
+    w = np.zeros(npts)
+    w[0:stop:2] += hsum / 6.0 * (2.0 - 1.0 / h0divh1)
+    w[1:stop + 1:2] += hsum / 6.0 * (hsum * (hsum / (h0 * h1)))
+    w[2:stop + 2:2] += hsum / 6.0 * (2.0 - h0divh1)
+    if npts % 2 == 0:
+        a, b = h[-2], h[-1]
+        w[-1] += (2 * b ** 2 + 3 * a * b) / (6 * (b + a))
+        w[-2] += (b ** 2 + 3.0 * a * b) / (6 * a)
+        w[-3] -= b ** 3 / (6 * a * (a + b))
+    return w
 
 
 class RadialGrid:
@@ -36,6 +69,7 @@ class RadialGrid:
             raise ValueError("radii must be nonnegative")
         self.points = points
         self.scheme = scheme
+        self.weights = _simpson_weights(points)
 
     @classmethod
     def default(cls, n_max, npoints=4000, r_min=1e-3):
@@ -59,7 +93,7 @@ class RadialGrid:
 
     def integrate(self, values):
         """Composite Simpson quadrature of samples against this grid."""
-        return simpson(values, x=self.points)
+        return self.weights @ values
 
     def __len__(self):
         return len(self.points)
@@ -133,8 +167,6 @@ def hydrogen_radial(n, l, grid):
     Stable at high n: the Laguerre polynomial, the r^l power and the
     exponential are combined in log space point by point.
     """
-    from scipy.special import gammaln
-
     n, l = int(n), int(l)
     if not 1 <= n <= 150:
         raise ValueError("n out of supported range [1, 150]")
@@ -143,8 +175,8 @@ def hydrogen_radial(n, l, grid):
 
     r = grid.points
     rho = 2.0 * r / n
-    lognorm = 0.5 * (3 * np.log(2.0 / n) + gammaln(n - l) - np.log(2.0 * n)
-                     - gammaln(n + l + 1))
+    lognorm = 0.5 * (3 * np.log(2.0 / n) + math.lgamma(n - l)
+                     - np.log(2.0 * n) - math.lgamma(n + l + 1))
     loglag, sign = _laguerre_log(n - l - 1, 2 * l + 1, rho)
     with np.errstate(divide="ignore", invalid="ignore"):
         logpow = l * np.log(rho) if l > 0 else np.zeros_like(rho)

@@ -7,12 +7,13 @@ denominators kept self-consistent with the leading coefficient. Fits are
 weighted Levenberg-Marquardt with an analytic Jacobian in the expansion
 coefficients; the ionization threshold can be fit jointly on a high-n
 window. Pair-state Foerster defects come from the same energy model.
+The fits import scipy.optimize when they run, so importing this module
+does not load scipy.
 """
 
 import csv
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .constants import CM1_TO_MHZ
 
@@ -160,6 +161,8 @@ def fit_ritz(records, order=8, fit_range=None, ionization_cm1=None,
     five coefficients). The Jacobian is analytic in d2..d8; the d0 column
     is a central difference because d0 also enters every denominator.
     """
+    from scipy.optimize import least_squares
+
     if order < 0 or order % 2:
         raise ValueError("order must be a nonnegative even integer")
     if ionization_cm1 is None or rydberg_cm1 is None:
@@ -218,6 +221,8 @@ def fit_threshold(records, fit_range=None, rydberg_cm1=None,
     threshold_sigma_cm1 is the E_I uncertainty from the joint (E_I, d0)
     covariance (None if singular); the model keeps no covariance.
     """
+    from scipy.optimize import least_squares
+
     if rydberg_cm1 is None:
         raise ValueError("rydberg_cm1 is required")
     used = _select(records, fit_range)

@@ -3,13 +3,17 @@
 import argparse
 import functools
 import json
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rydtrap
 from rydtrap import __version__, cli, potential
 from rydtrap.angular import TABLE_TERMS, Term, angular_table
 from rydtrap.beam import (QuadratureConvergenceError, brute_force_average,
@@ -143,6 +147,17 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "backwards n range: --n-min 40 is above --n-max 30" \
             in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["trap-depth", "--power", "9mW", "--n", "5"],
+        ["autoion", "--power", "9mW", "--n", "5"],
+    ], ids=["trap-depth", "autoion"])
+    def test_n_below_ritz_range_is_data_error(self, argv, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "n=5 is outside the range of the 3S1 Ritz model" in captured.err
+        assert "[35, 80]" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("flag", ["--cache-dir", "--threads"])
@@ -395,3 +410,64 @@ def test_readme_command_lines_parse():
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
     assert {argv[0] for argv in commands} == set(sub.choices)
+
+
+# A fresh process per command: importing rydtrap.cli and running any of
+# these must load no scipy module. Only ritz-fit, threshold-fit,
+# oracle-check and off-axis decomposition import scipy, inside the
+# functions that need it.
+NO_SCIPY_COMMANDS = {
+    "version": ["--version"],
+    "angular-table": ["angular-table"],
+    "trap-depth-single": ["trap-depth", "--power", "9mW", "--n", "20"],
+    "trap-depth-range": ["trap-depth", "--power", "9mW", "--n-min", "30",
+                         "--n-max", "33"],
+    "tensor-shift": CSV_COMMANDS["tensor-shift"],
+    "magic-scan": CSV_COMMANDS["magic-scan"],
+    "forster": ["forster", "--channel", "60 3S1 + 60 3S1 -> 60 3P2 + 59 3P2"],
+    "autoion": ["autoion", "--power", "9mW", "--n", "60"],
+    "pi-fit": ["pi-fit", "--input", "tau.csv", "--at-power", "9mW"],
+    "ramsey-sim": CSV_COMMANDS["ramsey-sim"],
+    "echo-sim": CSV_COMMANDS["echo-sim"],
+}
+
+SCIPY_PROBE = """
+import json, sys
+from rydtrap import cli
+try:
+    code = cli.main(json.loads(sys.argv[1]))
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+def scipy_modules_after(argv, tmp_path):
+    """Exit code and scipy modules loaded by one command in a new process."""
+    (tmp_path / "tau.csv").write_text(
+        "power_mw,lifetime_us\n2,73.2\n4,64.5\n6,57.7\n9,49.8\n12,43.8\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(rydtrap.__file__).resolve().parents[1]))
+    argv = argv + ([] if argv == ["--version"] else
+                   ["--output", str(tmp_path / "out")])
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE,
+                           json.dumps(argv)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    return report["code"], report["scipy"]
+
+
+@pytest.mark.parametrize("name", sorted(NO_SCIPY_COMMANDS))
+def test_command_loads_no_scipy(name, tmp_path):
+    code, loaded = scipy_modules_after(NO_SCIPY_COMMANDS[name], tmp_path)
+    assert code == 0
+    assert loaded == []
+
+
+def test_scipy_probe_sees_a_fit_import(tmp_path):
+    # the probe is not blind: ritz-fit imports scipy.optimize when it runs
+    code, loaded = scipy_modules_after(["ritz-fit"], tmp_path)
+    assert code == 0
+    assert "scipy.optimize" in loaded

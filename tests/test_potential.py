@@ -39,6 +39,16 @@ class TestSpeciesPresets:
         with pytest.raises(KeyError):
             species.defect("3F4", 50)
 
+    def test_ritz_model_refused_below_its_range(self, species):
+        # fitted over n = 35-80; below n = 20 the model's n* falls as n
+        # rises (n = 5 would give n* = 7e11)
+        for n in range(1, 20):
+            with pytest.raises(ValueError, match=r"n=%d is outside .* 3S1 "
+                               r"Ritz model.*\[35, 80\]" % n):
+                species.defect("3S1", n)
+        assert species.n_star("3S1", 20) == pytest.approx(16.6118, abs=1e-4)
+        assert species.n_star("3S1", 21) > species.n_star("3S1", 20)
+
     def test_rb_preset_defects(self):
         rb = rb87()
         assert rb.defect("2S1/2", 60) == pytest.approx(3.1311807, abs=1e-6)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 from scipy.special import genlaguerre
 
 from rydtrap.radial import (GridMismatchError, RadialGrid, expectation_radius,
@@ -39,6 +39,31 @@ class TestRadialGrid:
         # Int r^2 dr over [r0, rmax]
         want = (grid.r_max**3 - r[0] ** 3) / 3.0
         assert grid.integrate(r**2) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("npoints", [8, 9, 10, 11, 501, 4000])
+    @pytest.mark.parametrize("spacing", ["uniform", "sqrt", "random"])
+    def test_weights_match_scipy_simpson(self, npoints, spacing):
+        if spacing == "uniform":
+            r = np.linspace(1e-3, 50.0, npoints)
+        elif spacing == "sqrt":
+            r = RadialGrid.default(60, npoints=npoints).points
+        else:
+            rng = np.random.default_rng(npoints)
+            r = np.cumsum(rng.uniform(0.01, 1.0, npoints))
+        grid = RadialGrid(r)
+        scale = r[-1]
+        for values in (np.exp(-r / scale), (r / scale) ** 2 + 0.1,
+                       np.sin(7.0 * r / scale) + 1.5):
+            assert grid.integrate(values) == pytest.approx(
+                simpson(values, x=r), rel=1e-14, abs=0.0)
+
+    def test_norm_through_weights(self, grid120):
+        # the grid's weights give scipy's norm, still 1 to the sweep's bound
+        for n, l in ((1, 0), (40, 2), (120, 0)):
+            wf = hydrogen_radial(n, l, grid120)
+            assert wf.norm() == pytest.approx(
+                simpson(wf.density(), x=grid120.points), rel=1e-14)
+            assert wf.norm() == pytest.approx(1.0, abs=5e-8)
 
     def test_equality_and_hash(self):
         a = RadialGrid.default(30, npoints=300)
