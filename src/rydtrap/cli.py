@@ -71,7 +71,10 @@ def unit_quantity(kind):
 
 
 def time_range(text):
-    """start:stop:step with time units, stop inclusive; bare 0 allowed."""
+    """start:stop:step with time units, stop inclusive; bare 0 allowed.
+
+    The start must not be negative.
+    """
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
@@ -85,6 +88,9 @@ def time_range(text):
     start, stop, step = (one(p) for p in parts)
     if step <= 0 or stop <= start:
         raise argparse.ArgumentTypeError("empty or backwards time range %r" % text)
+    if start < 0:
+        # a free-evolution time is a duration: exp(-t/T1) > 1 below 0
+        raise argparse.ArgumentTypeError("time range %r starts before 0" % text)
     # last whole step not past stop; the slack absorbs rounding in span/step
     count = math.floor((stop - start) / step * (1.0 + 1e-9)) + 1
     return start + step * np.arange(count)

@@ -67,6 +67,9 @@ class TestUnitGrammar:
             cli.time_range("10us:5us:1us")
         with pytest.raises(argparse.ArgumentTypeError):
             cli.time_range("0:60us")
+        # a negative start would put the T1 envelope above 1
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli.time_range("-5us:5us:5us")
 
     def test_n_range(self):
         assert cli.n_range("35:80") == (35, 80)
@@ -107,6 +110,13 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(["trap-depth", "--power", "9mW",
                       "--ground-depth", "12MHz", "--n", "40"])
+        assert exc.value.code == 1
+
+    def test_negative_time_start_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ramsey-sim", "--dnu", "90kHz", "--temp", "13uK",
+                      "--depth", "2MHz", "--t1", "108us", "--n", "10",
+                      "--times=-5us:5us:5us", "--format", "csv"])
         assert exc.value.code == 1
 
     def test_missing_input_file_is_data_error(self, capsys):
@@ -336,6 +346,13 @@ class TestCoherenceCommands:
         assert doc1["data"]["contrast"][0] == pytest.approx(1.0, abs=1e-12)
         assert doc1["data"]["one_over_e_time_us"] == pytest.approx(22.0,
                                                                    rel=0.1)
+
+    def test_ramsey_at_a_hundred_thousand_times(self, tmp_path):
+        doc = run_json(["ramsey-sim", "--dnu", "90kHz", "--temp", "13uK",
+                        "--depth", "2MHz", "--t1", "108us", "--n", "200",
+                        "--times", "0:1ms:10ns"], tmp_path)
+        assert len(doc["data"]["contrast"]) == 100001
+        assert doc["data"]["contrast"][0] == 1
 
     def test_echo_with_explicit_frequencies(self, tmp_path):
         doc = run_json(["echo-sim"] + self.ARGS +

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rydtrap import coherence
+from rydtrap import cli, coherence
 from rydtrap.coherence import (ContrastCurve, DephasingScenario,
                                echo_contrast, orbit_averaged_shift_hz,
                                ramsey_contrast, ramsey_contrast_analytic,
@@ -18,6 +18,16 @@ TEMP = 13e-6
 DEPTH = 2.0e6
 T1 = 108e-6
 TIMES = np.linspace(0.0, 60e-6, 121)
+UNEVEN = np.sort(np.random.default_rng(11).uniform(0.0, 240e-6, 200))
+# evenly spaced grids: CLI --times ranges, linspace, one below zero
+EVEN_GRIDS = {
+    "range-9": cli.time_range("0:60us:7us"),
+    "range-61": cli.time_range("0:60us:1us"),
+    "range-241": cli.time_range("0:240us:1us"),
+    "range-2001": cli.time_range("0:1000us:0.5us"),
+    "linspace-121": TIMES,
+    "below-zero": np.linspace(-20e-6, 40e-6, 61),
+}
 
 
 def scenario(**kw):
@@ -217,6 +227,38 @@ class TestChunkedAccumulation:
         got = ramsey_contrast(sc, TIMES).contrast
         assert np.max(np.abs(got - dense_ramsey(sc, TIMES))) <= 1e-12
 
+    @pytest.mark.parametrize("times", [
+        EVEN_GRIDS["range-9"], EVEN_GRIDS["range-61"], EVEN_GRIDS["range-241"],
+        EVEN_GRIDS["below-zero"], UNEVEN, np.array([17e-6]), np.array([])],
+        ids=["range-9", "range-61", "range-241", "below-zero", "uneven",
+             "one", "none"])
+    def test_ramsey_product_matches_dense_reference(self, times):
+        sc = scenario(n_atoms=2000)
+        got = ramsey_contrast(sc, times).contrast
+        assert got.shape == times.shape
+        assert np.max(np.abs(got - dense_ramsey(sc, times)),
+                      initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(EVEN_GRIDS))
+    def test_even_grid_needs_about_two_sqrt_t_columns(self, name):
+        times = EVEN_GRIDS[name]
+        anchors, offsets, block, column = coherence._anchor_offset_split(times)
+        assert len(anchors) + len(offsets) <= 2.5 * math.sqrt(len(times)) + 2
+        tol = 8.0 * np.finfo(float).eps * np.max(np.abs(times))
+        assert np.max(np.abs(anchors[block] + offsets[column] - times)) <= tol
+
+    @pytest.mark.parametrize("times", [
+        UNEVEN,
+        # offsets chain in steps below the tolerance but spread beyond it
+        np.array([0.0, 1e-15, 2e-15, 0.0, 1e-15, 2e-15, 1.0, 1.0, 1.0])],
+        ids=["uneven", "chained"])
+    def test_uneven_grid_takes_width_one(self, times):
+        anchors, offsets, block, column = coherence._anchor_offset_split(times)
+        assert np.array_equal(anchors, times)
+        assert np.array_equal(offsets, [0.0])
+        assert np.array_equal(block, np.arange(len(times)))
+        assert np.array_equal(column, np.zeros(len(times)))
+
     @pytest.mark.parametrize("freqs", ECHO_FREQS)
     def test_echo_matches_dense_reference(self, freqs):
         sc = scenario(n_atoms=2000, trap_frequencies_hz=freqs)
@@ -238,17 +280,26 @@ class TestChunkedAccumulation:
 
     def test_echo_memory_is_flat_in_times(self):
         sc = scenario(n_atoms=20000, trap_frequencies_hz=(33e3, 33e3, 6e3))
-
-        def traced_peak(n_times):
-            times = np.linspace(0.0, 1e-3, n_times)
-            tracemalloc.start()
-            try:
-                echo_contrast(sc, times)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         # a dense (atoms, 1001) float64 phase alone would be 160 MB
-        peak_61, peak_1001 = traced_peak(61), traced_peak(1001)
+        peak_61 = traced_peak(echo_contrast, sc, 61)
+        peak_1001 = traced_peak(echo_contrast, sc, 1001)
         assert peak_1001 < 32e6
         assert peak_1001 <= 1.5 * peak_61
+
+    def test_ramsey_memory_is_flat_in_times(self):
+        sc = scenario(n_atoms=20000)
+        peak_61 = traced_peak(ramsey_contrast, sc, 61)
+        peak_1001 = traced_peak(ramsey_contrast, sc, 1001)
+        assert peak_1001 < 32e6
+        assert peak_1001 <= 1.5 * peak_61
+
+
+def traced_peak(contrast, sc, n_times):
+    """Peak traced bytes of one contrast call at n_times points up to 1 ms."""
+    times = np.linspace(0.0, 1e-3, n_times)
+    tracemalloc.start()
+    try:
+        contrast(sc, times)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
