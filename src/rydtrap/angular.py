@@ -87,22 +87,8 @@ class HalfInt:
             raise ValueError("%s is not an integer" % self)
         return self.twice // 2
 
-    def __add__(self, other):
-        return HalfInt(Fraction(self.twice + HalfInt(other).twice, 2))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return HalfInt(Fraction(self.twice - HalfInt(other).twice, 2))
-
-    def __rsub__(self, other):
-        return HalfInt(other).__sub__(self)
-
     def __neg__(self):
         return HalfInt(Fraction(-self.twice, 2))
-
-    def __abs__(self):
-        return HalfInt(Fraction(abs(self.twice), 2))
 
     def __eq__(self, other):
         try:
@@ -112,15 +98,6 @@ class HalfInt:
 
     def __lt__(self, other):
         return self.twice < HalfInt(other).twice
-
-    def __le__(self, other):
-        return self.twice <= HalfInt(other).twice
-
-    def __gt__(self, other):
-        return self.twice > HalfInt(other).twice
-
-    def __ge__(self, other):
-        return self.twice >= HalfInt(other).twice
 
     def __hash__(self):
         return hash(Fraction(self.twice, 2))
@@ -150,9 +127,6 @@ class SqrtRational:
         return SqrtRational(self.r * Fraction(other), self.q)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return SqrtRational(-self.r, self.q)
 
     def __float__(self):
         return float(self.r) * math.sqrt(float(self.q))

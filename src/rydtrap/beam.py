@@ -139,17 +139,21 @@ class TensorField:
     field about a point on the beam axis holds only the (k, 0) profiles.
     beam is the TweezerBeam they were decomposed from. refinement_residual
     is the largest profile move, over peak intensity, that decompose's
-    refinement check saw; None when it did not check.
+    refinement check saw. q0_stack is the (k_max + 1, npts) stack of the
+    (k, 0) profiles, and element_cache maps (n, l) to the row of radial
+    elements e_k(n, l) against it, filled by the radial module.
     """
 
     def __init__(self, position, grid, k_max, profiles, beam,
-                 refinement_residual=None):
+                 refinement_residual):
         self.position = np.asarray(position, dtype=float)
         self.grid = grid
         self.k_max = int(k_max)
         self.profiles_by_kq = profiles
         self.beam = beam
         self.refinement_residual = refinement_residual
+        self.q0_stack = np.stack([profiles[(k, 0)]
+                                  for k in range(self.k_max + 1)])
         self.element_cache = {}
 
     def profile(self, k, q=0):
@@ -219,61 +223,52 @@ def _sphere_profiles(beam, position, r_m, k_max, n_theta, n_phi):
     return {kq: block[:, i].copy() for i, kq in enumerate(kq_list)}
 
 
-def decompose(beam, position, grid, k_max=4, n_theta=None, n_phi=None,
-              check=True, tol=1e-6, a0_m=None):
+def decompose(beam, position, grid, k_max=4, tol=1e-6):
     """Expand the intensity about `position` into radial tensor profiles.
 
     On the beam axis (position's x, y equal to the focus's) the intensity
     is axisymmetric about the nucleus: only the q = 0 profiles exist, and
-    they come from an n_theta-point Gauss-Legendre rule in cos(theta);
-    the returned field stores only those. Off the axis every |q| <= k
-    profile comes from the n_theta x n_phi (Gauss-Legendre x trapezoid)
-    rule. Either rule is exact for harmonics up to its order. With
-    check=True a coarse pass is compared with the returned pass, refined
-    by 16 nodes per angle; if a profile moved by more than tol * I0,
-    QuadratureConvergenceError is raised, and otherwise the largest move
-    over I0 is kept as the field's refinement_residual. With check=False
-    only the refined pass runs and refinement_residual is None. Radii on
-    the grid are in Bohr radii; a0_m overrides the Bohr-to-meter scale.
+    they come from a Gauss-Legendre rule in cos(theta); the returned field
+    stores only those. Off the axis every |q| <= k profile comes from a
+    (Gauss-Legendre x trapezoid) product rule. Either rule is exact for
+    harmonics up to its order. A coarse pass (32 theta nodes, and
+    max(4 k_max, 32) phi nodes off the axis) is compared with the returned
+    pass, refined by 16 nodes per angle; if a profile moved by more than
+    tol * I0, QuadratureConvergenceError is raised, and otherwise the
+    largest move over I0 is kept as the field's refinement_residual. Radii
+    on the grid are in Bohr radii.
     """
-    a0_m = A0 if a0_m is None else a0_m
     k_max = int(k_max)
     if k_max < 0 or k_max > 12:
         raise ValueError("k_max must be in [0, 12]")
-    if n_theta is None:
-        n_theta = max(2 * k_max + 2, 32)
-    if n_phi is None:
-        n_phi = max(4 * k_max, 32)
     position = np.asarray(position, dtype=float)
-    r_m = grid.points * a0_m
+    r_m = grid.points * A0
 
     if np.array_equal(position[:2], beam.focus[:2]):
         def run(extra):
-            return _axial_profiles(beam, position, r_m, k_max,
-                                   n_theta + extra)
+            return _axial_profiles(beam, position, r_m, k_max, 32 + extra)
     else:
+        n_phi = max(4 * k_max, 32)
+
         def run(extra):
-            return _sphere_profiles(beam, position, r_m, k_max,
-                                    n_theta + extra, n_phi + extra)
+            return _sphere_profiles(beam, position, r_m, k_max, 32 + extra,
+                                    n_phi + extra)
 
     fine = run(16)
-    residual = None
-    if check:
-        coarse = run(0)
-        scale = max(beam.peak_intensity, 1e-300)
-        residual = max(np.max(np.abs(fine[kq] - coarse[kq]))
-                       for kq in fine) / scale
-        if residual > tol:
-            raise QuadratureConvergenceError(
-                "angular quadrature not converged: refinement moved a "
-                "profile by %.3g of peak intensity (tol %.3g)"
-                % (residual, tol))
-    return TensorField(position, grid, k_max, fine, beam,
-                       refinement_residual=residual)
+    coarse = run(0)
+    scale = max(beam.peak_intensity, 1e-300)
+    residual = max(np.max(np.abs(fine[kq] - coarse[kq]))
+                   for kq in fine) / scale
+    if residual > tol:
+        raise QuadratureConvergenceError(
+            "angular quadrature not converged: refinement moved a "
+            "profile by %.3g of peak intensity (tol %.3g)"
+            % (residual, tol))
+    return TensorField(position, grid, k_max, fine, beam, residual)
 
 
 def brute_force_average(beam, wf, position, m=None, angular_density=None,
-                        tol=1e-10, a0_m=None):
+                        tol=1e-10):
     """Direct 3D quadrature of the wavefunction-averaged intensity.
 
     Computes Int |psi|^2 I(r + R) d3r for psi = R_nl(r) Y_lm, without any
@@ -303,7 +298,6 @@ def brute_force_average(beam, wf, position, m=None, angular_density=None,
     Legendre projection, its angular factors or its n* interpolation, so
     the oracle shares none of the shortcuts it checks.
     """
-    a0_m = A0 if a0_m is None else a0_m
     position = np.asarray(position, dtype=float)
     if angular_density is None:
         mm = 0 if m is None else int(m)
@@ -313,7 +307,7 @@ def brute_force_average(beam, wf, position, m=None, angular_density=None,
         def angular_density(ct, ph):
             return _ylm_theta(wf.l, mm, ct) ** 2 * np.ones_like(ph)
 
-    r_m = wf.grid.points * a0_m
+    r_m = wf.grid.points * A0
     radial_density = wf.density()
     floor = max(beam.peak_intensity * 1e-12, 1e-300)
 

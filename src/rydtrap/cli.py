@@ -312,6 +312,7 @@ def _cmd_trap_depth(args):
             raise ValueError("backwards n range: --n-min %d is above "
                              "--n-max %d" % (args.n_min, args.n_max))
         n_values = list(range(args.n_min, args.n_max + 1))
+    ground_hz = potential.ground_depth(species, beam)
     field = _field_for(beam, max(n_values), args.k_max)
     header = ["n", "n_star", "u_core_hz", "u_pond_hz", "u_total_hz",
               "depth_hz", "ratio_to_ground"]
@@ -323,8 +324,7 @@ def _cmd_trap_depth(args):
         depth_hz = -breakdown.u_total_hz
         rows.append([n, state.n_star, breakdown.u_core_hz,
                      sum(breakdown.u_pond_by_k_hz.values()),
-                     breakdown.u_total_hz, depth_hz,
-                     depth_hz / breakdown.ground_depth_hz])
+                     breakdown.u_total_hz, depth_hz, depth_hz / ground_hz])
     config = {"species": args.species, "series": args.series.label,
               "power_w": beam.power, "waist_m": beam.waist,
               "wavelength_m": beam.wavelength,

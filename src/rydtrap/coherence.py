@@ -29,9 +29,10 @@ per-atom (atoms, 6) matrix and a per-time (6, times) matrix, which has no
 such factorization; echo accumulates sum cos(phi) and sum sin(phi)
 directly. Both contrasts draw the ensemble once and work over fixed-size
 chunks of atoms, so no (atoms x times) array is ever held: memory is
-flat in the number of times and linear in the number of atoms (energies,
-orbital phases and the per-atom echo factors; traced peaks of about
-60 B per atom plus 6 MB of chunks for Ramsey, and 170 B per atom for echo).
+flat in the number of times and linear in the number of atoms (Ramsey
+draws only the energies, echo also the orbital phases and per-atom echo
+factors; traced peaks of about 32 B per atom plus 6 MB of chunks for
+Ramsey, and 170 B per atom for echo).
 """
 
 import math
@@ -120,18 +121,24 @@ class DephasingScenario:
     def _rng(self):
         return np.random.Generator(np.random.Philox(key=self.seed))
 
+    def _sample_energies(self, rng):
+        """Per-axis motional energies (J), (n_atoms, 3), drawn first from rng.
+
+        Each axis energy is an independent 1D harmonic Boltzmann energy
+        (exponential with mean k_B T).
+        """
+        if self.temperature_k == 0.0:
+            return np.zeros((self.n_atoms, 3))
+        return rng.exponential(KB * self.temperature_k, size=(self.n_atoms, 3))
+
     def sample_energies_and_phases(self):
         """Per-axis motional energies (J) and orbital phases, both (n_atoms, 3).
 
-        Each axis energy is an independent 1D harmonic Boltzmann energy
-        (exponential with mean k_B T); the phases are uniform in [0, 2 pi).
+        The energies are those of _sample_energies on the same stream; the
+        phases, drawn after them, are uniform in [0, 2 pi).
         """
         rng = self._rng()
-        if self.temperature_k == 0.0:
-            energies = np.zeros((self.n_atoms, 3))
-        else:
-            energies = rng.exponential(KB * self.temperature_k,
-                                       size=(self.n_atoms, 3))
+        energies = self._sample_energies(rng)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=(self.n_atoms, 3))
         return energies, phases
 
@@ -192,11 +199,11 @@ def ramsey_contrast(scenario, times_s):
     accumulated over chunks of atoms as two real matrix products. Any
     grid is accepted; sharing a column moves a phase by at most
     8 eps |r| max|t|. The accumulators hold about 2T complex sums, so the
-    traced peak is flat in T: about 60 B per atom plus 6 MB (11.9 MB at
-    1e5 atoms for 61 to 1001 times, 16.7 MB at 100,001).
+    traced peak is flat in T: about 32 B per atom plus 6 MB (9.5 MB at
+    1e5 atoms for 61 to 1001 times, 14.3 MB at 100,001).
     """
     times = np.asarray(times_s, dtype=float)
-    energies, _ = scenario.sample_energies_and_phases()
+    energies = scenario._sample_energies(scenario._rng())
     rate = 2.0 * np.pi * orbit_averaged_shift_hz(scenario, energies)
     anchors, offsets, block, column = _anchor_offset_split(times)
     n_offsets = len(offsets)

@@ -188,21 +188,23 @@ def core_shift(species, beam, point=(0.0, 0.0, 0.0)):
                                    beam.intensity(np.asarray(point, dtype=float)))
 
 
-def ground_shift(species, beam, point=(0.0, 0.0, 0.0)):
-    """Ground-state polarizability shift at a point, h*Hz (negative)."""
+def _alpha_ground(species):
+    """The species' ground-state polarizability in au; ValueError if none."""
     if species.alpha_ground_au is None:
         raise ValueError("species %s has no ground-state polarizability"
                          % species.name)
-    return polarizability_shift_hz(species.alpha_ground_au,
+    return species.alpha_ground_au
+
+
+def ground_shift(species, beam, point=(0.0, 0.0, 0.0)):
+    """Ground-state polarizability shift at a point, h*Hz (negative)."""
+    return polarizability_shift_hz(_alpha_ground(species),
                                    beam.intensity(np.asarray(point, dtype=float)))
 
 
 def ground_depth(species, beam):
     """Ground-state trap depth U(inf) - U(focus) in Hz (positive = trapping)."""
-    if species.alpha_ground_au is None:
-        raise ValueError("species %s has no ground-state polarizability"
-                         % species.name)
-    return -polarizability_shift_hz(species.alpha_ground_au, beam.peak_intensity)
+    return -polarizability_shift_hz(_alpha_ground(species), beam.peak_intensity)
 
 
 def power_for_ground_depth(species, beam, depth_hz):
@@ -211,8 +213,7 @@ def power_for_ground_depth(species, beam, depth_hz):
     return depth_hz / per_watt
 
 
-def ponderomotive_shift(state, field, axis_angle_deg=0.0,
-                        allow_truncation=False):
+def ponderomotive_shift(state, field, axis_angle_deg=0.0):
     """Ponderomotive expectation for a state, total and per rank, h*Hz.
 
     U_pond[k] = pref * A_k(term, M) * P_k(cos beta) * e_k(n*, L), where
@@ -225,15 +226,14 @@ def ponderomotive_shift(state, field, axis_angle_deg=0.0,
     term = state.term
     needed = min(term.J.twice, 2 * term.L)
     needed -= needed % 2
-    if field.k_max < needed and not allow_truncation:
+    if field.k_max < needed:
         raise TruncationError(
             "state couples to rank %d but field holds k <= %d; decompose "
-            "with a larger k_max or pass allow_truncation=True"
-            % (needed, field.k_max))
+            "with a larger k_max" % (needed, field.k_max))
     pref = pond_prefactor(field.beam.angular_frequency)
     cos_beta = math.cos(math.radians(axis_angle_deg))
     by_k = {}
-    for k in range(0, min(field.k_max, needed) + 1, 2):
+    for k in range(0, needed + 1, 2):
         a_k = angular_factor(term, k, state.M)
         if a_k == 0.0 and k > 0:
             by_k[k] = 0.0
@@ -255,12 +255,10 @@ class PotentialBreakdown:
         self.ground_depth_hz = ground_depth_hz
 
 
-def potential_breakdown(state, field, axis_angle_deg=0.0,
-                        allow_truncation=False):
+def potential_breakdown(state, field, axis_angle_deg=0.0):
     """Core + per-rank ponderomotive contributions at the field's nucleus."""
     beam = field.beam
-    _, by_k = ponderomotive_shift(state, field, axis_angle_deg,
-                                  allow_truncation)
+    _, by_k = ponderomotive_shift(state, field, axis_angle_deg)
     u_core = core_shift(state.species, beam, field.position)
     gdepth = None
     if state.species.alpha_ground_au is not None:
@@ -268,19 +266,14 @@ def potential_breakdown(state, field, axis_angle_deg=0.0,
     return PotentialBreakdown(u_core, by_k, gdepth)
 
 
-def trap_depth(state, field, axis_angle_deg=0.0, allow_truncation=False):
+def trap_depth(state, field, axis_angle_deg=0.0):
     """Rydberg trap depth U(inf) - U(nucleus) and its ratio to the ground depth.
 
     Positive depth means trapping. The ratio is taken against the
     ground-state depth of the same beam (same power and waist).
     """
-    breakdown = potential_breakdown(state, field, axis_angle_deg,
-                                    allow_truncation)
-    depth_hz = -breakdown.u_total_hz
-    if breakdown.ground_depth_hz is None:
-        raise ValueError("species %s has no ground-state polarizability"
-                         % state.species.name)
-    return depth_hz, depth_hz / breakdown.ground_depth_hz
+    depth_hz = -potential_breakdown(state, field, axis_angle_deg).u_total_hz
+    return depth_hz, depth_hz / ground_depth(state.species, field.beam)
 
 
 def power_for_rydberg_depth(state, field, depth_hz, axis_angle_deg=0.0):
@@ -291,8 +284,7 @@ def power_for_rydberg_depth(state, field, depth_hz, axis_angle_deg=0.0):
     return field.beam.power * depth_hz / current
 
 
-def tensor_splitting(species, n, term, field, axis_angle_deg=0.0,
-                     allow_truncation=False):
+def tensor_splitting(species, n, term, field, axis_angle_deg=0.0):
     """Per-M shifts relative to the M-average for one (n, term) manifold, Hz.
 
     The M-average removes the scalar (k=0) part, leaving the rank k >= 2
@@ -304,15 +296,13 @@ def tensor_splitting(species, n, term, field, axis_angle_deg=0.0,
     for twice_m in twice_ms:
         m = HalfInt.from_twice(twice_m)
         state = RydbergState(species, n, term, m)
-        total, _ = ponderomotive_shift(state, field, axis_angle_deg,
-                                       allow_truncation)
+        total, _ = ponderomotive_shift(state, field, axis_angle_deg)
         totals[m] = total
     avg = sum(totals.values()) / len(totals)
     return {m: total - avg for m, total in totals.items()}
 
 
-def differential_shift(a, b, field, axis_angle_deg=0.0,
-                       allow_truncation=False):
+def differential_shift(a, b, field, axis_angle_deg=0.0):
     """Total-potential difference U(a) - U(b) between two states, Hz.
 
     The core polarizability does not depend on the Rydberg electron's
@@ -321,8 +311,8 @@ def differential_shift(a, b, field, axis_angle_deg=0.0,
     if a.species is not b.species and a.species.name != b.species.name:
         raise ValueError("states belong to different species (%s vs %s)"
                          % (a.species.name, b.species.name))
-    total_a, _ = ponderomotive_shift(a, field, axis_angle_deg, allow_truncation)
-    total_b, _ = ponderomotive_shift(b, field, axis_angle_deg, allow_truncation)
+    total_a, _ = ponderomotive_shift(a, field, axis_angle_deg)
+    total_b, _ = ponderomotive_shift(b, field, axis_angle_deg)
     return total_a - total_b
 
 

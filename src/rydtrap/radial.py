@@ -8,6 +8,12 @@ path interpolates the radial integrals across integer n (they vary slowly
 with n), and a Numerov integrator for the radial equation at arbitrary n*
 serves as the independent oracle.
 
+The production path memoizes one row of elements e_k(n, l), k = 0..k_max,
+per (n, l) on the TensorField: a single radial integral of the integer-n
+wavefunction against the field's stack of (k, 0) profiles. The cubic
+through the four integer-n rows around n* is evaluated with closed-form
+Lagrange weights.
+
 Every radial integral is a dot product with the grid's composite-Simpson
 weight vector, built once per grid; it reproduces scipy.integrate.simpson
 on the same points (with its last-interval correction for an even point
@@ -57,9 +63,9 @@ def _simpson_weights(x):
 
 
 class RadialGrid:
-    """Monotone radial grid in Bohr radii with a named spacing scheme."""
+    """Monotone radial grid in Bohr radii."""
 
-    def __init__(self, points, scheme="custom"):
+    def __init__(self, points):
         points = np.asarray(points, dtype=float)
         if points.ndim != 1 or len(points) < 8:
             raise ValueError("grid needs at least 8 points")
@@ -68,20 +74,19 @@ class RadialGrid:
         if points[0] < 0:
             raise ValueError("radii must be nonnegative")
         self.points = points
-        self.scheme = scheme
         self.weights = _simpson_weights(points)
 
     @classmethod
-    def default(cls, n_max, npoints=4000, r_min=1e-3):
-        """Square-root-spaced grid from r_min to the 2.5 n_max^2 outer bound.
+    def default(cls, n_max, npoints=4000):
+        """Square-root-spaced grid from 1e-3 a0 to the 2.5 n_max^2 outer bound.
 
         Square-root spacing equidistributes the radial oscillations of
         high-n states, so a fixed point count resolves both the inner
         oscillations and the outer turning point.
         """
         r_max = 2.5 * n_max**2
-        u = np.linspace(np.sqrt(r_min), np.sqrt(r_max), npoints)
-        return cls(u * u, scheme="sqrt")
+        u = np.linspace(np.sqrt(1e-3), np.sqrt(r_max), npoints)
+        return cls(u * u)
 
     @property
     def r_max(self):
@@ -92,20 +97,11 @@ class RadialGrid:
         return self.r_max >= 2.5 * n * n * (1.0 - 1e-12)
 
     def integrate(self, values):
-        """Composite Simpson quadrature of samples against this grid."""
-        return self.weights @ values
+        """Composite Simpson quadrature of samples along their last axis."""
+        return values @ self.weights
 
     def __len__(self):
         return len(self.points)
-
-    def __eq__(self, other):
-        if not isinstance(other, RadialGrid):
-            return NotImplemented
-        return self.points.shape == other.points.shape and np.array_equal(
-            self.points, other.points)
-
-    def __hash__(self):
-        return hash((len(self.points), self.points[0], self.points[-1]))
 
 
 class RadialWavefunction:
@@ -203,7 +199,7 @@ def numerov_radial(n_star, l, grid):
         raise ValueError("require n* > l")
     x = np.sqrt(grid.points)
     dx = np.diff(x)
-    if grid.scheme != "sqrt" and not np.allclose(dx, dx[0], rtol=1e-8):
+    if not np.allclose(dx, dx[0], rtol=1e-8):
         raise GridMismatchError("Numerov integration needs a sqrt-spaced grid")
     h = dx[0]
     r = grid.points
@@ -260,61 +256,58 @@ def expectation_radius(n, l):
     return (3.0 * n * n - l * (l + 1)) / 2.0
 
 
-def radial_integral(wf, profile, profile_grid=None):
+def radial_integral(wf, profile):
     """Int r^2 R(r)^2 f(r) dr for a diagonal wavefunction.
 
-    The profile must be sampled on the wavefunction's own grid (pass
-    profile_grid to have that checked); radial profiles from an intensity
-    decomposition already carry the grid they were built on.
+    The profile is sampled on the wavefunction's own grid along its last
+    axis; a (K, npts) stack of profiles gives K integrals at once. Radial
+    profiles from an intensity decomposition already carry the grid they
+    were built on.
     """
     profile = np.asarray(profile, dtype=float)
-    if profile_grid is not None and profile_grid != wf.grid:
-        raise GridMismatchError("profile grid does not match wavefunction grid")
-    if profile.shape != wf.samples.shape:
-        raise GridMismatchError("profile length %d != grid length %d"
-                                % (len(profile), len(wf.samples)))
+    if profile.shape[-1:] != wf.samples.shape:
+        raise GridMismatchError("profile shape %s does not end in the grid "
+                                "length %d" % (profile.shape, len(wf.samples)))
     return wf.grid.integrate(wf.density() * profile)
 
 
-def _element_at_integer_n(n, l, k, field):
-    cache = field.element_cache
-    key = (n, l, k)
-    if key not in cache:
-        wf_key = (n, l)
-        wf = cache.get(wf_key)
-        if wf is None:
-            wf = hydrogen_radial(n, l, field.grid)
-            cache[wf_key] = wf
-        cache[key] = radial_integral(wf, field.profile(k, 0))
-    return cache[key]
+def _element_at_integer_n(n, l, field):
+    """Row e_k(n, l), k = 0..k_max, memoized on the field per (n, l)."""
+    row = field.element_cache.get((n, l))
+    if row is None:
+        row = radial_integral(hydrogen_radial(n, l, field.grid),
+                              field.q0_stack)
+        field.element_cache[(n, l)] = row
+    return row
 
 
 def interpolated_reduced_element(n_star, l, k, field):
     """Radial integral e_k at fractional n*, interpolated across integer n.
 
-    The integer-n integrals vary slowly with n, so a cubic through the four
-    surrounding integer-n values (two on each side) reproduces the
-    fractional-n* element; integer n* returns the integer-n value exactly.
+    The integer-n integrals vary slowly with n, so the cubic through the
+    four surrounding integer-n values n0 - 1 .. n0 + 2, n0 = floor(n*),
+    reproduces the fractional-n* element. It is evaluated in Lagrange form
+    at t = n* - n0; at integer n* the weights are exactly (0, 1, 0, 0), so
+    the integer-n value comes back unchanged.
     """
     n_star = float(n_star)
-    l = int(l)
+    l, k = int(l), int(k)
     if n_star <= l:
         raise ValueError("require n* > l")
-    if abs(n_star - round(n_star)) < 1e-9:
-        n = int(round(n_star))
-        if not field.grid.covers(n):
-            raise ValueError("field grid does not cover n=%d" % n)
-        return _element_at_integer_n(n, l, k, field)
-
-    n_lo = int(np.floor(n_star))
-    bracket = [n_lo - 1, n_lo, n_lo + 1, n_lo + 2]
-    if bracket[0] < l + 1:
+    if not 0 <= k <= field.k_max:
+        raise ValueError("rank k=%d outside the field's 0..%d"
+                         % (k, field.k_max))
+    n_lo = math.floor(n_star)
+    if n_lo - 1 < l + 1:
         raise ValueError("n* = %.3f too low for a 4-point bracket at l=%d"
                          % (n_star, l))
-    if not field.grid.covers(bracket[-1]):
+    if not field.grid.covers(n_lo + 2):
         raise ValueError("field grid does not cover the n=%d bracket"
-                         % bracket[-1])
-    values = [_element_at_integer_n(n, l, k, field) for n in bracket]
-    # cubic Lagrange interpolation through the four bracket points
-    coeffs = np.polyfit(bracket, values, 3)
-    return float(np.polyval(coeffs, n_star))
+                         % (n_lo + 2))
+    t = n_star - n_lo
+    weights = (-t * (t - 1.0) * (t - 2.0) / 6.0,
+               (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
+               -(t + 1.0) * t * (t - 2.0) / 2.0,
+               (t + 1.0) * t * (t - 1.0) / 6.0)
+    return float(sum(w * _element_at_integer_n(n, l, field)[k]
+                     for w, n in zip(weights, range(n_lo - 1, n_lo + 3))))

@@ -153,6 +153,27 @@ def _select(records, fit_range):
     return [rec for rec in records if lo <= rec.n <= hi]
 
 
+def _least_squares(residuals, x0, jacobian, name):
+    """Levenberg-Marquardt solution of a weighted fit and its covariance.
+
+    The covariance is inv(J^T J) at the solution, None when singular. A
+    failed fit raises FitConvergenceError naming the fit.
+    """
+    from scipy.optimize import least_squares
+
+    result = least_squares(residuals, x0, jac=jacobian, method="lm",
+                           xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    if not result.success:
+        raise FitConvergenceError("%s fit did not converge: %s"
+                                  % (name, result.message))
+    jac = jacobian(result.x)
+    try:
+        cov = np.linalg.inv(jac.T @ jac)
+    except np.linalg.LinAlgError:
+        cov = None
+    return result.x, cov
+
+
 def fit_ritz(records, order=8, fit_range=None, ionization_cm1=None,
              rydberg_cm1=None):
     """Weighted fit of the Ritz expansion at fixed ionization threshold.
@@ -161,8 +182,6 @@ def fit_ritz(records, order=8, fit_range=None, ionization_cm1=None,
     five coefficients). The Jacobian is analytic in d2..d8; the d0 column
     is a central difference because d0 also enters every denominator.
     """
-    from scipy.optimize import least_squares
-
     if order < 0 or order % 2:
         raise ValueError("order must be a nonnegative even integer")
     if ionization_cm1 is None or rydberg_cm1 is None:
@@ -198,18 +217,10 @@ def fit_ritz(records, order=8, fit_range=None, ionization_cm1=None,
                                  ionization_cm1, rydberg_cm1)
     x0 = np.zeros(n_params)
     x0[0] = d0_init
-    result = least_squares(residuals, x0, jac=jacobian, method="lm",
-                           xtol=1e-14, ftol=1e-14, gtol=1e-14)
-    if not result.success:
-        raise FitConvergenceError("Ritz fit did not converge: %s" % result.message)
-    jac = jacobian(result.x)
-    try:
-        cov = np.linalg.inv(jac.T @ jac)
-    except np.linalg.LinAlgError:
-        cov = None
-    res_mhz = (_model_energy(result.x, n, ionization_cm1, rydberg_cm1)
+    params, cov = _least_squares(residuals, x0, jacobian, "Ritz")
+    res_mhz = (_model_energy(params, n, ionization_cm1, rydberg_cm1)
                - energy) * CM1_TO_MHZ
-    return RitzModel(result.x, ionization_cm1, rydberg_cm1, fit_range=fit_range,
+    return RitzModel(params, ionization_cm1, rydberg_cm1, fit_range=fit_range,
                      covariance=cov, residuals_mhz=res_mhz, record_n=n.astype(int))
 
 
@@ -221,8 +232,6 @@ def fit_threshold(records, fit_range=None, rydberg_cm1=None,
     threshold_sigma_cm1 is the E_I uncertainty from the joint (E_I, d0)
     covariance (None if singular); the model keeps no covariance.
     """
-    from scipy.optimize import least_squares
-
     if rydberg_cm1 is None:
         raise ValueError("rydberg_cm1 is required")
     used = _select(records, fit_range)
@@ -248,18 +257,9 @@ def fit_threshold(records, fit_range=None, rydberg_cm1=None,
 
     d0_init = defect_from_energy(max(used, key=lambda rec: rec.n),
                                  ionization_guess_cm1, rydberg_cm1)
-    result = least_squares(residuals, np.array([ionization_guess_cm1, d0_init]),
-                           jac=jacobian, method="lm",
-                           xtol=1e-14, ftol=1e-14, gtol=1e-14)
-    if not result.success:
-        raise FitConvergenceError("threshold fit did not converge: %s"
-                                  % result.message)
-    jac = jacobian(result.x)
-    try:
-        cov = np.linalg.inv(jac.T @ jac)
-    except np.linalg.LinAlgError:
-        cov = None
-    e_i, d0 = result.x
+    (e_i, d0), cov = _least_squares(
+        residuals, np.array([ionization_guess_cm1, d0_init]), jacobian,
+        "threshold")
     res_mhz = (e_i - rydberg_cm1 / (n - d0) ** 2 - energy) * CM1_TO_MHZ
     return RitzModel([d0], e_i, rydberg_cm1, fit_range=fit_range,
                      residuals_mhz=res_mhz, record_n=n.astype(int),

@@ -211,18 +211,6 @@ class TestDecompose:
         with pytest.raises(QuadratureConvergenceError):
             decompose(beam9, (0.0, 0.0, 0.0), grid, k_max=4, tol=1e-18)
 
-    def test_unchecked_runs_only_the_refined_pass(self, beam9):
-        grid = RadialGrid.default(10, npoints=100)
-        for position in ((0.0, 0.0, 0.0), (0.2e-6, 0.0, 0.0)):
-            unchecked = decompose(beam9, position, grid, k_max=4,
-                                  check=False, tol=1e-18)
-            checked = decompose(beam9, position, grid, k_max=4)
-            assert unchecked.refinement_residual is None
-            assert sorted(unchecked.profiles_by_kq) == \
-                sorted(checked.profiles_by_kq)
-            for kq, prof in checked.profiles_by_kq.items():
-                assert np.array_equal(unchecked.profile(*kq), prof), kq
-
     def test_refinement_residual_kept(self, field9):
         assert 0.0 <= field9.refinement_residual < 1e-6
 

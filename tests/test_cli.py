@@ -123,6 +123,13 @@ class TestExitCodes:
         assert cli.main(["pi-fit", "--input", "/no/such/file.csv"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_species_without_ground_polarizability_is_data_error(
+            self, capsys):
+        # rb87 has no ground-state polarizability, so no depth ratio
+        assert cli.main(["trap-depth", "--species", "rb87", "--power", "9mW",
+                         "--series", "2S1/2", "--n", "60"]) == 2
+        assert "no ground-state polarizability" in capsys.readouterr().err
+
     def test_too_few_rows_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "short.csv"
         path.write_text("power_mw,lifetime_us\n3.0,75.0\n6.0,64.0\n")

@@ -1,6 +1,7 @@
 """Radial wavefunctions: closed forms, norms, nodes, integrals, interpolation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ def grid120():
 class TestRadialGrid:
     def test_default_bounds_and_scheme(self):
         grid = RadialGrid.default(60, npoints=500)
-        assert grid.scheme == "sqrt"
         assert len(grid) == 500
         assert grid.r_max == pytest.approx(2.5 * 60**2)
         assert grid.covers(60) and not grid.covers(61)
@@ -64,13 +64,6 @@ class TestRadialGrid:
             assert wf.norm() == pytest.approx(
                 simpson(wf.density(), x=grid120.points), rel=1e-14)
             assert wf.norm() == pytest.approx(1.0, abs=5e-8)
-
-    def test_equality_and_hash(self):
-        a = RadialGrid.default(30, npoints=300)
-        b = RadialGrid.default(30, npoints=300)
-        c = RadialGrid.default(31, npoints=300)
-        assert a == b and hash(a) == hash(b)
-        assert a != c
 
 
 class TestHydrogenRadial:
@@ -167,9 +160,6 @@ class TestRadialIntegral:
         wf = hydrogen_radial(10, 0, grid120)
         with pytest.raises(GridMismatchError):
             radial_integral(wf, np.ones(17))
-        other = RadialGrid.default(50, npoints=len(grid120))
-        with pytest.raises(GridMismatchError):
-            radial_integral(wf, np.ones(len(grid120)), profile_grid=other)
 
 
 class TestInterpolatedElement:
@@ -192,11 +182,41 @@ class TestInterpolatedElement:
             interpolated_reduced_element(1.5, 0, 0, field9)   # bracket below 1
         with pytest.raises(ValueError):
             interpolated_reduced_element(95.5, 0, 0, field9)  # beyond grid
+        for k in (-1, 5):                                     # no such rank
+            with pytest.raises(ValueError):
+                interpolated_reduced_element(55.3, 0, k, field9)
 
     def test_element_cache_reused(self, field9):
-        before = len(field9.element_cache)
         interpolated_reduced_element(55.3, 0, 0, field9)
-        interpolated_reduced_element(55.4, 0, 0, field9)
-        added = len(field9.element_cache) - before
-        # second call must reuse the four cached integer-n entries
-        assert added <= 10
+        keys = set(field9.element_cache)
+        assert {(n, 0) for n in range(54, 58)} <= keys
+        # a second n* in the same bracket, at another rank, reuses the
+        # four (n, l) rows and adds no entry
+        interpolated_reduced_element(55.4, 0, 2, field9)
+        assert set(field9.element_cache) == keys
+
+    def test_matches_exact_cubic(self, field9):
+        # the cubic through the four integer-n values around n*, evaluated
+        # in exact rational arithmetic at the same float n*
+        integer_n = {}
+        for l, k in ((0, 0), (1, 2), (2, 4)):
+            for n_star in np.linspace(30.0, 81.9, 47):
+                n_lo = math.floor(n_star)
+                nodes = range(n_lo - 1, n_lo + 3)
+                for n in nodes:
+                    if (n, l, k) not in integer_n:
+                        integer_n[n, l, k] = radial_integral(
+                            hydrogen_radial(n, l, field9.grid),
+                            field9.profile(k, 0))
+                values = [integer_n[n, l, k] for n in nodes]
+                x = Fraction(float(n_star))
+                want = Fraction(0)
+                for i, (n_i, v_i) in enumerate(zip(nodes, values)):
+                    term = Fraction(v_i)
+                    for n_j in nodes:
+                        if n_j != n_i:
+                            term *= (x - n_j) / (n_i - n_j)
+                    want += term
+                got = interpolated_reduced_element(n_star, l, k, field9)
+                assert abs(got - float(want)) <= 4e-15 * abs(float(want)), \
+                    (l, k, n_star)
