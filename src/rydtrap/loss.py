@@ -48,8 +48,16 @@ def load_lifetime_csv(source):
         stream = source
     else:
         stream = open(source, newline="")
+    number = 0  # the physical line the reader has reached
+
+    def uncommented():
+        nonlocal number
+        for number, line in enumerate(stream, 1):
+            if not line.startswith("#"):
+                yield line
+
     try:
-        reader = csv.reader(row for row in stream if not row.startswith("#"))
+        reader = csv.reader(uncommented())
         header = next(reader, None)
         if header is None:
             raise ValueError("empty lifetime file")
@@ -62,6 +70,10 @@ def load_lifetime_csv(source):
         for row in reader:
             if not row or not "".join(row).strip():
                 continue
+            if len(row) < 2:
+                raise ValueError("lifetime file line %d has one cell, %r; "
+                                 "expected power_mw,lifetime_us"
+                                 % (number, row[0]))
             sigma = float(row[2]) * 1e-6 if has_sigma and len(row) > 2 else None
             records.append(LifetimeRecord(float(row[0]) * 1e-3,
                                           float(row[1]) * 1e-6, sigma))

@@ -1,14 +1,19 @@
 """Gaussian beam optics and the spherical-tensor intensity decomposition."""
 
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import lpmv
 
+from rydtrap.cli import _grid_for
 from rydtrap.angular import Term, reference_m
 from rydtrap.beam import (ParaxialValidityWarning, QuadratureConvergenceError,
-                          TweezerBeam, _sphere_profiles, _ylm_theta,
+                          TweezerBeam, _intensity_sums, _product_nodes,
+                          _sphere_profiles, _ylm_theta,
                           brute_force_average, decompose, real_sph_harm)
 from rydtrap.constants import A0, C
 from rydtrap.potential import _term_angular_density
@@ -119,6 +124,25 @@ class TestRealSphHarm:
         st = np.sqrt(1 - ct**2)
         got = _ylm_theta(l, m, ct) ** 2
         assert np.max(np.abs(got - closed_form(ct, st))) < 1e-14
+
+    def test_ylm_theta_matches_scipy_lpmv(self):
+        # lpmv builds in the Condon-Shortley (-1)^m, which _ylm_theta leaves
+        # out; cancel it and apply the same log normalization
+        ct = np.linspace(-1.0, 1.0, 1001)
+        assert ct[0] == -1.0 and ct[-1] == 1.0
+        for l in range(13):
+            for m in range(-l, l + 1):
+                am = abs(m)
+                lognorm = 0.5 * (np.log((2 * l + 1) / (4.0 * np.pi))
+                                 + math.lgamma(l - am + 1)
+                                 - math.lgamma(l + am + 1))
+                want = (-1.0) ** am * np.exp(lognorm) * lpmv(am, l, ct)
+                got = _ylm_theta(l, m, ct)
+                assert np.max(np.abs(got - want)) \
+                    <= 1e-14 * np.max(np.abs(want)), (l, m)
+            for m in (l + 1, -l - 1, l + 3):
+                assert np.array_equal(_ylm_theta(l, m, ct),
+                                      np.zeros_like(ct))
 
 
 class TestDecompose:
@@ -249,6 +273,41 @@ class TestBruteForceAverage:
         wf = hydrogen_radial(20, 1, field9.grid)
         with pytest.raises(ValueError):
             brute_force_average(beam9, wf, (0.0, 0.0, 0.0), m=2)
+
+    @pytest.mark.parametrize("chunk", [7, 40, 1 << 15])
+    def test_intensity_sums_in_any_chunking(self, beam9, monkeypatch, chunk):
+        # blocks that split the nodes of a radius (7), that take a few
+        # radii but not all (40) or every radius at once give the direct sum
+        monkeypatch.setattr("rydtrap.beam._NODE_CHUNK", chunk)
+        position = np.array([0.2e-6, -0.1e-6, 0.3e-6])
+        r_m = np.linspace(0.0, 1e-6, 23)
+        _, _, nhat = _product_nodes(np.linspace(-0.9, 0.9, 5),
+                                    np.linspace(0.1, 6.0, 3))
+        weights = np.random.default_rng(3).normal(size=(15, 4))
+        direct = beam9.intensity(position + r_m[:, None, None] * nhat.T) \
+            @ weights
+        for w in (weights, weights[:, 0]):
+            got = _intensity_sums(beam9, position, r_m, nhat, w)
+            assert got.shape == (23,) + w.shape[1:]
+            assert np.allclose(got, direct if w.ndim == 2 else direct[:, 0],
+                               rtol=1e-13, atol=0.0)
+
+    def test_memory_bounded_on_cli_grids(self, beam9):
+        # the intensity goes in fixed-size node chunks, so the traced peak
+        # does not grow with the grid: 4,000 points at n = 40, 5,720 at 140
+        peaks = {}
+        for n in (40, 140):
+            wf = hydrogen_radial(n, 0, _grid_for(n))
+            tracemalloc.start()
+            try:
+                brute_force_average(beam9, wf, (0.0, 0.0, 0.0))
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(_grid_for(40).points) == 4000
+        assert len(_grid_for(140).points) == 5720
+        assert max(peaks.values()) <= 16e6
+        assert peaks[140] <= 1.5 * peaks[40]
 
 
 def phi_nodes_seen(monkeypatch, position):

@@ -136,6 +136,14 @@ class TestExitCodes:
         assert cli.main(["pi-fit", "--input", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_single_cell_row_is_data_error(self, tmp_path, capsys):
+        # the error names the physical line, comment lines counted
+        path = tmp_path / "short_row.csv"
+        path.write_text("power_mw,lifetime_us\n# 4 mW lost\n2,73.2\n4\n"
+                        "6,57.7\n9,49.8\n12,43.8\n")
+        assert cli.main(["pi-fit", "--input", str(path)]) == 2
+        assert "line 4 has one cell, '4'" in capsys.readouterr().err
+
     def test_nonconvergence_maps_to_exit_3(self, monkeypatch, capsys):
         def boom(scenario, times):
             raise QuadratureConvergenceError("did not converge")
@@ -437,9 +445,8 @@ def test_readme_command_lines_parse():
 
 
 # A fresh process per command: importing rydtrap.cli and running any of
-# these must load no scipy module. Only ritz-fit, threshold-fit,
-# oracle-check and off-axis decomposition import scipy, inside the
-# functions that need it.
+# these must load no scipy module. Only ritz-fit and threshold-fit import
+# scipy, inside the fits that need it.
 NO_SCIPY_COMMANDS = {
     "version": ["--version"],
     "angular-table": ["angular-table"],
@@ -453,40 +460,65 @@ NO_SCIPY_COMMANDS = {
     "pi-fit": ["pi-fit", "--input", "tau.csv", "--at-power", "9mW"],
     "ramsey-sim": CSV_COMMANDS["ramsey-sim"],
     "echo-sim": CSV_COMMANDS["echo-sim"],
+    "oracle-check": ["oracle-check", "--power", "9mW", "--n", "40"],
 }
+
+LIST_SCIPY = """
+print(json.dumps({"result": result, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
 
 SCIPY_PROBE = """
 import json, sys
 from rydtrap import cli
 try:
-    code = cli.main(json.loads(sys.argv[1]))
+    result = cli.main(json.loads(sys.argv[1]))
 except SystemExit as exc:
-    code = exc.code
-print(json.dumps({"code": code, "scipy": sorted(
-    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
-"""
+    result = exc.code
+""" + LIST_SCIPY
+
+# the result is the (k, q) keys: q != 0 shows the (theta, phi) rule ran
+OFF_AXIS_PROBE = """
+import json, sys
+from rydtrap.beam import TweezerBeam, decompose
+from rydtrap.radial import RadialGrid
+field = decompose(TweezerBeam(532e-9, 650e-9, 9e-3), (0.2e-6, 0.0, 0.3e-6),
+                  RadialGrid.default(43, npoints=1720), k_max=4)
+result = sorted(map(list, field.profiles_by_kq))
+""" + LIST_SCIPY
+
+
+def probe_report(script, argv, tmp_path):
+    """The result and the scipy modules loaded by a probe in a new process."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(rydtrap.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    return report["result"], report["scipy"]
 
 
 def scipy_modules_after(argv, tmp_path):
     """Exit code and scipy modules loaded by one command in a new process."""
     (tmp_path / "tau.csv").write_text(
         "power_mw,lifetime_us\n2,73.2\n4,64.5\n6,57.7\n9,49.8\n12,43.8\n")
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(rydtrap.__file__).resolve().parents[1]))
     argv = argv + ([] if argv == ["--version"] else
                    ["--output", str(tmp_path / "out")])
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE,
-                           json.dumps(argv)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
-    return report["code"], report["scipy"]
+    return probe_report(SCIPY_PROBE, argv, tmp_path)
 
 
 @pytest.mark.parametrize("name", sorted(NO_SCIPY_COMMANDS))
 def test_command_loads_no_scipy(name, tmp_path):
     code, loaded = scipy_modules_after(NO_SCIPY_COMMANDS[name], tmp_path)
     assert code == 0
+    assert loaded == []
+
+
+def test_off_axis_decompose_loads_no_scipy(tmp_path):
+    kq, loaded = probe_report(OFF_AXIS_PROBE, [], tmp_path)
+    assert [2, 1] in kq and [2, -2] in kq
     assert loaded == []
 
 
