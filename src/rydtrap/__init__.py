@@ -10,18 +10,14 @@ autoionization loss estimates, and Monte Carlo Ramsey and echo contrast for
 thermal ensembles.
 """
 
-try:
-    from importlib.metadata import version as _dist_version
-    __version__ = _dist_version("rydtrap")
-except Exception:
-    __version__ = "0.1.0"
+__version__ = "0.1.0"
 
 from .constants import CM1_TO_MHZ, CONSTANTS_TABLE, constants_hash
 from .angular import (HalfInt, SqrtRational, Term, UnsupportedTermError,
                       angular_factor, angular_factor_exact, angular_table,
                       reference_m, wigner_3j, wigner_6j)
 from .radial import (GridMismatchError, RadialGrid, RadialWavefunction,
-                     hydrogen_radial, numerov_radial, expectation_radius,
+                     hydrogen_radial, numerov_radial,
                      interpolated_reduced_element, radial_integral)
 from .beam import (ParaxialValidityWarning, QuadratureConvergenceError,
                    TensorField, TweezerBeam, brute_force_average, decompose,
@@ -51,7 +47,7 @@ __all__ = [
     "angular_factor", "angular_factor_exact", "angular_table", "reference_m",
     "wigner_3j", "wigner_6j",
     "GridMismatchError", "RadialGrid", "RadialWavefunction",
-    "hydrogen_radial", "numerov_radial", "expectation_radius",
+    "hydrogen_radial", "numerov_radial",
     "interpolated_reduced_element", "radial_integral",
     "ParaxialValidityWarning", "QuadratureConvergenceError", "TensorField",
     "TweezerBeam", "brute_force_average", "decompose", "real_sph_harm",

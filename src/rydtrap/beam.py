@@ -21,11 +21,16 @@ TweezerBeam it was decomposed from.
 brute_force_average is the independent oracle: the direct 3D quadrature of
 the wavefunction-averaged intensity over a (theta, phi) product rule that
 refines each angle by doubling until two levels agree. It assumes no
-symmetry and does not branch on the axis; it calls beam.intensity at every
-node and nothing of the tensor path (no profiles, Legendre projection,
-angular factors or n* interpolation), so a fault there cannot cancel in
-the comparison. Only it and the off-axis rule use the |Y_lm| helper
-_ylm_theta.
+symmetry and does not branch on the axis; it uses nothing of the tensor
+path (no profiles, Legendre projection, angular factors or n*
+interpolation), so a fault there cannot cancel in the comparison. Only it
+and the off-axis rule use the |Y_lm| helper _ylm_theta.
+
+All three rules, axial, off-axis and oracle, sum the intensity over their
+nodes through one evaluator, _intensity_sums, which works in fixed-size
+blocks so that memory does not grow with the radial grid. It is the one
+piece the oracle shares with the tensor path, and the tests check it, in
+every blocking, against the direct sum over the whole point array.
 """
 
 import math
@@ -189,15 +194,17 @@ def _product_nodes(cos_theta, phi):
 def _intensity_sums(beam, position, r_m, nhat, weights):
     """I(position + r nhat) @ weights at every radius, in bounded chunks.
 
-    nhat is (3, nodes). The points go in blocks of at most
-    _NODE_CHUNK = 2^15 (radius, node) pairs, whole radii at a time when a
-    radius has fewer nodes than that, into one reused (3, radii, nodes) buffer whose
-    (radii, nodes, 3) transpose beam.intensity receives: each Cartesian
-    component is then contiguous, and a block's temporaries (256 kB per
-    array) stay in L2. A node's value does not depend on the layout. So
-    memory does not grow with the grid: an on-axis oracle call for an s
-    state traces a 3.3 MB peak on the CLI grids of both n = 40 and
-    n = 140 (4,000 and 5,720 radii).
+    nhat is (3, nodes) and weights is (nodes,) or (nodes, columns). The
+    axial and off-axis decompositions and the oracle all sum through here.
+    The points go in blocks of at most _NODE_CHUNK = 2^15 (radius, node)
+    pairs, whole radii at a time when a radius has fewer nodes than that,
+    into one reused (3, radii, nodes) buffer whose (radii, nodes, 3)
+    transpose beam.intensity receives: each Cartesian component is then
+    contiguous, and a block's temporaries (256 kB per array) stay in L2. A
+    node's value does not depend on the layout. So memory does not grow
+    with the grid: on the CLI grids of n = 40, 140 and 300 (4,000, 5,720
+    and 12,120 radii) an on-axis decompose traces a 3.5-4.2 MB peak, and
+    an on-axis oracle call for an s state 3.3 MB.
     """
     n_nodes = nhat.shape[1]
     node_step = min(n_nodes, _NODE_CHUNK)
@@ -225,11 +232,10 @@ def _axial_profiles(beam, position, r_m, k_max, n_theta):
     """
     ct, w_theta = leggauss(n_theta)
     st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
-    nhat = np.stack([st, np.zeros_like(ct), ct], axis=-1)
+    nhat = np.stack([st, np.zeros_like(ct), ct])
     wmat = legvander(ct, k_max) * w_theta[:, None] \
         * (np.arange(k_max + 1) + 0.5)
-    pts = position[None, None, :] + r_m[:, None, None] * nhat[None, :, :]
-    block = beam.intensity(pts) @ wmat
+    block = _intensity_sums(beam, position, r_m, nhat, wmat)
     return {(k, 0): block[:, k].copy() for k in range(k_max + 1)}
 
 

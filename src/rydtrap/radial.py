@@ -3,6 +3,9 @@
 Integer-n wavefunctions are evaluated from the closed-form generalized
 Laguerre representation with a dynamically rescaled three-term recurrence
 (everything assembled in log space), which is stable to n well above 100.
+The recurrence updates reused buffers in place, tests for overflow every
+8 steps, and skips the outer radii where a bound puts |R| below the
+smallest double; n is capped at _N_MAX = 150.
 Fractional effective quantum numbers n* are handled two ways: the production
 path interpolates the radial integrals across integer n (they vary slowly
 with n), and a Numerov integrator for the radial equation at arbitrary n*
@@ -27,8 +30,13 @@ import math
 
 import numpy as np
 
-_HUGE = 1e150
+# largest integer n of a hydrogenic wavefunction
+_N_MAX = 150
+# rescaling threshold of the recurrences, a power of two so that dividing
+# by it is exact, and how many Laguerre steps run between checks
+_HUGE = 2.0 ** 498
 _LOG_HUGE = np.log(_HUGE)
+_CHECK_EVERY = 8
 
 
 class GridMismatchError(ValueError):
@@ -131,26 +139,56 @@ class RadialWavefunction:
 
 
 def _laguerre_log(k, alpha, x):
-    """log|L_k^alpha(x)| and sign, vectorized over x, via rescaled recurrence.
+    """log|L_k^alpha(x)| and sign, vectorized over x >= 0, via rescaled
+    recurrence.
 
-    The three-term recurrence in the degree overflows for the k ~ n seen
-    here, so each point carries a log-scale offset that absorbs large
-    magnitudes as they appear.
+    The three-term recurrence in the degree,
+    (m+1) L_(m+1) = (2m+1+alpha-x) L_m - (m+alpha) L_(m-1),
+    overflows for the k ~ n seen here, so each point carries a log-scale
+    offset. Every _CHECK_EVERY = 8 steps, a point where |L_m| or
+    |L_(m-1)| exceeds _HUGE = 2^498 has both divided by _HUGE. Dividing by
+    a power of two is exact and the recurrence is linear, so the carried
+    values are the unscaled ones times a power of two wherever the check
+    runs; only the split of log|L| between log|value| and the offset, and
+    so the rounding of their sum, can depend on it.
+
+    Eight unchecked steps cannot overflow. For 0 <= x <= X one step gives
+    |L_(m+1)| <= g max(|L_m|, |L_(m-1)|) with
+    g = (|2m+1+alpha-x| + m+alpha)/(m+1) <= (3m+1+2 alpha+X)/(m+1)
+    < 3 + alpha + X/2 for m >= 1. Right after a check (and at the start,
+    |L_1| = |1+alpha-x| <= 1+alpha+X) every value is at most 2^498, so
+    eight steps later it is at most 2^498 g^8, finite while g < 2^65; a
+    rescaled value is then at most g^8 <= 2^498 again. hydrogen_radial
+    passes only rho below max(2(n-1), 1) or with
+    2^(n+l) rho^(n-1) e^(-rho/2)/(n-l-1)! >= e^(-747) (its tail bound with
+    the normalization, at most 2, taken out); for n <= _N_MAX = 150 that
+    means rho < 4500, so with alpha = 2l+1 < 300, g < 2^12 and every value
+    stays below 2^594.
+
+    The steps reuse three buffers through out= ufuncs; each step computes
+    the same expression, in the same order, as the plain recurrence.
     """
     x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)                     # L_0
-    offset = np.zeros_like(x)
     if k == 0:
         return np.zeros_like(x), np.ones_like(x)
+    prev = np.ones_like(x)                     # L_0
     cur = 1.0 + alpha - x                      # L_1
+    nxt = np.empty_like(x)
+    tmp = np.empty_like(x)
+    offset = np.zeros_like(x)
     for m in range(1, k):
-        nxt = ((2 * m + 1 + alpha - x) * cur - (m + alpha) * prev) / (m + 1)
-        big = np.abs(nxt) > _HUGE
-        if np.any(big):
-            cur = np.where(big, cur / _HUGE, cur)
-            nxt = np.where(big, nxt / _HUGE, nxt)
-            offset = np.where(big, offset + _LOG_HUGE, offset)
-        prev, cur = cur, nxt
+        np.subtract(2 * m + 1 + alpha, x, out=tmp)
+        np.multiply(tmp, cur, out=tmp)
+        np.multiply(m + alpha, prev, out=nxt)
+        np.subtract(tmp, nxt, out=nxt)
+        np.divide(nxt, m + 1, out=nxt)
+        prev, cur, nxt = cur, nxt, prev
+        if m % _CHECK_EVERY == 0:
+            big = (np.abs(cur) > _HUGE) | (np.abs(prev) > _HUGE)
+            if big.any():
+                cur[big] /= _HUGE
+                prev[big] /= _HUGE
+                offset[big] += _LOG_HUGE
     sign = np.where(cur >= 0, 1.0, -1.0)
     mag = np.abs(cur)
     logmag = np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
@@ -162,10 +200,20 @@ def hydrogen_radial(n, l, grid):
 
     Stable at high n: the Laguerre polynomial, the r^l power and the
     exponential are combined in log space point by point.
+
+    The recurrence runs only where R can be representable. With
+    rho = 2r/n, k = n-l-1 and alpha = 2l+1, the explicit sum
+    L_k^alpha(rho) = sum_j (-1)^j C(k+alpha, k-j) rho^j/j! gives
+    |L| <= sum_j C(n+l, k-j) rho^j/j! <= 2^(n+l) rho^k/k! for rho >= k
+    (the binomials sum to at most 2^(n+l), and rho^j/j! grows up to j = k).
+    So log|R| <= lognorm + (n-1) log rho - rho/2 + (n+l) log 2 - log k!,
+    which falls with rho for rho >= 2(n-1). Past the first radius there
+    where it is below -746 every sample is below e^(-746), which rounds
+    to 0.0 (exp underflows below -745.2), and is set to 0.0 unevaluated.
     """
     n, l = int(n), int(l)
-    if not 1 <= n <= 150:
-        raise ValueError("n out of supported range [1, 150]")
+    if not 1 <= n <= _N_MAX:
+        raise ValueError("n out of supported range [1, %d]" % _N_MAX)
     if not 0 <= l < n:
         raise ValueError("require 0 <= l < n, got l=%d n=%d" % (l, n))
 
@@ -173,12 +221,19 @@ def hydrogen_radial(n, l, grid):
     rho = 2.0 * r / n
     lognorm = 0.5 * (3 * np.log(2.0 / n) + math.lgamma(n - l)
                      - np.log(2.0 * n) - math.lgamma(n + l + 1))
+    start = int(np.searchsorted(rho, max(2.0 * (n - 1), 1.0)))
+    tail = rho[start:]
+    bound = lognorm + (n - 1) * np.log(tail) - tail / 2.0 \
+        + (n + l) * np.log(2.0) - math.lgamma(n - l)
+    live = start + int(np.count_nonzero(bound >= -746.0))
+    rho = rho[:live]
     loglag, sign = _laguerre_log(n - l - 1, 2 * l + 1, rho)
     with np.errstate(divide="ignore", invalid="ignore"):
         logpow = l * np.log(rho) if l > 0 else np.zeros_like(rho)
         logpow = np.where(rho > 0, logpow, -np.inf if l > 0 else 0.0)
     logR = lognorm + logpow - rho / 2.0 + loglag
-    samples = sign * np.exp(logR)
+    samples = np.zeros_like(r)
+    samples[:live] = sign * np.exp(logR)
     samples = np.where(np.isfinite(samples), samples, 0.0)
     return RadialWavefunction(n, l, float(n), samples, grid)
 
@@ -248,14 +303,6 @@ def numerov_radial(n_star, l, grid):
     return RadialWavefunction(None, l, n_star, R, grid)
 
 
-def expectation_radius(n, l):
-    """Analytic hydrogen <r> = (3 n^2 - l(l+1))/2 in Bohr radii."""
-    n, l = int(n), int(l)
-    if not (n >= 1 and 0 <= l < n):
-        raise ValueError("invalid (n, l)")
-    return (3.0 * n * n - l * (l + 1)) / 2.0
-
-
 def radial_integral(wf, profile):
     """Int r^2 R(r)^2 f(r) dr for a diagonal wavefunction.
 
@@ -301,6 +348,10 @@ def interpolated_reduced_element(n_star, l, k, field):
     if n_lo - 1 < l + 1:
         raise ValueError("n* = %.3f too low for a 4-point bracket at l=%d"
                          % (n_star, l))
+    if n_lo + 2 > _N_MAX:
+        raise ValueError("n* = %.3f at l=%d needs integer n up to %d, past "
+                         "the hydrogenic cap n <= %d"
+                         % (n_star, l, n_lo + 2, _N_MAX))
     if not field.grid.covers(n_lo + 2):
         raise ValueError("field grid does not cover the n=%d bracket"
                          % (n_lo + 2))

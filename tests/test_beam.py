@@ -7,13 +7,14 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss, legvander
 from scipy.special import lpmv
 
 from rydtrap.cli import _grid_for
 from rydtrap.angular import Term, reference_m
 from rydtrap.beam import (ParaxialValidityWarning, QuadratureConvergenceError,
-                          TweezerBeam, _intensity_sums, _product_nodes,
-                          _sphere_profiles, _ylm_theta,
+                          TweezerBeam, _axial_profiles, _intensity_sums,
+                          _product_nodes, _sphere_profiles, _ylm_theta,
                           brute_force_average, decompose, real_sph_harm)
 from rydtrap.constants import A0, C
 from rydtrap.potential import _term_angular_density
@@ -172,6 +173,42 @@ class TestDecompose:
         for k in range(5):
             assert np.max(np.abs(field.profile(k, 0) - reference[k, 0])) \
                 <= 1e-12 * beam9.peak_intensity, k
+
+    @pytest.mark.parametrize("chunk", [7, 40, 1 << 15])
+    def test_axial_profiles_in_any_chunking(self, beam9, monkeypatch, chunk):
+        # the axial rule sums through the blocked evaluator; the reference
+        # is the unblocked sum over the whole (radii, nodes, 3) point array
+        monkeypatch.setattr("rydtrap.beam._NODE_CHUNK", chunk)
+        position = np.array([0.0, 0.0, 0.4e-6])
+        r_m = RadialGrid.default(15, npoints=201).points * A0
+        ct, w_theta = leggauss(48)
+        st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
+        nhat = np.stack([st, np.zeros_like(ct), ct], axis=-1)
+        wmat = legvander(ct, 4) * w_theta[:, None] * (np.arange(5) + 0.5)
+        pts = position[None, None, :] + r_m[:, None, None] * nhat[None, :, :]
+        direct = beam9.intensity(pts) @ wmat
+        # a sum taken in another order moves by rounding of its terms: the
+        # odd ranks cancel to ~1e-8 of those near r = 0
+        scale = beam9.intensity(pts) @ np.abs(wmat)
+        got = _axial_profiles(beam9, position, r_m, 4, 48)
+        assert sorted(got) == [(k, 0) for k in range(5)]
+        for k in range(5):
+            assert np.all(np.abs(got[k, 0] - direct[:, k])
+                          <= 1e-13 * scale[:, k]), k
+
+    def test_memory_bounded_on_cli_grids(self, beam9):
+        # the axial rule evaluates the intensity in fixed-size node blocks,
+        # so the traced peak barely grows with the grid: 4,000 points at
+        # n = 40, 5,720 at 140 and 12,120 at 300
+        for n in (40, 140, 300):
+            grid = _grid_for(n)
+            tracemalloc.start()
+            try:
+                decompose(beam9, (0.0, 0.0, 0.0), grid, k_max=4)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 5e6, (n, len(grid), peak)
 
     def test_axial_rule_does_not_use_the_ylm_helper(self, beam9,
                                                     monkeypatch):

@@ -4,6 +4,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -163,6 +164,16 @@ class TestExitCodes:
         assert rc == 3
         captured = capsys.readouterr()
         assert "3D quadrature not converged in " in captured.err
+        assert captured.out == ""
+
+    def test_n_past_the_radial_cap_is_data_error(self, capsys):
+        # n_b = 151 at offset 1: its 3P2 bracket needs the integer n = 151
+        rc = cli.main(["magic-scan", "--power", "9mW", "--n-range",
+                       "150:153", "--offset", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "n* = 149.560 at l=1 needs integer n up to 151, past the " \
+            "hydrogenic cap n <= 150" in captured.err
         assert captured.out == ""
 
     def test_backwards_n_range_is_data_error(self, capsys):
@@ -463,9 +474,10 @@ NO_SCIPY_COMMANDS = {
     "oracle-check": ["oracle-check", "--power", "9mW", "--n", "40"],
 }
 
-LIST_SCIPY = """
+LIST_MODULES = """
 print(json.dumps({"result": result, "scipy": sorted(
-    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+    "importlib_metadata": "importlib.metadata" in sys.modules}))
 """
 
 SCIPY_PROBE = """
@@ -475,7 +487,7 @@ try:
     result = cli.main(json.loads(sys.argv[1]))
 except SystemExit as exc:
     result = exc.code
-""" + LIST_SCIPY
+""" + LIST_MODULES
 
 # the result is the (k, q) keys: q != 0 shows the (theta, phi) rule ran
 OFF_AXIS_PROBE = """
@@ -485,19 +497,19 @@ from rydtrap.radial import RadialGrid
 field = decompose(TweezerBeam(532e-9, 650e-9, 9e-3), (0.2e-6, 0.0, 0.3e-6),
                   RadialGrid.default(43, npoints=1720), k_max=4)
 result = sorted(map(list, field.profiles_by_kq))
-""" + LIST_SCIPY
+""" + LIST_MODULES
 
 
 def probe_report(script, argv, tmp_path):
-    """The result and the scipy modules loaded by a probe in a new process."""
+    """The result of a probe in a new process, the scipy modules it loaded
+    and whether it loaded importlib.metadata."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(rydtrap.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
-    return report["result"], report["scipy"]
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def scipy_modules_after(argv, tmp_path):
@@ -506,7 +518,8 @@ def scipy_modules_after(argv, tmp_path):
         "power_mw,lifetime_us\n2,73.2\n4,64.5\n6,57.7\n9,49.8\n12,43.8\n")
     argv = argv + ([] if argv == ["--version"] else
                    ["--output", str(tmp_path / "out")])
-    return probe_report(SCIPY_PROBE, argv, tmp_path)
+    report = probe_report(SCIPY_PROBE, argv, tmp_path)
+    return report["result"], report["scipy"]
 
 
 @pytest.mark.parametrize("name", sorted(NO_SCIPY_COMMANDS))
@@ -517,9 +530,9 @@ def test_command_loads_no_scipy(name, tmp_path):
 
 
 def test_off_axis_decompose_loads_no_scipy(tmp_path):
-    kq, loaded = probe_report(OFF_AXIS_PROBE, [], tmp_path)
-    assert [2, 1] in kq and [2, -2] in kq
-    assert loaded == []
+    report = probe_report(OFF_AXIS_PROBE, [], tmp_path)
+    assert [2, 1] in report["result"] and [2, -2] in report["result"]
+    assert report["scipy"] == []
 
 
 def test_scipy_probe_sees_a_fit_import(tmp_path):
@@ -527,3 +540,21 @@ def test_scipy_probe_sees_a_fit_import(tmp_path):
     code, loaded = scipy_modules_after(["ritz-fit"], tmp_path)
     assert code == 0
     assert "scipy.optimize" in loaded
+
+
+def test_version_loads_no_importlib_metadata(tmp_path):
+    # __version__ is a literal, so --version looks up no distribution; the
+    # control shows the probe sees importlib.metadata when it is loaded
+    control = probe_report("import json, sys, importlib.metadata\n"
+                           "result = 0" + LIST_MODULES, [], tmp_path)
+    assert control["importlib_metadata"] is True
+    report = probe_report(SCIPY_PROBE, ["--version"], tmp_path)
+    assert report["result"] == 0
+    assert report["importlib_metadata"] is False
+
+
+def test_version_literal_matches_pyproject():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+    assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) \
+        == __version__

@@ -8,9 +8,40 @@ import pytest
 from scipy.integrate import quad, simpson
 from scipy.special import genlaguerre
 
-from rydtrap.radial import (GridMismatchError, RadialGrid, expectation_radius,
+import rydtrap.radial
+from rydtrap.beam import decompose
+from rydtrap.radial import (_N_MAX, GridMismatchError, RadialGrid,
                             hydrogen_radial, interpolated_reduced_element,
                             numerov_radial, radial_integral)
+
+
+def expectation_radius(n, l):
+    """Analytic hydrogen <r> = (3 n^2 - l(l+1))/2 in Bohr radii."""
+    return (3.0 * n * n - l * (l + 1)) / 2.0
+
+
+def reference_log_radial(n, l, grid):
+    """log|R_nl| and sign at every grid point from the plain recurrence:
+    a new array per step, a rescaling check at every step, no tail cut."""
+    rho = 2.0 * grid.points / n
+    k, alpha = n - l - 1, 2 * l + 1
+    prev = np.ones_like(rho)
+    offset = np.zeros_like(rho)
+    cur = 1.0 + alpha - rho if k else prev
+    for m in range(1, k):
+        nxt = ((2 * m + 1 + alpha - rho) * cur - (m + alpha) * prev) / (m + 1)
+        big = np.abs(nxt) > 1e150
+        if np.any(big):
+            cur = np.where(big, cur / 1e150, cur)
+            nxt = np.where(big, nxt / 1e150, nxt)
+            offset = np.where(big, offset + np.log(1e150), offset)
+        prev, cur = cur, nxt
+    lognorm = 0.5 * (3 * np.log(2.0 / n) + math.lgamma(n - l)
+                     - np.log(2.0 * n) - math.lgamma(n + l + 1))
+    with np.errstate(divide="ignore"):
+        log_r = lognorm + l * np.log(rho) - rho / 2.0 \
+            + np.log(np.abs(cur)) + offset
+    return log_r, np.sign(cur)
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +133,50 @@ class TestHydrogenRadial:
             hydrogen_radial(151, 0, grid120)
 
 
+class TestLaguerreKernel:
+    """The in-place, every-8-steps-checked recurrence with its tail cut."""
+
+    # a grid as wide as the CLI's at n = 300: far past the outer turning
+    # point of every n <= 150, so the tail cut drops many points
+    @pytest.fixture(scope="class")
+    def wide(self):
+        return RadialGrid.default(303, npoints=12120)
+
+    STATES = [(n, l) for n in (1, 2, 5, 10, 20, 40, 60, 80, 100, 120, 140,
+                               _N_MAX) for l in range(4) if l < n]
+
+    def test_matches_plain_recurrence(self, wide):
+        cli_grid = RadialGrid.default(_N_MAX, npoints=40 * _N_MAX)
+        for grid in (wide, cli_grid):
+            for n, l in self.STATES:
+                log_r, sign = reference_log_radial(n, l, grid)
+                want = np.nan_to_num(sign * np.exp(log_r))
+                got = hydrogen_radial(n, l, grid).samples
+                assert np.max(np.abs(got - want)) \
+                    <= 1e-13 * np.max(np.abs(want)), (n, l, len(grid))
+
+    def test_dropped_tail_is_negligible(self, wide, monkeypatch):
+        kernel = rydtrap.radial._laguerre_log
+        seen = []
+
+        def recorded(k, alpha, x):
+            seen.append(len(x))
+            return kernel(k, alpha, x)
+
+        monkeypatch.setattr("rydtrap.radial._laguerre_log", recorded)
+        dropped = 0
+        for n, l in self.STATES:
+            wf = hydrogen_radial(n, l, wide)
+            live = seen.pop()
+            log_r, _ = reference_log_radial(n, l, wide)
+            assert np.all(wf.samples[live:] == 0.0), (n, l)
+            if live < len(wide):
+                assert np.max(log_r[live:]) \
+                    <= np.log(1e-300) + np.max(log_r), (n, l)
+                dropped += 1
+        assert dropped >= len(self.STATES) // 2
+
+
 class TestNumerov:
     def test_integer_n_overlap_with_laguerre(self, grid120):
         for n, l in ((20, 0), (55, 0), (80, 1), (100, 2)):
@@ -185,6 +260,15 @@ class TestInterpolatedElement:
         for k in (-1, 5):                                     # no such rank
             with pytest.raises(ValueError):
                 interpolated_reduced_element(55.3, 0, k, field9)
+
+    def test_bracket_past_the_cap_is_refused(self, beam9):
+        grid = RadialGrid.default(_N_MAX + 5, npoints=400)
+        field = decompose(beam9, (0.0, 0.0, 0.0), grid, k_max=0)
+        assert np.isfinite(interpolated_reduced_element(148.5, 0, 0, field))
+        with pytest.raises(ValueError,
+                           match=r"n\* = 149\.500 at l=2 needs integer n up "
+                                 r"to 151, past the hydrogenic cap n <= 150"):
+            interpolated_reduced_element(149.5, 2, 0, field)
 
     def test_element_cache_reused(self, field9):
         interpolated_reduced_element(55.3, 0, 0, field9)
