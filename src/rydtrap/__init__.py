@@ -20,8 +20,7 @@ from .radial import (GridMismatchError, RadialGrid, RadialWavefunction,
                      hydrogen_radial, numerov_radial,
                      interpolated_reduced_element, radial_integral)
 from .beam import (ParaxialValidityWarning, QuadratureConvergenceError,
-                   TensorField, TweezerBeam, brute_force_average, decompose,
-                   real_sph_harm)
+                   TensorField, TweezerBeam, brute_force_average, decompose)
 from .spectroscopy import (EnergyRecord, FitConvergenceError, RitzModel,
                            bundled_energy_path, defect_from_energy,
                            fit_ritz, fit_threshold, forster_defect,
@@ -29,9 +28,8 @@ from .spectroscopy import (EnergyRecord, FitConvergenceError, RitzModel,
 from .potential import (AtomicSpecies, PotentialBreakdown, RydbergState,
                         SPECIES_PRESETS, TruncationError, differential_shift,
                         ground_depth, pond_prefactor, ponderomotive_shift,
-                        potential_breakdown, power_for_ground_depth,
-                        power_for_rydberg_depth, rb87, tensor_splitting,
-                        trap_depth, yb174)
+                        potential_breakdown, power_for_ground_depth, rb87,
+                        tensor_splitting, trap_depth, yb174)
 from .loss import (InsufficientDataError, LifetimeRecord, PhotoionizationFit,
                    autoionization_coefficient, autoionization_rate,
                    fit_photoionization, load_lifetime_csv,
@@ -50,15 +48,15 @@ __all__ = [
     "hydrogen_radial", "numerov_radial",
     "interpolated_reduced_element", "radial_integral",
     "ParaxialValidityWarning", "QuadratureConvergenceError", "TensorField",
-    "TweezerBeam", "brute_force_average", "decompose", "real_sph_harm",
+    "TweezerBeam", "brute_force_average", "decompose",
     "EnergyRecord", "FitConvergenceError", "RitzModel",
     "bundled_energy_path", "defect_from_energy", "fit_ritz", "fit_threshold",
     "forster_defect", "load_energy_csv", "ritz_delta",
     "AtomicSpecies", "PotentialBreakdown", "RydbergState", "SPECIES_PRESETS",
     "TruncationError", "differential_shift", "ground_depth",
     "pond_prefactor", "ponderomotive_shift", "potential_breakdown",
-    "power_for_ground_depth", "power_for_rydberg_depth", "rb87",
-    "tensor_splitting", "trap_depth", "yb174",
+    "power_for_ground_depth", "rb87", "tensor_splitting", "trap_depth",
+    "yb174",
     "InsufficientDataError", "LifetimeRecord", "PhotoionizationFit",
     "autoionization_coefficient", "autoionization_rate",
     "fit_photoionization", "load_lifetime_csv", "trapped_lifetime_reduction",

@@ -1,22 +1,23 @@
-"""Gaussian tweezer intensity and its spherical-tensor decomposition.
+"""Gaussian tweezer intensity and its Legendre decomposition on the beam axis.
 
 The trap light is the paraxial Gaussian solution propagating along z. For a
-nucleus at position R the intensity around it is expanded as
+nucleus at a point R on the beam axis the intensity does not depend on the
+azimuth about the axis, so around R it expands as
 
-    I(R + r) = sum_kq f_kq(r; R) C^k_q(rhat),
+    I(R + r) = sum_k f_k(r; R) P_k(cos theta),
 
-with C^k_q the normalized (Racah) spherical harmonics. Real spherical
-harmonics are used internally: the intensity is real.
+theta measured from the beam axis. decompose gets the profiles f_k at every
+grid radius from a Gauss-Legendre rule in cos(theta), with an automatic
+refinement check; a TensorField keeps them as one (k_max + 1, npts) stack,
+together with the TweezerBeam they were decomposed from.
 
-The expansion coefficients are evaluated by angular quadrature at every
-grid radius, with an automatic refinement check. About a point on the beam
-axis, where every caller decomposes, the intensity does not depend on phi:
-only q = 0 survives, and a 1D Gauss-Legendre rule in cos(theta) gives it;
-such a field stores only the (k, 0) profiles, the only ones diagonal
-matrix elements consume. Off the axis a (theta, phi) product rule
-(Gauss-Legendre x trapezoid) gives every |q| <= k; it is also the
-reference the axial rule is tested against. A TensorField keeps the
-TweezerBeam it was decomposed from.
+This is the only decomposition, and it refuses a point off the axis. The
+tensor path reads only these profiles and rotates them onto a tilted
+quantization axis by P_k(cos beta), which holds only for an axisymmetric
+field. Off the axis that rotation is wrong without warning: 0.3 um off the
+focus, 3P2 n = 60, M = 2 with the axis at 90 degrees, it gives 5.050 MHz
+where the 3D oracle gives 4.933 MHz quantized along x and 5.167 MHz along
+y, a 2.3% error that cannot tell the two tilts apart.
 
 brute_force_average is the independent oracle: the direct 3D quadrature of
 the wavefunction-averaged intensity over a (theta, phi) product rule that
@@ -24,13 +25,13 @@ refines each angle by doubling until two levels agree. It assumes no
 symmetry and does not branch on the axis; it uses nothing of the tensor
 path (no profiles, Legendre projection, angular factors or n*
 interpolation), so a fault there cannot cancel in the comparison. Only it
-and the off-axis rule use the |Y_lm| helper _ylm_theta.
+uses the |Y_lm| helper _ylm_theta.
 
-All three rules, axial, off-axis and oracle, sum the intensity over their
-nodes through one evaluator, _intensity_sums, which works in fixed-size
-blocks so that memory does not grow with the radial grid. It is the one
-piece the oracle shares with the tensor path, and the tests check it, in
-every blocking, against the direct sum over the whole point array.
+Both the axial rule and the oracle sum the intensity over their nodes
+through one evaluator, _intensity_sums, which works in fixed-size blocks
+so that memory does not grow with the radial grid. It is the one piece the
+oracle shares with the tensor path, and the tests check it, in every
+blocking, against the direct sum over the whole point array.
 """
 
 import math
@@ -126,60 +127,35 @@ def _ylm_theta(l, m, cos_theta):
     return np.exp(lognorm) * p
 
 
-def real_sph_harm(k, q, cos_theta, phi):
-    """Orthonormal real spherical harmonic Y~_kq(theta, phi).
-
-    q = 0 is the usual zonal harmonic; q > 0 carries cos(q phi), q < 0
-    carries sin(|q| phi), both with the sqrt(2) real-basis normalization.
-    Signs follow the real-basis convention (no Condon-Shortley phase), so
-    Y~_11 is positive along +x.
-    """
-    base = _ylm_theta(k, q, cos_theta)
-    if q == 0:
-        return base * np.ones_like(phi)
-    if q > 0:
-        return np.sqrt(2.0) * base * np.cos(q * phi)
-    return np.sqrt(2.0) * base * np.sin(-q * phi)
-
-
 class TensorField:
-    """Radial profiles f_kq(r; R) of the intensity about a nucleus at R.
+    """Legendre profiles f_k(r; R) of the intensity about R on the beam axis.
 
-    Profiles use the real-harmonic convention
-    I(R + r) = sum f_kq(r) * sqrt(4 pi/(2k+1)) * Y~_kq(rhat), which for
-    q = 0 reduces to the Legendre form I = sum f_k0 P_k(cos theta). A
-    field about a point on the beam axis holds only the (k, 0) profiles.
-    beam is the TweezerBeam they were decomposed from. refinement_residual
-    is the largest profile move, over peak intensity, that decompose's
-    refinement check saw. q0_stack is the (k_max + 1, npts) stack of the
-    (k, 0) profiles, and element_cache maps (n, l) to the row of radial
-    elements e_k(n, l) against it, filled by the radial module.
+    I(R + r) = sum_k f_k(r) P_k(cos theta), theta from the beam axis.
+    profiles is the contiguous (k_max + 1, npts) stack, row k on the grid's
+    radii, and profile(k) is a view of row k. beam is the TweezerBeam they
+    were decomposed from. refinement_residual is the largest profile move,
+    over peak intensity, that decompose's refinement check saw.
+    element_cache maps (n, l) to the row of radial elements e_k(n, l)
+    against profiles, filled by the radial module.
     """
 
-    def __init__(self, position, grid, k_max, profiles, beam,
-                 refinement_residual):
+    def __init__(self, position, grid, profiles, beam, refinement_residual):
         self.position = np.asarray(position, dtype=float)
         self.grid = grid
-        self.k_max = int(k_max)
-        self.profiles_by_kq = profiles
+        self.profiles = profiles
         self.beam = beam
         self.refinement_residual = refinement_residual
-        self.q0_stack = np.stack([profiles[(k, 0)]
-                                  for k in range(self.k_max + 1)])
         self.element_cache = {}
 
-    def profile(self, k, q=0):
-        return self.profiles_by_kq[(int(k), int(q))]
+    @property
+    def k_max(self):
+        return len(self.profiles) - 1
 
-    def reconstruct(self, r_index, cos_theta, phi):
-        """Reconstruction of I(R + r nhat) from the truncated expansion."""
-        cos_theta = np.asarray(cos_theta, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        total = np.zeros(np.broadcast(cos_theta, phi).shape)
-        for (k, q), prof in self.profiles_by_kq.items():
-            scale = np.sqrt(4.0 * np.pi / (2 * k + 1))
-            total += prof[r_index] * scale * real_sph_harm(k, q, cos_theta, phi)
-        return total
+    def profile(self, k):
+        if not 0 <= k <= self.k_max:
+            raise IndexError("rank k=%d outside the field's 0..%d"
+                             % (k, self.k_max))
+        return self.profiles[k]
 
 
 def _product_nodes(cos_theta, phi):
@@ -195,7 +171,7 @@ def _intensity_sums(beam, position, r_m, nhat, weights):
     """I(position + r nhat) @ weights at every radius, in bounded chunks.
 
     nhat is (3, nodes) and weights is (nodes,) or (nodes, columns). The
-    axial and off-axis decompositions and the oracle all sum through here.
+    axial decomposition and the oracle both sum through here.
     The points go in blocks of at most _NODE_CHUNK = 2^15 (radius, node)
     pairs, whole radii at a time when a radius has fewer nodes than that,
     into one reused (3, radii, nodes) buffer whose (radii, nodes, 3)
@@ -225,79 +201,54 @@ def _intensity_sums(beam, position, r_m, nhat, weights):
 
 
 def _axial_profiles(beam, position, r_m, k_max, n_theta):
-    """q = 0 profiles about a point on the beam axis, by Gauss-Legendre.
+    """The (k_max + 1, radii) profile stack about a point on the beam axis.
 
-    There the intensity does not depend on phi, so
-    f_k0(r) = (2k+1)/2 sum_i w_i I(r, x_i) P_k(x_i) with x = cos(theta).
+    There the intensity does not depend on phi, so, by Gauss-Legendre,
+    f_k(r) = (2k+1)/2 sum_i w_i I(r, x_i) P_k(x_i) with x = cos(theta).
     """
     ct, w_theta = leggauss(n_theta)
     st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
     nhat = np.stack([st, np.zeros_like(ct), ct])
     wmat = legvander(ct, k_max) * w_theta[:, None] \
         * (np.arange(k_max + 1) + 0.5)
-    block = _intensity_sums(beam, position, r_m, nhat, wmat)
-    return {(k, 0): block[:, k].copy() for k in range(k_max + 1)}
-
-
-def _sphere_profiles(beam, position, r_m, k_max, n_theta, n_phi):
-    """All (k, q) profiles about any point, by a (theta, phi) product rule."""
-    cos_theta, w_theta = leggauss(n_theta)
-    ct, ph, nhat = _product_nodes(cos_theta,
-                                  2.0 * np.pi * np.arange(n_phi) / n_phi)
-    weights = np.repeat(w_theta, n_phi) * (2.0 * np.pi / n_phi)
-    # columns: one weighted real harmonic per (k, q), scaled so that the
-    # angular sum gives f_kq directly
-    kq_list = [(k, q) for k in range(k_max + 1) for q in range(-k, k + 1)]
-    wmat = np.empty((len(ct), len(kq_list)))
-    for i, (k, q) in enumerate(kq_list):
-        scale = np.sqrt((2 * k + 1) / (4.0 * np.pi))
-        wmat[:, i] = scale * real_sph_harm(k, q, ct, ph) * weights
-    block = _intensity_sums(beam, position, r_m, nhat, wmat)
-    return {kq: block[:, i].copy() for i, kq in enumerate(kq_list)}
+    return np.ascontiguousarray(
+        _intensity_sums(beam, position, r_m, nhat, wmat).T)
 
 
 def decompose(beam, position, grid, k_max=4, tol=1e-6):
-    """Expand the intensity about `position` into radial tensor profiles.
+    """Expand the intensity about `position` into Legendre profiles.
 
-    On the beam axis (position's x, y equal to the focus's) the intensity
-    is axisymmetric about the nucleus: only the q = 0 profiles exist, and
-    they come from a Gauss-Legendre rule in cos(theta); the returned field
-    stores only those. Off the axis every |q| <= k profile comes from a
-    (Gauss-Legendre x trapezoid) product rule. Either rule is exact for
-    harmonics up to its order. A coarse pass (32 theta nodes, and
-    max(4 k_max, 32) phi nodes off the axis) is compared with the returned
-    pass, refined by 16 nodes per angle; if a profile moved by more than
-    tol * I0, QuadratureConvergenceError is raised, and otherwise the
-    largest move over I0 is kept as the field's refinement_residual. Radii
-    on the grid are in Bohr radii.
+    position must lie on the beam axis (its x, y equal to the focus's);
+    anywhere else ValueError is raised, because the tensor path's
+    P_k(cos beta) rotation onto a tilted axis needs an axisymmetric field.
+    A displacement along the axis is allowed and gives odd ranks. The
+    profiles come from a Gauss-Legendre rule in cos(theta), exact for
+    harmonics up to its order. A coarse pass of 32 nodes is compared with
+    the returned pass of 48; if a profile moved by more than tol * I0,
+    QuadratureConvergenceError is raised, and otherwise the largest move
+    over I0 is kept as the field's refinement_residual. Radii on the grid
+    are in Bohr radii.
     """
     k_max = int(k_max)
     if k_max < 0 or k_max > 12:
         raise ValueError("k_max must be in [0, 12]")
     position = np.asarray(position, dtype=float)
+    if not np.array_equal(position[:2], beam.focus[:2]):
+        raise ValueError(
+            "position %s is off the beam axis: the tensor path rotates the "
+            "profiles onto a tilted axis by P_k(cos beta), which needs a "
+            "field axisymmetric about the nucleus" % (position,))
     r_m = grid.points * A0
-
-    if np.array_equal(position[:2], beam.focus[:2]):
-        def run(extra):
-            return _axial_profiles(beam, position, r_m, k_max, 32 + extra)
-    else:
-        n_phi = max(4 * k_max, 32)
-
-        def run(extra):
-            return _sphere_profiles(beam, position, r_m, k_max, 32 + extra,
-                                    n_phi + extra)
-
-    fine = run(16)
-    coarse = run(0)
-    scale = max(beam.peak_intensity, 1e-300)
-    residual = max(np.max(np.abs(fine[kq] - coarse[kq]))
-                   for kq in fine) / scale
+    fine = _axial_profiles(beam, position, r_m, k_max, 48)
+    coarse = _axial_profiles(beam, position, r_m, k_max, 32)
+    residual = np.max(np.abs(fine - coarse)) \
+        / max(beam.peak_intensity, 1e-300)
     if residual > tol:
         raise QuadratureConvergenceError(
             "angular quadrature not converged: refinement moved a "
             "profile by %.3g of peak intensity (tol %.3g)"
             % (residual, tol))
-    return TensorField(position, grid, k_max, fine, beam, residual)
+    return TensorField(position, grid, fine, beam, residual)
 
 
 def brute_force_average(beam, wf, position, m=None, angular_density=None,

@@ -196,12 +196,6 @@ def _alpha_ground(species):
     return species.alpha_ground_au
 
 
-def ground_shift(species, beam, point=(0.0, 0.0, 0.0)):
-    """Ground-state polarizability shift at a point, h*Hz (negative)."""
-    return polarizability_shift_hz(_alpha_ground(species),
-                                   beam.intensity(np.asarray(point, dtype=float)))
-
-
 def ground_depth(species, beam):
     """Ground-state trap depth U(inf) - U(focus) in Hz (positive = trapping)."""
     return -polarizability_shift_hz(_alpha_ground(species), beam.peak_intensity)
@@ -274,14 +268,6 @@ def trap_depth(state, field, axis_angle_deg=0.0):
     """
     depth_hz = -potential_breakdown(state, field, axis_angle_deg).u_total_hz
     return depth_hz, depth_hz / ground_depth(state.species, field.beam)
-
-
-def power_for_rydberg_depth(state, field, depth_hz, axis_angle_deg=0.0):
-    """Power at which this state's trap depth equals depth_hz (linear in P)."""
-    current, _ = trap_depth(state, field, axis_angle_deg)
-    if current == 0.0:
-        raise ValueError("state has zero depth; no power can reach the target")
-    return field.beam.power * depth_hz / current
 
 
 def tensor_splitting(species, n, term, field, axis_angle_deg=0.0):

@@ -323,7 +323,7 @@ def _element_at_integer_n(n, l, field):
     row = field.element_cache.get((n, l))
     if row is None:
         row = radial_integral(hydrogen_radial(n, l, field.grid),
-                              field.q0_stack)
+                              field.profiles)
         field.element_cache[(n, l)] = row
     return row
 

@@ -1,9 +1,13 @@
-"""Shared fixtures: the standard tweezer, its tensor decomposition, species."""
+"""Shared fixtures: the standard tweezer, its tensor decomposition, species,
+and the (theta, phi) product rule the axial decomposition is checked
+against."""
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
-from rydtrap.beam import TweezerBeam, _sphere_profiles, decompose
+from rydtrap.beam import (TweezerBeam, _intensity_sums, _product_nodes,
+                          _ylm_theta, decompose)
 from rydtrap.constants import A0
 from rydtrap.potential import yb174, power_for_ground_depth
 from rydtrap.radial import RadialGrid
@@ -14,6 +18,44 @@ WAIST = 650e-9
 POWER = 9e-3
 # measured ground-state depth at that power, used to calibrate the intensity
 MEASURED_GROUND_DEPTH_HZ = 12e6
+
+
+def real_sph_harm(k, q, cos_theta, phi):
+    """Orthonormal real spherical harmonic Y~_kq(theta, phi).
+
+    q = 0 is the usual zonal harmonic; q > 0 carries cos(q phi), q < 0
+    carries sin(|q| phi), both with the sqrt(2) real-basis normalization.
+    Signs follow the real-basis convention (no Condon-Shortley phase), so
+    Y~_11 is positive along +x.
+    """
+    base = _ylm_theta(k, q, cos_theta)
+    if q == 0:
+        return base * np.ones_like(phi)
+    if q > 0:
+        return np.sqrt(2.0) * base * np.cos(q * phi)
+    return np.sqrt(2.0) * base * np.sin(-q * phi)
+
+
+def sphere_profiles(beam, position, r_m, k_max, n_theta, n_phi):
+    """All (k, q) profiles about any point, by a (theta, phi) product rule.
+
+    Gauss-Legendre in cos(theta) times a trapezoid in phi, in the
+    real-harmonic convention I = sum f_kq sqrt(4 pi/(2k+1)) Y~_kq, so that
+    f_k0 is decompose's f_k. A dict keyed by (k, q).
+    """
+    cos_theta, w_theta = leggauss(n_theta)
+    ct, ph, nhat = _product_nodes(cos_theta,
+                                  2.0 * np.pi * np.arange(n_phi) / n_phi)
+    weights = np.repeat(w_theta, n_phi) * (2.0 * np.pi / n_phi)
+    # columns: one weighted real harmonic per (k, q), scaled so that the
+    # angular sum gives f_kq directly
+    kq_list = [(k, q) for k in range(k_max + 1) for q in range(-k, k + 1)]
+    wmat = np.empty((len(ct), len(kq_list)))
+    for i, (k, q) in enumerate(kq_list):
+        scale = np.sqrt((2 * k + 1) / (4.0 * np.pi))
+        wmat[:, i] = scale * real_sph_harm(k, q, ct, ph) * weights
+    block = _intensity_sums(beam, position, r_m, nhat, wmat)
+    return {kq: block[:, i].copy() for i, kq in enumerate(kq_list)}
 
 
 @pytest.fixture(scope="session")
@@ -42,7 +84,7 @@ def sphere9(beam9, grid80):
     """Every (k, q) profile about the focus, k <= 4, from the (theta, phi)
     rule at the 48 x 48 nodes decompose refines to: the reference for the
     axial rule, which stores only q = 0."""
-    return _sphere_profiles(beam9, np.zeros(3), grid80.points * A0, 4, 48, 48)
+    return sphere_profiles(beam9, np.zeros(3), grid80.points * A0, 4, 48, 48)
 
 
 @pytest.fixture(scope="session")

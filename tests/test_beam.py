@@ -7,21 +7,22 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from numpy.polynomial.legendre import leggauss, legvander
+from numpy.polynomial.legendre import leggauss, legval, legvander
 from scipy.special import lpmv
 
 from rydtrap.cli import _grid_for
 from rydtrap.angular import Term, reference_m
 from rydtrap.beam import (ParaxialValidityWarning, QuadratureConvergenceError,
                           TweezerBeam, _axial_profiles, _intensity_sums,
-                          _product_nodes, _sphere_profiles, _ylm_theta,
-                          brute_force_average, decompose, real_sph_harm)
+                          _product_nodes, _ylm_theta, brute_force_average,
+                          decompose)
 from rydtrap.constants import A0, C
 from rydtrap.potential import _term_angular_density
 from rydtrap.radial import (RadialGrid, hydrogen_radial, numerov_radial,
                             radial_integral)
 
-from conftest import POWER, WAIST, WAVELENGTH
+from conftest import (POWER, WAIST, WAVELENGTH, real_sph_harm,
+                      sphere_profiles)
 
 
 class TestTweezerBeam:
@@ -149,7 +150,7 @@ class TestRealSphHarm:
 class TestDecompose:
     def test_monopole_limit_at_origin(self, beam9, field9):
         # f_00 at vanishing radius is the on-axis peak intensity
-        assert field9.profile(0, 0)[0] == pytest.approx(
+        assert field9.profile(0)[0] == pytest.approx(
             beam9.peak_intensity, rel=1e-6)
 
     def test_axisymmetric_q_terms_vanish(self, beam9, sphere9):
@@ -160,18 +161,46 @@ class TestDecompose:
         for k, q in checked:
             assert np.max(np.abs(sphere9[k, q])) < 1e-12 * i0, (k, q)
 
-    def test_on_axis_field_stores_only_q0(self, field9):
-        assert sorted(field9.profiles_by_kq) == [(k, 0) for k in range(5)]
+    def test_on_axis_field_stores_only_q0(self, field9, grid80):
+        # one Legendre profile per rank: the q != 0 terms are not kept
+        assert field9.profiles.shape == (5, len(grid80))
+
+    def test_profile_is_a_row_of_the_stack(self, field9):
+        assert field9.profiles.flags.c_contiguous
+        assert np.shares_memory(field9.profile(2), field9.profiles)
+        assert np.array_equal(field9.profile(2), field9.profiles[2])
+        for k in (-1, 5):
+            with pytest.raises(IndexError):
+                field9.profile(k)
+
+    def test_off_axis_position_raises(self, beam9, grid80):
+        # the P_k(cos beta) tilt needs an axisymmetric field about the
+        # nucleus; off the axis it would be wrong without warning
+        with pytest.raises(ValueError, match="off the beam axis"):
+            decompose(beam9, (0.3e-6, 0.0, 0.0), grid80, k_max=4)
+
+    def test_retained_field_is_one_stack(self, beam9):
+        # on the 12,120 points of n = 300 one (5, npts) float64 stack is
+        # 0.485 MB; a second copy of it would take the field past 0.97 MB
+        grid = _grid_for(300)
+        tracemalloc.start()
+        try:
+            field = decompose(beam9, (0.0, 0.0, 0.0), grid, k_max=4)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert field.profiles.nbytes == 5 * 12120 * 8
+        assert retained <= 0.55e6, retained
 
     @pytest.mark.parametrize("z", [0.0, 0.4e-6])
     def test_axial_rule_matches_sphere_rule(self, beam9, grid80, z):
         # at z = 0.4 um the odd ranks are nonzero and are compared too
         position = np.array([0.0, 0.0, z])
         field = decompose(beam9, position, grid80, k_max=4)
-        reference = _sphere_profiles(beam9, position, grid80.points * A0,
-                                     4, 48, 48)
+        reference = sphere_profiles(beam9, position, grid80.points * A0,
+                                    4, 48, 48)
         for k in range(5):
-            assert np.max(np.abs(field.profile(k, 0) - reference[k, 0])) \
+            assert np.max(np.abs(field.profile(k) - reference[k, 0])) \
                 <= 1e-12 * beam9.peak_intensity, k
 
     @pytest.mark.parametrize("chunk", [7, 40, 1 << 15])
@@ -191,9 +220,9 @@ class TestDecompose:
         # odd ranks cancel to ~1e-8 of those near r = 0
         scale = beam9.intensity(pts) @ np.abs(wmat)
         got = _axial_profiles(beam9, position, r_m, 4, 48)
-        assert sorted(got) == [(k, 0) for k in range(5)]
+        assert got.shape == (5, len(r_m))
         for k in range(5):
-            assert np.all(np.abs(got[k, 0] - direct[:, k])
+            assert np.all(np.abs(got[k] - direct[:, k])
                           <= 1e-13 * scale[:, k]), k
 
     def test_memory_bounded_on_cli_grids(self, beam9):
@@ -219,17 +248,9 @@ class TestDecompose:
         monkeypatch.setattr("rydtrap.beam._ylm_theta", forbidden)
         grid = RadialGrid.default(10, npoints=100)
         decompose(beam9, (0.0, 0.0, 0.0), grid, k_max=4)
-        with pytest.raises(AssertionError):
+        # off the axis there is no rule to fall back on, only the refusal
+        with pytest.raises(ValueError):
             decompose(beam9, (0.2e-6, 0.0, 0.0), grid, k_max=4)
-
-    def test_off_axis_point_uses_sphere_rule(self, beam9):
-        grid = RadialGrid.default(15, npoints=200)
-        field = decompose(beam9, (0.2e-6, 0.0, 0.0), grid, k_max=2)
-        assert sorted(field.profiles_by_kq) == sorted(
-            (k, q) for k in range(3) for q in range(-k, k + 1))
-        # displaced along +x: the intensity gradient is a (1, 1) term
-        assert np.max(np.abs(field.profile(1, 1))) \
-            > 1e-3 * beam9.peak_intensity
 
     def test_reconstruction_matches_direct_intensity(self, beam9, field9):
         # mid-radius sample points, angles off the symmetry axes
@@ -237,7 +258,8 @@ class TestDecompose:
         r_m = field9.grid.points[idx] * A0
         ct = np.array([0.9, 0.5, 0.1, -0.4, -0.95])
         phi = np.array([0.3, 1.2, 2.5, 4.0, 5.5])
-        got = field9.reconstruct(idx, ct, phi)
+        # the Legendre series sum_k f_k(r) P_k(cos theta), for any phi
+        got = legval(ct, field9.profiles[:, idx])
         st = np.sqrt(1 - ct**2)
         pts = np.stack([r_m * st * np.cos(phi), r_m * st * np.sin(phi),
                         r_m * ct], axis=-1)
@@ -257,14 +279,14 @@ class TestDecompose:
                 return beam9.intensity((r_m * st, 0.0, r_m * ct))
 
             want, _ = quad(slice_intensity, -1.0, 1.0, limit=100)
-            assert field.profile(0, 0)[idx] == pytest.approx(
+            assert field.profile(0)[idx] == pytest.approx(
                 0.5 * want, rel=1e-8)
 
     def test_power_linearity(self, beam9, grid80, field9):
         field2 = decompose(beam9.with_power(2 * POWER), (0.0, 0.0, 0.0),
                            grid80, k_max=4)
-        f1 = field9.profile(2, 0)
-        f2 = field2.profile(2, 0)
+        f1 = field9.profile(2)
+        f2 = field2.profile(2)
         assert f2 == pytest.approx(2.0 * f1, rel=1e-12)
 
     def test_convergence_guard_raises(self, beam9):
@@ -285,14 +307,14 @@ class TestDecompose:
         grid = RadialGrid.default(15, npoints=200)
         field = decompose(beam9, (0.0, 0.0, 0.4e-6), grid, k_max=3)
         i0 = beam9.peak_intensity
-        assert np.max(np.abs(field.profile(1, 0))) > 1e-3 * i0
+        assert np.max(np.abs(field.profile(1))) > 1e-3 * i0
 
 
 class TestBruteForceAverage:
     def test_matches_tensor_element_for_s_state(self, beam9, field9):
         wf = hydrogen_radial(71, 0, field9.grid)
         direct = brute_force_average(beam9, wf, (0.0, 0.0, 0.0))
-        via_tensor = radial_integral(wf, field9.profile(0, 0))
+        via_tensor = radial_integral(wf, field9.profile(0))
         assert direct == pytest.approx(via_tensor, rel=1e-9)
 
     def test_m_dependence_for_p_state(self, beam9, field9):
@@ -300,8 +322,8 @@ class TestBruteForceAverage:
         wf = hydrogen_radial(60, 1, field9.grid)
         avg0 = brute_force_average(beam9, wf, (0.0, 0.0, 0.0), m=0)
         avg1 = brute_force_average(beam9, wf, (0.0, 0.0, 0.0), m=1)
-        e0 = radial_integral(wf, field9.profile(0, 0))
-        e2 = radial_integral(wf, field9.profile(2, 0))
+        e0 = radial_integral(wf, field9.profile(0))
+        e2 = radial_integral(wf, field9.profile(2))
         # |l=1 m> averages pick up the single-orbital rank-2 factors -+ 2/5
         assert avg0 == pytest.approx(e0 + 0.4 * e2, rel=1e-9)
         assert avg1 == pytest.approx(e0 - 0.2 * e2, rel=1e-9)
@@ -381,8 +403,8 @@ class TestSelfRefiningOracle:
         seen = phi_nodes_seen(monkeypatch, position)
         direct = brute_force_average(beam9, wf, position)
         assert len(seen) > 16
-        reference = _sphere_profiles(beam9, position, grid.points * A0,
-                                     0, 64, 64)
+        reference = sphere_profiles(beam9, position, grid.points * A0,
+                                    0, 64, 64)
         assert direct == pytest.approx(
             radial_integral(wf, reference[0, 0]), rel=1e-9)
 

@@ -489,17 +489,6 @@ except SystemExit as exc:
     result = exc.code
 """ + LIST_MODULES
 
-# the result is the (k, q) keys: q != 0 shows the (theta, phi) rule ran
-OFF_AXIS_PROBE = """
-import json, sys
-from rydtrap.beam import TweezerBeam, decompose
-from rydtrap.radial import RadialGrid
-field = decompose(TweezerBeam(532e-9, 650e-9, 9e-3), (0.2e-6, 0.0, 0.3e-6),
-                  RadialGrid.default(43, npoints=1720), k_max=4)
-result = sorted(map(list, field.profiles_by_kq))
-""" + LIST_MODULES
-
-
 def probe_report(script, argv, tmp_path):
     """The result of a probe in a new process, the scipy modules it loaded
     and whether it loaded importlib.metadata."""
@@ -527,12 +516,6 @@ def test_command_loads_no_scipy(name, tmp_path):
     code, loaded = scipy_modules_after(NO_SCIPY_COMMANDS[name], tmp_path)
     assert code == 0
     assert loaded == []
-
-
-def test_off_axis_decompose_loads_no_scipy(tmp_path):
-    report = probe_report(OFF_AXIS_PROBE, [], tmp_path)
-    assert [2, 1] in report["result"] and [2, -2] in report["result"]
-    assert report["scipy"] == []
 
 
 def test_scipy_probe_sees_a_fit_import(tmp_path):

@@ -8,10 +8,9 @@ from rydtrap.beam import decompose
 from rydtrap.constants import AU_POLARIZABILITY, EPS0, C, H
 from rydtrap.potential import (RydbergState, TruncationError,
                                core_shift, differential_shift, ground_depth,
-                               ground_shift, polarizability_shift_hz,
-                               pond_prefactor, ponderomotive_shift,
-                               potential_breakdown, power_for_ground_depth,
-                               power_for_rydberg_depth, rb87,
+                               polarizability_shift_hz, pond_prefactor,
+                               ponderomotive_shift, potential_breakdown,
+                               power_for_ground_depth, rb87,
                                tensor_splitting, trap_depth, yb174)
 from rydtrap.radial import RadialGrid
 
@@ -93,12 +92,11 @@ class TestScalarShifts:
 
     def test_core_and_ground_shift_depths(self, species, beam9):
         core = core_shift(species, beam9)
-        ground = ground_shift(species, beam9)
+        ground = -ground_depth(species, beam9)
         assert core == pytest.approx(-6.8012e6, rel=1e-4)
         assert ground == pytest.approx(-17.4797e6, rel=1e-4)
         # both red shifts; ratio is the polarizability ratio
         assert core / ground == pytest.approx(107.0 / 275.0, rel=1e-12)
-        assert ground_depth(species, beam9) == pytest.approx(-ground)
 
     def test_operating_power(self, operating_power):
         assert operating_power == pytest.approx(6.1786e-3, rel=1e-4)
@@ -150,16 +148,6 @@ class TestTrapDepth:
         depth, ratio = trap_depth(RydbergState(species, 75, "3S1"), field9)
         assert depth == pytest.approx(1.44832e6, rel=1e-4)
         assert ratio == pytest.approx(0.082857, rel=1e-4)
-
-    def test_power_for_rydberg_depth_closed_loop(self, species, beam9,
-                                                 grid80, field9):
-        state = RydbergState(species, 75, "3S1")
-        power = power_for_rydberg_depth(state, field9, 1.4e6)
-        field = decompose(beam9.with_power(power), (0.0, 0.0, 0.0), grid80,
-                          k_max=4)
-        depth, _ = trap_depth(state, field)
-        assert depth == pytest.approx(1.4e6, rel=1e-9)
-        assert power == pytest.approx(8.700e-3, rel=1e-3)
 
 
 class TestTensorSplitting:

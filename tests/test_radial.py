@@ -240,7 +240,7 @@ class TestRadialIntegral:
 class TestInterpolatedElement:
     def test_integer_nstar_is_exact(self, field9):
         direct = radial_integral(hydrogen_radial(71, 0, field9.grid),
-                                 field9.profile(0, 0))
+                                 field9.profile(0))
         assert interpolated_reduced_element(71.0, 0, 0, field9) == \
             pytest.approx(direct, rel=1e-14)
 
@@ -249,7 +249,7 @@ class TestInterpolatedElement:
             n_star = 70.56
             interp = interpolated_reduced_element(n_star, l, k, field9)
             wf = numerov_radial(n_star, l, field9.grid)
-            direct = radial_integral(wf, field9.profile(k, 0))
+            direct = radial_integral(wf, field9.profile(k))
             assert interp == pytest.approx(direct, rel=1e-3), (l, k)
 
     def test_bracket_and_coverage_errors(self, field9):
@@ -291,7 +291,7 @@ class TestInterpolatedElement:
                     if (n, l, k) not in integer_n:
                         integer_n[n, l, k] = radial_integral(
                             hydrogen_radial(n, l, field9.grid),
-                            field9.profile(k, 0))
+                            field9.profile(k))
                 values = [integer_n[n, l, k] for n in nodes]
                 x = Fraction(float(n_star))
                 want = Fraction(0)
