@@ -151,39 +151,32 @@ class SqrtRational:
 _ZERO = SqrtRational(0)
 
 
-def _fact(n):
-    if n < 0:
-        raise ValueError("negative factorial")
-    return math.factorial(n)
-
-
-def _triangle_ok(a, b, c):
-    # triangle inequality plus integer perimeter, on HalfInt arguments
-    if (a.twice + b.twice + c.twice) % 2 != 0:
+def _triangle_ok(ta, tb, tc):
+    # triangle inequality plus integer perimeter, on twice-integer arguments
+    if (ta + tb + tc) % 2 != 0:
         return False
-    return abs(a.twice - b.twice) <= c.twice <= a.twice + b.twice
+    return abs(ta - tb) <= tc <= ta + tb
 
 
-def _delta_fraction(a, b, c):
-    # Delta(abc) = (a+b-c)! (a-b+c)! (-a+b+c)! / (a+b+c+1)!
+def _delta_fraction(ta, tb, tc):
+    # Delta(abc) = (a+b-c)! (a-b+c)! (-a+b+c)! / (a+b+c+1)!, from 2a, 2b, 2c
     return Fraction(
-        _fact((a.twice + b.twice - c.twice) // 2)
-        * _fact((a.twice - b.twice + c.twice) // 2)
-        * _fact((-a.twice + b.twice + c.twice) // 2),
-        _fact((a.twice + b.twice + c.twice) // 2 + 1),
+        math.factorial((ta + tb - tc) // 2)
+        * math.factorial((ta - tb + tc) // 2)
+        * math.factorial((-ta + tb + tc) // 2),
+        math.factorial((ta + tb + tc) // 2 + 1),
     )
 
 
 @lru_cache(maxsize=100000)
 def _wigner_3j_twice(tj1, tj2, tj3, tm1, tm2, tm3):
-    j1, j2, j3 = HalfInt(Fraction(tj1, 2)), HalfInt(Fraction(tj2, 2)), HalfInt(Fraction(tj3, 2))
-    m1, m2, m3 = HalfInt(Fraction(tm1, 2)), HalfInt(Fraction(tm2, 2)), HalfInt(Fraction(tm3, 2))
+    pairs = ((tj1, tm1), (tj2, tm2), (tj3, tm3))
     if tm1 + tm2 + tm3 != 0:
         return _ZERO
-    for j, m in ((j1, m1), (j2, m2), (j3, m3)):
-        if abs(m.twice) > j.twice or (j.twice + m.twice) % 2 != 0:
+    for tj, tm in pairs:
+        if abs(tm) > tj or (tj + tm) % 2 != 0:
             return _ZERO
-    if not _triangle_ok(j1, j2, j3):
+    if not _triangle_ok(tj1, tj2, tj3):
         return _ZERO
 
     # all of these are integers when the selection rules above hold
@@ -200,24 +193,25 @@ def _wigner_3j_twice(tj1, tj2, tj3, tm1, tm2, tm3):
 
     total = Fraction(0)
     for t in range(t_min, t_max + 1):
-        den = (_fact(t) * _fact(jjj - t) * _fact(j1m1 - t)
-               * _fact(j2m2 - t) * _fact(a1 + t) * _fact(a2 + t))
+        den = (math.factorial(t) * math.factorial(jjj - t)
+               * math.factorial(j1m1 - t) * math.factorial(j2m2 - t)
+               * math.factorial(a1 + t) * math.factorial(a2 + t))
         total += Fraction((-1) ** t, den)
     if total == 0:
         return _ZERO
 
-    radicand = _delta_fraction(j1, j2, j3)
-    for j, m in ((j1, m1), (j2, m2), (j3, m3)):
-        radicand *= _fact((j.twice + m.twice) // 2) * _fact((j.twice - m.twice) // 2)
+    radicand = _delta_fraction(tj1, tj2, tj3)
+    for tj, tm in pairs:
+        radicand *= (math.factorial((tj + tm) // 2)
+                     * math.factorial((tj - tm) // 2))
     phase = 1 if ((tj1 - tj2 - tm3) // 2) % 2 == 0 else -1
     return SqrtRational(phase * total, radicand)
 
 
 @lru_cache(maxsize=100000)
 def _wigner_6j_twice(tj1, tj2, tj3, tj4, tj5, tj6):
-    js = [HalfInt(Fraction(t, 2)) for t in (tj1, tj2, tj3, tj4, tj5, tj6)]
-    j1, j2, j3, j4, j5, j6 = js
-    triads = ((j1, j2, j3), (j1, j5, j6), (j4, j2, j6), (j4, j5, j3))
+    triads = ((tj1, tj2, tj3), (tj1, tj5, tj6), (tj4, tj2, tj6),
+              (tj4, tj5, tj3))
     for a, b, c in triads:
         if not _triangle_ok(a, b, c):
             return _ZERO
@@ -226,11 +220,11 @@ def _wigner_6j_twice(tj1, tj2, tj3, tj4, tj5, tj6):
     for a, b, c in triads:
         radicand *= _delta_fraction(a, b, c)
 
-    a_sums = [(a.twice + b.twice + c.twice) // 2 for a, b, c in triads]
+    a_sums = [(a + b + c) // 2 for a, b, c in triads]
     b_sums = [
-        (j1.twice + j2.twice + j4.twice + j5.twice) // 2,
-        (j2.twice + j3.twice + j5.twice + j6.twice) // 2,
-        (j3.twice + j1.twice + j6.twice + j4.twice) // 2,
+        (tj1 + tj2 + tj4 + tj5) // 2,
+        (tj2 + tj3 + tj5 + tj6) // 2,
+        (tj3 + tj1 + tj6 + tj4) // 2,
     ]
     t_min = max(a_sums)
     t_max = min(b_sums)
@@ -241,10 +235,10 @@ def _wigner_6j_twice(tj1, tj2, tj3, tj4, tj5, tj6):
     for t in range(t_min, t_max + 1):
         den = Fraction(1)
         for a in a_sums:
-            den *= _fact(t - a)
+            den *= math.factorial(t - a)
         for b in b_sums:
-            den *= _fact(b - t)
-        total += Fraction((-1) ** t * _fact(t + 1), den)
+            den *= math.factorial(b - t)
+        total += Fraction((-1) ** t * math.factorial(t + 1), den)
     if total == 0:
         return _ZERO
     return SqrtRational(total, radicand)
@@ -321,7 +315,7 @@ class Term:
         S = HalfInt(Fraction(mult - 1, 2))
         scheme = "LS" if S.is_integer else "fine"
         # J must be consistent with |L-S| <= J <= L+S and integer parity of S
-        if (J.twice + S.twice) % 2 != 0 or not _triangle_ok(HalfInt(L), S, J):
+        if not _triangle_ok(2 * L, S.twice, J.twice):
             raise UnsupportedTermError(
                 "J=%s incompatible with S=%s, L=%d in %r" % (J, S, L, label))
         self.label = str(label).strip()

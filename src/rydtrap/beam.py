@@ -60,9 +60,12 @@ class QuadratureConvergenceError(RuntimeError):
 
 
 class TweezerBeam:
-    """Focused Gaussian beam: wavelength, 1/e^2 waist, power, focus."""
+    """Focused Gaussian beam along z: wavelength, 1/e^2 waist, power.
 
-    def __init__(self, wavelength, waist, power, focus=(0.0, 0.0, 0.0)):
+    The focus is the origin of the lab frame.
+    """
+
+    def __init__(self, wavelength, waist, power):
         if wavelength <= 0 or waist <= 0:
             raise ValueError("wavelength and waist must be positive")
         if power < 0:
@@ -70,7 +73,6 @@ class TweezerBeam:
         self.wavelength = float(wavelength)
         self.waist = float(waist)
         self.power = float(power)
-        self.focus = np.asarray(focus, dtype=float)
         if waist < 2 * wavelength:
             warnings.warn(
                 "waist %.3g m is within two wavelengths of %.3g m; the "
@@ -92,14 +94,13 @@ class TweezerBeam:
     def with_power(self, power):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ParaxialValidityWarning)
-            return TweezerBeam(self.wavelength, self.waist, power, self.focus)
+            return TweezerBeam(self.wavelength, self.waist, power)
 
     def intensity(self, points):
         """Paraxial intensity at lab-frame points, shape (..., 3) in m."""
         points = np.asarray(points, dtype=float)
-        rel = points - self.focus
-        rho2 = rel[..., 0]**2 + rel[..., 1]**2
-        z = rel[..., 2]
+        rho2 = points[..., 0]**2 + points[..., 1]**2
+        z = points[..., 2]
         w2 = self.waist**2 * (1.0 + (z / self.rayleigh_range)**2)
         return (2.0 * self.power / (np.pi * w2)) * np.exp(-2.0 * rho2 / w2)
 
@@ -218,7 +219,7 @@ def _axial_profiles(beam, position, r_m, k_max, n_theta):
 def decompose(beam, position, grid, k_max=4, tol=1e-6):
     """Expand the intensity about `position` into Legendre profiles.
 
-    position must lie on the beam axis (its x, y equal to the focus's);
+    position must lie on the beam axis x = y = 0;
     anywhere else ValueError is raised, because the tensor path's
     P_k(cos beta) rotation onto a tilted axis needs an axisymmetric field.
     A displacement along the axis is allowed and gives odd ranks. The
@@ -233,7 +234,7 @@ def decompose(beam, position, grid, k_max=4, tol=1e-6):
     if k_max < 0 or k_max > 12:
         raise ValueError("k_max must be in [0, 12]")
     position = np.asarray(position, dtype=float)
-    if not np.array_equal(position[:2], beam.focus[:2]):
+    if position[0] != 0 or position[1] != 0:
         raise ValueError(
             "position %s is off the beam axis: the tensor path rotates the "
             "profiles onto a tilted axis by P_k(cos beta), which needs a "

@@ -4,7 +4,8 @@ Every physical input carries an explicit unit suffix (650nm, 9mW, 90kHz,
 13uK, 108us, 107au, 90deg); bare numbers are rejected so quantities can
 never be misread. Each command hands its config, data and any CSV table
 to _emit: a JSON envelope (command, config, data, provenance with a hash
-of the constants table) or CSV with that metadata as comments. Exit codes:
+of the constants table) or CSV with that metadata as comments; only the
+six table commands take --format, and they default to csv. Exit codes:
 1 usage, 2 bad data (non-positive power, non-finite result), 3 nonconvergence.
 """
 
@@ -177,16 +178,21 @@ def _add_beam_args(parser, power=True):
                                 "ground-state trap depth")
 
 
-def _add_species_args(parser, overrides=True):
+def _add_species_args(parser, alpha_ground=True):
+    """--species, and --alpha-ground where --ground-depth can use it."""
     parser.add_argument("--species", choices=sorted(SPECIES_PRESETS),
                         default="yb174", help="species preset (default yb174)")
-    if overrides:
-        parser.add_argument("--alpha-core", type=unit_quantity("polarizability"),
-                            metavar="A[au]", help="override core polarizability")
+    if alpha_ground:
         parser.add_argument("--alpha-ground",
                             type=unit_quantity("polarizability"),
                             metavar="A[au]",
                             help="override ground-state polarizability")
+
+
+def _add_core_arg(parser):
+    """--alpha-core, on the two commands whose output has the core shift."""
+    parser.add_argument("--alpha-core", type=unit_quantity("polarizability"),
+                        metavar="A[au]", help="override core polarizability")
 
 
 def _add_state_args(parser, series=None, axis_angle=True, k_max=True):
@@ -205,7 +211,7 @@ def _add_state_args(parser, series=None, axis_angle=True, k_max=True):
 
 def _add_energy_args(parser):
     """Options shared by the fits of series energies."""
-    _add_species_args(parser, overrides=False)
+    _add_species_args(parser, alpha_ground=False)
     parser.add_argument("--input", metavar="CSV",
                         help="energy table (default: bundled series data)")
     parser.add_argument("--range", type=n_range, default=None, metavar="A:B")
@@ -259,14 +265,14 @@ def _table(header, rows):
 
 
 def _emit(args, command, config, data, header=None, rows=None):
-    """Write the JSON envelope, or with --format csv the table if any; the
-    envelope is encoded either way, so a non-finite value is a ValueError."""
+    """Write the JSON envelope, or with --format csv the table; the envelope
+    is encoded either way, so a non-finite value is a ValueError."""
     provenance = {"package": "rydtrap", "version": __version__,
                   "constants_sha256": constants_hash()}
     text = json.dumps({"command": command, "config": config, "data": data,
                        "provenance": provenance},
                       indent=2, allow_nan=False) + "\n"
-    if args.format == "csv" and rows is not None:
+    if rows is not None and args.format == "csv":
         lines = ["# command: %s" % command,
                  "# config: %s" % json.dumps(config, sort_keys=True),
                  "# provenance: rydtrap %s constants=%s"
@@ -469,20 +475,23 @@ def _cmd_autoion(args):
 
 
 def _cmd_contrast(args):
-    """ramsey-sim or echo-sim; echo needs trap frequencies or the beam."""
+    """ramsey-sim, or echo-sim, whose orbits need the trap frequencies:
+    both given, or else derived from the beam and the species mass."""
     echo = args.command == "echo-sim"
-    frequencies = None
-    if args.trap_freq_radial is not None or args.trap_freq_axial is not None:
-        if args.trap_freq_radial is None or args.trap_freq_axial is None:
-            raise ValueError("pass both --trap-freq-radial and --trap-freq-axial")
-        frequencies = (args.trap_freq_radial, args.trap_freq_radial,
-                       args.trap_freq_axial)
+    motion = {}
+    if echo:
+        radial, axial = args.trap_freq_radial, args.trap_freq_axial
+        if radial is None and axial is None:
+            motion = {"beam": _beam_from_args(args),
+                      "mass_kg": SPECIES_PRESETS[args.species]().mass_kg}
+        elif radial is None or axial is None:
+            raise ValueError(
+                "pass both --trap-freq-radial and --trap-freq-axial")
+        else:
+            motion = {"trap_frequencies_hz": (radial, radial, axial)}
     scenario = DephasingScenario(
         dnu0_hz=args.dnu, temperature_k=args.temp, depth_hz=args.depth,
-        t1_s=args.t1, n_atoms=args.n, seed=args.seed,
-        trap_frequencies_hz=frequencies,
-        beam=_beam_from_args(args) if echo and frequencies is None else None,
-        mass_kg=SPECIES_PRESETS[args.species]().mass_kg)
+        t1_s=args.t1, n_atoms=args.n, seed=args.seed, **motion)
     curve = (echo_contrast if echo else ramsey_contrast)(scenario, args.times)
     header = ["time_us", "contrast"]
     rows = [[t * 1e6, c] for t, c in zip(curve.times_s, curve.contrast)]
@@ -523,24 +532,27 @@ def build_parser():
                         version="rydtrap %s" % __version__)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add(name, func, help_text, default_format):
+    def add(name, func, help_text, table=False):
+        """A subcommand; a table command also takes --format."""
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(func=func)
         p.add_argument("--output", metavar="PATH",
                        help="write the result here instead of stdout")
-        p.add_argument("--format", choices=("csv", "json"),
-                       default=default_format,
-                       help="output format (default %(default)s)")
+        if table:
+            p.add_argument("--format", choices=("csv", "json"), default="csv",
+                           help="output format (default %(default)s)")
         return p
 
     p = add("angular-table", _cmd_angular_table,
-            "exact angular factors per term and rank", "csv")
+            "exact angular factors per term and rank", table=True)
     p.add_argument("--terms", nargs="+", default=list(TABLE_TERMS))
     p.add_argument("--ranks", nargs="+", type=int, default=[0, 2, 4])
 
     p = add("trap-depth", _cmd_trap_depth,
-            "total Rydberg trap depth and its ratio to the ground state", "csv")
+            "total Rydberg trap depth and its ratio to the ground state",
+            table=True)
     _add_state_args(p, {"default": Term("3S1")})
+    _add_core_arg(p)
     p.add_argument("--n", type=int, help="single principal quantum number")
     p.add_argument("--n-min", type=int)
     p.add_argument("--n-max", type=int)
@@ -548,12 +560,12 @@ def build_parser():
                    help="magnetic sublevel (default: 0 or 1/2)")
 
     p = add("tensor-shift", _cmd_tensor_shift,
-            "per-M light shifts relative to the M average", "csv")
+            "per-M light shifts relative to the M average", table=True)
     _add_state_args(p, {"required": True})
     p.add_argument("--n", type=int, required=True)
 
     p = add("magic-scan", _cmd_magic_scan,
-            "differential shift between two series versus n", "csv")
+            "differential shift between two series versus n", table=True)
     _add_state_args(p)
     p.add_argument("--series-a", type=term_type, default=Term("3S1"))
     p.add_argument("--series-b", type=term_type, default=Term("3P0"))
@@ -562,24 +574,23 @@ def build_parser():
     p.add_argument("--n-range", type=n_range, required=True, metavar="A:B")
 
     p = add("ritz-fit", _cmd_ritz_fit,
-            "fit the extended Ritz defect expansion to series energies",
-            "json")
+            "fit the extended Ritz defect expansion to series energies")
     _add_energy_args(p)
     p.add_argument("--order", type=int, default=8)
     p.add_argument("--ionization-cm1", type=float, default=None)
 
     p = add("threshold-fit", _cmd_threshold_fit,
-            "joint ionization-threshold and flat-defect fit", "json")
+            "joint ionization-threshold and flat-defect fit")
     _add_energy_args(p)
 
     p = add("forster", _cmd_forster,
-            "pair-channel energy mismatch from the defect models", "json")
-    _add_species_args(p)
+            "pair-channel energy mismatch from the defect models")
+    _add_species_args(p, alpha_ground=False)
     p.add_argument("--channel", type=pair_channel, required=True,
                    metavar="'n T + n T -> n T + n T'")
 
     p = add("pi-fit", _cmd_pi_fit,
-            "photoionization fit of lifetime versus trap power", "json")
+            "photoionization fit of lifetime versus trap power")
     p.add_argument("--input", required=True, metavar="CSV")
     _add_beam_args(p, power=False)
     p.add_argument("--at-power", type=unit_quantity("power"), nargs="*",
@@ -587,8 +598,9 @@ def build_parser():
                    help="report lifetime reduction at these powers")
 
     p = add("autoion", _cmd_autoion,
-            "isolated-core autoionization rate estimate", "json")
+            "isolated-core autoionization rate estimate")
     _add_state_args(p, {"default": Term("3S1")}, axis_angle=False, k_max=False)
+    _add_core_arg(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--core-depth", type=unit_quantity("frequency"),
                    default=None, metavar="F[MHz]",
@@ -599,7 +611,7 @@ def build_parser():
              "Monte Carlo Ramsey contrast of a trapped thermal ensemble"),
             ("echo-sim",
              "Monte Carlo Hahn-echo contrast with orbital dynamics")]:
-        p = add(name, _cmd_contrast, help_text, "csv")
+        p = add(name, _cmd_contrast, help_text, table=True)
         p.add_argument("--dnu", type=unit_quantity("frequency"), required=True,
                        metavar="F[kHz]", help="peak differential shift")
         p.add_argument("--temp", type=unit_quantity("temperature"),
@@ -612,16 +624,15 @@ def build_parser():
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--times", type=time_range, default=time_range("0:60us:1us"),
                        metavar="START:STOP:STEP")
-        _add_species_args(p, overrides=False)  # for the mass
-        _add_beam_args(p, power=False)
-        p.add_argument("--trap-freq-radial", type=unit_quantity("frequency"),
-                       default=None, metavar="F[kHz]")
-        p.add_argument("--trap-freq-axial", type=unit_quantity("frequency"),
-                       default=None, metavar="F[kHz]")
+        if name == "echo-sim":  # the orbits: given, or from beam and mass
+            _add_species_args(p, alpha_ground=False)
+            _add_beam_args(p, power=False)
+            for axis in ("radial", "axial"):
+                p.add_argument("--trap-freq-" + axis, metavar="F[kHz]",
+                               type=unit_quantity("frequency"))
 
     p = add("oracle-check", _cmd_oracle_check,
-            "compare the tensor-expansion shift with direct 3D quadrature",
-            "json")
+            "compare the tensor-expansion shift with direct 3D quadrature")
     _add_state_args(p, {"default": Term("3S1")}, axis_angle=False)
     p.add_argument("--n", type=int, nargs="+", required=True)
 

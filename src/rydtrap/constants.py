@@ -41,8 +41,8 @@ YB174_DATA = {
     # Yb 1S0 ground-state polarizability: two published calculations.
     "alpha_ground_au": {"primary": 275.0, "alternative": 226.0},
     "alpha_ground_default": "primary",
-    # ratio alpha(3P1)/alpha(1S0) used to back out the ground trap depth
-    # from the measured 3P1-1S0 light shift
+    # ratio alpha(3P1)/alpha(1S0) that backs the ground trap depth out of
+    # the measured 3P1-1S0 light shift; reference data, no model reads it
     "alpha_ratio_3p1": 0.39,
     "rydberg_cm1": 109736.96959,
     "ionization_cm1": 50443.07074,

@@ -12,10 +12,9 @@ admixture set by the core trap depth over the detuning from each core
 line, summed over lines.
 """
 
-import csv
-
 import numpy as np
 
+from ._tables import read_rows
 from .constants import C, HBAR
 
 
@@ -44,45 +43,10 @@ class LifetimeRecord:
 
 def load_lifetime_csv(source):
     """Read records from CSV with header power_mw,lifetime_us[,sigma_us]."""
-    if hasattr(source, "read"):
-        stream = source
-    else:
-        stream = open(source, newline="")
-    number = 0  # the physical line the reader has reached
-
-    def uncommented():
-        nonlocal number
-        for number, line in enumerate(stream, 1):
-            if not line.startswith("#"):
-                yield line
-
-    try:
-        reader = csv.reader(uncommented())
-        header = next(reader, None)
-        if header is None:
-            raise ValueError("empty lifetime file")
-        header = [h.strip() for h in header]
-        if header[:2] != ["power_mw", "lifetime_us"]:
-            raise ValueError("expected header power_mw,lifetime_us[,sigma_us], "
-                             "got %r" % ",".join(header))
-        has_sigma = len(header) > 2 and header[2] == "sigma_us"
-        records = []
-        for row in reader:
-            if not row or not "".join(row).strip():
-                continue
-            if len(row) < 2:
-                raise ValueError("lifetime file line %d has one cell, %r; "
-                                 "expected power_mw,lifetime_us"
-                                 % (number, row[0]))
-            sigma = float(row[2]) * 1e-6 if has_sigma and len(row) > 2 else None
-            records.append(LifetimeRecord(float(row[0]) * 1e-3,
-                                          float(row[1]) * 1e-6, sigma))
-        if not records:
-            raise ValueError("lifetime file has no data rows")
-        return records
-    finally:
-        if stream is not source:
-            stream.close()
+    return [LifetimeRecord(float(power) * 1e-3, float(lifetime) * 1e-6,
+                           None if sigma is None else float(sigma) * 1e-6)
+            for power, lifetime, sigma in read_rows(
+                source, "lifetime", ("power_mw", "lifetime_us", "sigma_us"))]
 
 
 class PhotoionizationFit:
@@ -105,13 +69,12 @@ class PhotoionizationFit:
         return self.gamma0 + self.gamma_pi * power_w
 
 
-def fit_photoionization(records, beam, intensity_factor=1.0):
+def fit_photoionization(records, beam):
     """Weighted linear fit of decay rate versus power; slope to cross section.
 
     Rates are Gamma_i = 1/tau_i with standard errors propagated from the
     lifetime errors (uniform weights when none are given). The cross
-    section assumes the atom samples the focal peak intensity; pass
-    intensity_factor < 1 to apply a thermal-averaging correction.
+    section assumes the atom samples the focal peak intensity.
     """
     if len(records) < 3:
         raise InsufficientDataError("need at least 3 records, have %d"
@@ -149,9 +112,9 @@ def fit_photoionization(records, beam, intensity_factor=1.0):
         var_a *= s2
         var_b *= s2
 
-    # gamma_pi P = sigma_pi I0/(hbar w): I0/P = 2 intensity_factor/(pi w0^2)
+    # gamma_pi P = sigma_pi I0/(hbar w): I0/P = 2/(pi w0^2)
     omega = beam.angular_frequency
-    per_watt = 2.0 * intensity_factor / (np.pi * beam.waist ** 2)
+    per_watt = 2.0 / (np.pi * beam.waist ** 2)
     to_sigma = HBAR * omega / per_watt
     return PhotoionizationFit(a, np.sqrt(var_a), b, np.sqrt(var_b),
                               b * to_sigma, np.sqrt(var_b) * to_sigma)

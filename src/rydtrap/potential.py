@@ -40,7 +40,7 @@ class AtomicSpecies:
 
     def __init__(self, name, mass_kg, alpha_core_au, alpha_ground_au,
                  rydberg_cm1, ionization_cm1, defects, core_lines=(),
-                 alpha_ratio_3p1=None, measured_ground_depth=None):
+                 measured_ground_depth=None):
         if alpha_core_au <= 0:
             raise ValueError("alpha_core must be positive (red-detuned regime)")
         self.name = name
@@ -51,7 +51,6 @@ class AtomicSpecies:
         self.ionization_cm1 = float(ionization_cm1)
         self.defects = dict(defects)
         self.core_lines = tuple(core_lines)
-        self.alpha_ratio_3p1 = alpha_ratio_3p1
         self.measured_ground_depth = measured_ground_depth
 
     def defect(self, term, n):
@@ -118,7 +117,6 @@ def _build_species(data, alpha_core, alpha_ground):
         alpha_core_au=core, alpha_ground_au=ground,
         rydberg_cm1=data["rydberg_cm1"], ionization_cm1=data["ionization_cm1"],
         defects=data["defects"], core_lines=data.get("core_lines", ()),
-        alpha_ratio_3p1=data.get("alpha_ratio_3p1"),
         measured_ground_depth=data.get("measured_ground_depth"))
 
 

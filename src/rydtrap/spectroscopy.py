@@ -11,10 +11,9 @@ The fits import scipy.optimize when they run, so importing this module
 does not load scipy.
 """
 
-import csv
-
 import numpy as np
 
+from ._tables import read_rows
 from .constants import CM1_TO_MHZ
 
 DEFAULT_SIGMA_MHZ = 4.0
@@ -44,39 +43,19 @@ class EnergyRecord:
 
 
 def load_energy_csv(source):
-    """Read records from CSV with header n,energy_cm1[,sigma_mhz]."""
-    if hasattr(source, "read"):
-        stream = source
-    else:
-        stream = open(source, newline="")
-    try:
-        reader = csv.reader(row for row in stream if not row.startswith("#"))
-        header = next(reader, None)
-        if header is None:
-            raise ValueError("empty energy file")
-        header = [h.strip() for h in header]
-        if header[:2] != ["n", "energy_cm1"]:
-            raise ValueError("expected header n,energy_cm1[,sigma_mhz], got %r"
-                             % ",".join(header))
-        has_sigma = len(header) > 2 and header[2] == "sigma_mhz"
-        records = []
-        seen = set()
-        for row in reader:
-            if not row or not "".join(row).strip():
-                continue
-            n = int(row[0])
-            if n in seen:
-                raise ValueError("duplicate n=%d in energy file" % n)
-            seen.add(n)
-            sigma = float(row[2]) if has_sigma and len(row) > 2 else DEFAULT_SIGMA_MHZ
-            records.append(EnergyRecord(n, float(row[1]), sigma))
-        if not records:
-            raise ValueError("energy file has no data rows")
-        records.sort(key=lambda rec: rec.n)
-        return records
-    finally:
-        if stream is not source:
-            stream.close()
+    """Records sorted by n, from CSV with header n,energy_cm1[,sigma_mhz]."""
+    records = []
+    seen = set()
+    for n, energy, sigma in read_rows(source, "energy",
+                                      ("n", "energy_cm1", "sigma_mhz")):
+        n = int(n)
+        if n in seen:
+            raise ValueError("duplicate n=%d in energy file" % n)
+        seen.add(n)
+        records.append(EnergyRecord(n, float(energy), DEFAULT_SIGMA_MHZ
+                                    if sigma is None else float(sigma)))
+    records.sort(key=lambda rec: rec.n)
+    return records
 
 
 def bundled_energy_path(name="yb174_3s1_energies.csv"):
@@ -224,8 +203,7 @@ def fit_ritz(records, order=8, fit_range=None, ionization_cm1=None,
                      covariance=cov, residuals_mhz=res_mhz, record_n=n.astype(int))
 
 
-def fit_threshold(records, fit_range=None, rydberg_cm1=None,
-                  ionization_guess_cm1=None):
+def fit_threshold(records, fit_range=None, rydberg_cm1=None):
     """Joint (E_I, flat delta) fit on a window where the defect is constant.
 
     Returns a RitzModel with params [d0] and the fitted E_I, whose
@@ -240,8 +218,7 @@ def fit_threshold(records, fit_range=None, rydberg_cm1=None,
     n = np.array([rec.n for rec in used], dtype=float)
     energy = np.array([rec.energy_cm1 for rec in used])
     sigma = np.array([rec.sigma_mhz for rec in used])
-    if ionization_guess_cm1 is None:
-        ionization_guess_cm1 = np.max(energy) + rydberg_cm1 / np.max(n) ** 2
+    e_i_guess = np.max(energy) + rydberg_cm1 / np.max(n) ** 2
 
     def residuals(x):
         e_i, d0 = x
@@ -256,10 +233,9 @@ def fit_threshold(records, fit_range=None, rydberg_cm1=None,
         return cols * (CM1_TO_MHZ / sigma)[:, None]
 
     d0_init = defect_from_energy(max(used, key=lambda rec: rec.n),
-                                 ionization_guess_cm1, rydberg_cm1)
+                                 e_i_guess, rydberg_cm1)
     (e_i, d0), cov = _least_squares(
-        residuals, np.array([ionization_guess_cm1, d0_init]), jacobian,
-        "threshold")
+        residuals, np.array([e_i_guess, d0_init]), jacobian, "threshold")
     res_mhz = (e_i - rydberg_cm1 / (n - d0) ** 2 - energy) * CM1_TO_MHZ
     return RitzModel([d0], e_i, rydberg_cm1, fit_range=fit_range,
                      residuals_mhz=res_mhz, record_n=n.astype(int),

@@ -27,8 +27,10 @@ GAMMA_PI = 3.7e5
 
 
 def run_json(argv, tmp_path, name="out.json"):
+    """Run argv to a JSON file; only a table command takes --format."""
     out = tmp_path / name
-    full = argv + ["--format", "json", "--output", str(out)]
+    full = argv + (["--format", "json"] if argv[0] in CSV_COMMANDS else [])
+    full += ["--output", str(out)]
     assert cli.main(full) == 0
     with open(out) as fh:
         return json.load(fh)
@@ -145,6 +147,16 @@ class TestExitCodes:
         assert cli.main(["pi-fit", "--input", str(path)]) == 2
         assert "line 4 has one cell, '4'" in capsys.readouterr().err
 
+    def test_single_cell_energy_row_is_data_error(self, tmp_path, capsys):
+        # the same reader as the lifetimes: no IndexError, the line named
+        path = tmp_path / "short_row.csv"
+        path.write_text("# n = 41 lost\nn,energy_cm1\n40,50350.0\n41\n"
+                        "42,50360.0\n")
+        assert cli.main(["ritz-fit", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "energy file line 4 has one cell, '41'" in captured.err
+        assert captured.out == ""
+
     def test_nonconvergence_maps_to_exit_3(self, monkeypatch, capsys):
         def boom(scenario, times):
             raise QuadratureConvergenceError("did not converge")
@@ -205,7 +217,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["trap-depth", "--power", "0mW", "--n", "40"],
         ["trap-depth", "--ground-depth", "0MHz", "--n", "40"],
-        ["oracle-check", "--power", "0mW", "--n", "40", "--format", "json"],
+        ["oracle-check", "--power", "0mW", "--n", "40"],
     ], ids=["trap-depth-power", "trap-depth-ground-depth", "oracle-check"])
     def test_zero_power_is_data_error(self, argv, capsys):
         assert cli.main(argv) == 2
@@ -348,8 +360,7 @@ class TestLossCommands:
 
     def test_autoion_zero_rate_has_null_lifetime(self, tmp_path):
         argv = ["autoion", "--power", "9mW", "--n", "40",
-                "--core-depth", "0MHz", "--format", "json",
-                "--output", str(tmp_path / "out.json")]
+                "--core-depth", "0MHz", "--output", str(tmp_path / "out.json")]
         assert cli.main(argv) == 0
 
         def reject(name):

@@ -80,13 +80,6 @@ class TestPhotoionizationFit:
             * np.pi * WAIST**2 / 2.0
         assert fit.sigma_pi_m2 == pytest.approx(want, rel=1e-12)
 
-    def test_intensity_factor_rescales_cross_section(self, beam9):
-        recs = synthetic_records([2.0, 4.0, 6.0, 9.0])
-        base = fit_photoionization(recs, beam9)
-        half = fit_photoionization(recs, beam9, intensity_factor=0.5)
-        assert half.sigma_pi_m2 == pytest.approx(2.0 * base.sigma_pi_m2,
-                                                 rel=1e-12)
-
     def test_rate_and_reduction(self, beam9):
         recs = synthetic_records([2.0, 4.0, 6.0, 9.0])
         fit = fit_photoionization(recs, beam9)

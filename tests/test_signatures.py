@@ -1,30 +1,123 @@
-"""Parameter names of the public field-to-shift path.
+"""Parameter names of the public library calls and the CLI's options.
 
-Every keyword here is one some caller sets; a new option on this path
-has to come with a deliberate change to this table.
+Every keyword and every option here is one that changes a result; a new
+one has to come with a deliberate change to these tables.
 """
 
+import argparse
 import inspect
 
-from rydtrap import beam, potential, radial
+import pytest
+
+from rydtrap import beam, cli, loss, potential, radial, spectroscopy
 
 SIGNATURES = {
+    beam.TweezerBeam: ["wavelength", "waist", "power"],
     beam.decompose: ["beam", "position", "grid", "k_max", "tol"],
     beam.brute_force_average: ["beam", "wf", "position", "m",
                                "angular_density", "tol"],
     radial.RadialGrid: ["points"],
     radial.RadialGrid.default: ["n_max", "npoints"],
     radial.radial_integral: ["wf", "profile"],
+    potential.AtomicSpecies: ["name", "mass_kg", "alpha_core_au",
+                              "alpha_ground_au", "rydberg_cm1",
+                              "ionization_cm1", "defects", "core_lines",
+                              "measured_ground_depth"],
     potential.ponderomotive_shift: ["state", "field", "axis_angle_deg"],
     potential.potential_breakdown: ["state", "field", "axis_angle_deg"],
     potential.trap_depth: ["state", "field", "axis_angle_deg"],
     potential.tensor_splitting: ["species", "n", "term", "field",
                                  "axis_angle_deg"],
     potential.differential_shift: ["a", "b", "field", "axis_angle_deg"],
+    spectroscopy.fit_threshold: ["records", "fit_range", "rydberg_cm1"],
+    loss.fit_photoionization: ["records", "beam"],
+}
+
+_BEAM = ["--wavelength", "--waist", "--power", "--ground-depth"]
+_STATE = ["--species", "--alpha-ground"] + _BEAM
+_TABLE = ["--output", "--format"]
+_SIM = ["--dnu", "--temp", "--depth", "--t1", "--n", "--seed", "--times"]
+_ENERGY = ["--output", "--species", "--input", "--range", "--rydberg-cm1"]
+
+OPTIONS = {
+    "angular-table": _TABLE + ["--terms", "--ranks"],
+    "trap-depth": _TABLE + _STATE + ["--series", "--axis-angle", "--k-max",
+                                     "--alpha-core", "--n", "--n-min",
+                                     "--n-max", "--m"],
+    "tensor-shift": _TABLE + _STATE + ["--series", "--axis-angle",
+                                       "--k-max", "--n"],
+    "magic-scan": _TABLE + _STATE + ["--axis-angle", "--k-max",
+                                     "--series-a", "--series-b", "--offset",
+                                     "--n-range"],
+    "ritz-fit": _ENERGY + ["--order", "--ionization-cm1"],
+    "threshold-fit": _ENERGY,
+    "forster": ["--output", "--species", "--channel"],
+    "pi-fit": ["--output", "--input", "--wavelength", "--waist",
+               "--at-power"],
+    "autoion": ["--output"] + _STATE + ["--series", "--alpha-core", "--n",
+                                        "--core-depth"],
+    "ramsey-sim": _TABLE + _SIM,
+    "echo-sim": _TABLE + _SIM + ["--species", "--wavelength", "--waist",
+                                 "--trap-freq-radial", "--trap-freq-axial"],
+    "oracle-check": ["--output"] + _STATE + ["--series", "--k-max", "--n"],
+}
+
+_SIM_ARGV = ["--dnu", "90kHz", "--temp", "13uK", "--depth", "2MHz",
+             "--t1", "108us", "--n", "10", "--times", "0:4us:2us"]
+_FORSTER_ARGV = ["forster", "--channel", "80 3S1 + 80 3S1 -> 80 3P2 + 79 3P2"]
+
+# options these commands do not take, each with a value that another
+# command accepts: argparse refuses each one
+REMOVED = {
+    "ritz-fit --format": ["ritz-fit", "--format", "json"],
+    "threshold-fit --format": ["threshold-fit", "--format", "json"],
+    "forster --format": _FORSTER_ARGV + ["--format", "json"],
+    "pi-fit --format": ["pi-fit", "--input", "lifetimes.csv",
+                        "--format", "csv"],
+    "autoion --format": ["autoion", "--power", "9mW", "--n", "75",
+                         "--format", "csv"],
+    "oracle-check --format": ["oracle-check", "--power", "9mW", "--n", "40",
+                              "--format", "json"],
+    "tensor-shift --alpha-core": ["tensor-shift", "--power", "9mW", "--n",
+                                  "40", "--series", "3P2",
+                                  "--alpha-core", "50au"],
+    "magic-scan --alpha-core": ["magic-scan", "--power", "9mW",
+                                "--n-range", "70:71", "--alpha-core", "50au"],
+    "oracle-check --alpha-core": ["oracle-check", "--power", "9mW", "--n",
+                                  "40", "--alpha-core", "50au"],
+    "forster --alpha-core": _FORSTER_ARGV + ["--alpha-core", "50au"],
+    "forster --alpha-ground": _FORSTER_ARGV + ["--alpha-ground", "200au"],
+    "ramsey-sim --species": ["ramsey-sim"] + _SIM_ARGV
+    + ["--species", "yb174"],
+    "ramsey-sim --wavelength": ["ramsey-sim"] + _SIM_ARGV
+    + ["--wavelength", "532nm"],
+    "ramsey-sim --waist": ["ramsey-sim"] + _SIM_ARGV + ["--waist", "650nm"],
+    "ramsey-sim --trap-freq-radial": ["ramsey-sim"] + _SIM_ARGV
+    + ["--trap-freq-radial", "1kHz"],
+    "ramsey-sim --trap-freq-axial": ["ramsey-sim"] + _SIM_ARGV
+    + ["--trap-freq-axial", "1kHz"],
 }
 
 
-def test_field_to_shift_parameter_names():
+def test_library_parameter_names():
     for fn, names in SIGNATURES.items():
         assert list(inspect.signature(fn).parameters) == names, \
             fn.__qualname__
+
+
+def test_cli_option_table():
+    parser = cli.build_parser()
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    seen = {name: [option for action in command._actions
+                   for option in action.option_strings
+                   if option not in ("-h", "--help")]
+            for name, command in sub.choices.items()}
+    assert seen == OPTIONS
+
+
+@pytest.mark.parametrize("argv", list(REMOVED.values()), ids=list(REMOVED))
+def test_removed_option_is_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
