@@ -288,14 +288,13 @@ class Term:
     the same reduction with (S, L, J).
     """
 
-    __slots__ = ("label", "S", "L", "J", "scheme")
+    __slots__ = ("label", "S", "L", "J")
 
     def __init__(self, label):
         if isinstance(label, Term):
             label, parsed = label.label, label
             self.label = label
             self.S, self.L, self.J = parsed.S, parsed.L, parsed.J
-            self.scheme = parsed.scheme
             return
         match = _TERM_RE.match(str(label).strip())
         if not match:
@@ -313,14 +312,12 @@ class Term:
         if mult < 1:
             raise UnsupportedTermError("bad multiplicity in %r" % (label,))
         S = HalfInt(Fraction(mult - 1, 2))
-        scheme = "LS" if S.is_integer else "fine"
         # J must be consistent with |L-S| <= J <= L+S and integer parity of S
         if not _triangle_ok(2 * L, S.twice, J.twice):
             raise UnsupportedTermError(
                 "J=%s incompatible with S=%s, L=%d in %r" % (J, S, L, label))
         self.label = str(label).strip()
         self.S, self.L, self.J = S, L, J
-        self.scheme = scheme
 
     def __repr__(self):
         return "Term(%r)" % self.label
@@ -336,12 +333,23 @@ class Term:
         return hash((self.S, self.L, self.J))
 
 
+def max_rank(term):
+    """Highest rank k the term couples to: the largest even k <= min(2J, 2L).
+
+    Above it the geometry 3j (k > 2J) or the orbital 3j (k > 2L) vanishes,
+    and every odd k is zero by the parity of the orbital 3j.
+    """
+    term = Term(term)
+    k = min(term.J.twice, 2 * term.L)
+    return k - k % 2
+
+
 def angular_factor_exact(term, k, M):
     """Exact rational angular factor A_k(term, M).
 
     Returns the coefficient multiplying the rank-k radial integral e_k in
-    the diagonal shift of sublevel M. Zero (exact) when k > 2J or k > 2L or
-    k is odd; raises UnsupportedTermError for unparseable terms and
+    the diagonal shift of sublevel M. Zero (exact) when k is odd or above
+    max_rank(term); raises UnsupportedTermError for unparseable terms and
     ValueError for an invalid M.
     """
     term = Term(term)
@@ -353,7 +361,7 @@ def angular_factor_exact(term, k, M):
     M = HalfInt(M)
     if abs(M.twice) > term.J.twice or (M.twice + term.J.twice) % 2 != 0:
         raise ValueError("M=%s invalid for J=%s" % (M, term.J))
-    if k % 2 == 1 or k > min(term.J.twice, 2 * term.L):
+    if k % 2 == 1 or k > max_rank(term):
         return Fraction(0)
 
     S, L, J = term.S, term.L, term.J

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .constants import CM1_TO_MHZ, constants_hash
-from .angular import (Term, HalfInt, angular_table, reference_m,
+from .angular import (Term, HalfInt, angular_table, max_rank, reference_m,
                       UnsupportedTermError, TABLE_TERMS)
 from .beam import (TweezerBeam, decompose, QuadratureConvergenceError,
                    ParaxialValidityWarning)
@@ -65,7 +65,11 @@ def unit_quantity(kind):
             raise argparse.ArgumentTypeError(
                 "unknown %s unit %r (valid: %s)" % (kind, unit,
                                                     ", ".join(scales)))
-        return float(value) * scales[unit]
+        quantity = float(value) * scales[unit]
+        if not math.isfinite(quantity):
+            raise argparse.ArgumentTypeError("%r is not a finite %s"
+                                             % (text, kind))
+        return quantity
 
     parse.__name__ = kind
     return parse
@@ -195,8 +199,8 @@ def _add_core_arg(parser):
                         metavar="A[au]", help="override core polarizability")
 
 
-def _add_state_args(parser, series=None, axis_angle=True, k_max=True):
-    """Species, beam, --series (series: its keywords), --axis-angle, k-max."""
+def _add_state_args(parser, series=None, axis_angle=True):
+    """Species, beam, --series (series: its keywords) and --axis-angle."""
     _add_species_args(parser)
     _add_beam_args(parser)
     if series is not None:
@@ -205,8 +209,6 @@ def _add_state_args(parser, series=None, axis_angle=True, k_max=True):
         parser.add_argument("--axis-angle", type=unit_quantity("angle"),
                             default=0.0, metavar="A[deg]",
                             help="quantization axis tilt from the beam axis")
-    if k_max:
-        parser.add_argument("--k-max", type=int, default=4)
 
 
 def _add_energy_args(parser):
@@ -319,7 +321,7 @@ def _cmd_trap_depth(args):
                              "--n-max %d" % (args.n_min, args.n_max))
         n_values = list(range(args.n_min, args.n_max + 1))
     ground_hz = potential.ground_depth(species, beam)
-    field = _field_for(beam, max(n_values), args.k_max)
+    field = _field_for(beam, max(n_values), max_rank(args.series))
     header = ["n", "n_star", "u_core_hz", "u_pond_hz", "u_total_hz",
               "depth_hz", "ratio_to_ground"]
     rows = []
@@ -343,7 +345,7 @@ def _cmd_trap_depth(args):
 def _cmd_tensor_shift(args):
     species = _species_from_args(args)
     beam = _beam_from_args(args, species)
-    field = _field_for(beam, args.n, args.k_max)
+    field = _field_for(beam, args.n, max_rank(args.series))
     shifts = potential.tensor_splitting(species, args.n, args.series, field,
                                         args.axis_angle)
     header = ["M", "shift_hz"]
@@ -362,7 +364,8 @@ def _cmd_magic_scan(args):
     species = _species_from_args(args)
     beam = _beam_from_args(args, species)
     n_lo, n_hi = args.n_range
-    field = _field_for(beam, n_hi, args.k_max)
+    field = _field_for(beam, n_hi, max(max_rank(args.series_a),
+                                       max_rank(args.series_b)))
     header = ["n_a", "n_b", "n_star_a", "n_star_b", "differential_hz"]
     rows = []
     for n in range(n_lo, n_hi + 1):
@@ -513,7 +516,7 @@ def _cmd_oracle_check(args):
     for n in args.n:
         tensor_hz, brute_hz = potential.oracle_compare(
             RydbergState(species, n, args.series),
-            _field_for(beam, n, args.k_max))
+            _field_for(beam, n, max_rank(args.series)))
         results.append({"n": n, "tensor_hz": tensor_hz, "brute_hz": brute_hz,
                         "relative_difference": abs(tensor_hz - brute_hz)
                         / abs(brute_hz)})
@@ -599,7 +602,7 @@ def build_parser():
 
     p = add("autoion", _cmd_autoion,
             "isolated-core autoionization rate estimate")
-    _add_state_args(p, {"default": Term("3S1")}, axis_angle=False, k_max=False)
+    _add_state_args(p, {"default": Term("3S1")}, axis_angle=False)
     _add_core_arg(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--core-depth", type=unit_quantity("frequency"),

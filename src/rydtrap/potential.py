@@ -21,7 +21,8 @@ from numpy.polynomial.legendre import legval
 
 from .constants import (AU_POLARIZABILITY, C, E_CHARGE, EPS0, H, M_E, AMU,
                         SPECIES_DATA)
-from .angular import Term, HalfInt, angular_factor, reference_m, wigner_3j
+from .angular import (Term, HalfInt, angular_factor, max_rank, reference_m,
+                      wigner_3j)
 from .beam import brute_force_average, _ylm_theta
 from .radial import interpolated_reduced_element, numerov_radial
 from .spectroscopy import ritz_delta
@@ -216,23 +217,18 @@ def ponderomotive_shift(state, field, axis_angle_deg=0.0):
     the diagonal of a tilted basis).
     """
     term = state.term
-    needed = min(term.J.twice, 2 * term.L)
-    needed -= needed % 2
+    needed = max_rank(term)
     if field.k_max < needed:
         raise TruncationError(
             "state couples to rank %d but field holds k <= %d; decompose "
             "with a larger k_max" % (needed, field.k_max))
     pref = pond_prefactor(field.beam.angular_frequency)
     cos_beta = math.cos(math.radians(axis_angle_deg))
+    e = interpolated_reduced_element(state.n_star, term.L, field)
     by_k = {}
     for k in range(0, needed + 1, 2):
-        a_k = angular_factor(term, k, state.M)
-        if a_k == 0.0 and k > 0:
-            by_k[k] = 0.0
-            continue
-        e_k = interpolated_reduced_element(state.n_star, term.L, k, field)
         p_k = legval(cos_beta, [0.0] * k + [1.0])
-        by_k[k] = pref * a_k * p_k * e_k / H
+        by_k[k] = pref * angular_factor(term, k, state.M) * p_k * e[k] / H
     total = float(sum(by_k.values()))
     return total, by_k
 

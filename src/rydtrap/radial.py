@@ -14,8 +14,8 @@ serves as the independent oracle.
 The production path memoizes one row of elements e_k(n, l), k = 0..k_max,
 per (n, l) on the TensorField: a single radial integral of the integer-n
 wavefunction against the field's stack of (k, 0) profiles. The cubic
-through the four integer-n rows around n* is evaluated with closed-form
-Lagrange weights.
+through the four integer-n rows around n* gives the row at n*, with
+closed-form Lagrange weights.
 
 Every radial integral is a dot product with the grid's composite-Simpson
 weight vector, built once per grid; it reproduces scipy.integrate.simpson
@@ -328,22 +328,19 @@ def _element_at_integer_n(n, l, field):
     return row
 
 
-def interpolated_reduced_element(n_star, l, k, field):
-    """Radial integral e_k at fractional n*, interpolated across integer n.
+def interpolated_reduced_element(n_star, l, field):
+    """Row e_k, k = 0..k_max, at fractional n*, interpolated across integer n.
 
     The integer-n integrals vary slowly with n, so the cubic through the
-    four surrounding integer-n values n0 - 1 .. n0 + 2, n0 = floor(n*),
-    reproduces the fractional-n* element. It is evaluated in Lagrange form
+    four surrounding integer-n rows n0 - 1 .. n0 + 2, n0 = floor(n*),
+    reproduces the fractional-n* elements. It is evaluated in Lagrange form
     at t = n* - n0; at integer n* the weights are exactly (0, 1, 0, 0), so
-    the integer-n value comes back unchanged.
+    the integer-n row comes back unchanged.
     """
     n_star = float(n_star)
-    l, k = int(l), int(k)
+    l = int(l)
     if n_star <= l:
         raise ValueError("require n* > l")
-    if not 0 <= k <= field.k_max:
-        raise ValueError("rank k=%d outside the field's 0..%d"
-                         % (k, field.k_max))
     n_lo = math.floor(n_star)
     if n_lo - 1 < l + 1:
         raise ValueError("n* = %.3f too low for a 4-point bracket at l=%d"
@@ -360,5 +357,5 @@ def interpolated_reduced_element(n_star, l, k, field):
                (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
                -(t + 1.0) * t * (t - 2.0) / 2.0,
                (t + 1.0) * t * (t - 1.0) / 6.0)
-    return float(sum(w * _element_at_integer_n(n, l, field)[k]
-                     for w, n in zip(weights, range(n_lo - 1, n_lo + 3))))
+    return sum(w * _element_at_integer_n(n, l, field)
+               for w, n in zip(weights, range(n_lo - 1, n_lo + 3)))

@@ -7,7 +7,7 @@ import pytest
 
 from rydtrap.angular import (HalfInt, SqrtRational, Term, UnsupportedTermError,
                              angular_factor, angular_factor_exact,
-                             angular_table, reference_m, wigner_3j,
+                             angular_table, max_rank, reference_m, wigner_3j,
                              wigner_3j_exact, wigner_6j, wigner_6j_exact,
                              TABLE_TERMS)
 
@@ -303,6 +303,30 @@ class TestAngularFactor:
                            * wigner_3j(term.L, k, term.L, 0, 0, 0))
                     total += weight * orb
                 assert total == pytest.approx(want, abs=1e-12)
+
+
+def _sympy_angular_factor(term, k, twice_m):
+    """A_k(term, M) from sympy's Wigner symbols with the phases of the
+    angular module docstring; no rank rule of its own."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.physics.wigner import wigner_3j as s3j, wigner_6j as s6j
+    S, L, J, M = (sympy.Rational(t, 2) for t in
+                  (term.S.twice, 2 * term.L, term.J.twice, twice_m))
+    return ((-1) ** (J - M) * s3j(J, k, J, -M, 0, M)
+            * (-1) ** (S + L + J + k) * (2 * J + 1) * s6j(L, J, S, J, L, k)
+            * (-1) ** L * (2 * L + 1) * s3j(L, k, L, 0, 0, 0))
+
+
+@pytest.mark.parametrize("label", TABLE_TERMS + (
+    "3F2", "3F3", "3F4", "1F3", "2F5/2", "2F7/2"))
+def test_max_rank_is_the_highest_coupled_rank(label):
+    term = Term(label)
+    rank = max_rank(term)
+    twice_ms = range(-term.J.twice, term.J.twice + 1, 2)
+    for k in range(rank + 2, 9, 2):
+        assert all(_sympy_angular_factor(term, k, t) == 0
+                   for t in twice_ms), k
+    assert any(_sympy_angular_factor(term, rank, t) != 0 for t in twice_ms)
 
 
 def test_angular_table_shape_and_reference_row():

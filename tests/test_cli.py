@@ -122,6 +122,22 @@ class TestExitCodes:
                       "--times=-5us:5us:5us", "--format", "csv"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["trap-depth", "--power", "1e400mW", "--n", "40"],
+        ["ramsey-sim", "--dnu", "90kHz", "--temp", "13uK", "--depth", "2MHz",
+         "--t1", "1e400us", "--n", "10"],
+        ["trap-depth", "--power", "9mW", "--n", "40",
+         "--axis-angle", "1e400deg"],
+        ["ramsey-sim", "--dnu", "90kHz", "--temp", "13uK", "--depth", "2MHz",
+         "--t1", "108us", "--n", "10", "--times", "0:1e400us:1us"],
+    ], ids=["power", "time", "angle", "times"])
+    def test_non_finite_quantity_is_usage_error(self, argv, capsys):
+        # 1e400 overflows to inf; the error names the text
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        assert "'1e400" in capsys.readouterr().err
+
     def test_missing_input_file_is_data_error(self, capsys):
         assert cli.main(["pi-fit", "--input", "/no/such/file.csv"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -302,6 +318,28 @@ class TestFieldCommands:
         assert shifts["1"] == pytest.approx(shifts["-1"], rel=1e-12)
         assert doc["data"]["spread_hz"] == pytest.approx(
             max(shifts.values()) - min(shifts.values()), rel=1e-12)
+
+    @pytest.mark.parametrize("argv, rank", [
+        (["trap-depth", "--n", "40"], 0),
+        (["trap-depth", "--n", "40", "--series", "3P2"], 2),
+        (["trap-depth", "--n", "40", "--series", "1D2"], 4),
+        (["tensor-shift", "--n", "40", "--series", "1D2"], 4),
+        (["magic-scan", "--n-range", "40:41"], 0),
+        (["magic-scan", "--n-range", "40:41", "--series-b", "1D2"], 4),
+        (["oracle-check", "--n", "40"], 0),
+    ], ids=["trap-depth-3S1", "trap-depth-3P2", "trap-depth-1D2",
+            "tensor-shift-1D2", "magic-scan-3S1-3P0", "magic-scan-3S1-1D2",
+            "oracle-check-3S1"])
+    def test_field_rank_is_the_series_max_rank(self, argv, rank,
+                                                monkeypatch, capsys):
+        seen = []
+
+        def recording(*args, k_max, **kwargs):
+            seen.append(k_max)
+            return decompose(*args, k_max=k_max, **kwargs)
+        monkeypatch.setattr(cli, "decompose", recording)
+        assert cli.main(argv + ["--power", "9mW"]) == 0
+        assert seen == [rank]
 
     def test_cache_env_is_ignored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RYDTRAP_CACHE_DIR", str(tmp_path / "cache"))

@@ -241,42 +241,39 @@ class TestInterpolatedElement:
     def test_integer_nstar_is_exact(self, field9):
         direct = radial_integral(hydrogen_radial(71, 0, field9.grid),
                                  field9.profile(0))
-        assert interpolated_reduced_element(71.0, 0, 0, field9) == \
+        assert interpolated_reduced_element(71.0, 0, field9)[0] == \
             pytest.approx(direct, rel=1e-14)
 
     def test_fractional_matches_numerov_oracle(self, field9):
         for l, k in ((0, 0), (1, 2)):
             n_star = 70.56
-            interp = interpolated_reduced_element(n_star, l, k, field9)
+            interp = interpolated_reduced_element(n_star, l, field9)[k]
             wf = numerov_radial(n_star, l, field9.grid)
             direct = radial_integral(wf, field9.profile(k))
             assert interp == pytest.approx(direct, rel=1e-3), (l, k)
 
     def test_bracket_and_coverage_errors(self, field9):
         with pytest.raises(ValueError):
-            interpolated_reduced_element(1.5, 0, 0, field9)   # bracket below 1
+            interpolated_reduced_element(1.5, 0, field9)   # bracket below 1
         with pytest.raises(ValueError):
-            interpolated_reduced_element(95.5, 0, 0, field9)  # beyond grid
-        for k in (-1, 5):                                     # no such rank
-            with pytest.raises(ValueError):
-                interpolated_reduced_element(55.3, 0, k, field9)
+            interpolated_reduced_element(95.5, 0, field9)  # beyond grid
 
     def test_bracket_past_the_cap_is_refused(self, beam9):
         grid = RadialGrid.default(_N_MAX + 5, npoints=400)
         field = decompose(beam9, (0.0, 0.0, 0.0), grid, k_max=0)
-        assert np.isfinite(interpolated_reduced_element(148.5, 0, 0, field))
+        assert np.isfinite(interpolated_reduced_element(148.5, 0, field)[0])
         with pytest.raises(ValueError,
                            match=r"n\* = 149\.500 at l=2 needs integer n up "
                                  r"to 151, past the hydrogenic cap n <= 150"):
-            interpolated_reduced_element(149.5, 2, 0, field)
+            interpolated_reduced_element(149.5, 2, field)
 
     def test_element_cache_reused(self, field9):
-        interpolated_reduced_element(55.3, 0, 0, field9)
+        interpolated_reduced_element(55.3, 0, field9)
         keys = set(field9.element_cache)
         assert {(n, 0) for n in range(54, 58)} <= keys
-        # a second n* in the same bracket, at another rank, reuses the
-        # four (n, l) rows and adds no entry
-        interpolated_reduced_element(55.4, 0, 2, field9)
+        # a second n* in the same bracket reuses the four (n, l) rows and
+        # adds no entry
+        interpolated_reduced_element(55.4, 0, field9)
         assert set(field9.element_cache) == keys
 
     def test_matches_exact_cubic(self, field9):
@@ -301,6 +298,6 @@ class TestInterpolatedElement:
                         if n_j != n_i:
                             term *= (x - n_j) / (n_i - n_j)
                     want += term
-                got = interpolated_reduced_element(n_star, l, k, field9)
+                got = interpolated_reduced_element(n_star, l, field9)[k]
                 assert abs(got - float(want)) <= 4e-15 * abs(float(want)), \
                     (l, k, n_star)

@@ -9,7 +9,7 @@ import inspect
 
 import pytest
 
-from rydtrap import beam, cli, loss, potential, radial, spectroscopy
+from rydtrap import angular, beam, cli, loss, potential, radial, spectroscopy
 
 SIGNATURES = {
     beam.TweezerBeam: ["wavelength", "waist", "power"],
@@ -19,6 +19,8 @@ SIGNATURES = {
     radial.RadialGrid: ["points"],
     radial.RadialGrid.default: ["n_max", "npoints"],
     radial.radial_integral: ["wf", "profile"],
+    radial.interpolated_reduced_element: ["n_star", "l", "field"],
+    angular.max_rank: ["term"],
     potential.AtomicSpecies: ["name", "mass_kg", "alpha_core_au",
                               "alpha_ground_au", "rydberg_cm1",
                               "ionization_cm1", "defects", "core_lines",
@@ -41,14 +43,12 @@ _ENERGY = ["--output", "--species", "--input", "--range", "--rydberg-cm1"]
 
 OPTIONS = {
     "angular-table": _TABLE + ["--terms", "--ranks"],
-    "trap-depth": _TABLE + _STATE + ["--series", "--axis-angle", "--k-max",
+    "trap-depth": _TABLE + _STATE + ["--series", "--axis-angle",
                                      "--alpha-core", "--n", "--n-min",
                                      "--n-max", "--m"],
-    "tensor-shift": _TABLE + _STATE + ["--series", "--axis-angle",
-                                       "--k-max", "--n"],
-    "magic-scan": _TABLE + _STATE + ["--axis-angle", "--k-max",
-                                     "--series-a", "--series-b", "--offset",
-                                     "--n-range"],
+    "tensor-shift": _TABLE + _STATE + ["--series", "--axis-angle", "--n"],
+    "magic-scan": _TABLE + _STATE + ["--axis-angle", "--series-a",
+                                     "--series-b", "--offset", "--n-range"],
     "ritz-fit": _ENERGY + ["--order", "--ionization-cm1"],
     "threshold-fit": _ENERGY,
     "forster": ["--output", "--species", "--channel"],
@@ -59,7 +59,7 @@ OPTIONS = {
     "ramsey-sim": _TABLE + _SIM,
     "echo-sim": _TABLE + _SIM + ["--species", "--wavelength", "--waist",
                                  "--trap-freq-radial", "--trap-freq-axial"],
-    "oracle-check": ["--output"] + _STATE + ["--series", "--k-max", "--n"],
+    "oracle-check": ["--output"] + _STATE + ["--series", "--n"],
 }
 
 _SIM_ARGV = ["--dnu", "90kHz", "--temp", "13uK", "--depth", "2MHz",
@@ -96,6 +96,15 @@ REMOVED = {
     + ["--trap-freq-radial", "1kHz"],
     "ramsey-sim --trap-freq-axial": ["ramsey-sim"] + _SIM_ARGV
     + ["--trap-freq-axial", "1kHz"],
+    # the field's rank comes from the series: max_rank of each
+    "trap-depth --k-max": ["trap-depth", "--power", "9mW", "--n", "40",
+                           "--k-max", "4"],
+    "tensor-shift --k-max": ["tensor-shift", "--power", "9mW", "--n", "40",
+                             "--series", "3P2", "--k-max", "4"],
+    "magic-scan --k-max": ["magic-scan", "--power", "9mW",
+                           "--n-range", "70:71", "--k-max", "4"],
+    "oracle-check --k-max": ["oracle-check", "--power", "9mW", "--n", "40",
+                             "--k-max", "4"],
 }
 
 
