@@ -29,7 +29,7 @@ from .potential import (AtomicSpecies, PotentialBreakdown, RydbergState,
                         SPECIES_PRESETS, TruncationError, differential_shift,
                         ground_depth, pond_prefactor, ponderomotive_shift,
                         potential_breakdown, power_for_ground_depth, rb87,
-                        tensor_splitting, trap_depth, yb174)
+                        tensor_splitting, yb174)
 from .loss import (InsufficientDataError, LifetimeRecord, PhotoionizationFit,
                    autoionization_coefficient, autoionization_rate,
                    fit_photoionization, load_lifetime_csv,
@@ -55,8 +55,7 @@ __all__ = [
     "AtomicSpecies", "PotentialBreakdown", "RydbergState", "SPECIES_PRESETS",
     "TruncationError", "differential_shift", "ground_depth",
     "pond_prefactor", "ponderomotive_shift", "potential_breakdown",
-    "power_for_ground_depth", "rb87", "tensor_splitting", "trap_depth",
-    "yb174",
+    "power_for_ground_depth", "rb87", "tensor_splitting", "yb174",
     "InsufficientDataError", "LifetimeRecord", "PhotoionizationFit",
     "autoionization_coefficient", "autoionization_rate",
     "fit_photoionization", "load_lifetime_csv", "trapped_lifetime_reduction",

@@ -216,7 +216,7 @@ def _axial_profiles(beam, position, r_m, k_max, n_theta):
         _intensity_sums(beam, position, r_m, nhat, wmat).T)
 
 
-def decompose(beam, position, grid, k_max=4, tol=1e-6):
+def decompose(beam, position, grid, k_max, tol=1e-6):
     """Expand the intensity about `position` into Legendre profiles.
 
     position must lie on the beam axis x = y = 0;

@@ -244,7 +244,7 @@ def _beam_from_args(args, species=None):
 
 def _energy_records(args):
     """Species, Rydberg constant, input path and records of an energy fit."""
-    species = SPECIES_PRESETS[args.species]()
+    species = _species_from_args(args)
     ry = args.rydberg_cm1 if args.rydberg_cm1 is not None \
         else species.rydberg_cm1
     path = args.input or spectroscopy.bundled_energy_path()
@@ -309,17 +309,17 @@ def _cmd_angular_table(args):
 
 
 def _cmd_trap_depth(args):
-    species = _species_from_args(args)
-    beam = _beam_from_args(args, species)
-    if args.n is not None:
+    if args.n is not None and args.n_min is None and args.n_max is None:
         n_values = [args.n]
-    else:
-        if args.n_min is None or args.n_max is None:
-            raise ValueError("pass --n or both --n-min and --n-max")
+    elif args.n is None and args.n_min is not None and args.n_max is not None:
         if args.n_min > args.n_max:
             raise ValueError("backwards n range: --n-min %d is above "
                              "--n-max %d" % (args.n_min, args.n_max))
         n_values = list(range(args.n_min, args.n_max + 1))
+    else:
+        args.parser.error("pass --n alone or both --n-min and --n-max")
+    species = _species_from_args(args)
+    beam = _beam_from_args(args, species)
     ground_hz = potential.ground_depth(species, beam)
     field = _field_for(beam, max(n_values), max_rank(args.series))
     header = ["n", "n_star", "u_core_hz", "u_pond_hz", "u_total_hz",
@@ -486,7 +486,7 @@ def _cmd_contrast(args):
         radial, axial = args.trap_freq_radial, args.trap_freq_axial
         if radial is None and axial is None:
             motion = {"beam": _beam_from_args(args),
-                      "mass_kg": SPECIES_PRESETS[args.species]().mass_kg}
+                      "mass_kg": _species_from_args(args).mass_kg}
         elif radial is None or axial is None:
             raise ValueError(
                 "pass both --trap-freq-radial and --trap-freq-axial")
@@ -536,9 +536,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     def add(name, func, help_text, table=False):
-        """A subcommand; a table command also takes --format."""
+        """A subcommand, which its args carry as `parser` for the usage
+        errors found after parsing; a table command also takes --format."""
         p = sub.add_parser(name, help=help_text, description=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
         p.add_argument("--output", metavar="PATH",
                        help="write the result here instead of stdout")
         if table:

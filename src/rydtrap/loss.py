@@ -112,18 +112,18 @@ def fit_photoionization(records, beam):
         var_a *= s2
         var_b *= s2
 
-    # gamma_pi P = sigma_pi I0/(hbar w): I0/P = 2/(pi w0^2)
-    omega = beam.angular_frequency
-    per_watt = 2.0 / (np.pi * beam.waist ** 2)
-    to_sigma = HBAR * omega / per_watt
+    # gamma_pi P = sigma_pi I0/(hbar w), with I0/P the peak intensity at 1 W
+    to_sigma = HBAR * beam.angular_frequency \
+        / beam.with_power(1.0).peak_intensity
     return PhotoionizationFit(a, np.sqrt(var_a), b, np.sqrt(var_b),
                               b * to_sigma, np.sqrt(var_b) * to_sigma)
 
 
 def trapped_lifetime_reduction(fit, power_w):
-    """Fractional lifetime reduction 1 - tau(P)/tau(0) at a trap power."""
-    total = fit.gamma0 + fit.gamma_pi * power_w
-    return 1.0 - fit.gamma0 / total
+    """Fractional lifetime reduction 1 - tau(P)/tau(0) at a power P >= 0."""
+    if power_w < 0:
+        raise ValueError("trap power must be >= 0, got %g W" % power_w)
+    return 1.0 - fit.gamma0 / fit.rate(power_w)
 
 
 def default_core_depth_hz(species, power_w):
@@ -150,12 +150,16 @@ def autoionization_coefficient(species, beam, core_depth_hz=None):
 
     coefficient = U_core/h * sum_j gamma'_j / Delta_nu_j over the stored
     core transitions, with detunings taken from the trap frequency.
+    core_depth_hz >= 0 defaults to default_core_depth_hz at the beam power.
     """
     if not species.core_lines:
         raise ValueError("species %s has no core transition lines"
                          % species.name)
     if core_depth_hz is None:
         core_depth_hz = default_core_depth_hz(species, beam.power)
+    elif core_depth_hz < 0:
+        raise ValueError("core trap depth must be >= 0, got %g Hz"
+                         % core_depth_hz)
     nu_trap = C / beam.wavelength
     total = 0.0
     for wavelength_m, gamma_prime in species.core_lines:

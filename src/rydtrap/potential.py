@@ -94,41 +94,29 @@ def _term_label(term):
     return term.label if isinstance(term, Term) else str(term)
 
 
-def _build_species(data, alpha_core, alpha_ground):
-    if alpha_core is None:
-        alpha_core = data["alpha_core_default"]
-    try:
-        core = data["alpha_core_au"][alpha_core]
-    except KeyError:
-        raise ValueError("unknown alpha_core profile %r (have %s)"
-                         % (alpha_core, sorted(data["alpha_core_au"]))) from None
+def _build_species(data):
+    """AtomicSpecies from a SPECIES_DATA entry at its `*_default`
+    polarizabilities; the table keeps the others as reference data."""
     ground = data["alpha_ground_au"]
-    if ground:
-        if alpha_ground is None:
-            alpha_ground = data["alpha_ground_default"]
-        try:
-            ground = ground[alpha_ground]
-        except KeyError:
-            raise ValueError("unknown alpha_ground profile %r (have %s)"
-                             % (alpha_ground, sorted(data["alpha_ground_au"]))) from None
-    else:
-        ground = None
     return AtomicSpecies(
         name=data["name"], mass_kg=data["mass_u"] * AMU,
-        alpha_core_au=core, alpha_ground_au=ground,
+        alpha_core_au=data["alpha_core_au"][data["alpha_core_default"]],
+        alpha_ground_au=ground[data["alpha_ground_default"]] if ground
+        else None,
         rydberg_cm1=data["rydberg_cm1"], ionization_cm1=data["ionization_cm1"],
         defects=data["defects"], core_lines=data.get("core_lines", ()),
         measured_ground_depth=data.get("measured_ground_depth"))
 
 
-def yb174(alpha_core=None, alpha_ground=None):
-    """Yb-174 preset; alpha_core profiles: fitted (107 au), calculated (96 au)."""
-    return _build_species(SPECIES_DATA["yb174"], alpha_core, alpha_ground)
+def yb174():
+    """Yb-174 preset at alpha_core 107 au (fitted) and alpha_ground 275 au;
+    another value is set on it, e.g. species.alpha_core_au = 96.0."""
+    return _build_species(SPECIES_DATA["yb174"])
 
 
-def rb87(alpha_core=None, alpha_ground=None):
-    """Rb-87 preset, alkali single-electron terms."""
-    return _build_species(SPECIES_DATA["rb87"], alpha_core, alpha_ground)
+def rb87():
+    """Rb-87 preset, alkali single-electron terms; no ground polarizability."""
+    return _build_species(SPECIES_DATA["rb87"])
 
 
 SPECIES_PRESETS = {"yb174": yb174, "rb87": rb87}
@@ -234,34 +222,20 @@ def ponderomotive_shift(state, field, axis_angle_deg=0.0):
 
 
 class PotentialBreakdown:
-    """Per-term decomposition of the total potential at one configuration."""
+    """Core and per-rank ponderomotive parts of the potential at one point;
+    the trap depth is -u_total_hz, the ground's is ground_depth()."""
 
-    def __init__(self, u_core_hz, u_pond_by_k_hz, ground_depth_hz=None):
+    def __init__(self, u_core_hz, u_pond_by_k_hz):
         self.u_core_hz = float(u_core_hz)
         self.u_pond_by_k_hz = dict(u_pond_by_k_hz)
         self.u_total_hz = self.u_core_hz + float(sum(u_pond_by_k_hz.values()))
-        self.ground_depth_hz = ground_depth_hz
 
 
 def potential_breakdown(state, field, axis_angle_deg=0.0):
     """Core + per-rank ponderomotive contributions at the field's nucleus."""
-    beam = field.beam
     _, by_k = ponderomotive_shift(state, field, axis_angle_deg)
-    u_core = core_shift(state.species, beam, field.position)
-    gdepth = None
-    if state.species.alpha_ground_au is not None:
-        gdepth = ground_depth(state.species, beam)
-    return PotentialBreakdown(u_core, by_k, gdepth)
-
-
-def trap_depth(state, field, axis_angle_deg=0.0):
-    """Rydberg trap depth U(inf) - U(nucleus) and its ratio to the ground depth.
-
-    Positive depth means trapping. The ratio is taken against the
-    ground-state depth of the same beam (same power and waist).
-    """
-    depth_hz = -potential_breakdown(state, field, axis_angle_deg).u_total_hz
-    return depth_hz, depth_hz / ground_depth(state.species, field.beam)
+    return PotentialBreakdown(
+        core_shift(state.species, field.beam, field.position), by_k)
 
 
 def tensor_splitting(species, n, term, field, axis_angle_deg=0.0):
@@ -288,7 +262,7 @@ def differential_shift(a, b, field, axis_angle_deg=0.0):
     The core polarizability does not depend on the Rydberg electron's
     state, so it cancels exactly and only the ponderomotive parts enter.
     """
-    if a.species is not b.species and a.species.name != b.species.name:
+    if a.species.name != b.species.name:
         raise ValueError("states belong to different species (%s vs %s)"
                          % (a.species.name, b.species.name))
     total_a, _ = ponderomotive_shift(a, field, axis_angle_deg)

@@ -58,10 +58,10 @@ def load_energy_csv(source):
     return records
 
 
-def bundled_energy_path(name="yb174_3s1_energies.csv"):
-    """Filesystem path of a data table shipped with the package."""
+def bundled_energy_path():
+    """Filesystem path of the shipped Yb-174 3S1 series energy table."""
     from importlib.resources import files
-    return str(files("rydtrap.data").joinpath(name))
+    return str(files("rydtrap.data").joinpath("yb174_3s1_energies.csv"))
 
 
 def ritz_delta(params, n):
@@ -89,13 +89,11 @@ def defect_from_energy(record, ionization_cm1, rydberg_cm1):
 class RitzModel:
     """Fitted Ritz expansion with its threshold and series constants."""
 
-    def __init__(self, params, ionization_cm1, rydberg_cm1, fit_range=None,
-                 covariance=None, residuals_mhz=None, record_n=None,
-                 threshold_sigma_cm1=None):
+    def __init__(self, params, ionization_cm1, rydberg_cm1, covariance=None,
+                 residuals_mhz=None, record_n=None, threshold_sigma_cm1=None):
         self.params = np.asarray(params, dtype=float)
         self.ionization_cm1 = float(ionization_cm1)
         self.rydberg_cm1 = float(rydberg_cm1)
-        self.fit_range = fit_range
         self.covariance = covariance
         self.residuals_mhz = residuals_mhz
         self.record_n = record_n
@@ -153,18 +151,18 @@ def _least_squares(residuals, x0, jacobian, name):
     return result.x, cov
 
 
-def fit_ritz(records, order=8, fit_range=None, ionization_cm1=None,
-             rydberg_cm1=None):
+def fit_ritz(records, order=8, fit_range=None, *, ionization_cm1,
+             rydberg_cm1):
     """Weighted fit of the Ritz expansion at fixed ionization threshold.
 
     order is the highest inverse power retained (order=8 keeps d0..d8,
-    five coefficients). The Jacobian is analytic in d2..d8; the d0 column
-    is a central difference because d0 also enters every denominator.
+    five coefficients); fit_range (lo, hi) keeps lo <= n <= hi, None all
+    records. The series constants are keyword-only and have no default.
+    The Jacobian is analytic in d2..d8; the d0 column is a central
+    difference because d0 also enters every denominator.
     """
     if order < 0 or order % 2:
         raise ValueError("order must be a nonnegative even integer")
-    if ionization_cm1 is None or rydberg_cm1 is None:
-        raise ValueError("ionization_cm1 and rydberg_cm1 are required")
     used = _select(records, fit_range)
     n_params = 1 + order // 2
     if len(used) < n_params + 1:
@@ -199,19 +197,18 @@ def fit_ritz(records, order=8, fit_range=None, ionization_cm1=None,
     params, cov = _least_squares(residuals, x0, jacobian, "Ritz")
     res_mhz = (_model_energy(params, n, ionization_cm1, rydberg_cm1)
                - energy) * CM1_TO_MHZ
-    return RitzModel(params, ionization_cm1, rydberg_cm1, fit_range=fit_range,
-                     covariance=cov, residuals_mhz=res_mhz, record_n=n.astype(int))
+    return RitzModel(params, ionization_cm1, rydberg_cm1, covariance=cov,
+                     residuals_mhz=res_mhz, record_n=n.astype(int))
 
 
-def fit_threshold(records, fit_range=None, rydberg_cm1=None):
+def fit_threshold(records, fit_range=None, *, rydberg_cm1):
     """Joint (E_I, flat delta) fit on a window where the defect is constant.
 
-    Returns a RitzModel with params [d0] and the fitted E_I, whose
+    fit_range and the keyword-only, required rydberg_cm1 are as in
+    fit_ritz. Returns a RitzModel with params [d0] and the fitted E_I, whose
     threshold_sigma_cm1 is the E_I uncertainty from the joint (E_I, d0)
     covariance (None if singular); the model keeps no covariance.
     """
-    if rydberg_cm1 is None:
-        raise ValueError("rydberg_cm1 is required")
     used = _select(records, fit_range)
     if len(used) < 3:
         raise ValueError("need at least 3 records in range, have %d" % len(used))
@@ -237,8 +234,8 @@ def fit_threshold(records, fit_range=None, rydberg_cm1=None):
     (e_i, d0), cov = _least_squares(
         residuals, np.array([e_i_guess, d0_init]), jacobian, "threshold")
     res_mhz = (e_i - rydberg_cm1 / (n - d0) ** 2 - energy) * CM1_TO_MHZ
-    return RitzModel([d0], e_i, rydberg_cm1, fit_range=fit_range,
-                     residuals_mhz=res_mhz, record_n=n.astype(int),
+    return RitzModel([d0], e_i, rydberg_cm1, residuals_mhz=res_mhz,
+                     record_n=n.astype(int),
                      threshold_sigma_cm1=None if cov is None
                      else float(np.sqrt(cov[0, 0])))
 

@@ -20,7 +20,8 @@ from rydtrap.angular import TABLE_TERMS, Term, angular_table
 from rydtrap.beam import (QuadratureConvergenceError, brute_force_average,
                           decompose)
 from rydtrap.constants import constants_hash
-from rydtrap.potential import RydbergState, potential_breakdown, yb174
+from rydtrap.potential import (RydbergState, ground_depth, potential_breakdown,
+                               yb174)
 
 GAMMA0 = 1.0 / 83e-6
 GAMMA_PI = 3.7e5
@@ -213,6 +214,36 @@ class TestExitCodes:
             in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("n_args", [
+        ["--n", "75", "--n-min", "30", "--n-max", "32"],
+        ["--n-min", "30"],
+        ["--n-max", "32"],
+        [],
+    ], ids=["n-and-range", "lone-min", "lone-max", "no-n"])
+    def test_malformed_n_selection_is_usage_error(self, n_args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["trap-depth", "--power", "9mW"] + n_args)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert "pass --n alone or both --n-min and --n-max" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["autoion", "--power", "9mW", "--n", "75", "--core-depth=-5MHz"],
+         "core trap depth must be >= 0, got -5e+06 Hz"),
+        (["pi-fit", "--input", "tau.csv", "--at-power=-5mW"],
+         "trap power must be >= 0, got -0.005 W"),
+    ], ids=["core-depth", "at-power"])
+    def test_negative_loss_input_is_data_error(self, argv, named, tmp_path,
+                                               monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "tau.csv").write_text(
+            "power_mw,lifetime_us\n2,73.2\n4,64.5\n6,57.7\n9,49.8\n")
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv", [
         ["trap-depth", "--power", "9mW", "--n", "5"],
         ["autoion", "--power", "9mW", "--n", "5"],
@@ -304,7 +335,7 @@ class TestFieldCommands:
         assert row["depth_hz"] == pytest.approx(-breakdown.u_total_hz,
                                                 rel=1e-12)
         assert row["ratio_to_ground"] == pytest.approx(
-            -breakdown.u_total_hz / breakdown.ground_depth_hz, rel=1e-12)
+            -breakdown.u_total_hz / ground_depth(yb174(), beam9), rel=1e-12)
 
     def test_tensor_shift_symmetry(self, tmp_path):
         doc = run_json(["tensor-shift", "--power", "9mW", "--n", "40",

@@ -67,6 +67,26 @@ def dense_echo(sc, times):
     return np.abs(np.mean(np.exp(1j * total), axis=0)) * np.exp(-times / sc.t1_s)
 
 
+def echo_closed_form(sc, times):
+    """Exact echo contrast for exponential per-axis energies.
+
+    Axis i's echo phase is A_i (E_i/(2 U0)) sin(theta) with theta uniform,
+    A_i = (2 pi dnu0/(2 w_i)) 4 sin^2(w_i t/2). Its phase average is
+    J0(A_i E_i/(2 U0)), whose average over energies of mean k_B T is
+    (1 + x^2 A_i^2)^(-1/2) with x = k_B T/(2 U0); the axes multiply.
+    """
+    x = KB * sc.temperature_k / (2.0 * H * sc.depth_hz)
+    omega = 2.0 * np.pi * np.asarray(sc.frequencies_hz())[:, None]
+    a = 2.0 * np.pi * sc.dnu0_hz / (2.0 * omega) \
+        * 4.0 * np.sin(omega * times / 2.0) ** 2
+    return np.exp(-times / sc.t1_s) * np.prod((1.0 + (x * a) ** 2) ** -0.5,
+                                              axis=0)
+
+
+ECHO_FREQS = {"33-33-6kHz": (33e3, 33e3, 6e3), "10-10-2kHz": (10e3, 10e3, 2e3),
+              "80-80-15kHz": (80e3, 80e3, 15e3)}
+
+
 class TestContrastCurve:
     def test_interpolated_crossing(self):
         t = np.linspace(0.0, 5.0, 501)
@@ -209,6 +229,25 @@ class TestEcho:
         sc = scenario(temperature_k=0.0, trap_frequencies_hz=(33e3, 33e3, 6e3))
         curve = echo_contrast(sc, TIMES)
         assert np.allclose(curve.contrast, np.exp(-TIMES / T1), rtol=1e-12)
+
+    @pytest.mark.parametrize("freqs", list(ECHO_FREQS.values()),
+                             ids=list(ECHO_FREQS))
+    @pytest.mark.parametrize("dnu, temp", [(90e3, 13e-6), (-90e3, 40e-6)],
+                             ids=["+90kHz-13uK", "-90kHz-40uK"])
+    def test_matches_closed_form(self, freqs, dnu, temp):
+        sc = scenario(dnu0_hz=dnu, temperature_k=temp,
+                      trap_frequencies_hz=freqs)
+        times = cli.time_range("0:60us:1us")
+        gap = echo_contrast(sc, times).contrast - echo_closed_form(sc, times)
+        assert np.max(np.abs(gap)) < 5.0 / math.sqrt(sc.n_atoms)
+
+    def test_closed_form_is_exact_without_dephasing(self):
+        times = cli.time_range("0:60us:1us")
+        for freqs in ECHO_FREQS.values():
+            for still in ({"temperature_k": 0.0}, {"dnu0_hz": 0.0}):
+                sc = scenario(trap_frequencies_hz=freqs, n_atoms=1000, **still)
+                assert np.array_equal(echo_contrast(sc, times).contrast,
+                                      echo_closed_form(sc, times))
 
     def test_seed_determinism(self):
         freqs = (33e3, 33e3, 6e3)

@@ -89,6 +89,11 @@ class TestPhotoionizationFit:
         assert reduction == pytest.approx(0.2165, abs=5e-3)
         assert trapped_lifetime_reduction(fit, 0.0) == 0.0
 
+    def test_negative_power_refused(self, beam9):
+        fit = fit_photoionization(synthetic_records([2.0, 4.0, 6.0]), beam9)
+        with pytest.raises(ValueError, match="-0.005 W"):
+            trapped_lifetime_reduction(fit, -5e-3)
+
     def test_requires_three_distinct_powers(self, beam9):
         recs = synthetic_records([5.0, 5.0, 5.0])
         with pytest.raises(InsufficientDataError):
@@ -129,3 +134,8 @@ class TestAutoionization:
         base = autoionization_rate(state, beam9, core_depth_hz=2e6)
         double = autoionization_rate(state, beam9, core_depth_hz=4e6)
         assert double == pytest.approx(2.0 * base, rel=1e-12)
+
+    def test_negative_core_depth_refused(self, species, beam9):
+        assert autoionization_coefficient(species, beam9, 0.0) == 0.0
+        with pytest.raises(ValueError, match="-5e\\+06 Hz"):
+            autoionization_coefficient(species, beam9, core_depth_hz=-5e6)

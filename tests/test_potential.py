@@ -5,13 +5,13 @@ import pytest
 
 from rydtrap.angular import HalfInt, Term
 from rydtrap.beam import decompose
-from rydtrap.constants import AU_POLARIZABILITY, EPS0, C, H
+from rydtrap.constants import AU_POLARIZABILITY, EPS0, C, H, SPECIES_DATA
 from rydtrap.potential import (RydbergState, TruncationError,
                                core_shift, differential_shift, ground_depth,
                                polarizability_shift_hz, pond_prefactor,
                                ponderomotive_shift, potential_breakdown,
                                power_for_ground_depth, rb87,
-                               tensor_splitting, trap_depth, yb174)
+                               tensor_splitting, yb174)
 from rydtrap.radial import RadialGrid
 
 from conftest import MEASURED_GROUND_DEPTH_HZ, POWER
@@ -19,14 +19,13 @@ from conftest import MEASURED_GROUND_DEPTH_HZ, POWER
 
 class TestSpeciesPresets:
     def test_yb_polarizability_profiles(self):
+        # the preset carries the default profiles; the others stay in the
+        # table as reference data
+        profiles = SPECIES_DATA["yb174"]
         assert yb174().alpha_core_au == 107.0
-        assert yb174(alpha_core="calculated").alpha_core_au == 96.0
+        assert profiles["alpha_core_au"]["calculated"] == 96.0
         assert yb174().alpha_ground_au == 275.0
-        assert yb174(alpha_ground="alternative").alpha_ground_au == 226.0
-
-    def test_unknown_profile_raises(self):
-        with pytest.raises(ValueError):
-            yb174(alpha_core="bogus")
+        assert profiles["alpha_ground_au"]["alternative"] == 226.0
 
     def test_defect_models(self, species):
         # series with a Ritz model evaluates n-dependently
@@ -140,12 +139,15 @@ class TestPonderomotiveShift:
         bd = potential_breakdown(state, field9)
         assert bd.u_total_hz == pytest.approx(
             bd.u_core_hz + sum(bd.u_pond_by_k_hz.values()), rel=1e-12)
-        assert bd.ground_depth_hz == pytest.approx(17.4797e6, rel=1e-4)
+        assert ground_depth(species, field9.beam) == pytest.approx(
+            17.4797e6, rel=1e-4)
 
 
 class TestTrapDepth:
     def test_75_3s1_depth_and_ratio(self, species, field9):
-        depth, ratio = trap_depth(RydbergState(species, 75, "3S1"), field9)
+        depth = -potential_breakdown(RydbergState(species, 75, "3S1"),
+                                     field9).u_total_hz
+        ratio = depth / ground_depth(species, field9.beam)
         assert depth == pytest.approx(1.44832e6, rel=1e-4)
         assert ratio == pytest.approx(0.082857, rel=1e-4)
 
@@ -192,8 +194,9 @@ class TestDifferentialShift:
         # any core polarizability gives the same differential
         field = decompose(beam9, (0.0, 0.0, 0.0), grid80, k_max=4)
         values = []
-        for alpha in ("fitted", "calculated"):
-            sp = yb174(alpha_core=alpha)
+        for alpha in (107.0, 96.0):
+            sp = yb174()
+            sp.alpha_core_au = alpha
             a = RydbergState(sp, 75, "3S1")
             b = RydbergState(sp, 74, "3S1")
             values.append(differential_shift(a, b, field))

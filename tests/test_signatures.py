@@ -1,7 +1,8 @@
 """Parameter names of the public library calls and the CLI's options.
 
 Every keyword and every option here is one that changes a result; a new
-one has to come with a deliberate change to these tables.
+one, or a new default on a public parameter, has to come with a
+deliberate change to these tables. A '*' marks a keyword-only parameter.
 """
 
 import argparse
@@ -9,6 +10,7 @@ import inspect
 
 import pytest
 
+import rydtrap
 from rydtrap import angular, beam, cli, loss, potential, radial, spectroscopy
 
 SIGNATURES = {
@@ -27,11 +29,18 @@ SIGNATURES = {
                               "measured_ground_depth"],
     potential.ponderomotive_shift: ["state", "field", "axis_angle_deg"],
     potential.potential_breakdown: ["state", "field", "axis_angle_deg"],
-    potential.trap_depth: ["state", "field", "axis_angle_deg"],
+    potential.yb174: [],
+    potential.rb87: [],
     potential.tensor_splitting: ["species", "n", "term", "field",
                                  "axis_angle_deg"],
     potential.differential_shift: ["a", "b", "field", "axis_angle_deg"],
-    spectroscopy.fit_threshold: ["records", "fit_range", "rydberg_cm1"],
+    spectroscopy.bundled_energy_path: [],
+    spectroscopy.fit_ritz: ["records", "order", "fit_range",
+                            "*ionization_cm1", "*rydberg_cm1"],
+    spectroscopy.fit_threshold: ["records", "fit_range", "*rydberg_cm1"],
+    spectroscopy.RitzModel: ["params", "ionization_cm1", "rydberg_cm1",
+                             "covariance", "residuals_mhz", "record_n",
+                             "threshold_sigma_cm1"],
     loss.fit_photoionization: ["records", "beam"],
 }
 
@@ -108,10 +117,53 @@ REMOVED = {
 }
 
 
+# (callable in rydtrap.__all__, parameter) for every parameter with a default
+DEFAULTS = {
+    ("SqrtRational", "q"),
+    ("angular_table", "terms"), ("angular_table", "ranks"),
+    ("brute_force_average", "m"), ("brute_force_average", "angular_density"),
+    ("brute_force_average", "tol"),
+    ("decompose", "tol"),
+    ("EnergyRecord", "sigma_mhz"),
+    ("RitzModel", "covariance"), ("RitzModel", "residuals_mhz"),
+    ("RitzModel", "record_n"), ("RitzModel", "threshold_sigma_cm1"),
+    ("fit_ritz", "order"), ("fit_ritz", "fit_range"),
+    ("fit_threshold", "fit_range"),
+    ("AtomicSpecies", "core_lines"),
+    ("AtomicSpecies", "measured_ground_depth"),
+    ("RydbergState", "M"),
+    ("differential_shift", "axis_angle_deg"),
+    ("ponderomotive_shift", "axis_angle_deg"),
+    ("potential_breakdown", "axis_angle_deg"),
+    ("tensor_splitting", "axis_angle_deg"),
+    ("LifetimeRecord", "sigma_s"),
+    ("autoionization_coefficient", "core_depth_hz"),
+    ("autoionization_rate", "core_depth_hz"),
+    ("DephasingScenario", "n_atoms"), ("DephasingScenario", "seed"),
+    ("DephasingScenario", "trap_frequencies_hz"),
+    ("DephasingScenario", "beam"), ("DephasingScenario", "mass_kg"),
+}
+
+
 def test_library_parameter_names():
     for fn, names in SIGNATURES.items():
-        assert list(inspect.signature(fn).parameters) == names, \
-            fn.__qualname__
+        seen = [("*" if p.kind is p.KEYWORD_ONLY else "") + name
+                for name, p in inspect.signature(fn).parameters.items()]
+        assert seen == names, fn.__qualname__
+
+
+def test_public_defaults():
+    seen = set()
+    for name in rydtrap.__all__:
+        obj = getattr(rydtrap, name)
+        if not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters.values()
+        except ValueError:  # the exception classes have none
+            continue
+        seen |= {(name, p.name) for p in params if p.default is not p.empty}
+    assert seen == DEFAULTS
 
 
 def test_cli_option_table():
