@@ -1,23 +1,18 @@
-"""Gaussian tweezer intensity and its Legendre decomposition on the beam axis.
+"""Gaussian tweezer intensity and its Legendre decomposition about the focus.
 
-The trap light is the paraxial Gaussian solution propagating along z. For a
-nucleus at a point R on the beam axis the intensity does not depend on the
-azimuth about the axis, so around R it expands as
+The trap light is the paraxial Gaussian solution propagating along z, with
+its focus at the origin. About the focus the intensity does not depend on
+the azimuth about the beam axis and is even under z -> -z, so it expands
+in even Legendre polynomials only,
 
-    I(R + r) = sum_k f_k(r; R) P_k(cos theta),
+    I(r) = sum_(k even) f_k(r) P_k(cos theta),
 
-theta measured from the beam axis. decompose gets the profiles f_k at every
-grid radius from a Gauss-Legendre rule in cos(theta), with an automatic
-refinement check; a TensorField keeps them as one (k_max + 1, npts) stack,
-together with the TweezerBeam they were decomposed from.
-
-This is the only decomposition, and it refuses a point off the axis. The
-tensor path reads only these profiles and rotates them onto a tilted
-quantization axis by P_k(cos beta), which holds only for an axisymmetric
-field. Off the axis that rotation is wrong without warning: 0.3 um off the
-focus, 3P2 n = 60, M = 2 with the axis at 90 degrees, it gives 5.050 MHz
-where the 3D oracle gives 4.933 MHz quantized along x and 5.167 MHz along
-y, a 2.3% error that cannot tell the two tilts apart.
+theta measured from the beam axis. decompose gets the profiles f_k,
+k = 0, 2, ..., k_max, at every grid radius from a Gauss-Legendre rule in
+cos(theta), with an automatic refinement check; a TensorField keeps them
+as one (k_max/2 + 1, npts) stack, together with the TweezerBeam they were
+decomposed from. The tensor path reads only these profiles and rotates
+them onto a tilted quantization axis by P_k(cos beta).
 
 brute_force_average is the independent oracle: the direct 3D quadrature of
 the wavefunction-averaged intensity over a (theta, phi) product rule that
@@ -47,6 +42,8 @@ from .constants import A0, C
 _THETA_START, _PHI_START = 32, 8
 _PHI_OFFSET = np.sqrt(2.0) - 1.0
 _MAX_DOUBLINGS = 5
+# largest profile move, over I0, decompose allows from 32 to 48 nodes
+_DECOMPOSE_TOL = 1e-6
 # most (radius, node) points _intensity_sums hands beam.intensity at once
 _NODE_CHUNK = 1 << 15
 
@@ -129,19 +126,17 @@ def _ylm_theta(l, m, cos_theta):
 
 
 class TensorField:
-    """Legendre profiles f_k(r; R) of the intensity about R on the beam axis.
+    """Even-rank Legendre profiles f_k(r) of the intensity about the focus.
 
-    I(R + r) = sum_k f_k(r) P_k(cos theta), theta from the beam axis.
-    profiles is the contiguous (k_max + 1, npts) stack, row k on the grid's
-    radii, and profile(k) is a view of row k. beam is the TweezerBeam they
-    were decomposed from. refinement_residual is the largest profile move,
-    over peak intensity, that decompose's refinement check saw.
-    element_cache maps (n, l) to the row of radial elements e_k(n, l)
-    against profiles, filled by the radial module.
+    profiles is the contiguous (k_max/2 + 1, npts) stack, row k/2 on the
+    grid's radii, and profile(k) is a view of that row. beam is the
+    TweezerBeam they were decomposed from. refinement_residual is the
+    largest profile move, over peak intensity, that decompose's refinement
+    check saw. element_cache maps (n, l) to the row of radial elements
+    e_k(n, l) against profiles, filled by the radial module.
     """
 
-    def __init__(self, position, grid, profiles, beam, refinement_residual):
-        self.position = np.asarray(position, dtype=float)
+    def __init__(self, grid, profiles, beam, refinement_residual):
         self.grid = grid
         self.profiles = profiles
         self.beam = beam
@@ -150,13 +145,13 @@ class TensorField:
 
     @property
     def k_max(self):
-        return len(self.profiles) - 1
+        return 2 * (len(self.profiles) - 1)
 
     def profile(self, k):
-        if not 0 <= k <= self.k_max:
-            raise IndexError("rank k=%d outside the field's 0..%d"
-                             % (k, self.k_max))
-        return self.profiles[k]
+        if k % 2 or not 0 <= k <= self.k_max:
+            raise IndexError("rank k=%d is not one of the field's even "
+                             "ranks 0..%d" % (k, self.k_max))
+        return self.profiles[k // 2]
 
 
 def _product_nodes(cos_theta, phi):
@@ -201,8 +196,8 @@ def _intensity_sums(beam, position, r_m, nhat, weights):
     return out
 
 
-def _axial_profiles(beam, position, r_m, k_max, n_theta):
-    """The (k_max + 1, radii) profile stack about a point on the beam axis.
+def _axial_profiles(beam, r_m, k_max, n_theta):
+    """The (k_max/2 + 1, radii) stack of even-rank profiles about the focus.
 
     There the intensity does not depend on phi, so, by Gauss-Legendre,
     f_k(r) = (2k+1)/2 sum_i w_i I(r, x_i) P_k(x_i) with x = cos(theta).
@@ -210,46 +205,36 @@ def _axial_profiles(beam, position, r_m, k_max, n_theta):
     ct, w_theta = leggauss(n_theta)
     st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
     nhat = np.stack([st, np.zeros_like(ct), ct])
-    wmat = legvander(ct, k_max) * w_theta[:, None] \
-        * (np.arange(k_max + 1) + 0.5)
+    wmat = legvander(ct, k_max)[:, ::2] * w_theta[:, None] \
+        * (np.arange(0, k_max + 1, 2) + 0.5)
     return np.ascontiguousarray(
-        _intensity_sums(beam, position, r_m, nhat, wmat).T)
+        _intensity_sums(beam, np.zeros(3), r_m, nhat, wmat).T)
 
 
-def decompose(beam, position, grid, k_max, tol=1e-6):
-    """Expand the intensity about `position` into Legendre profiles.
+def decompose(beam, grid, k_max):
+    """Expand the intensity about the focus into even-rank Legendre profiles.
 
-    position must lie on the beam axis x = y = 0;
-    anywhere else ValueError is raised, because the tensor path's
-    P_k(cos beta) rotation onto a tilted axis needs an axisymmetric field.
-    A displacement along the axis is allowed and gives odd ranks. The
-    profiles come from a Gauss-Legendre rule in cos(theta), exact for
-    harmonics up to its order. A coarse pass of 32 nodes is compared with
-    the returned pass of 48; if a profile moved by more than tol * I0,
-    QuadratureConvergenceError is raised, and otherwise the largest move
-    over I0 is kept as the field's refinement_residual. Radii on the grid
-    are in Bohr radii.
+    k_max must be even. The profiles come from a Gauss-Legendre rule in
+    cos(theta), exact for harmonics up to its order. A coarse pass of 32
+    nodes is compared with the returned pass of 48; if a profile moved by
+    more than _DECOMPOSE_TOL of I0, QuadratureConvergenceError is raised,
+    and otherwise the largest move over I0 is kept as the field's
+    refinement_residual. Radii on the grid are in Bohr radii.
     """
     k_max = int(k_max)
-    if k_max < 0 or k_max > 12:
-        raise ValueError("k_max must be in [0, 12]")
-    position = np.asarray(position, dtype=float)
-    if position[0] != 0 or position[1] != 0:
-        raise ValueError(
-            "position %s is off the beam axis: the tensor path rotates the "
-            "profiles onto a tilted axis by P_k(cos beta), which needs a "
-            "field axisymmetric about the nucleus" % (position,))
+    if k_max % 2 or not 0 <= k_max <= 12:
+        raise ValueError("k_max must be even and in [0, 12], got %d" % k_max)
     r_m = grid.points * A0
-    fine = _axial_profiles(beam, position, r_m, k_max, 48)
-    coarse = _axial_profiles(beam, position, r_m, k_max, 32)
+    fine = _axial_profiles(beam, r_m, k_max, 48)
+    coarse = _axial_profiles(beam, r_m, k_max, 32)
     residual = np.max(np.abs(fine - coarse)) \
         / max(beam.peak_intensity, 1e-300)
-    if residual > tol:
+    if residual > _DECOMPOSE_TOL:
         raise QuadratureConvergenceError(
             "angular quadrature not converged: refinement moved a "
             "profile by %.3g of peak intensity (tol %.3g)"
-            % (residual, tol))
-    return TensorField(position, grid, fine, beam, residual)
+            % (residual, _DECOMPOSE_TOL))
+    return TensorField(grid, fine, beam, residual)
 
 
 def brute_force_average(beam, wf, position, m=None, angular_density=None,

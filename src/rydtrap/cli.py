@@ -2,10 +2,10 @@
 
 Every physical input carries an explicit unit suffix (650nm, 9mW, 90kHz,
 13uK, 108us, 107au, 90deg); bare numbers are rejected so quantities can
-never be misread. Each command hands its config, data and any CSV table
-to _emit: a JSON envelope (command, config, data, provenance with a hash
-of the constants table) or CSV with that metadata as comments; only the
-six table commands take --format, and they default to csv. Exit codes:
+never be misread. Each command hands its data and any CSV table to
+_emit: a JSON envelope (command, config, data, provenance with a hash of
+the constants table) or CSV with that metadata as comments; only the six
+table commands take --format, and they default to csv. Exit codes:
 1 usage, 2 bad data (non-positive power, non-finite result), 3 nonconvergence.
 """
 
@@ -73,6 +73,13 @@ def unit_quantity(kind):
 
     parse.__name__ = kind
     return parse
+
+
+def finite_float(text):
+    """argparse type: a bare finite number, such as a cm^-1 constant."""
+    if not math.isfinite(float(text)):
+        raise argparse.ArgumentTypeError("%r is not a finite number" % text)
+    return float(text)
 
 
 def time_range(text):
@@ -217,38 +224,39 @@ def _add_energy_args(parser):
     parser.add_argument("--input", metavar="CSV",
                         help="energy table (default: bundled series data)")
     parser.add_argument("--range", type=n_range, default=None, metavar="A:B")
-    parser.add_argument("--rydberg-cm1", type=float, default=None)
+    parser.add_argument("--rydberg-cm1", type=finite_float, default=None)
 
 
 def _species_from_args(args):
+    """Preset with --alpha-core/--alpha-ground; an unset one gets its value."""
     species = SPECIES_PRESETS[args.species]()
-    if getattr(args, "alpha_core", None) is not None:
-        species.alpha_core_au = args.alpha_core
-    if getattr(args, "alpha_ground", None) is not None:
-        species.alpha_ground_au = args.alpha_ground
+    for name in ("alpha_core", "alpha_ground"):
+        if getattr(args, name, None) is not None:
+            setattr(species, name + "_au", getattr(args, name))
+        elif hasattr(args, name):
+            setattr(args, name, getattr(species, name + "_au"))
     return species
 
 
 def _beam_from_args(args, species=None):
-    """Beam at the power of --power or --ground-depth (else 1 W)."""
+    """Beam at --power, at the args.power found from --ground-depth, or 1 W."""
     beam = TweezerBeam(args.wavelength, args.waist, 1.0)
     if getattr(args, "ground_depth", None) is not None:
-        power = potential.power_for_ground_depth(species, beam,
-                                                 args.ground_depth)
-    else:
-        power = getattr(args, "power", 1.0)
+        args.power = potential.power_for_ground_depth(species, beam,
+                                                      args.ground_depth)
+    power = getattr(args, "power", 1.0)
     if not power > 0:
         raise ValueError("beam power must be positive, got %g W" % power)
     return beam.with_power(power)
 
 
 def _energy_records(args):
-    """Species, Rydberg constant, input path and records of an energy fit."""
+    """Species, Rydberg constant and records read from args.input."""
     species = _species_from_args(args)
     ry = args.rydberg_cm1 if args.rydberg_cm1 is not None \
         else species.rydberg_cm1
-    path = args.input or spectroscopy.bundled_energy_path()
-    return species, ry, path, spectroscopy.load_energy_csv(path)
+    args.input = args.input or spectroscopy.bundled_energy_path()
+    return species, ry, spectroscopy.load_energy_csv(args.input)
 
 
 def _grid_for(n_max):
@@ -258,7 +266,7 @@ def _grid_for(n_max):
 
 def _field_for(beam, n_max, k_max):
     """Decompose the beam about the focus on the grid sized for n_max."""
-    return decompose(beam, (0.0, 0.0, 0.0), _grid_for(n_max), k_max=k_max)
+    return decompose(beam, _grid_for(n_max), k_max=k_max)
 
 
 def _table(header, rows):
@@ -266,9 +274,38 @@ def _table(header, rows):
     return {"rows": [dict(zip(header, row)) for row in rows]}
 
 
-def _emit(args, command, config, data, header=None, rows=None):
+# config key suffix of each unit kind, by the option's argparse type
+_SI_SUFFIX = {"length": "_m", "power": "_w", "frequency": "_hz",
+              "temperature": "_k", "time": "_s", "time_range": "_s",
+              "polarizability": "_au", "angle": "_deg"}
+
+
+def _plain(value):
+    """An option's value for JSON: sequences as lists, terms and sublevels
+    as their labels."""
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return [_plain(item) for item in value]
+    if isinstance(value, Term):
+        return value.label
+    return str(value) if isinstance(value, HalfInt) else value
+
+
+def _config(args):
+    """Every option of the command but --output and --format, keyed by its
+    dest plus the SI suffix of its unit kind."""
+    config = {}
+    for action in args.parser._actions:
+        if action.option_strings \
+                and action.dest not in ("help", "output", "format"):
+            suffix = _SI_SUFFIX.get(getattr(action.type, "__name__", None), "")
+            config[action.dest + suffix] = _plain(getattr(args, action.dest))
+    return config
+
+
+def _emit(args, data, header=None, rows=None):
     """Write the JSON envelope, or with --format csv the table; the envelope
     is encoded either way, so a non-finite value is a ValueError."""
+    command, config = args.command, _config(args)
     provenance = {"package": "rydtrap", "version": __version__,
                   "constants_sha256": constants_hash()}
     text = json.dumps({"command": command, "config": config, "data": data,
@@ -303,9 +340,8 @@ def _cmd_angular_table(args):
         m_ref = reference_m(label)
         rows.append([label, str(m_ref)] + [str(f) for f in factors])
     header = ["term", "M"] + ["k%d" % k for k in args.ranks]
-    _emit(args, "angular-table",
-          {"terms": list(args.terms), "ranks": list(args.ranks)},
-          {"ranks": list(args.ranks), **_table(header, rows)}, header, rows)
+    _emit(args, {"ranks": list(args.ranks), **_table(header, rows)},
+          header, rows)
 
 
 def _cmd_trap_depth(args):
@@ -333,13 +369,7 @@ def _cmd_trap_depth(args):
         rows.append([n, state.n_star, breakdown.u_core_hz,
                      sum(breakdown.u_pond_by_k_hz.values()),
                      breakdown.u_total_hz, depth_hz, depth_hz / ground_hz])
-    config = {"species": args.species, "series": args.series.label,
-              "power_w": beam.power, "waist_m": beam.waist,
-              "wavelength_m": beam.wavelength,
-              "axis_angle_deg": args.axis_angle,
-              "alpha_core_au": species.alpha_core_au,
-              "alpha_ground_au": species.alpha_ground_au}
-    _emit(args, "trap-depth", config, _table(header, rows), header, rows)
+    _emit(args, _table(header, rows), header, rows)
 
 
 def _cmd_tensor_shift(args):
@@ -351,13 +381,10 @@ def _cmd_tensor_shift(args):
     header = ["M", "shift_hz"]
     rows = [[str(m), shift] for m, shift in
             sorted(shifts.items(), key=lambda kv: kv[0].twice)]
-    config = {"species": args.species, "series": args.series.label,
-              "n": args.n, "power_w": beam.power,
-              "axis_angle_deg": args.axis_angle}
     spread = max(shifts.values()) - min(shifts.values())
     data = {"shifts_hz": {str(m): v for m, v in shifts.items()},
             "spread_hz": spread}
-    _emit(args, "tensor-shift", config, data, header, rows)
+    _emit(args, data, header, rows)
 
 
 def _cmd_magic_scan(args):
@@ -375,14 +402,11 @@ def _cmd_magic_scan(args):
         diff = potential.differential_shift(state_a, state_b, field,
                                             args.axis_angle)
         rows.append([n, n_b, state_a.n_star, state_b.n_star, diff])
-    config = {"species": args.species, "series_a": args.series_a.label,
-              "series_b": args.series_b.label, "offset": args.offset,
-              "power_w": beam.power}
-    _emit(args, "magic-scan", config, _table(header, rows), header, rows)
+    _emit(args, _table(header, rows), header, rows)
 
 
 def _cmd_ritz_fit(args):
-    species, ry, path, records = _energy_records(args)
+    species, ry, records = _energy_records(args)
     e_i = args.ionization_cm1 if args.ionization_cm1 is not None \
         else species.ionization_cm1
     model = spectroscopy.fit_ritz(records, order=args.order,
@@ -399,13 +423,11 @@ def _cmd_ritz_fit(args):
         "ionization_cm1": e_i,
         "rydberg_cm1": ry,
     }
-    config = {"input": path, "order": args.order,
-              "range": list(args.range) if args.range else None}
-    _emit(args, "ritz-fit", config, data)
+    _emit(args, data)
 
 
 def _cmd_threshold_fit(args):
-    _, ry, path, records = _energy_records(args)
+    _, ry, records = _energy_records(args)
     model = spectroscopy.fit_threshold(records, fit_range=args.range,
                                        rydberg_cm1=ry)
     sigma_mhz = None if model.threshold_sigma_cm1 is None \
@@ -415,9 +437,7 @@ def _cmd_threshold_fit(args):
             "delta0": float(model.params[0]),
             "rms_residual_mhz": model.rms_residual_mhz(),
             "rydberg_cm1": ry}
-    config = {"input": path,
-              "range": list(args.range) if args.range else None}
-    _emit(args, "threshold-fit", config, data)
+    _emit(args, data)
 
 
 def _cmd_forster(args):
@@ -433,11 +453,7 @@ def _cmd_forster(args):
         "out_states": [{"n": s.n, "term": s.term.label, "n_star": s.n_star,
                         "energy_cm1": s.energy_cm1()} for s in states_out],
     }
-    config = {"species": args.species,
-              "channel": "%s + %s -> %s + %s" % tuple(
-                  "%d %s" % (s.n, s.term.label)
-                  for s in states_in + states_out)}
-    _emit(args, "forster", config, data)
+    _emit(args, data)
 
 
 def _cmd_pi_fit(args):
@@ -457,9 +473,7 @@ def _cmd_pi_fit(args):
         "zero_power_lifetime_us": fit.zero_power_lifetime_s * 1e6,
         "reduction_at_power_mw": reductions,
     }
-    config = {"input": args.input, "waist_m": beam.waist,
-              "wavelength_m": beam.wavelength}
-    _emit(args, "pi-fit", config, data)
+    _emit(args, data)
 
 
 def _cmd_autoion(args):
@@ -472,9 +486,7 @@ def _cmd_autoion(args):
     data = {"rate_per_s": rate,
             "lifetime_s": None if rate == 0 else 1.0 / rate,
             "coefficient_per_s": coeff, "n_star": state.n_star}
-    config = {"species": args.species, "n": args.n,
-              "series": args.series.label, "power_w": beam.power}
-    _emit(args, "autoion", config, data)
+    _emit(args, data)
 
 
 def _cmd_contrast(args):
@@ -488,7 +500,7 @@ def _cmd_contrast(args):
             motion = {"beam": _beam_from_args(args),
                       "mass_kg": _species_from_args(args).mass_kg}
         elif radial is None or axial is None:
-            raise ValueError(
+            args.parser.error(
                 "pass both --trap-freq-radial and --trap-freq-axial")
         else:
             motion = {"trap_frequencies_hz": (radial, radial, axial)}
@@ -499,14 +511,10 @@ def _cmd_contrast(args):
     header = ["time_us", "contrast"]
     rows = [[t * 1e6, c] for t, c in zip(curve.times_s, curve.contrast)]
     t_e = curve.one_over_e_time_s
-    config = {"dnu0_hz": scenario.dnu0_hz,
-              "temperature_k": scenario.temperature_k,
-              "depth_hz": scenario.depth_hz, "t1_s": scenario.t1_s,
-              "n_atoms": scenario.n_atoms, "seed": scenario.seed}
     data = {"one_over_e_time_us": None if t_e is None else t_e * 1e6,
             "times_us": [t * 1e6 for t in curve.times_s],
             "contrast": list(curve.contrast)}
-    _emit(args, args.command, config, data, header, rows)
+    _emit(args, data, header, rows)
 
 
 def _cmd_oracle_check(args):
@@ -520,9 +528,7 @@ def _cmd_oracle_check(args):
         results.append({"n": n, "tensor_hz": tensor_hz, "brute_hz": brute_hz,
                         "relative_difference": abs(tensor_hz - brute_hz)
                         / abs(brute_hz)})
-    config = {"species": args.species, "series": args.series.label,
-              "power_w": beam.power}
-    _emit(args, "oracle-check", config, {"comparisons": results})
+    _emit(args, {"comparisons": results})
 
 
 # ---------------------------------------------------------------- wiring
@@ -581,7 +587,7 @@ def build_parser():
             "fit the extended Ritz defect expansion to series energies")
     _add_energy_args(p)
     p.add_argument("--order", type=int, default=8)
-    p.add_argument("--ionization-cm1", type=float, default=None)
+    p.add_argument("--ionization-cm1", type=finite_float, default=None)
 
     p = add("threshold-fit", _cmd_threshold_fit,
             "joint ionization-threshold and flat-defect fit")

@@ -27,7 +27,6 @@ AU_POLARIZABILITY = 1.64877727212e-41   # atomic unit of polarizability, C m^2 /
 
 # Unit conversions
 CM1_TO_MHZ = 29979.2458         # MHz per cm^-1 (definition of c)
-CM1_TO_HZ = CM1_TO_MHZ * 1e6    # Hz per cm^-1
 
 # Species data presets. Plain dicts here; the potential module wraps them in
 # AtomicSpecies objects. All polarizabilities are atomic units at 532 nm.

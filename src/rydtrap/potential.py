@@ -169,10 +169,9 @@ def polarizability_shift_hz(alpha_au, intensity):
     return -alpha_au * AU_POLARIZABILITY * intensity / (2.0 * EPS0 * C) / H
 
 
-def core_shift(species, beam, point=(0.0, 0.0, 0.0)):
-    """Ion-core polarizability shift at a lab-frame point, h*Hz (negative)."""
-    return polarizability_shift_hz(species.alpha_core_au,
-                                   beam.intensity(np.asarray(point, dtype=float)))
+def core_shift(species, beam):
+    """Ion-core polarizability shift at the focus, h*Hz (negative)."""
+    return polarizability_shift_hz(species.alpha_core_au, beam.peak_intensity)
 
 
 def _alpha_ground(species):
@@ -200,9 +199,9 @@ def ponderomotive_shift(state, field, axis_angle_deg=0.0):
     U_pond[k] = pref * A_k(term, M) * P_k(cos beta) * e_k(n*, L), where
     pref is the free-electron energy per intensity, A_k the exact angular
     factor, e_k the interpolated radial element of the rank-k intensity
-    profile, and beta the angle of the quantization axis against the beam
-    axis (the P_k factor rotates the axially symmetric q=0 component onto
-    the diagonal of a tilted basis).
+    profile about the focus, and beta the angle of the quantization axis
+    against the beam axis (the P_k factor rotates the axially symmetric
+    q=0 component onto the diagonal of a tilted basis).
     """
     term = state.term
     needed = max_rank(term)
@@ -216,13 +215,13 @@ def ponderomotive_shift(state, field, axis_angle_deg=0.0):
     by_k = {}
     for k in range(0, needed + 1, 2):
         p_k = legval(cos_beta, [0.0] * k + [1.0])
-        by_k[k] = pref * angular_factor(term, k, state.M) * p_k * e[k] / H
+        by_k[k] = pref * angular_factor(term, k, state.M) * p_k * e[k // 2] / H
     total = float(sum(by_k.values()))
     return total, by_k
 
 
 class PotentialBreakdown:
-    """Core and per-rank ponderomotive parts of the potential at one point;
+    """Core and per-rank ponderomotive parts of the potential at the focus;
     the trap depth is -u_total_hz, the ground's is ground_depth()."""
 
     def __init__(self, u_core_hz, u_pond_by_k_hz):
@@ -232,10 +231,9 @@ class PotentialBreakdown:
 
 
 def potential_breakdown(state, field, axis_angle_deg=0.0):
-    """Core + per-rank ponderomotive contributions at the field's nucleus."""
+    """Core + per-rank ponderomotive contributions at the focus."""
     _, by_k = ponderomotive_shift(state, field, axis_angle_deg)
-    return PotentialBreakdown(
-        core_shift(state.species, field.beam, field.position), by_k)
+    return PotentialBreakdown(core_shift(state.species, field.beam), by_k)
 
 
 def tensor_splitting(species, n, term, field, axis_angle_deg=0.0):
@@ -302,7 +300,7 @@ def oracle_compare(state, field):
     tensor_hz, _ = ponderomotive_shift(state, field)
     wf = numerov_radial(state.n_star, state.term.L, field.grid)
     avg_intensity = brute_force_average(
-        field.beam, wf, field.position,
+        field.beam, wf, (0.0, 0.0, 0.0),
         angular_density=_term_angular_density(state.term, state.M))
     brute_hz = pond_prefactor(field.beam.angular_frequency) * avg_intensity / H
     return tensor_hz, brute_hz

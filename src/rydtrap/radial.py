@@ -11,11 +11,11 @@ path interpolates the radial integrals across integer n (they vary slowly
 with n), and a Numerov integrator for the radial equation at arbitrary n*
 serves as the independent oracle.
 
-The production path memoizes one row of elements e_k(n, l), k = 0..k_max,
-per (n, l) on the TensorField: a single radial integral of the integer-n
-wavefunction against the field's stack of (k, 0) profiles. The cubic
-through the four integer-n rows around n* gives the row at n*, with
-closed-form Lagrange weights.
+The production path memoizes one row of elements e_k(n, l), k = 0, 2, ...,
+k_max, per (n, l) on the TensorField: a single radial integral of the
+integer-n wavefunction against the field's stack of even-rank profiles.
+The cubic through the four integer-n rows around n* gives the row at n*,
+with closed-form Lagrange weights.
 
 Every radial integral is a dot product with the grid's composite-Simpson
 weight vector, built once per grid; it reproduces scipy.integrate.simpson
@@ -319,7 +319,7 @@ def radial_integral(wf, profile):
 
 
 def _element_at_integer_n(n, l, field):
-    """Row e_k(n, l), k = 0..k_max, memoized on the field per (n, l)."""
+    """Row e_k(n, l) over the field's even k, memoized per (n, l)."""
     row = field.element_cache.get((n, l))
     if row is None:
         row = radial_integral(hydrogen_radial(n, l, field.grid),
@@ -329,7 +329,7 @@ def _element_at_integer_n(n, l, field):
 
 
 def interpolated_reduced_element(n_star, l, field):
-    """Row e_k, k = 0..k_max, at fractional n*, interpolated across integer n.
+    """Row e_k over even k at fractional n*, interpolated across integer n.
 
     The integer-n integrals vary slowly with n, so the cubic through the
     four surrounding integer-n rows n0 - 1 .. n0 + 2, n0 = floor(n*),

@@ -76,7 +76,7 @@ def grid80():
 
 @pytest.fixture(scope="session")
 def field9(beam9, grid80):
-    return decompose(beam9, (0.0, 0.0, 0.0), grid80, k_max=4)
+    return decompose(beam9, grid80, k_max=4)
 
 
 @pytest.fixture(scope="session")
@@ -95,5 +95,4 @@ def operating_power(species, beam9):
 
 @pytest.fixture(scope="session")
 def field_op(beam9, grid80, operating_power):
-    return decompose(beam9.with_power(operating_power), (0.0, 0.0, 0.0),
-                     grid80, k_max=4)
+    return decompose(beam9.with_power(operating_power), grid80, k_max=4)

@@ -106,7 +106,7 @@ def test_03_depth_ratio_curve(species, beam9):
     """
     t0 = time.perf_counter()
     grid = RadialGrid.default(146, npoints=40 * 146)
-    field = decompose(beam9, (0.0, 0.0, 0.0), grid, k_max=0)
+    field = decompose(beam9, grid, k_max=0)
     omega = beam9.angular_frequency
     alpha_free_au = pond_prefactor(omega) * 2.0 * EPSILON_0 * C \
         / AU_POLARIZABILITY
@@ -150,7 +150,7 @@ def test_03_depth_ratio_curve(species, beam9):
     # intensity average from the independent 3D quadrature oracle
     wf = numerov_radial(RydbergState(species, 140, "3S1").n_star, 0,
                         field.grid)
-    w_oracle = brute_force_average(beam9, wf, field.position, m=0) \
+    w_oracle = brute_force_average(beam9, wf, (0.0, 0.0, 0.0), m=0) \
         / beam9.peak_intensity
     gap_oracle = alpha_free_au * w_oracle / species.alpha_ground_au
     gap = target - high_ratios[-1]
@@ -418,10 +418,8 @@ def test_11_invariant_suites(species, beam9, sphere9):
 
     # power linearity of every shift component
     grid_small = RadialGrid.default(33, npoints=4000)
-    f1 = decompose(beam9.with_power(9e-3), (0.0, 0.0, 0.0), grid_small,
-                   k_max=4)
-    f2 = decompose(beam9.with_power(18e-3), (0.0, 0.0, 0.0), grid_small,
-                   k_max=4)
+    f1 = decompose(beam9.with_power(9e-3), grid_small, k_max=4)
+    f2 = decompose(beam9.with_power(18e-3), grid_small, k_max=4)
     state = RydbergState(species, 30, "1D2")
     b1 = potential_breakdown(state, f1)
     b2 = potential_breakdown(state, f2)

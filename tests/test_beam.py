@@ -154,52 +154,48 @@ class TestDecompose:
             beam9.peak_intensity, rel=1e-6)
 
     def test_axisymmetric_q_terms_vanish(self, beam9, sphere9):
-        # the (theta, phi) rule computes every q; on the axis q != 0 vanish
+        # the (theta, phi) rule computes every (k, q); about the focus the
+        # q != 0 terms vanish, and so do the odd ranks, which decompose
+        # does not compute: the beam is even in z
         i0 = beam9.peak_intensity
         checked = [kq for kq in sphere9 if kq[1] != 0]
         assert len(checked) == 20
-        for k, q in checked:
+        for k, q in checked + [(1, 0), (3, 0)]:
             assert np.max(np.abs(sphere9[k, q])) < 1e-12 * i0, (k, q)
 
     def test_on_axis_field_stores_only_q0(self, field9, grid80):
-        # one Legendre profile per rank: the q != 0 terms are not kept
-        assert field9.profiles.shape == (5, len(grid80))
+        # one Legendre profile per even rank: neither the q != 0 terms nor
+        # the odd ranks are kept
+        assert field9.profiles.shape == (3, len(grid80))
 
     def test_profile_is_a_row_of_the_stack(self, field9):
         assert field9.profiles.flags.c_contiguous
         assert np.shares_memory(field9.profile(2), field9.profiles)
-        assert np.array_equal(field9.profile(2), field9.profiles[2])
-        for k in (-1, 5):
+        assert np.array_equal(field9.profile(2), field9.profiles[1])
+        for k in (-2, -1, 1, 3, 5, 6):
             with pytest.raises(IndexError):
                 field9.profile(k)
 
-    def test_off_axis_position_raises(self, beam9, grid80):
-        # the P_k(cos beta) tilt needs an axisymmetric field about the
-        # nucleus; off the axis it would be wrong without warning
-        with pytest.raises(ValueError, match="off the beam axis"):
-            decompose(beam9, (0.3e-6, 0.0, 0.0), grid80, k_max=4)
-
     def test_retained_field_is_one_stack(self, beam9):
-        # on the 12,120 points of n = 300 one (5, npts) float64 stack is
-        # 0.485 MB; a second copy of it would take the field past 0.97 MB
+        # on the 12,120 points of n = 300 one (3, npts) float64 stack is
+        # 0.291 MB; a second copy of it would take the field past 0.58 MB
         grid = _grid_for(300)
         tracemalloc.start()
         try:
-            field = decompose(beam9, (0.0, 0.0, 0.0), grid, k_max=4)
+            field = decompose(beam9, grid, k_max=4)
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert field.profiles.nbytes == 5 * 12120 * 8
+        assert field.profiles.nbytes == 3 * 12120 * 8
         assert retained <= 0.55e6, retained
 
-    @pytest.mark.parametrize("z", [0.0, 0.4e-6])
+    @pytest.mark.parametrize("z", [0.0])
     def test_axial_rule_matches_sphere_rule(self, beam9, grid80, z):
-        # at z = 0.4 um the odd ranks are nonzero and are compared too
-        position = np.array([0.0, 0.0, z])
-        field = decompose(beam9, position, grid80, k_max=4)
-        reference = sphere_profiles(beam9, position, grid80.points * A0,
-                                    4, 48, 48)
-        for k in range(5):
+        # the (theta, phi) rule about the focus, (0, 0, z = 0)
+        field = decompose(beam9, grid80, k_max=4)
+        reference = sphere_profiles(beam9, np.array([0.0, 0.0, z]),
+                                    grid80.points * A0, 4, 48, 48)
+        for k in (0, 2, 4):
             assert np.max(np.abs(field.profile(k) - reference[k, 0])) \
                 <= 1e-12 * beam9.peak_intensity, k
 
@@ -208,22 +204,21 @@ class TestDecompose:
         # the axial rule sums through the blocked evaluator; the reference
         # is the unblocked sum over the whole (radii, nodes, 3) point array
         monkeypatch.setattr("rydtrap.beam._NODE_CHUNK", chunk)
-        position = np.array([0.0, 0.0, 0.4e-6])
         r_m = RadialGrid.default(15, npoints=201).points * A0
         ct, w_theta = leggauss(48)
         st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
         nhat = np.stack([st, np.zeros_like(ct), ct], axis=-1)
-        wmat = legvander(ct, 4) * w_theta[:, None] * (np.arange(5) + 0.5)
-        pts = position[None, None, :] + r_m[:, None, None] * nhat[None, :, :]
+        wmat = legvander(ct, 4)[:, ::2] * w_theta[:, None] \
+            * (np.arange(0, 5, 2) + 0.5)
+        pts = r_m[:, None, None] * nhat[None, :, :]
         direct = beam9.intensity(pts) @ wmat
-        # a sum taken in another order moves by rounding of its terms: the
-        # odd ranks cancel to ~1e-8 of those near r = 0
+        # a sum taken in another order moves by rounding of its terms
         scale = beam9.intensity(pts) @ np.abs(wmat)
-        got = _axial_profiles(beam9, position, r_m, 4, 48)
-        assert got.shape == (5, len(r_m))
-        for k in range(5):
-            assert np.all(np.abs(got[k] - direct[:, k])
-                          <= 1e-13 * scale[:, k]), k
+        got = _axial_profiles(beam9, r_m, 4, 48)
+        assert got.shape == (3, len(r_m))
+        for i in range(3):
+            assert np.all(np.abs(got[i] - direct[:, i])
+                          <= 1e-13 * scale[:, i]), 2 * i
 
     def test_memory_bounded_on_cli_grids(self, beam9):
         # the axial rule evaluates the intensity in fixed-size node blocks,
@@ -233,7 +228,7 @@ class TestDecompose:
             grid = _grid_for(n)
             tracemalloc.start()
             try:
-                decompose(beam9, (0.0, 0.0, 0.0), grid, k_max=4)
+                decompose(beam9, grid, k_max=4)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -242,15 +237,12 @@ class TestDecompose:
     def test_axial_rule_does_not_use_the_ylm_helper(self, beam9,
                                                     monkeypatch):
         # the oracle's angular densities come from _ylm_theta; the
-        # production on-axis path must stay independent of it
+        # production path must stay independent of it
         def forbidden(*args):
-            raise AssertionError("on-axis decompose called _ylm_theta")
+            raise AssertionError("decompose called _ylm_theta")
         monkeypatch.setattr("rydtrap.beam._ylm_theta", forbidden)
         grid = RadialGrid.default(10, npoints=100)
-        decompose(beam9, (0.0, 0.0, 0.0), grid, k_max=4)
-        # off the axis there is no rule to fall back on, only the refusal
-        with pytest.raises(ValueError):
-            decompose(beam9, (0.2e-6, 0.0, 0.0), grid, k_max=4)
+        decompose(beam9, grid, k_max=4)
 
     def test_reconstruction_matches_direct_intensity(self, beam9, field9):
         # mid-radius sample points, angles off the symmetry axes
@@ -258,8 +250,10 @@ class TestDecompose:
         r_m = field9.grid.points[idx] * A0
         ct = np.array([0.9, 0.5, 0.1, -0.4, -0.95])
         phi = np.array([0.3, 1.2, 2.5, 4.0, 5.5])
-        # the Legendre series sum_k f_k(r) P_k(cos theta), for any phi
-        got = legval(ct, field9.profiles[:, idx])
+        # the Legendre series sum_(k even) f_k(r) P_k(cos theta), for any phi
+        coefficients = np.zeros(field9.k_max + 1)
+        coefficients[::2] = field9.profiles[:, idx]
+        got = legval(ct, coefficients)
         st = np.sqrt(1 - ct**2)
         pts = np.stack([r_m * st * np.cos(phi), r_m * st * np.sin(phi),
                         r_m * ct], axis=-1)
@@ -270,7 +264,7 @@ class TestDecompose:
     def test_f00_against_1d_quadrature(self, beam9):
         # f_00(r) = (1/2) Int_-1^1 I(r, ct) d ct for the axisymmetric beam
         grid = RadialGrid.default(20, npoints=400)
-        field = decompose(beam9, (0.0, 0.0, 0.0), grid, k_max=2)
+        field = decompose(beam9, grid, k_max=2)
         for idx in (50, 200, 350):
             r_m = grid.points[idx] * A0
 
@@ -283,31 +277,25 @@ class TestDecompose:
                 0.5 * want, rel=1e-8)
 
     def test_power_linearity(self, beam9, grid80, field9):
-        field2 = decompose(beam9.with_power(2 * POWER), (0.0, 0.0, 0.0),
-                           grid80, k_max=4)
+        field2 = decompose(beam9.with_power(2 * POWER), grid80, k_max=4)
         f1 = field9.profile(2)
         f2 = field2.profile(2)
         assert f2 == pytest.approx(2.0 * f1, rel=1e-12)
 
-    def test_convergence_guard_raises(self, beam9):
+    def test_convergence_guard_raises(self, beam9, monkeypatch):
+        monkeypatch.setattr("rydtrap.beam._DECOMPOSE_TOL", 1e-18)
         grid = RadialGrid.default(10, npoints=100)
         with pytest.raises(QuadratureConvergenceError):
-            decompose(beam9, (0.0, 0.0, 0.0), grid, k_max=4, tol=1e-18)
+            decompose(beam9, grid, k_max=4)
 
     def test_refinement_residual_kept(self, field9):
         assert 0.0 <= field9.refinement_residual < 1e-6
 
     def test_kmax_validation(self, beam9):
         grid = RadialGrid.default(10, npoints=100)
-        with pytest.raises(ValueError):
-            decompose(beam9, (0.0, 0.0, 0.0), grid, k_max=13)
-
-    def test_off_focus_position_has_odd_ranks(self, beam9):
-        # nucleus displaced along the axis: odd-k terms appear
-        grid = RadialGrid.default(15, npoints=200)
-        field = decompose(beam9, (0.0, 0.0, 0.4e-6), grid, k_max=3)
-        i0 = beam9.peak_intensity
-        assert np.max(np.abs(field.profile(1))) > 1e-3 * i0
+        for k_max in (13, 3):
+            with pytest.raises(ValueError):
+                decompose(beam9, grid, k_max=k_max)
 
 
 class TestBruteForceAverage:
@@ -444,7 +432,7 @@ class TestSelfRefiningOracle:
                                       angular_density=density)
             assert 0.0 < avg < beam9.peak_intensity
         with pytest.raises(AssertionError):
-            decompose(beam9, (0.0, 0.0, 0.0), grid40, k_max=4)
+            decompose(beam9, grid40, k_max=4)
 
     def test_cap_raises_naming_phi(self, beam9, grid40, monkeypatch):
         monkeypatch.setattr("rydtrap.beam._MAX_DOUBLINGS", 1)

@@ -139,6 +139,32 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert "'1e400" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, text", [
+        (["ritz-fit", "--ionization-cm1", "inf"], "'inf'"),
+        (["ritz-fit", "--rydberg-cm1=-inf"], "'-inf'"),
+        (["threshold-fit", "--rydberg-cm1", "nan", "--range", "60:80"],
+         "'nan'"),
+    ], ids=["ionization-inf", "rydberg-minus-inf", "rydberg-nan"])
+    def test_non_finite_fit_constant_is_usage_error(self, argv, text,
+                                                     capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        assert "%s is not a finite number" % text in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lone", ["--trap-freq-radial",
+                                      "--trap-freq-axial"])
+    def test_lone_trap_frequency_is_usage_error(self, lone, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["echo-sim", "--dnu", "90kHz", "--temp", "13uK",
+                      "--depth", "2MHz", "--t1", "108us", "--n", "10",
+                      lone, "30kHz"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert "pass both --trap-freq-radial and --trap-freq-axial" \
+            in captured.err
+        assert captured.out == ""
+
     def test_missing_input_file_is_data_error(self, capsys):
         assert cli.main(["pi-fit", "--input", "/no/such/file.csv"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -273,9 +299,11 @@ class TestExitCodes:
         assert captured.out == ""
 
     def test_non_finite_result_is_data_error(self, tmp_path):
-        args = argparse.Namespace(format="json", output=str(tmp_path / "o"))
+        args = cli.build_parser().parse_args(
+            ["angular-table", "--format", "json", "--output",
+             str(tmp_path / "o")])
         with pytest.raises(ValueError):
-            cli._emit(args, "x", {}, {"value": float("nan")})
+            cli._emit(args, {"value": float("nan")})
         assert not (tmp_path / "o").exists()
 
     def test_version_exits_zero(self, capsys):
@@ -327,7 +355,7 @@ class TestFieldCommands:
         assert row["n"] == 40
         assert doc["config"]["power_w"] == pytest.approx(9e-3)
         # the library decomposition must reproduce the emitted numbers
-        field = decompose(beam9, (0.0, 0.0, 0.0), cli._grid_for(40), k_max=4)
+        field = decompose(beam9, cli._grid_for(40), k_max=4)
         state = RydbergState(yb174(), 40, Term("3S1"))
         breakdown = potential_breakdown(state, field, 0.0)
         assert row["u_total_hz"] == pytest.approx(breakdown.u_total_hz,
@@ -467,6 +495,18 @@ class TestCoherenceCommands:
         contrast = np.array(doc["data"]["contrast"])
         assert contrast[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(contrast <= 1.0 + 1e-12)
+
+    def test_trap_frequencies_are_in_the_config(self, tmp_path):
+        # two runs that differ in their results differ in their config
+        docs = [run_json(["echo-sim"] + self.ARGS
+                         + ["--trap-freq-radial", radial,
+                            "--trap-freq-axial", axial],
+                         tmp_path, name="%s.json" % radial)
+                for radial, axial in (("30kHz", "5kHz"), ("60kHz", "9kHz"))]
+        assert docs[0]["data"] != docs[1]["data"]
+        assert docs[0]["config"] != docs[1]["config"]
+        assert docs[1]["config"]["trap_freq_radial_hz"] == 60e3
+        assert docs[1]["config"]["trap_freq_axial_hz"] == 9e3
 
 
 # every command whose default output is a CSV table, at small sizes

@@ -121,7 +121,7 @@ class TestPonderomotiveShift:
 
     def test_truncation_error_and_override(self, species, beam9):
         grid = RadialGrid.default(73, npoints=1500)
-        low_field = decompose(beam9, (0.0, 0.0, 0.0), grid, k_max=2)
+        low_field = decompose(beam9, grid, k_max=2)
         state = RydbergState(species, 70, "1D2")
         with pytest.raises(TruncationError):
             ponderomotive_shift(state, low_field)
@@ -192,7 +192,7 @@ class TestDifferentialShift:
 
     def test_core_term_cancels_in_differential(self, beam9, grid80):
         # any core polarizability gives the same differential
-        field = decompose(beam9, (0.0, 0.0, 0.0), grid80, k_max=4)
+        field = decompose(beam9, grid80, k_max=4)
         values = []
         for alpha in (107.0, 96.0):
             sp = yb174()

@@ -247,7 +247,7 @@ class TestInterpolatedElement:
     def test_fractional_matches_numerov_oracle(self, field9):
         for l, k in ((0, 0), (1, 2)):
             n_star = 70.56
-            interp = interpolated_reduced_element(n_star, l, field9)[k]
+            interp = interpolated_reduced_element(n_star, l, field9)[k // 2]
             wf = numerov_radial(n_star, l, field9.grid)
             direct = radial_integral(wf, field9.profile(k))
             assert interp == pytest.approx(direct, rel=1e-3), (l, k)
@@ -260,7 +260,7 @@ class TestInterpolatedElement:
 
     def test_bracket_past_the_cap_is_refused(self, beam9):
         grid = RadialGrid.default(_N_MAX + 5, npoints=400)
-        field = decompose(beam9, (0.0, 0.0, 0.0), grid, k_max=0)
+        field = decompose(beam9, grid, k_max=0)
         assert np.isfinite(interpolated_reduced_element(148.5, 0, field)[0])
         with pytest.raises(ValueError,
                            match=r"n\* = 149\.500 at l=2 needs integer n up "
@@ -298,6 +298,6 @@ class TestInterpolatedElement:
                         if n_j != n_i:
                             term *= (x - n_j) / (n_i - n_j)
                     want += term
-                got = interpolated_reduced_element(n_star, l, field9)[k]
+                got = interpolated_reduced_element(n_star, l, field9)[k // 2]
                 assert abs(got - float(want)) <= 4e-15 * abs(float(want)), \
                     (l, k, n_star)

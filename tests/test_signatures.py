@@ -7,6 +7,7 @@ deliberate change to these tables. A '*' marks a keyword-only parameter.
 
 import argparse
 import inspect
+import re
 
 import pytest
 
@@ -15,7 +16,7 @@ from rydtrap import angular, beam, cli, loss, potential, radial, spectroscopy
 
 SIGNATURES = {
     beam.TweezerBeam: ["wavelength", "waist", "power"],
-    beam.decompose: ["beam", "position", "grid", "k_max", "tol"],
+    beam.decompose: ["beam", "grid", "k_max"],
     beam.brute_force_average: ["beam", "wf", "position", "m",
                                "angular_density", "tol"],
     radial.RadialGrid: ["points"],
@@ -123,7 +124,6 @@ DEFAULTS = {
     ("angular_table", "terms"), ("angular_table", "ranks"),
     ("brute_force_average", "m"), ("brute_force_average", "angular_density"),
     ("brute_force_average", "tol"),
-    ("decompose", "tol"),
     ("EnergyRecord", "sigma_mhz"),
     ("RitzModel", "covariance"), ("RitzModel", "residuals_mhz"),
     ("RitzModel", "record_n"), ("RitzModel", "threshold_sigma_cm1"),
@@ -166,15 +166,41 @@ def test_public_defaults():
     assert seen == DEFAULTS
 
 
-def test_cli_option_table():
+def _subcommands():
     parser = cli.build_parser()
-    sub = next(action for action in parser._actions
-               if isinstance(action, argparse._SubParsersAction))
+    return next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+def test_cli_option_table():
     seen = {name: [option for action in command._actions
                    for option in action.option_strings
                    if option not in ("-h", "--help")]
-            for name, command in sub.choices.items()}
+            for name, command in _subcommands().items()}
     assert seen == OPTIONS
+
+
+# the config keys of the options that take a unit, with its SI suffix
+UNIT_KEYS = {"wavelength_m", "waist_m", "power_w", "ground_depth_hz",
+             "alpha_ground_au", "alpha_core_au", "axis_angle_deg",
+             "core_depth_hz", "at_power_w", "dnu_hz", "temp_k", "depth_hz",
+             "t1_s", "times_s", "trap_freq_radial_hz", "trap_freq_axial_hz"}
+SI_SUFFIX = re.compile(r"_(m|w|hz|k|s|au|deg)$")
+
+
+def test_config_has_a_key_per_option():
+    # every option but --output and --format, keyed by its dest plus the
+    # SI suffix of its unit kind
+    suffixed = set()
+    for name, command in _subcommands().items():
+        args = argparse.Namespace(parser=command, **{
+            action.dest: action.default for action in command._actions})
+        keys = set(cli._config(args))
+        want = {option[2:].replace("-", "_") for option in OPTIONS[name]
+                if option not in ("--output", "--format")}
+        assert {SI_SUFFIX.sub("", key) for key in keys} == want, name
+        suffixed |= {key for key in keys if SI_SUFFIX.sub("", key) != key}
+    assert suffixed == UNIT_KEYS
 
 
 @pytest.mark.parametrize("argv", list(REMOVED.values()), ids=list(REMOVED))
