@@ -13,9 +13,9 @@ thermal ensembles.
 __version__ = "0.1.0"
 
 from .constants import CM1_TO_MHZ, CONSTANTS_TABLE, constants_hash
-from .angular import (HalfInt, SqrtRational, Term, UnsupportedTermError,
-                      angular_factor, angular_factor_exact, angular_table,
-                      reference_m, wigner_3j, wigner_6j)
+from .angular import (Term, UnsupportedTermError, angular_factor,
+                      angular_factor_exact, angular_table, reference_m,
+                      wigner_3j, wigner_6j)
 from .radial import (GridMismatchError, RadialGrid, RadialWavefunction,
                      hydrogen_radial, numerov_radial,
                      interpolated_reduced_element, radial_integral)
@@ -36,14 +36,13 @@ from .loss import (InsufficientDataError, LifetimeRecord, PhotoionizationFit,
                    trapped_lifetime_reduction)
 from .coherence import (ContrastCurve, DephasingScenario, echo_contrast,
                         orbit_averaged_shift_hz, ramsey_contrast,
-                        ramsey_contrast_analytic, thermal_shift_distribution)
+                        ramsey_contrast_analytic)
 
 __all__ = [
     "__version__",
     "CM1_TO_MHZ", "CONSTANTS_TABLE", "constants_hash",
-    "HalfInt", "SqrtRational", "Term", "UnsupportedTermError",
-    "angular_factor", "angular_factor_exact", "angular_table", "reference_m",
-    "wigner_3j", "wigner_6j",
+    "Term", "UnsupportedTermError", "angular_factor", "angular_factor_exact",
+    "angular_table", "reference_m", "wigner_3j", "wigner_6j",
     "GridMismatchError", "RadialGrid", "RadialWavefunction",
     "hydrogen_radial", "numerov_radial",
     "interpolated_reduced_element", "radial_integral",
@@ -61,5 +60,4 @@ __all__ = [
     "fit_photoionization", "load_lifetime_csv", "trapped_lifetime_reduction",
     "ContrastCurve", "DephasingScenario", "echo_contrast",
     "orbit_averaged_shift_hz", "ramsey_contrast", "ramsey_contrast_analytic",
-    "thermal_shift_distribution",
 ]

@@ -1,10 +1,12 @@
 """Angular-momentum algebra for diagonal tensor light shifts.
 
-Wigner 3j and 6j symbols are evaluated exactly with the Racah single-sum
-formula in a sqrt-rational representation (value = r*sqrt(q) with r, q
-rational), which avoids the catastrophic cancellation of naive factorial
-formulas and lets the composite angular factors collapse to exact rational
-numbers.
+Angular momenta and their projections are Fractions: integers or halves of
+odd integers. Wigner 3j and 6j symbols are evaluated exactly with the Racah
+single-sum formula on twice-integer arguments, which avoids the
+catastrophic cancellation of naive factorial formulas. A symbol is r*sqrt(q)
+with r and q rational, so each kernel returns its signed square,
+sign * r^2 * q, as one Fraction; the product of the three squares in an
+angular factor is the square of a rational, whose exact root is A_k.
 
 The angular factor A_k(term, M) is the coefficient multiplying the rank-k
 radial integral in the diagonal matrix element of the intensity operator:
@@ -35,120 +37,13 @@ class UnsupportedTermError(ValueError):
     """Raised when a term symbol is outside the implemented coupling schemes."""
 
 
-class HalfInt:
-    """An exact integer or half-integer, stored as twice its value.
-
-    Accepts ints, Fractions with denominator 1 or 2, floats equal to a
-    multiple of 1/2, strings like "3/2", or another HalfInt.
-    """
-
-    __slots__ = ("twice",)
-
-    def __init__(self, value):
-        if isinstance(value, HalfInt):
-            self.twice = value.twice
-        elif isinstance(value, int):
-            self.twice = 2 * value
-        elif isinstance(value, Fraction):
-            if value.denominator not in (1, 2):
-                raise ValueError("not a half-integer: %r" % (value,))
-            self.twice = int(value * 2)
-        elif isinstance(value, str):
-            frac = Fraction(value)
-            if frac.denominator not in (1, 2):
-                raise ValueError("not a half-integer: %r" % (value,))
-            self.twice = int(frac * 2)
-        elif isinstance(value, float):
-            twice = 2 * value
-            if twice != round(twice):
-                raise ValueError("not a half-integer: %r" % (value,))
-            self.twice = int(round(twice))
-        else:
-            raise TypeError("cannot interpret %r as half-integer" % (value,))
-
-    @classmethod
-    def from_twice(cls, twice):
-        obj = cls.__new__(cls)
-        obj.twice = int(twice)
-        return obj
-
-    @property
-    def is_integer(self):
-        return self.twice % 2 == 0
-
-    def as_fraction(self):
-        return Fraction(self.twice, 2)
-
-    def __float__(self):
-        return self.twice / 2.0
-
-    def __int__(self):
-        if not self.is_integer:
-            raise ValueError("%s is not an integer" % self)
-        return self.twice // 2
-
-    def __neg__(self):
-        return HalfInt(Fraction(-self.twice, 2))
-
-    def __eq__(self, other):
-        try:
-            return self.twice == HalfInt(other).twice
-        except (TypeError, ValueError):
-            return NotImplemented
-
-    def __lt__(self, other):
-        return self.twice < HalfInt(other).twice
-
-    def __hash__(self):
-        return hash(Fraction(self.twice, 2))
-
-    def __repr__(self):
-        if self.is_integer:
-            return str(self.twice // 2)
-        return "%d/2" % self.twice
-
-
-class SqrtRational:
-    """Exact number of the form r * sqrt(q) with rational r and q >= 0."""
-
-    __slots__ = ("r", "q")
-
-    def __init__(self, r, q=Fraction(1)):
-        self.r = Fraction(r)
-        self.q = Fraction(q)
-        if self.q < 0:
-            raise ValueError("radicand must be nonnegative")
-        if self.r == 0:
-            self.q = Fraction(1)
-
-    def __mul__(self, other):
-        if isinstance(other, SqrtRational):
-            return SqrtRational(self.r * other.r, self.q * other.q)
-        return SqrtRational(self.r * Fraction(other), self.q)
-
-    __rmul__ = __mul__
-
-    def __float__(self):
-        return float(self.r) * math.sqrt(float(self.q))
-
-    def to_fraction(self):
-        """Collapse to an exact Fraction; requires sqrt(q) rational."""
-        if self.r == 0:
-            return Fraction(0)
-        num, den = self.q.numerator, self.q.denominator
-        root2 = num * den
-        root = math.isqrt(root2)
-        if root * root != root2:
-            raise ValueError("value %s*sqrt(%s) is irrational" % (self.r, self.q))
-        return self.r * Fraction(root, den)
-
-    def __repr__(self):
-        if self.q == 1:
-            return "SqrtRational(%s)" % (self.r,)
-        return "SqrtRational(%s, sqrt(%s))" % (self.r, self.q)
-
-
-_ZERO = SqrtRational(0)
+def _twice(value):
+    """2*value as an int for an integer or half-integer value (an int,
+    Fraction, float or string like "3/2"); ValueError for 1/3 or 0.75."""
+    twice = 2 * Fraction(value)
+    if twice.denominator != 1:
+        raise ValueError("not a half-integer: %r" % (value,))
+    return twice.numerator
 
 
 def _triangle_ok(ta, tb, tc):
@@ -170,14 +65,15 @@ def _delta_fraction(ta, tb, tc):
 
 @lru_cache(maxsize=100000)
 def _wigner_3j_twice(tj1, tj2, tj3, tm1, tm2, tm3):
+    """Signed square of the 3j symbol, from twice its arguments."""
     pairs = ((tj1, tm1), (tj2, tm2), (tj3, tm3))
     if tm1 + tm2 + tm3 != 0:
-        return _ZERO
+        return Fraction(0)
     for tj, tm in pairs:
         if abs(tm) > tj or (tj + tm) % 2 != 0:
-            return _ZERO
+            return Fraction(0)
     if not _triangle_ok(tj1, tj2, tj3):
-        return _ZERO
+        return Fraction(0)
 
     # all of these are integers when the selection rules above hold
     jjj = (tj1 + tj2 - tj3) // 2          # j1+j2-j3
@@ -186,35 +82,29 @@ def _wigner_3j_twice(tj1, tj2, tj3, tm1, tm2, tm3):
     a1 = (tj3 - tj2 + tm1) // 2           # j3-j2+m1
     a2 = (tj3 - tj1 - tm2) // 2           # j3-j1-m2
 
-    t_min = max(0, -a1, -a2)
-    t_max = min(jjj, j1m1, j2m2)
-    if t_min > t_max:
-        return _ZERO
-
     total = Fraction(0)
-    for t in range(t_min, t_max + 1):
+    for t in range(max(0, -a1, -a2), min(jjj, j1m1, j2m2) + 1):
         den = (math.factorial(t) * math.factorial(jjj - t)
                * math.factorial(j1m1 - t) * math.factorial(j2m2 - t)
                * math.factorial(a1 + t) * math.factorial(a2 + t))
         total += Fraction((-1) ** t, den)
-    if total == 0:
-        return _ZERO
 
     radicand = _delta_fraction(tj1, tj2, tj3)
     for tj, tm in pairs:
         radicand *= (math.factorial((tj + tm) // 2)
                      * math.factorial((tj - tm) // 2))
     phase = 1 if ((tj1 - tj2 - tm3) // 2) % 2 == 0 else -1
-    return SqrtRational(phase * total, radicand)
+    return phase * total * abs(total) * radicand
 
 
 @lru_cache(maxsize=100000)
 def _wigner_6j_twice(tj1, tj2, tj3, tj4, tj5, tj6):
+    """Signed square of the 6j symbol, from twice its arguments."""
     triads = ((tj1, tj2, tj3), (tj1, tj5, tj6), (tj4, tj2, tj6),
               (tj4, tj5, tj3))
     for a, b, c in triads:
         if not _triangle_ok(a, b, c):
-            return _ZERO
+            return Fraction(0)
 
     radicand = Fraction(1)
     for a, b, c in triads:
@@ -226,52 +116,41 @@ def _wigner_6j_twice(tj1, tj2, tj3, tj4, tj5, tj6):
         (tj2 + tj3 + tj5 + tj6) // 2,
         (tj3 + tj1 + tj6 + tj4) // 2,
     ]
-    t_min = max(a_sums)
-    t_max = min(b_sums)
-    if t_min > t_max:
-        return _ZERO
-
     total = Fraction(0)
-    for t in range(t_min, t_max + 1):
+    for t in range(max(a_sums), min(b_sums) + 1):
         den = Fraction(1)
         for a in a_sums:
             den *= math.factorial(t - a)
         for b in b_sums:
             den *= math.factorial(b - t)
         total += Fraction((-1) ** t * math.factorial(t + 1), den)
-    if total == 0:
-        return _ZERO
-    return SqrtRational(total, radicand)
+    return total * abs(total) * radicand
 
 
-def wigner_3j_exact(j1, j2, j3, m1, m2, m3):
-    """Wigner 3j symbol as an exact SqrtRational.
+def _root(square):
+    """The float symbol sign * sqrt(|square|) of a signed square."""
+    return math.copysign(math.sqrt(abs(square)), square)
+
+
+def wigner_3j(j1, j2, j3, m1, m2, m3):
+    """Wigner 3j symbol as a float.
 
     Invalid angular-momentum combinations (triangle violation, projection
     mismatch, |m| > j, parity mismatch) give exactly zero, not an error.
     """
-    args = [HalfInt(x).twice for x in (j1, j2, j3, m1, m2, m3)]
-    if any(t < 0 for t in args[:3]):
-        return _ZERO
-    return _wigner_3j_twice(*args)
-
-
-def wigner_6j_exact(j1, j2, j3, j4, j5, j6):
-    """Wigner 6j symbol {j1 j2 j3; j4 j5 j6} as an exact SqrtRational."""
-    args = [HalfInt(x).twice for x in (j1, j2, j3, j4, j5, j6)]
-    if any(t < 0 for t in args):
-        return _ZERO
-    return _wigner_6j_twice(*args)
-
-
-def wigner_3j(j1, j2, j3, m1, m2, m3):
-    """Wigner 3j symbol as a float; zero for invalid combinations."""
-    return float(wigner_3j_exact(j1, j2, j3, m1, m2, m3))
+    args = [_twice(x) for x in (j1, j2, j3, m1, m2, m3)]
+    if min(args[:3]) < 0:
+        return 0.0
+    return _root(_wigner_3j_twice(*args))
 
 
 def wigner_6j(j1, j2, j3, j4, j5, j6):
-    """Wigner 6j symbol as a float; zero for any violated triangle."""
-    return float(wigner_6j_exact(j1, j2, j3, j4, j5, j6))
+    """Wigner 6j symbol {j1 j2 j3; j4 j5 j6} as a float; zero for any
+    violated triangle."""
+    args = [_twice(x) for x in (j1, j2, j3, j4, j5, j6)]
+    if min(args) < 0:
+        return 0.0
+    return _root(_wigner_6j_twice(*args))
 
 
 _L_LETTERS = "SPDF"
@@ -285,7 +164,7 @@ class Term:
     odd multiplicity (1, 3) with integer J is a two-electron LS term like
     "3P2"; multiplicity 2 with half-integer J is a single-valence-electron
     fine-structure term like "2D5/2". In both cases the angular factors use
-    the same reduction with (S, L, J).
+    the same reduction with (S, L, J); S and J are Fractions, L an int.
     """
 
     __slots__ = ("label", "S", "L", "J")
@@ -305,15 +184,11 @@ class Term:
             raise UnsupportedTermError(
                 "orbital letter %r not supported (S, P, D, F only)" % letter)
         L = _L_LETTERS.index(letter)
-        try:
-            J = HalfInt(match.group(3))
-        except ValueError:
-            raise UnsupportedTermError("bad J in term symbol %r" % (label,))
         if mult < 1:
             raise UnsupportedTermError("bad multiplicity in %r" % (label,))
-        S = HalfInt(Fraction(mult - 1, 2))
+        S, J = Fraction(mult - 1, 2), Fraction(match.group(3))
         # J must be consistent with |L-S| <= J <= L+S and integer parity of S
-        if not _triangle_ok(2 * L, S.twice, J.twice):
+        if not _triangle_ok(2 * L, _twice(S), _twice(J)):
             raise UnsupportedTermError(
                 "J=%s incompatible with S=%s, L=%d in %r" % (J, S, L, label))
         self.label = str(label).strip()
@@ -340,7 +215,7 @@ def max_rank(term):
     and every odd k is zero by the parity of the orbital 3j.
     """
     term = Term(term)
-    k = min(term.J.twice, 2 * term.L)
+    k = min(_twice(term.J), 2 * term.L)
     return k - k % 2
 
 
@@ -353,26 +228,30 @@ def angular_factor_exact(term, k, M):
     ValueError for an invalid M.
     """
     term = Term(term)
-    if term.L > 3:
-        raise UnsupportedTermError("L > 3 not supported: %r" % term.label)
     k = int(k)
     if k < 0:
         raise ValueError("rank k must be >= 0")
-    M = HalfInt(M)
-    if abs(M.twice) > term.J.twice or (M.twice + term.J.twice) % 2 != 0:
-        raise ValueError("M=%s invalid for J=%s" % (M, term.J))
+    tS, tL, tJ, tM = _twice(term.S), 2 * term.L, _twice(term.J), _twice(M)
+    if abs(tM) > tJ or (tM + tJ) % 2 != 0:
+        raise ValueError("M=%s invalid for J=%s" % (Fraction(tM, 2), term.J))
     if k % 2 == 1 or k > max_rank(term):
         return Fraction(0)
 
-    S, L, J = term.S, term.L, term.J
-    geom = wigner_3j_exact(J, k, J, -M, 0, M)
-    recoup = wigner_6j_exact(L, J, S, J, L, k)
-    orbital = wigner_3j_exact(L, k, L, 0, 0, 0)
+    # the signed square of 3j(J k J; -M 0 M) 6j{L J S; J L k} 3j(L k L; 0 0 0)
+    square = (_wigner_3j_twice(tJ, 2 * k, tJ, -tM, 0, tM)
+              * _wigner_6j_twice(tL, tJ, tS, tJ, tL, 2 * k)
+              * _wigner_3j_twice(tL, 2 * k, tL, 0, 0, 0))
+    root = Fraction(math.isqrt(abs(square.numerator)),
+                    math.isqrt(square.denominator))
+    if root * root != abs(square):
+        raise ValueError("A_%d(%s, M=%s) is irrational: its square is %s"
+                         % (k, term.label, Fraction(tM, 2), square))
     # phase (-1)^(J-M) * (-1)^(S+L+J+k) * (-1)^L; the exponent sum is an integer
-    phase_twice = (J.twice - M.twice) + (S.twice + 2 * L + J.twice + 2 * k) + 2 * L
+    phase_twice = (tJ - tM) + (tS + tL + tJ + 2 * k) + tL
     phase = 1 if (phase_twice // 2) % 2 == 0 else -1
-    value = geom * recoup * orbital * Fraction(phase * (J.twice + 1) * (2 * L + 1))
-    return value.to_fraction()
+    if square < 0:
+        phase = -phase
+    return phase * root * (tJ + 1) * (tL + 1)
 
 
 def angular_factor(term, k, M):
@@ -390,8 +269,7 @@ TABLE_TERMS = (
 
 def reference_m(term):
     """Reference sublevel for tabulation: M=0 for integer J, else M=1/2."""
-    term = Term(term)
-    return HalfInt(0) if term.J.is_integer else HalfInt(Fraction(1, 2))
+    return Fraction(0) if Term(term).J.denominator == 1 else Fraction(1, 2)
 
 
 def angular_table(terms=TABLE_TERMS, ranks=(0, 2, 4)):

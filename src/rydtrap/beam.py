@@ -19,8 +19,9 @@ the wavefunction-averaged intensity over a (theta, phi) product rule that
 refines each angle by doubling until two levels agree. It assumes no
 symmetry and does not branch on the axis; it uses nothing of the tensor
 path (no profiles, Legendre projection, angular factors or n*
-interpolation), so a fault there cannot cancel in the comparison. Only it
-uses the |Y_lm| helper _ylm_theta.
+interpolation), so a fault there cannot cancel in the comparison. The
+|Y_lm| helper _ylm_theta builds the densities it is handed; the tensor
+path does not use it.
 
 Both the axial rule and the oracle sum the intensity over their nodes
 through one evaluator, _intensity_sums, which works in fixed-size blocks
@@ -44,6 +45,8 @@ _PHI_OFFSET = np.sqrt(2.0) - 1.0
 _MAX_DOUBLINGS = 5
 # largest profile move, over I0, decompose allows from 32 to 48 nodes
 _DECOMPOSE_TOL = 1e-6
+# largest relative move of brute_force_average's result per doubling
+_ORACLE_TOL = 1e-10
 # most (radius, node) points _intensity_sums hands beam.intensity at once
 _NODE_CHUNK = 1 << 15
 
@@ -237,15 +240,14 @@ def decompose(beam, grid, k_max):
     return TensorField(grid, fine, beam, residual)
 
 
-def brute_force_average(beam, wf, position, m=None, angular_density=None,
-                        tol=1e-10):
+def brute_force_average(beam, wf, position, angular_density):
     """Direct 3D quadrature of the wavefunction-averaged intensity.
 
-    Computes Int |psi|^2 I(r + R) d3r for psi = R_nl(r) Y_lm, without any
-    tensor expansion; this is the oracle for the decomposed path. Pass m
-    for the sampled wavefunction's l (uniform s-state density when l=0),
-    or a callable angular_density(cos_theta, phi) normalized to integrate
-    to 1 over the sphere.
+    Computes Int |R_nl(r)|^2 rho(theta, phi) I(position + r) d3r without
+    any tensor expansion; this is the oracle for the decomposed path. wf
+    gives the radial density and angular_density(cos_theta, phi) gives
+    rho, normalized to integrate to 1 over the sphere: for psi = R_nl Y_lm
+    it is _ylm_theta(l, m, cos_theta)**2 at every phi.
 
     The angular integral is a (theta, phi) product rule that refines
     itself and assumes no symmetry of the beam, the position or the
@@ -257,10 +259,11 @@ def brute_force_average(beam, wf, position, m=None, angular_density=None,
     mirror plane of a symmetric beam or density. Harmonics in phi below
     order 8 are exact at 8 nodes, and one of order 8, which 8 nodes alias,
     moves the first check (8 against 16 nodes). Each angle refines until
-    two successive averages agree to tol relative; if _MAX_DOUBLINGS
-    doublings do not get there, QuadratureConvergenceError names the
-    angle and the residual reached. On the beam axis the rule stops at
-    32 -> 64 theta and 8 -> 16 phi nodes, 1,536 evaluations per radius.
+    two successive averages agree to _ORACLE_TOL relative; if
+    _MAX_DOUBLINGS doublings do not get there, QuadratureConvergenceError
+    names the angle and the residual reached. On the beam axis the rule
+    stops at 32 -> 64 theta and 8 -> 16 phi nodes, 1,536 evaluations per
+    radius.
 
     Every value is beam.intensity at a quadrature point, summed against
     the density and the weights, and the radial integral is the grid's
@@ -269,14 +272,6 @@ def brute_force_average(beam, wf, position, m=None, angular_density=None,
     the oracle shares none of the shortcuts it checks.
     """
     position = np.asarray(position, dtype=float)
-    if angular_density is None:
-        mm = 0 if m is None else int(m)
-        if abs(mm) > wf.l:
-            raise ValueError("|m| > l")
-
-        def angular_density(ct, ph):
-            return _ylm_theta(wf.l, mm, ct) ** 2 * np.ones_like(ph)
-
     r_m = wf.grid.points * A0
     radial_density = wf.density()
     floor = max(beam.peak_intensity * 1e-12, 1e-300)
@@ -305,12 +300,12 @@ def brute_force_average(beam, wf, position, m=None, angular_density=None,
             n_phi *= 2
             previous, value = value, average(sums, n_phi)
             residual = moved(value, previous)
-            if residual <= tol:
+            if residual <= _ORACLE_TOL:
                 return value
         raise QuadratureConvergenceError(
             "3D quadrature not converged in phi: at %d theta nodes, %d phi "
             "nodes moved the average by %.3g relative (tol %.3g)"
-            % (n_theta, n_phi, residual, tol))
+            % (n_theta, n_phi, residual, _ORACLE_TOL))
 
     n_theta, residual = _THETA_START, np.inf
     value = phi_refined(n_theta)
@@ -318,8 +313,9 @@ def brute_force_average(beam, wf, position, m=None, angular_density=None,
         n_theta *= 2
         previous, value = value, phi_refined(n_theta)
         residual = moved(value, previous)
-        if residual <= tol:
+        if residual <= _ORACLE_TOL:
             return value
     raise QuadratureConvergenceError(
         "3D quadrature not converged in theta: %d theta nodes moved the "
-        "average by %.3g relative (tol %.3g)" % (n_theta, residual, tol))
+        "average by %.3g relative (tol %.3g)"
+        % (n_theta, residual, _ORACLE_TOL))

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .constants import CM1_TO_MHZ, constants_hash
-from .angular import (Term, HalfInt, angular_table, max_rank, reference_m,
-                      UnsupportedTermError, TABLE_TERMS)
+from .angular import (Term, angular_table, max_rank, reference_m,
+                      UnsupportedTermError, TABLE_TERMS, _twice)
 from .beam import (TweezerBeam, decompose, QuadratureConvergenceError,
                    ParaxialValidityWarning)
 from .radial import RadialGrid
@@ -85,7 +85,8 @@ def finite_float(text):
 def time_range(text):
     """start:stop:step with time units, stop inclusive; bare 0 allowed.
 
-    The start must not be negative.
+    The start must not be negative. Returns the validated (start, stop,
+    step) in s; _time_grid builds the times.
     """
     parts = text.split(":")
     if len(parts) != 3:
@@ -103,6 +104,12 @@ def time_range(text):
     if start < 0:
         # a free-evolution time is a duration: exp(-t/T1) > 1 below 0
         raise argparse.ArgumentTypeError("time range %r starts before 0" % text)
+    return start, stop, step
+
+
+def _time_grid(times):
+    """The times of a time_range (start, stop, step), stop inclusive."""
+    start, stop, step = times
     # last whole step not past stop; the slack absorbs rounding in span/step
     count = math.floor((stop - start) / step * (1.0 + 1e-9)) + 1
     return start + step * np.arange(count)
@@ -132,9 +139,11 @@ def term_type(text):
 def m_type(text):
     """Magnetic quantum number, integer or half-integer like '-3/2'."""
     try:
-        return HalfInt(Fraction(text))
+        m = Fraction(text)
+        _twice(m)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError("bad sublevel %r" % text)
+    return m
 
 
 def pair_channel(text):
@@ -287,7 +296,7 @@ def _plain(value):
         return [_plain(item) for item in value]
     if isinstance(value, Term):
         return value.label
-    return str(value) if isinstance(value, HalfInt) else value
+    return str(value) if isinstance(value, Fraction) else value
 
 
 def _config(args):
@@ -335,10 +344,12 @@ def _cell(value):
 # ---------------------------------------------------------------- commands
 
 def _cmd_angular_table(args):
+    if min(args.ranks) < 0:
+        args.parser.error("--ranks must be >= 0, got %d" % min(args.ranks))
     rows = []
-    for label, factors in angular_table(tuple(args.terms), tuple(args.ranks)):
-        m_ref = reference_m(label)
-        rows.append([label, str(m_ref)] + [str(f) for f in factors])
+    for term, factors in angular_table(tuple(args.terms), tuple(args.ranks)):
+        rows.append([term.label, str(reference_m(term))]
+                    + [str(f) for f in factors])
     header = ["term", "M"] + ["k%d" % k for k in args.ranks]
     _emit(args, {"ranks": list(args.ranks), **_table(header, rows)},
           header, rows)
@@ -380,7 +391,7 @@ def _cmd_tensor_shift(args):
                                         args.axis_angle)
     header = ["M", "shift_hz"]
     rows = [[str(m), shift] for m, shift in
-            sorted(shifts.items(), key=lambda kv: kv[0].twice)]
+            sorted(shifts.items())]
     spread = max(shifts.values()) - min(shifts.values())
     data = {"shifts_hz": {str(m): v for m, v in shifts.items()},
             "spread_hz": spread}
@@ -507,7 +518,8 @@ def _cmd_contrast(args):
     scenario = DephasingScenario(
         dnu0_hz=args.dnu, temperature_k=args.temp, depth_hz=args.depth,
         t1_s=args.t1, n_atoms=args.n, seed=args.seed, **motion)
-    curve = (echo_contrast if echo else ramsey_contrast)(scenario, args.times)
+    curve = (echo_contrast if echo else ramsey_contrast)(
+        scenario, _time_grid(args.times))
     header = ["time_us", "contrast"]
     rows = [[t * 1e6, c] for t, c in zip(curve.times_s, curve.contrast)]
     t_e = curve.one_over_e_time_s
@@ -555,7 +567,8 @@ def build_parser():
 
     p = add("angular-table", _cmd_angular_table,
             "exact angular factors per term and rank", table=True)
-    p.add_argument("--terms", nargs="+", default=list(TABLE_TERMS))
+    p.add_argument("--terms", nargs="+", type=term_type,
+                   default=[Term(label) for label in TABLE_TERMS])
     p.add_argument("--ranks", nargs="+", type=int, default=[0, 2, 4])
 
     p = add("trap-depth", _cmd_trap_depth,

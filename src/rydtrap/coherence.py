@@ -280,14 +280,3 @@ def echo_contrast(scenario, times_s):
     coherence = np.hypot(re, im) / len(coef)
     return ContrastCurve(times, coherence * _t1_envelope(times, scenario.t1_s))
 
-
-def thermal_shift_distribution(scenario):
-    """Mean and standard deviation of the orbit-averaged shift, in Hz.
-
-    For exponential per-axis energies: mean = dnu0 (1 - 3 kBT/(2 U0)),
-    std = |dnu0| sqrt(3) kBT/(2 U0).
-    """
-    u0 = H * scenario.depth_hz
-    x = KB * scenario.temperature_k / (2.0 * u0)
-    return (scenario.dnu0_hz * (1.0 - 3.0 * x),
-            abs(scenario.dnu0_hz) * math.sqrt(3.0) * x)

@@ -15,14 +15,14 @@ against the direct 3D quadrature of a Numerov wavefunction.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial.legendre import legval
 
 from .constants import (AU_POLARIZABILITY, C, E_CHARGE, EPS0, H, M_E, AMU,
                         SPECIES_DATA)
-from .angular import (Term, HalfInt, angular_factor, max_rank, reference_m,
-                      wigner_3j)
+from .angular import Term, angular_factor, max_rank, reference_m, wigner_3j
 from .beam import brute_force_average, _ylm_theta
 from .radial import interpolated_reduced_element, numerov_radial
 from .spectroscopy import ritz_delta
@@ -123,17 +123,17 @@ SPECIES_PRESETS = {"yb174": yb174, "rb87": rb87}
 
 
 class RydbergState:
-    """One |n, term, M> level of a species with its derived n*."""
+    """One |n, term, M> level of a species with its derived n*; M is a
+    Fraction, by default reference_m(term)."""
 
     def __init__(self, species, n, term, M=None):
         self.species = species
         self.n = int(n)
         self.term = term if isinstance(term, Term) else Term(term)
-        if M is None:
-            M = reference_m(self.term)
-        self.M = M if isinstance(M, HalfInt) else HalfInt(M)
-        if (self.M.twice - self.term.J.twice) % 2 != 0 \
-                or abs(self.M.twice) > self.term.J.twice:
+        self.M = reference_m(self.term) if M is None else Fraction(M)
+        # M - J is an integer only for a half-integer M of J's parity
+        if (self.M - self.term.J).denominator != 1 \
+                or abs(self.M) > self.term.J:
             raise ValueError("M=%s invalid for J=%s" % (self.M, self.term.J))
         n_star = species.n_star(self.term, self.n)
         if n_star <= self.term.L:
@@ -243,10 +243,9 @@ def tensor_splitting(species, n, term, field, axis_angle_deg=0.0):
     light shift with its M^2 pattern; shift(M) = shift(-M) exactly.
     """
     term = term if isinstance(term, Term) else Term(term)
-    twice_ms = range(-term.J.twice, term.J.twice + 1, 2)
     totals = {}
-    for twice_m in twice_ms:
-        m = HalfInt.from_twice(twice_m)
+    for i in range(int(2 * term.J) + 1):
+        m = i - term.J
         state = RydbergState(species, n, term, m)
         total, _ = ponderomotive_shift(state, field, axis_angle_deg)
         totals[m] = total
@@ -276,12 +275,9 @@ def _term_angular_density(term, m):
     """
     weights = []
     for m_l in range(-term.L, term.L + 1):
-        twice_ms = m.twice - 2 * m_l
-        if abs(twice_ms) > term.S.twice or (twice_ms + term.S.twice) % 2:
-            continue
-        m_s = HalfInt.from_twice(twice_ms)
-        w3 = wigner_3j(term.L, term.S, term.J, m_l, m_s, -m)
-        cg2 = (term.J.twice + 1) * w3 * w3
+        # zero unless |m - m_l| <= S
+        w3 = wigner_3j(term.L, term.S, term.J, m_l, m - m_l, -m)
+        cg2 = int(2 * term.J + 1) * w3 * w3
         if cg2 > 0:
             weights.append((m_l, cg2))
 

@@ -36,6 +36,14 @@ def real_sph_harm(k, q, cos_theta, phi):
     return np.sqrt(2.0) * base * np.sin(-q * phi)
 
 
+def ylm_density(l, m):
+    """|Y_lm|^2 as the angular_density(cos_theta, phi) that
+    brute_force_average takes."""
+    def density(cos_theta, phi):
+        return _ylm_theta(l, m, cos_theta) ** 2 * np.ones_like(phi)
+    return density
+
+
 def sphere_profiles(beam, position, r_m, k_max, n_theta, n_phi):
     """All (k, q) profiles about any point, by a (theta, phi) product rule.
 

@@ -5,77 +5,33 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rydtrap.angular import (HalfInt, SqrtRational, Term, UnsupportedTermError,
-                             angular_factor, angular_factor_exact,
-                             angular_table, max_rank, reference_m, wigner_3j,
-                             wigner_3j_exact, wigner_6j, wigner_6j_exact,
-                             TABLE_TERMS)
+from rydtrap.angular import (Term, UnsupportedTermError, _wigner_3j_twice,
+                             _wigner_6j_twice, angular_factor,
+                             angular_factor_exact, angular_table, max_rank,
+                             reference_m, wigner_3j, wigner_6j, TABLE_TERMS)
 
 
 def halfints_upto(jmax):
-    return [HalfInt(Fraction(t, 2)) for t in range(0, 2 * jmax + 1)]
-
-
-class TestHalfInt:
-    def test_integer_and_half_values(self):
-        assert HalfInt(2).twice == 4
-        assert HalfInt(Fraction(3, 2)).twice == 3
-        assert HalfInt(Fraction(3, 2)).as_fraction() == Fraction(3, 2)
-        assert float(HalfInt(Fraction(5, 2))) == 2.5
-        assert int(HalfInt(3)) == 3
-
-    def test_from_twice(self):
-        assert HalfInt.from_twice(5) == HalfInt(Fraction(5, 2))
-        assert HalfInt.from_twice(-4) == HalfInt(-2)
-
-    def test_rejects_quarter_integers(self):
-        with pytest.raises((ValueError, TypeError)):
-            HalfInt(0.75)
-
-    def test_int_of_half_integer_raises(self):
-        with pytest.raises(ValueError):
-            int(HalfInt(Fraction(1, 2)))
-
-    def test_ordering_and_hash(self):
-        assert HalfInt(1) < HalfInt(Fraction(3, 2)) < HalfInt(2)
-        assert hash(HalfInt(2)) == hash(HalfInt(Fraction(4, 2)))
-
-
-class TestSqrtRational:
-    def test_known_product(self):
-        a = SqrtRational(Fraction(1, 2), Fraction(3))
-        b = SqrtRational(Fraction(2), Fraction(12))
-        prod = a * b
-        # (1/2)sqrt3 * 2 sqrt12 = 1 * sqrt36 = 6
-        assert prod.to_fraction() == Fraction(6)
-
-    def test_irrational_collapse_raises(self):
-        with pytest.raises(ValueError):
-            SqrtRational(1, 2).to_fraction()
-
-    def test_float_value(self):
-        assert float(SqrtRational(Fraction(1, 3), 2)) == pytest.approx(
-            np.sqrt(2) / 3, rel=1e-15)
+    return [Fraction(t, 2) for t in range(0, 2 * jmax + 1)]
 
 
 class TestWignerValues:
     def test_3j_closed_form_zero_coupling(self):
         # (j j 0; m -m 0) = (-1)^(j-m)/sqrt(2j+1)
         for j in halfints_upto(5):
-            for twice_m in range(-j.twice, j.twice + 1, 2):
-                m = HalfInt.from_twice(twice_m)
+            for twice_m in range(-int(2 * j), int(2 * j) + 1, 2):
+                m = Fraction(twice_m, 2)
                 got = wigner_3j(j, j, 0, m, -m, 0)
-                sign = -1.0 if ((j.twice - m.twice) // 2) % 2 else 1.0
-                want = sign / np.sqrt(j.twice + 1.0)
+                sign = -1.0 if (j - m) % 2 else 1.0
+                want = sign / np.sqrt(float(2 * j + 1))
                 assert got == pytest.approx(want, abs=1e-15)
 
     def test_3j_stretched(self):
         # (j j 2j; j j -2j) = (-1)^(2j)/sqrt(4j+1)
         for j in halfints_upto(4):
-            got = wigner_3j(j, j, HalfInt.from_twice(2 * j.twice),
-                            j, j, HalfInt.from_twice(-2 * j.twice))
-            sign = -1.0 if j.twice % 2 else 1.0
-            assert got == pytest.approx(sign / np.sqrt(2 * j.twice + 1),
+            got = wigner_3j(j, j, 2 * j, j, j, -2 * j)
+            sign = -1.0 if (2 * j) % 2 else 1.0
+            assert got == pytest.approx(sign / np.sqrt(float(4 * j + 1)),
                                         abs=1e-15)
 
     def test_6j_with_zero(self):
@@ -83,12 +39,10 @@ class TestWignerValues:
         cases = [(1, 1, 1), (2, 1, 2), (Fraction(3, 2), Fraction(1, 2), 1),
                  (3, 2, 4), (2, Fraction(5, 2), Fraction(3, 2))]
         for a, b, c in cases:
-            a, b, c = HalfInt(a), HalfInt(b), HalfInt(c)
             got = wigner_6j(a, b, c, 0, c, b)
-            phase_twice = a.twice + b.twice + c.twice
-            assert phase_twice % 2 == 0
-            sign = -1.0 if (phase_twice // 2) % 2 else 1.0
-            want = sign / np.sqrt((b.twice + 1.0) * (c.twice + 1.0))
+            assert (a + b + c).denominator == 1
+            sign = -1.0 if (a + b + c) % 2 else 1.0
+            want = sign / np.sqrt(float((2 * b + 1) * (2 * c + 1)))
             assert got == pytest.approx(want, abs=1e-14)
 
     def test_selection_rules_zero(self):
@@ -105,6 +59,12 @@ class TestWignerValues:
         def rational(twice):
             return sympy.Rational(twice, 2)
 
+        def signed_square(symbol):
+            # sign * symbol^2 is rational for a 3j or 6j symbol r*sqrt(q)
+            square = sympy.sign(symbol) * symbol ** 2
+            assert square.is_Rational
+            return Fraction(int(square.p), int(square.q))
+
         checked = 0
         while checked < 60:
             tj1, tj2 = (int(t) for t in rng.integers(0, 7, size=2))
@@ -116,13 +76,10 @@ class TestWignerValues:
             if (tj1 + tj2 + tj3) % 2 or (tm1 - tj1) % 2 or (tm2 - tj2) % 2 \
                     or abs(tm3) > tj3:
                 continue
-            want = float(s3j(rational(tj1), rational(tj2), rational(tj3),
-                             rational(tm1), rational(tm2), rational(tm3)))
-            got = float(wigner_3j_exact(
-                HalfInt.from_twice(tj1), HalfInt.from_twice(tj2),
-                HalfInt.from_twice(tj3), HalfInt.from_twice(tm1),
-                HalfInt.from_twice(tm2), HalfInt.from_twice(tm3)))
-            assert got == pytest.approx(want, abs=1e-13)
+            want = signed_square(s3j(
+                rational(tj1), rational(tj2), rational(tj3),
+                rational(tm1), rational(tm2), rational(tm3)))
+            assert _wigner_3j_twice(tj1, tj2, tj3, tm1, tm2, tm3) == want
             checked += 1
 
         checked = 0
@@ -138,13 +95,10 @@ class TestWignerValues:
                 continue
             tj3 = int(rng.choice(tj3_opts))
             tj6 = int(rng.choice(tj6_opts))
-            want = float(s6j(rational(tj1), rational(tj2), rational(tj3),
-                             rational(tj4), rational(tj5), rational(tj6)))
-            got = float(wigner_6j_exact(
-                HalfInt.from_twice(tj1), HalfInt.from_twice(tj2),
-                HalfInt.from_twice(tj3), HalfInt.from_twice(tj4),
-                HalfInt.from_twice(tj5), HalfInt.from_twice(tj6)))
-            assert got == pytest.approx(want, abs=1e-13)
+            want = signed_square(s6j(
+                rational(tj1), rational(tj2), rational(tj3),
+                rational(tj4), rational(tj5), rational(tj6)))
+            assert _wigner_6j_twice(tj1, tj2, tj3, tj4, tj5, tj6) == want
             checked += 1
 
 
@@ -159,12 +113,12 @@ class TestWignerProperties:
                         for tj3 in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
                             if abs(tm1 + tm2) > tj3:
                                 continue
-                            w = wigner_3j(HalfInt.from_twice(tj1),
-                                          HalfInt.from_twice(tj2),
-                                          HalfInt.from_twice(tj3),
-                                          HalfInt.from_twice(tm1),
-                                          HalfInt.from_twice(tm2),
-                                          HalfInt.from_twice(-tm1 - tm2))
+                            w = wigner_3j(Fraction(tj1, 2),
+                                          Fraction(tj2, 2),
+                                          Fraction(tj3, 2),
+                                          Fraction(tm1, 2),
+                                          Fraction(tm2, 2),
+                                          Fraction(-tm1 - tm2, 2))
                             total += (tj3 + 1) * w * w
                         assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -176,7 +130,7 @@ class TestWignerProperties:
             tj3 = rng.integers(abs(tj[0] - tj[1]), tj[0] + tj[1] + 1)
             if (tj[0] + tj[1] + tj3) % 2:
                 continue
-            j1, j2, j3 = (HalfInt.from_twice(int(t)) for t in (*tj, tj3))
+            j1, j2, j3 = (Fraction(int(t), 2) for t in (*tj, tj3))
             tm1 = rng.integers(-tj[0], tj[0] + 1)
             tm1 -= (tm1 - tj[0]) % 2
             tm2 = rng.integers(-tj[1], tj[1] + 1)
@@ -184,12 +138,12 @@ class TestWignerProperties:
             tm3 = -tm1 - tm2
             if abs(tm3) > tj3:
                 continue
-            m1, m2, m3 = (HalfInt.from_twice(int(t)) for t in (tm1, tm2, tm3))
+            m1, m2, m3 = (Fraction(int(t), 2) for t in (tm1, tm2, tm3))
             base = wigner_3j(j1, j2, j3, m1, m2, m3)
             cyc = wigner_3j(j2, j3, j1, m2, m3, m1)
             assert cyc == pytest.approx(base, abs=1e-14)
             swap = wigner_3j(j2, j1, j3, m2, m1, m3)
-            phase = -1.0 if ((j1.twice + j2.twice + j3.twice) // 2) % 2 else 1.0
+            phase = -1.0 if (j1 + j2 + j3) % 2 else 1.0
             assert swap == pytest.approx(phase * base, abs=1e-14)
             neg = wigner_3j(j1, j2, j3, -m1, -m2, -m3)
             assert neg == pytest.approx(phase * base, abs=1e-14)
@@ -199,7 +153,7 @@ class TestWignerProperties:
         rng = np.random.default_rng(6)
         for _ in range(40):
             tj = [int(t) for t in rng.integers(0, 7, size=6)]
-            vals = [HalfInt.from_twice(t) for t in tj]
+            vals = [Fraction(t, 2) for t in tj]
             base = wigner_6j(*vals)
             # columns of {j1 j2 j3; j4 j5 j6} may be permuted freely
             perm = wigner_6j(vals[1], vals[0], vals[2],
@@ -214,10 +168,10 @@ class TestWignerProperties:
 class TestTerm:
     def test_parsing(self):
         t = Term("3P2")
-        assert (t.S, t.L, t.J) == (HalfInt(1), 1, HalfInt(2))
+        assert (t.S, t.L, t.J) == (1, 1, 2)
         d = Term("2D5/2")
-        assert (d.S, d.L, d.J) == (HalfInt(Fraction(1, 2)), 2,
-                                   HalfInt(Fraction(5, 2)))
+        assert (d.S, d.L, d.J) == (Fraction(1, 2), 2, Fraction(5, 2))
+        assert all(type(v) is Fraction for v in (t.S, t.J, d.S, d.J))
         assert Term(t) is t or Term(t).label == t.label
 
     def test_bad_labels(self):
@@ -226,16 +180,20 @@ class TestTerm:
                 Term(label)
 
     def test_reference_m(self):
-        assert reference_m("3S1") == HalfInt(0)
-        assert reference_m("2D5/2") == HalfInt(Fraction(1, 2))
+        assert reference_m("3S1") == 0
+        assert reference_m("2D5/2") == Fraction(1, 2)
+        # the labels the CLI writes, as the old half-integer type wrote them
+        assert [str(m) for m in (reference_m("2D5/2"), Fraction(-1, 2),
+                                 Fraction(0), Fraction(-2))] \
+            == ["1/2", "-1/2", "0", "-2"]
 
 
 class TestAngularFactor:
     def test_rank0_is_unity_for_all_sublevels(self):
         for label in TABLE_TERMS:
             term = Term(label)
-            for twice_m in range(-term.J.twice, term.J.twice + 1, 2):
-                val = angular_factor_exact(label, 0, HalfInt.from_twice(twice_m))
+            for twice_m in range(-int(2 * term.J), int(2 * term.J) + 1, 2):
+                val = angular_factor_exact(label, 0, Fraction(twice_m, 2))
                 assert val == Fraction(1)
 
     def test_odd_and_high_ranks_vanish(self):
@@ -250,25 +208,31 @@ class TestAngularFactor:
             term = Term(label)
             for k in (2, 4):
                 total = sum(
-                    angular_factor_exact(label, k, HalfInt.from_twice(t))
-                    for t in range(-term.J.twice, term.J.twice + 1, 2))
+                    angular_factor_exact(label, k, Fraction(t, 2))
+                    for t in range(-int(2 * term.J), int(2 * term.J) + 1, 2))
                 assert total == 0
 
     def test_m_reflection_symmetry(self):
         for label in ("3P2", "2D5/2", "1D2", "3D3"):
             term = Term(label)
-            start = term.J.twice % 2
+            start = int(2 * term.J) % 2
             for k in (0, 2, 4):
-                for t in range(start, term.J.twice + 1, 2):
-                    m = HalfInt.from_twice(t)
+                for t in range(start, int(2 * term.J) + 1, 2):
+                    m = Fraction(t, 2)
                     assert angular_factor_exact(label, k, m) == \
                         angular_factor_exact(label, k, -m)
 
     def test_invalid_m_raises(self):
         with pytest.raises(ValueError):
-            angular_factor_exact("3S1", 0, HalfInt(2))
+            angular_factor_exact("3S1", 0, 2)
         with pytest.raises(ValueError):
-            angular_factor_exact("3S1", 0, HalfInt(Fraction(1, 2)))
+            angular_factor_exact("3S1", 0, Fraction(1, 2))
+
+    @pytest.mark.parametrize("m", [Fraction(1, 4), 0.75, "1/3"],
+                             ids=["quarter", "float", "third-text"])
+    def test_non_half_integer_m_raises(self, m):
+        with pytest.raises(ValueError, match="not a half-integer"):
+            angular_factor_exact("2D5/2", 2, m)
 
     def test_float_wrapper_matches_exact(self):
         for label in ("3P1", "1D2"):
@@ -287,14 +251,14 @@ class TestAngularFactor:
                 m = reference_m(label)
                 total = 0.0
                 for t_ml in range(-2 * term.L, 2 * term.L + 1, 2):
-                    t_ms = m.twice - t_ml
-                    if abs(t_ms) > term.S.twice:
+                    t_ms = int(2 * m) - t_ml
+                    if abs(t_ms) > int(2 * term.S):
                         continue
                     cg = wigner_3j(term.L, term.S, term.J,
-                                   HalfInt.from_twice(t_ml),
-                                   HalfInt.from_twice(t_ms), -m)
-                    weight = (term.J.twice + 1) * cg * cg
-                    ml = HalfInt.from_twice(t_ml)
+                                   Fraction(t_ml, 2),
+                                   Fraction(t_ms, 2), -m)
+                    weight = (int(2 * term.J) + 1) * cg * cg
+                    ml = Fraction(t_ml, 2)
                     # <L mL|C_k0|L mL> relative to the k=0 normalization;
                     # phase (-1)^(L-mL) x (-1)^L = (-1)^mL for integer mL
                     sign = -1.0 if (abs(t_ml) // 2) % 2 else 1.0
@@ -311,7 +275,7 @@ def _sympy_angular_factor(term, k, twice_m):
     sympy = pytest.importorskip("sympy")
     from sympy.physics.wigner import wigner_3j as s3j, wigner_6j as s6j
     S, L, J, M = (sympy.Rational(t, 2) for t in
-                  (term.S.twice, 2 * term.L, term.J.twice, twice_m))
+                  (int(2 * term.S), 2 * term.L, int(2 * term.J), twice_m))
     return ((-1) ** (J - M) * s3j(J, k, J, -M, 0, M)
             * (-1) ** (S + L + J + k) * (2 * J + 1) * s6j(L, J, S, J, L, k)
             * (-1) ** L * (2 * L + 1) * s3j(L, k, L, 0, 0, 0))
@@ -322,7 +286,7 @@ def _sympy_angular_factor(term, k, twice_m):
 def test_max_rank_is_the_highest_coupled_rank(label):
     term = Term(label)
     rank = max_rank(term)
-    twice_ms = range(-term.J.twice, term.J.twice + 1, 2)
+    twice_ms = range(-int(2 * term.J), int(2 * term.J) + 1, 2)
     for k in range(rank + 2, 9, 2):
         assert all(_sympy_angular_factor(term, k, t) == 0
                    for t in twice_ms), k

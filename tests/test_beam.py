@@ -22,7 +22,7 @@ from rydtrap.radial import (RadialGrid, hydrogen_radial, numerov_radial,
                             radial_integral)
 
 from conftest import (POWER, WAIST, WAVELENGTH, real_sph_harm,
-                      sphere_profiles)
+                      sphere_profiles, ylm_density)
 
 
 class TestTweezerBeam:
@@ -301,25 +301,23 @@ class TestDecompose:
 class TestBruteForceAverage:
     def test_matches_tensor_element_for_s_state(self, beam9, field9):
         wf = hydrogen_radial(71, 0, field9.grid)
-        direct = brute_force_average(beam9, wf, (0.0, 0.0, 0.0))
+        direct = brute_force_average(beam9, wf, (0.0, 0.0, 0.0),
+                                     ylm_density(0, 0))
         via_tensor = radial_integral(wf, field9.profile(0))
         assert direct == pytest.approx(via_tensor, rel=1e-9)
 
     def test_m_dependence_for_p_state(self, beam9, field9):
         from rydtrap.angular import angular_factor
         wf = hydrogen_radial(60, 1, field9.grid)
-        avg0 = brute_force_average(beam9, wf, (0.0, 0.0, 0.0), m=0)
-        avg1 = brute_force_average(beam9, wf, (0.0, 0.0, 0.0), m=1)
+        avg0 = brute_force_average(beam9, wf, (0.0, 0.0, 0.0),
+                                   ylm_density(1, 0))
+        avg1 = brute_force_average(beam9, wf, (0.0, 0.0, 0.0),
+                                   ylm_density(1, 1))
         e0 = radial_integral(wf, field9.profile(0))
         e2 = radial_integral(wf, field9.profile(2))
         # |l=1 m> averages pick up the single-orbital rank-2 factors -+ 2/5
         assert avg0 == pytest.approx(e0 + 0.4 * e2, rel=1e-9)
         assert avg1 == pytest.approx(e0 - 0.2 * e2, rel=1e-9)
-
-    def test_invalid_m_raises(self, beam9, field9):
-        wf = hydrogen_radial(20, 1, field9.grid)
-        with pytest.raises(ValueError):
-            brute_force_average(beam9, wf, (0.0, 0.0, 0.0), m=2)
 
     @pytest.mark.parametrize("chunk", [7, 40, 1 << 15])
     def test_intensity_sums_in_any_chunking(self, beam9, monkeypatch, chunk):
@@ -347,7 +345,8 @@ class TestBruteForceAverage:
             wf = hydrogen_radial(n, 0, _grid_for(n))
             tracemalloc.start()
             try:
-                brute_force_average(beam9, wf, (0.0, 0.0, 0.0))
+                brute_force_average(beam9, wf, (0.0, 0.0, 0.0),
+                                    ylm_density(0, 0))
                 peaks[n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -389,7 +388,7 @@ class TestSelfRefiningOracle:
         grid = RadialGrid.default(63, npoints=40 * 63)
         wf = hydrogen_radial(60, 0, grid)
         seen = phi_nodes_seen(monkeypatch, position)
-        direct = brute_force_average(beam9, wf, position)
+        direct = brute_force_average(beam9, wf, position, ylm_density(0, 0))
         assert len(seen) > 16
         reference = sphere_profiles(beam9, position, grid.points * A0,
                                     0, 64, 64)
@@ -402,7 +401,7 @@ class TestSelfRefiningOracle:
         wf = hydrogen_radial(40, 0, grid40)
         focus = np.zeros(3)
         seen = phi_nodes_seen(monkeypatch, focus)
-        plain = brute_force_average(beam9, wf, focus)
+        plain = brute_force_average(beam9, wf, focus, ylm_density(0, 0))
         assert len(seen) == 16  # on the axis phi stops at its first check
         seen.clear()
         ripple = brute_force_average(
@@ -436,10 +435,12 @@ class TestSelfRefiningOracle:
 
     def test_cap_raises_naming_phi(self, beam9, grid40, monkeypatch):
         monkeypatch.setattr("rydtrap.beam._MAX_DOUBLINGS", 1)
+        monkeypatch.setattr("rydtrap.beam._ORACLE_TOL", 1e-20)
         wf = hydrogen_radial(40, 0, grid40)
         with pytest.raises(QuadratureConvergenceError,
                            match=r"in phi: .* by \S+ relative \(tol 1e-20\)"):
-            brute_force_average(beam9, wf, (0.2e-6, 0.0, 0.0), tol=1e-20)
+            brute_force_average(beam9, wf, (0.2e-6, 0.0, 0.0),
+                                ylm_density(0, 0))
 
     def test_cap_raises_naming_theta(self, beam9, grid40, monkeypatch):
         # sin(theta) has a kink at the poles in cos(theta): Gauss-Legendre

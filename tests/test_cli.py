@@ -1,7 +1,6 @@
 """Command-line interface: unit grammar, envelopes, exit codes."""
 
 import argparse
-import functools
 import json
 import os
 import re
@@ -17,8 +16,7 @@ import pytest
 import rydtrap
 from rydtrap import __version__, cli, potential
 from rydtrap.angular import TABLE_TERMS, Term, angular_table
-from rydtrap.beam import (QuadratureConvergenceError, brute_force_average,
-                          decompose)
+from rydtrap.beam import QuadratureConvergenceError, decompose
 from rydtrap.constants import constants_hash
 from rydtrap.potential import (RydbergState, ground_depth, potential_breakdown,
                                yb174)
@@ -55,16 +53,18 @@ class TestUnitGrammar:
             cli.unit_quantity("power")("9kg")
 
     def test_time_range(self):
-        times = cli.time_range("0:60us:1us")
+        assert cli.time_range("0:60us:1us") == pytest.approx(
+            (0.0, 60e-6, 1e-6), rel=1e-15)
+        times = cli._time_grid(cli.time_range("0:60us:1us"))
         assert len(times) == 61
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(60e-6)
         # whole-step stops keep their last point, bit for bit
         for stop_us in (60, 240):
-            times = cli.time_range("0:%dus:1us" % stop_us)
+            times = cli._time_grid(cli.time_range("0:%dus:1us" % stop_us))
             assert np.array_equal(times, 1e-6 * np.arange(stop_us + 1))
         # the stop is inclusive but never overshot
-        times = cli.time_range("0:60us:7us")
+        times = cli._time_grid(cli.time_range("0:60us:7us"))
         assert len(times) == 9
         assert times[-1] == pytest.approx(56e-6)
         with pytest.raises(argparse.ArgumentTypeError):
@@ -83,10 +83,11 @@ class TestUnitGrammar:
             cli.n_range("a:b")
 
     def test_m_type(self):
-        assert cli.m_type("-3/2").twice == -3
-        assert cli.m_type("2").twice == 4
-        with pytest.raises(argparse.ArgumentTypeError):
-            cli.m_type("x")
+        assert cli.m_type("-3/2") == Fraction(-3, 2)
+        assert cli.m_type("2") == 2
+        for text in ("x", "1/3", "0.75", "1/0"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                cli.m_type(text)
 
     def test_pair_channel(self):
         pair_in, pair_out = cli.pair_channel(
@@ -212,8 +213,7 @@ class TestExitCodes:
     def test_oracle_nonconvergence_exits_3(self, monkeypatch, capsys):
         # one doubling per angle, and a tol below rounding
         monkeypatch.setattr("rydtrap.beam._MAX_DOUBLINGS", 1)
-        monkeypatch.setattr(potential, "brute_force_average",
-                            functools.partial(brute_force_average, tol=1e-20))
+        monkeypatch.setattr("rydtrap.beam._ORACLE_TOL", 1e-20)
         rc = cli.main(["oracle-check", "--power", "9mW", "--series", "1D2",
                        "--n", "60"])
         assert rc == 3
@@ -279,6 +279,26 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "n=5 is outside the range of the 3S1 Ritz model" in captured.err
         assert "[35, 80]" in captured.err
+        assert captured.out == ""
+
+    def test_non_half_integer_m_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["trap-depth", "--power", "9mW", "--n", "60",
+                      "--series", "1D2", "--m", "1/3"])
+        assert exc.value.code == 1
+        assert "bad sublevel '1/3'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--terms", "3X1"], "orbital letter 'X' not supported"),
+        (["--ranks", "0", "-2"], "--ranks must be >= 0, got -2"),
+    ], ids=["terms", "ranks"])
+    def test_malformed_angular_table_input_is_usage_error(self, argv, named,
+                                                          capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["angular-table"] + argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert named in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("flag", ["--cache-dir", "--threads"])
@@ -487,6 +507,15 @@ class TestCoherenceCommands:
                         "--times", "0:1ms:10ns"], tmp_path)
         assert len(doc["data"]["contrast"]) == 100001
         assert doc["data"]["contrast"][0] == 1
+
+    def test_config_keeps_the_time_range_not_the_grid(self, tmp_path):
+        doc = run_json(["ramsey-sim", "--dnu", "90kHz", "--temp", "13uK",
+                        "--depth", "2MHz", "--t1", "108us", "--n", "20",
+                        "--times", "0:1ms:10ns"], tmp_path)
+        assert doc["config"]["times_s"] == pytest.approx([0.0, 1e-3, 1e-8],
+                                                         rel=1e-15)
+        assert len(doc["data"]["times_us"]) == 100001
+        assert doc["data"]["times_us"][-1] == pytest.approx(1000.0)
 
     def test_echo_with_explicit_frequencies(self, tmp_path):
         doc = run_json(["echo-sim"] + self.ARGS +

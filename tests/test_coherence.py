@@ -9,8 +9,7 @@ import pytest
 from rydtrap import cli, coherence
 from rydtrap.coherence import (ContrastCurve, DephasingScenario,
                                echo_contrast, orbit_averaged_shift_hz,
-                               ramsey_contrast, ramsey_contrast_analytic,
-                               thermal_shift_distribution)
+                               ramsey_contrast, ramsey_contrast_analytic)
 from rydtrap.constants import H, KB
 
 DNU0 = 90e3
@@ -21,10 +20,10 @@ TIMES = np.linspace(0.0, 60e-6, 121)
 UNEVEN = np.sort(np.random.default_rng(11).uniform(0.0, 240e-6, 200))
 # evenly spaced grids: CLI --times ranges, linspace, one below zero
 EVEN_GRIDS = {
-    "range-9": cli.time_range("0:60us:7us"),
-    "range-61": cli.time_range("0:60us:1us"),
-    "range-241": cli.time_range("0:240us:1us"),
-    "range-2001": cli.time_range("0:1000us:0.5us"),
+    "range-9": cli._time_grid(cli.time_range("0:60us:7us")),
+    "range-61": cli._time_grid(cli.time_range("0:60us:1us")),
+    "range-241": cli._time_grid(cli.time_range("0:240us:1us")),
+    "range-2001": cli._time_grid(cli.time_range("0:1000us:0.5us")),
     "linspace-121": TIMES,
     "below-zero": np.linspace(-20e-6, 40e-6, 61),
 }
@@ -192,11 +191,12 @@ class TestRamsey:
         assert not np.array_equal(a, c)
 
     def test_shift_distribution_matches_samples(self):
+        # exponential per-axis energies: mean dnu0 (1 - 3x) and standard
+        # deviation |dnu0| sqrt(3) x, with x = kB T / (2 U0)
         sc = scenario(n_atoms=400000)
-        mean, std = thermal_shift_distribution(sc)
         x = KB * TEMP / (2.0 * H * DEPTH)
-        assert mean == pytest.approx(DNU0 * (1.0 - 3.0 * x), rel=1e-12)
-        assert std == pytest.approx(DNU0 * math.sqrt(3.0) * x, rel=1e-12)
+        mean = DNU0 * (1.0 - 3.0 * x)
+        std = abs(DNU0) * math.sqrt(3.0) * x
         shifts = orbit_averaged_shift_hz(sc,
                                          sc.sample_energies_and_phases()[0])
         assert np.mean(shifts) == pytest.approx(mean, abs=4 * std / 600.0)
@@ -237,12 +237,12 @@ class TestEcho:
     def test_matches_closed_form(self, freqs, dnu, temp):
         sc = scenario(dnu0_hz=dnu, temperature_k=temp,
                       trap_frequencies_hz=freqs)
-        times = cli.time_range("0:60us:1us")
+        times = EVEN_GRIDS["range-61"]
         gap = echo_contrast(sc, times).contrast - echo_closed_form(sc, times)
         assert np.max(np.abs(gap)) < 5.0 / math.sqrt(sc.n_atoms)
 
     def test_closed_form_is_exact_without_dephasing(self):
-        times = cli.time_range("0:60us:1us")
+        times = EVEN_GRIDS["range-61"]
         for freqs in ECHO_FREQS.values():
             for still in ({"temperature_k": 0.0}, {"dnu0_hz": 0.0}):
                 sc = scenario(trap_frequencies_hz=freqs, n_atoms=1000, **still)

@@ -1,9 +1,11 @@
 """Core plus ponderomotive trapping potentials and their state dependence."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from rydtrap.angular import HalfInt, Term
+from rydtrap.angular import Term
 from rydtrap.beam import decompose
 from rydtrap.constants import AU_POLARIZABILITY, EPS0, C, H, SPECIES_DATA
 from rydtrap.potential import (RydbergState, TruncationError,
@@ -61,7 +63,7 @@ class TestRydbergState:
         state = RydbergState(species, 75, "3S1")
         assert state.n_star == pytest.approx(70.56119, abs=2e-5)
         assert state.l == 0
-        assert state.M == HalfInt(0)
+        assert state.M == 0 and type(state.M) is Fraction
 
     def test_energy_against_bundled_table(self, species):
         state = RydbergState(species, 75, "3S1")
@@ -69,9 +71,15 @@ class TestRydbergState:
 
     def test_m_validation(self, species):
         with pytest.raises(ValueError):
-            RydbergState(species, 75, "3S1", HalfInt(2))
+            RydbergState(species, 75, "3S1", 2)
         with pytest.raises(ValueError):
-            RydbergState(species, 75, "3S1", HalfInt.from_twice(1))
+            RydbergState(species, 75, "3S1", Fraction(1, 2))
+
+    @pytest.mark.parametrize("m", [Fraction(1, 3), "3/4"],
+                             ids=["third", "three-quarters-text"])
+    def test_non_half_integer_m_raises(self, species, m):
+        with pytest.raises(ValueError, match="invalid for J=2"):
+            RydbergState(species, 75, "3P2", m)
 
     def test_low_n_star_rejected(self, species):
         with pytest.raises(ValueError):
@@ -127,7 +135,7 @@ class TestPonderomotiveShift:
             ponderomotive_shift(state, low_field)
 
     def test_axis_angle_scales_rank2_by_legendre(self, species, field9):
-        state = RydbergState(species, 70, "1D2", HalfInt(0))
+        state = RydbergState(species, 70, "1D2", 0)
         _, upright = ponderomotive_shift(state, field9, axis_angle_deg=0.0)
         _, tilted = ponderomotive_shift(state, field9, axis_angle_deg=90.0)
         assert tilted[0] == pytest.approx(upright[0], rel=1e-12)
@@ -166,7 +174,8 @@ class TestTensorSplitting:
         for m, value in shifts.items():
             assert value == pytest.approx(shifts[-m], rel=1e-12)
         # shift must be linear in M^2 for a rank-2 dominated manifold
-        m2 = {abs(m.twice) // 2: v for m, v in shifts.items()}
+        assert all(type(m) is Fraction for m in shifts)
+        m2 = {abs(int(m)): v for m, v in shifts.items()}
         slope = (m2[2] - m2[1]) / (4 - 1)
         assert m2[1] - m2[0] == pytest.approx(slope, rel=1e-6)
 

@@ -17,8 +17,7 @@ from rydtrap import angular, beam, cli, loss, potential, radial, spectroscopy
 SIGNATURES = {
     beam.TweezerBeam: ["wavelength", "waist", "power"],
     beam.decompose: ["beam", "grid", "k_max"],
-    beam.brute_force_average: ["beam", "wf", "position", "m",
-                               "angular_density", "tol"],
+    beam.brute_force_average: ["beam", "wf", "position", "angular_density"],
     radial.RadialGrid: ["points"],
     radial.RadialGrid.default: ["n_max", "npoints"],
     radial.radial_integral: ["wf", "profile"],
@@ -120,10 +119,7 @@ REMOVED = {
 
 # (callable in rydtrap.__all__, parameter) for every parameter with a default
 DEFAULTS = {
-    ("SqrtRational", "q"),
     ("angular_table", "terms"), ("angular_table", "ranks"),
-    ("brute_force_average", "m"), ("brute_force_average", "angular_density"),
-    ("brute_force_average", "tol"),
     ("EnergyRecord", "sigma_mhz"),
     ("RitzModel", "covariance"), ("RitzModel", "residuals_mhz"),
     ("RitzModel", "record_n"), ("RitzModel", "threshold_sigma_cm1"),
