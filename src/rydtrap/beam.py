@@ -33,15 +33,13 @@ blocking, against the direct sum over the whole point array.
 import math
 import warnings
 
-import numpy as np
-from numpy.polynomial.legendre import leggauss, legvander
-
+from ._numpy import np
 from .constants import A0, C
 
 # brute_force_average's rule: its first theta and phi node counts, the phi
 # offset in rad, and the doublings of either angle before it gives up
 _THETA_START, _PHI_START = 32, 8
-_PHI_OFFSET = np.sqrt(2.0) - 1.0
+_PHI_OFFSET = math.sqrt(2.0) - 1.0
 _MAX_DOUBLINGS = 5
 # largest profile move, over I0, decompose allows from 32 to 48 nodes
 _DECOMPOSE_TOL = 1e-6
@@ -81,15 +79,15 @@ class TweezerBeam:
 
     @property
     def rayleigh_range(self):
-        return np.pi * self.waist**2 / self.wavelength
+        return math.pi * self.waist**2 / self.wavelength
 
     @property
     def peak_intensity(self):
-        return 2.0 * self.power / (np.pi * self.waist**2)
+        return 2.0 * self.power / (math.pi * self.waist**2)
 
     @property
     def angular_frequency(self):
-        return 2.0 * np.pi * C / self.wavelength
+        return 2.0 * math.pi * C / self.wavelength
 
     def with_power(self, power):
         with warnings.catch_warnings():
@@ -205,11 +203,11 @@ def _axial_profiles(beam, r_m, k_max, n_theta):
     There the intensity does not depend on phi, so, by Gauss-Legendre,
     f_k(r) = (2k+1)/2 sum_i w_i I(r, x_i) P_k(x_i) with x = cos(theta).
     """
-    ct, w_theta = leggauss(n_theta)
+    ct, w_theta = np.polynomial.legendre.leggauss(n_theta)
     st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
     nhat = np.stack([st, np.zeros_like(ct), ct])
-    wmat = legvander(ct, k_max)[:, ::2] * w_theta[:, None] \
-        * (np.arange(0, k_max + 1, 2) + 0.5)
+    wmat = np.polynomial.legendre.legvander(ct, k_max)[:, ::2] \
+        * w_theta[:, None] * (np.arange(0, k_max + 1, 2) + 0.5)
     return np.ascontiguousarray(
         _intensity_sums(beam, np.zeros(3), r_m, nhat, wmat).T)
 
@@ -289,7 +287,7 @@ def brute_force_average(beam, wf, position, angular_density):
         return abs(value - previous) / max(abs(value), floor)
 
     def phi_refined(n_theta):
-        cos_theta, w_theta = leggauss(n_theta)
+        cos_theta, w_theta = np.polynomial.legendre.leggauss(n_theta)
         n_phi, residual = _PHI_START, np.inf
         sums = node_sums(cos_theta, w_theta, _PHI_OFFSET
                          + 2.0 * np.pi * np.arange(n_phi) / n_phi)

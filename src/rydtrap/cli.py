@@ -17,8 +17,7 @@ import sys
 import warnings
 from fractions import Fraction
 
-import numpy as np
-
+from ._numpy import np
 from . import __version__
 from .constants import CM1_TO_MHZ, constants_hash
 from .angular import (Term, angular_table, max_rank, reference_m,
@@ -292,7 +291,7 @@ _SI_SUFFIX = {"length": "_m", "power": "_w", "frequency": "_hz",
 def _plain(value):
     """An option's value for JSON: sequences as lists, terms and sublevels
     as their labels."""
-    if isinstance(value, (tuple, list, np.ndarray)):
+    if isinstance(value, (tuple, list)):
         return [_plain(item) for item in value]
     if isinstance(value, Term):
         return value.label
@@ -346,6 +345,9 @@ def _cell(value):
 def _cmd_angular_table(args):
     if min(args.ranks) < 0:
         args.parser.error("--ranks must be >= 0, got %d" % min(args.ranks))
+    if len(set(args.ranks)) < len(args.ranks):
+        args.parser.error("--ranks repeats a rank: %s"
+                          % " ".join(map(str, args.ranks)))
     rows = []
     for term, factors in angular_table(tuple(args.terms), tuple(args.ranks)):
         rows.append([term.label, str(reference_m(term))]

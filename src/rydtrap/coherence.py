@@ -37,8 +37,7 @@ Ramsey, and 170 B per atom for echo).
 
 import math
 
-import numpy as np
-
+from ._numpy import np
 from .constants import KB, H
 
 # atoms x columns evaluated at once when accumulating a contrast

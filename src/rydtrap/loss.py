@@ -12,7 +12,7 @@ admixture set by the core trap depth over the detuning from each core
 line, summed over lines.
 """
 
-import numpy as np
+import math
 
 from ._tables import read_rows
 from .constants import C, HBAR
@@ -79,24 +79,24 @@ def fit_photoionization(records, beam):
     if len(records) < 3:
         raise InsufficientDataError("need at least 3 records, have %d"
                                     % len(records))
-    powers = np.array([rec.power_w for rec in records])
-    if len(np.unique(powers)) < 3:
+    powers = [rec.power_w for rec in records]
+    if len(set(powers)) < 3:
         raise InsufficientDataError("need at least 3 distinct powers")
-    tau = np.array([rec.lifetime_s for rec in records])
-    gamma = 1.0 / tau
-    if all(rec.sigma_s is not None for rec in records):
-        sig_tau = np.array([rec.sigma_s for rec in records])
-        sig_gamma = sig_tau / tau ** 2
+    gamma = [1.0 / rec.lifetime_s for rec in records]
+    weighted = all(rec.sigma_s is not None for rec in records)
+    if weighted:
+        # sigma_Gamma = sigma_tau / tau^2
+        w = [1.0 / (rec.sigma_s / rec.lifetime_s ** 2) ** 2
+             for rec in records]
     else:
-        sig_gamma = np.ones_like(gamma)
-    w = 1.0 / sig_gamma ** 2
+        w = [1.0] * len(records)
 
     # closed-form weighted straight line gamma = a + b P
-    sw = np.sum(w)
-    swp = np.sum(w * powers)
-    swpp = np.sum(w * powers ** 2)
-    swg = np.sum(w * gamma)
-    swpg = np.sum(w * powers * gamma)
+    sw = math.fsum(w)
+    swp = math.fsum(wi * p for wi, p in zip(w, powers))
+    swpp = math.fsum(wi * p ** 2 for wi, p in zip(w, powers))
+    swg = math.fsum(wi * g for wi, g in zip(w, gamma))
+    swpg = math.fsum(wi * p * g for wi, p, g in zip(w, powers, gamma))
     det = sw * swpp - swp ** 2
     if det <= 0:
         raise InsufficientDataError("degenerate power values")
@@ -104,19 +104,19 @@ def fit_photoionization(records, beam):
     b = (sw * swpg - swp * swg) / det
     var_a = swpp / det
     var_b = sw / det
-    if not all(rec.sigma_s is not None for rec in records):
+    if not weighted:
         # scale unit-weight covariance by the residual variance
-        resid = gamma - (a + b * powers)
         dof = max(len(records) - 2, 1)
-        s2 = float(np.sum(w * resid ** 2) / dof)
+        s2 = math.fsum(wi * (g - (a + b * p)) ** 2
+                       for wi, p, g in zip(w, powers, gamma)) / dof
         var_a *= s2
         var_b *= s2
 
     # gamma_pi P = sigma_pi I0/(hbar w), with I0/P the peak intensity at 1 W
     to_sigma = HBAR * beam.angular_frequency \
         / beam.with_power(1.0).peak_intensity
-    return PhotoionizationFit(a, np.sqrt(var_a), b, np.sqrt(var_b),
-                              b * to_sigma, np.sqrt(var_b) * to_sigma)
+    return PhotoionizationFit(a, math.sqrt(var_a), b, math.sqrt(var_b),
+                              b * to_sigma, math.sqrt(var_b) * to_sigma)
 
 
 def trapped_lifetime_reduction(fit, power_w):
@@ -164,6 +164,10 @@ def autoionization_coefficient(species, beam, core_depth_hz=None):
     total = 0.0
     for wavelength_m, gamma_prime in species.core_lines:
         detuning_hz = abs(nu_trap - C / wavelength_m)
+        if detuning_hz == 0.0:
+            raise ValueError("trap light at %g m is on the %s core line at "
+                             "%g m, where the rate diverges"
+                             % (beam.wavelength, species.name, wavelength_m))
         total += gamma_prime / detuning_hz
     return core_depth_hz * total
 

@@ -17,9 +17,7 @@ against the direct 3D quadrature of a Numerov wavefunction.
 import math
 from fractions import Fraction
 
-import numpy as np
-from numpy.polynomial.legendre import legval
-
+from ._numpy import np
 from .constants import (AU_POLARIZABILITY, C, E_CHARGE, EPS0, H, M_E, AMU,
                         SPECIES_DATA)
 from .angular import Term, angular_factor, max_rank, reference_m, wigner_3j
@@ -214,7 +212,7 @@ def ponderomotive_shift(state, field, axis_angle_deg=0.0):
     e = interpolated_reduced_element(state.n_star, term.L, field)
     by_k = {}
     for k in range(0, needed + 1, 2):
-        p_k = legval(cos_beta, [0.0] * k + [1.0])
+        p_k = np.polynomial.legendre.legval(cos_beta, [0.0] * k + [1.0])
         by_k[k] = pref * angular_factor(term, k, state.M) * p_k * e[k // 2] / H
     total = float(sum(by_k.values()))
     return total, by_k

@@ -28,14 +28,14 @@ Int r^2 R_nl(r)^2 dr = 1.
 
 import math
 
-import numpy as np
+from ._numpy import np
 
 # largest integer n of a hydrogenic wavefunction
 _N_MAX = 150
 # rescaling threshold of the recurrences, a power of two so that dividing
 # by it is exact, and how many Laguerre steps run between checks
 _HUGE = 2.0 ** 498
-_LOG_HUGE = np.log(_HUGE)
+_LOG_HUGE = math.log(_HUGE)
 _CHECK_EVERY = 8
 
 

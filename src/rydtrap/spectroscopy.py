@@ -11,8 +11,7 @@ The fits import scipy.optimize when they run, so importing this module
 does not load scipy.
 """
 
-import numpy as np
-
+from ._numpy import np
 from ._tables import read_rows
 from .constants import CM1_TO_MHZ
 
@@ -65,7 +64,19 @@ def bundled_energy_path():
 
 
 def ritz_delta(params, n):
-    """delta(n) for Ritz coefficients [d0, d2, d4, ...]; vectorized in n."""
+    """delta(n) for Ritz coefficients [d0, d2, d4, ...]; vectorized in n.
+
+    A float n gives a float, from the same operations in float arithmetic,
+    so scalar callers load no numpy.
+    """
+    if isinstance(n, (int, float)):
+        d0 = float(params[0])
+        x = 1.0 / (float(n) - d0) ** 2
+        delta, pw = d0, 1.0
+        for coeff in params[1:]:
+            pw *= x
+            delta += float(coeff) * pw
+        return delta
     params = np.asarray(params, dtype=float)
     n = np.asarray(n, dtype=float)
     x = 1.0 / (n - params[0]) ** 2

@@ -281,6 +281,14 @@ class TestExitCodes:
         assert "[35, 80]" in captured.err
         assert captured.out == ""
 
+    def test_trap_on_a_core_line_is_data_error(self, capsys):
+        # zero detuning from the 369 nm Yb+ line raised ZeroDivisionError
+        assert cli.main(["autoion", "--power", "9mW", "--n", "70",
+                         "--wavelength", "3.69e-7m"]) == 2
+        captured = capsys.readouterr()
+        assert "on the yb174 core line at 3.69e-07 m" in captured.err
+        assert captured.out == ""
+
     def test_non_half_integer_m_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["trap-depth", "--power", "9mW", "--n", "60",
@@ -291,7 +299,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, named", [
         (["--terms", "3X1"], "orbital letter 'X' not supported"),
         (["--ranks", "0", "-2"], "--ranks must be >= 0, got -2"),
-    ], ids=["terms", "ranks"])
+        # a repeated rank gave the CSV two k2 columns and the JSON one key
+        (["--ranks", "2", "0", "2"], "--ranks repeats a rank: 2 0 2"),
+    ], ids=["terms", "ranks", "repeated-ranks"])
     def test_malformed_angular_table_input_is_usage_error(self, argv, named,
                                                           capsys):
         with pytest.raises(SystemExit) as exc:
@@ -623,13 +633,27 @@ NO_SCIPY_COMMANDS = {
     "oracle-check": ["oracle-check", "--power", "9mW", "--n", "40"],
 }
 
+# A fresh process per command: these do no array math, so they must load
+# no numpy module either. rydtrap's np is a lazy module that loads numpy on
+# first attribute use, so the "numpy" entry alone does not count.
+NO_NUMPY_COMMANDS = {
+    "version": (["--version"], 0),
+    "help": (["--help"], 0),
+    "angular-table": (["angular-table"], 0),
+    "forster": (NO_SCIPY_COMMANDS["forster"], 0),
+    "autoion": (NO_SCIPY_COMMANDS["autoion"], 0),
+    "pi-fit": (NO_SCIPY_COMMANDS["pi-fit"], 0),
+    "usage-error": (["trap-depth", "--power", "9", "--n", "60"], 1),
+}
+
 LIST_MODULES = """
 print(json.dumps({"result": result, "scipy": sorted(
     m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+    "numpy": sorted(m for m in sys.modules if m.startswith("numpy.")),
     "importlib_metadata": "importlib.metadata" in sys.modules}))
 """
 
-SCIPY_PROBE = """
+MODULE_PROBE = """
 import json, sys
 from rydtrap import cli
 try:
@@ -639,8 +663,8 @@ except SystemExit as exc:
 """ + LIST_MODULES
 
 def probe_report(script, argv, tmp_path):
-    """The result of a probe in a new process, the scipy modules it loaded
-    and whether it loaded importlib.metadata."""
+    """The result of a probe in a new process, the scipy and numpy modules
+    it loaded and whether it loaded importlib.metadata."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(rydtrap.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
@@ -650,28 +674,44 @@ def probe_report(script, argv, tmp_path):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def scipy_modules_after(argv, tmp_path):
-    """Exit code and scipy modules loaded by one command in a new process."""
+def modules_after(argv, tmp_path):
+    """The probe report of one command in a new process."""
     (tmp_path / "tau.csv").write_text(
         "power_mw,lifetime_us\n2,73.2\n4,64.5\n6,57.7\n9,49.8\n12,43.8\n")
     argv = argv + ([] if argv == ["--version"] else
                    ["--output", str(tmp_path / "out")])
-    report = probe_report(SCIPY_PROBE, argv, tmp_path)
-    return report["result"], report["scipy"]
+    return probe_report(MODULE_PROBE, argv, tmp_path)
 
 
 @pytest.mark.parametrize("name", sorted(NO_SCIPY_COMMANDS))
 def test_command_loads_no_scipy(name, tmp_path):
-    code, loaded = scipy_modules_after(NO_SCIPY_COMMANDS[name], tmp_path)
-    assert code == 0
-    assert loaded == []
+    report = modules_after(NO_SCIPY_COMMANDS[name], tmp_path)
+    assert report["result"] == 0
+    assert report["scipy"] == []
 
 
 def test_scipy_probe_sees_a_fit_import(tmp_path):
     # the probe is not blind: ritz-fit imports scipy.optimize when it runs
-    code, loaded = scipy_modules_after(["ritz-fit"], tmp_path)
-    assert code == 0
-    assert "scipy.optimize" in loaded
+    report = modules_after(["ritz-fit"], tmp_path)
+    assert report["result"] == 0
+    assert "scipy.optimize" in report["scipy"]
+
+
+@pytest.mark.parametrize("name", sorted(NO_NUMPY_COMMANDS))
+def test_command_loads_no_numpy(name, tmp_path):
+    argv, code = NO_NUMPY_COMMANDS[name]
+    report = modules_after(argv, tmp_path)
+    assert report["result"] == code
+    assert report["numpy"] == []
+
+
+@pytest.mark.parametrize("argv", [NO_SCIPY_COMMANDS["trap-depth-single"],
+                                  ["ritz-fit"]], ids=["trap-depth", "ritz-fit"])
+def test_numpy_probe_sees_array_math(argv, tmp_path):
+    # the probe is not blind: commands that do array math load numpy
+    report = modules_after(argv, tmp_path)
+    assert report["result"] == 0
+    assert report["numpy"] != []
 
 
 def test_version_loads_no_importlib_metadata(tmp_path):
@@ -680,7 +720,7 @@ def test_version_loads_no_importlib_metadata(tmp_path):
     control = probe_report("import json, sys, importlib.metadata\n"
                            "result = 0" + LIST_MODULES, [], tmp_path)
     assert control["importlib_metadata"] is True
-    report = probe_report(SCIPY_PROBE, ["--version"], tmp_path)
+    report = probe_report(MODULE_PROBE, ["--version"], tmp_path)
     assert report["result"] == 0
     assert report["importlib_metadata"] is False
 

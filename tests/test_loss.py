@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from rydtrap.beam import TweezerBeam
 from rydtrap.constants import HBAR
 from rydtrap.loss import (InsufficientDataError, LifetimeRecord,
                           autoionization_coefficient, autoionization_rate,
@@ -94,6 +95,37 @@ class TestPhotoionizationFit:
         with pytest.raises(ValueError, match="-0.005 W"):
             trapped_lifetime_reduction(fit, -5e-3)
 
+    @pytest.mark.parametrize("weighted", [False, True],
+                             ids=["unweighted", "weighted"])
+    def test_matches_numpy_weighted_least_squares(self, beam9, weighted):
+        # an independent reference: lstsq on the sqrt(w)-scaled design,
+        # covariance inv(A^T W A), scaled by the residual variance when no
+        # sigmas are given
+        recs = synthetic_records([1.0, 2.5, 4.0, 6.0, 9.0, 12.0, 12.0],
+                                 sigma_frac=0.03,
+                                 rng=np.random.default_rng(7))
+        if not weighted:
+            recs = [LifetimeRecord(r.power_w, r.lifetime_s) for r in recs]
+        power = np.array([r.power_w for r in recs])
+        tau = np.array([r.lifetime_s for r in recs])
+        weight = (tau ** 2 / np.array([r.sigma_s for r in recs])) ** 2 \
+            if weighted else np.ones_like(tau)
+        design = np.column_stack([np.ones_like(power), power])
+        root = np.sqrt(weight)
+        coef = np.linalg.lstsq(design * root[:, None], root / tau,
+                               rcond=None)[0]
+        cov = np.linalg.inv(design.T @ (weight[:, None] * design))
+        if not weighted:
+            resid = 1.0 / tau - design @ coef
+            cov *= np.sum(weight * resid ** 2) / (len(recs) - 2)
+        fit = fit_photoionization(recs, beam9)
+        assert fit.gamma0 == pytest.approx(coef[0], rel=1e-12)
+        assert fit.gamma_pi == pytest.approx(coef[1], rel=1e-12)
+        assert fit.gamma0_sigma == pytest.approx(np.sqrt(cov[0, 0]),
+                                                 rel=1e-12)
+        assert fit.gamma_pi_sigma == pytest.approx(np.sqrt(cov[1, 1]),
+                                                   rel=1e-12)
+
     def test_requires_three_distinct_powers(self, beam9):
         recs = synthetic_records([5.0, 5.0, 5.0])
         with pytest.raises(InsufficientDataError):
@@ -134,6 +166,13 @@ class TestAutoionization:
         base = autoionization_rate(state, beam9, core_depth_hz=2e6)
         double = autoionization_rate(state, beam9, core_depth_hz=4e6)
         assert double == pytest.approx(2.0 * base, rel=1e-12)
+
+    def test_trap_on_a_core_line_refused(self, species):
+        # zero detuning from the 369 nm Yb+ line: a ValueError naming the
+        # line, not a ZeroDivisionError
+        on_line = TweezerBeam(species.core_lines[0][0], WAIST, POWER)
+        with pytest.raises(ValueError, match="yb174 core line at 3.69e-07 m"):
+            autoionization_coefficient(species, on_line)
 
     def test_negative_core_depth_refused(self, species, beam9):
         assert autoionization_coefficient(species, beam9, 0.0) == 0.0

@@ -78,6 +78,13 @@ class TestDefectEvaluation:
         denom = (75.0 - 4.4382) ** 2
         want = 4.4382 + 6.0 / denom - 1.8e4 / denom**2
         assert single == pytest.approx(want, rel=1e-12)
+        # a scalar n takes a float path without numpy: the same operations,
+        # so it returns a float equal to the array element to the last bit
+        ns = [40.0, 57.3, 75, 99.71]
+        for n_scalar, element in zip(ns, ritz_delta(params, np.array(ns))):
+            got = ritz_delta(params, n_scalar)
+            assert type(got) is float
+            assert got == element
 
 
 class TestRitzFit:
