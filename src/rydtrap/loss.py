@@ -85,19 +85,21 @@ def fit_photoionization(records, beam):
     gamma = [1.0 / rec.lifetime_s for rec in records]
     weighted = all(rec.sigma_s is not None for rec in records)
     if weighted:
-        # sigma_Gamma = sigma_tau / tau^2
-        w = [1.0 / (rec.sigma_s / rec.lifetime_s ** 2) ** 2
-             for rec in records]
+        # w = 1/sigma_Gamma^2 with sigma_Gamma = sigma_tau / tau^2; squares
+        # are products, which go to inf or 0.0 where ** 2 would raise
+        inv_sigma = [rec.lifetime_s * rec.lifetime_s / rec.sigma_s
+                     for rec in records]
+        w = [x * x for x in inv_sigma]
     else:
         w = [1.0] * len(records)
 
     # closed-form weighted straight line gamma = a + b P
     sw = math.fsum(w)
     swp = math.fsum(wi * p for wi, p in zip(w, powers))
-    swpp = math.fsum(wi * p ** 2 for wi, p in zip(w, powers))
+    swpp = math.fsum(wi * (p * p) for wi, p in zip(w, powers))
     swg = math.fsum(wi * g for wi, g in zip(w, gamma))
     swpg = math.fsum(wi * p * g for wi, p, g in zip(w, powers, gamma))
-    det = sw * swpp - swp ** 2
+    det = sw * swpp - swp * swp
     if det <= 0:
         raise InsufficientDataError("degenerate power values")
     a = (swpp * swg - swp * swpg) / det
@@ -107,8 +109,8 @@ def fit_photoionization(records, beam):
     if not weighted:
         # scale unit-weight covariance by the residual variance
         dof = max(len(records) - 2, 1)
-        s2 = math.fsum(wi * (g - (a + b * p)) ** 2
-                       for wi, p, g in zip(w, powers, gamma)) / dof
+        resid = [g - (a + b * p) for p, g in zip(powers, gamma)]
+        s2 = math.fsum(r * r for r in resid) / dof
         var_a *= s2
         var_b *= s2
 

@@ -64,28 +64,18 @@ def bundled_energy_path():
 
 
 def ritz_delta(params, n):
-    """delta(n) for Ritz coefficients [d0, d2, d4, ...]; vectorized in n.
+    """delta(n) for Ritz coefficients [d0, d2, d4, ...] at a float or array n.
 
-    A float n gives a float, from the same operations in float arithmetic,
-    so scalar callers load no numpy.
+    A float n with a list of params gives a float and touches no numpy.
+    With d0 alone the result is d0 itself, which broadcasts against n.
     """
-    if isinstance(n, (int, float)):
-        d0 = float(params[0])
-        x = 1.0 / (float(n) - d0) ** 2
-        delta, pw = d0, 1.0
-        for coeff in params[1:]:
-            pw *= x
-            delta += float(coeff) * pw
-        return delta
-    params = np.asarray(params, dtype=float)
-    n = np.asarray(n, dtype=float)
-    x = 1.0 / (n - params[0]) ** 2
-    delta = np.full_like(n, params[0])
-    pw = np.ones_like(n)
+    delta, pw = params[0], 1.0
+    gap = n - params[0]
+    x = 1.0 / (gap * gap)
     for coeff in params[1:]:
         pw = pw * x
         delta = delta + coeff * pw
-    return delta if delta.ndim else float(delta)
+    return delta
 
 
 def defect_from_energy(record, ionization_cm1, rydberg_cm1):

@@ -183,6 +183,24 @@ class TestExitCodes:
         assert cli.main(["pi-fit", "--input", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", [
+        # 1/tau near 1e166 per s: the squared residuals overflow to inf
+        "power_mw,lifetime_us\n2,1e-160\n4,2e-160\n6,5e-160\n",
+        # tau^2 underflows to 0.0, so every weight is 0
+        "power_mw,lifetime_us,sigma_us\n"
+        "2,1e-160,1e-161\n4,2e-160,1e-161\n6,5e-160,1e-161\n",
+        # the squared power sums overflow to inf
+        "power_mw,lifetime_us\n2e160,70\n4e160,60\n6e160,50\n",
+    ], ids=["huge-rates", "underflowed-weights", "huge-powers"])
+    def test_out_of_range_lifetime_fit_is_data_error(self, rows, tmp_path,
+                                                     capsys):
+        path = tmp_path / "extreme.csv"
+        path.write_text(rows)
+        assert cli.main(["pi-fit", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
     def test_single_cell_row_is_data_error(self, tmp_path, capsys):
         # the error names the physical line, comment lines counted
         path = tmp_path / "short_row.csv"
