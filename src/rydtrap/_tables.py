@@ -1,6 +1,15 @@
 """The reader of the two input tables: series energies and lifetimes."""
 
 import csv
+import math
+
+
+def finite(name, value):
+    """value as a float; ValueError naming the field if it is nan or inf."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError("%s must be finite, got %r" % (name, value))
+    return value
 
 
 def read_rows(source, kind, columns):

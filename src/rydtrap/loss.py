@@ -14,7 +14,7 @@ line, summed over lines.
 
 import math
 
-from ._tables import read_rows
+from ._tables import finite, read_rows
 from .constants import C, HBAR
 
 
@@ -28,13 +28,13 @@ class LifetimeRecord:
     __slots__ = ("power_w", "lifetime_s", "sigma_s")
 
     def __init__(self, power_w, lifetime_s, sigma_s=None):
-        if power_w < 0 or lifetime_s <= 0:
+        self.power_w = finite("power_w", power_w)
+        self.lifetime_s = finite("lifetime_s", lifetime_s)
+        self.sigma_s = None if sigma_s is None else finite("sigma_s", sigma_s)
+        if self.power_w < 0 or self.lifetime_s <= 0:
             raise ValueError("power must be >= 0 and lifetime > 0")
-        if sigma_s is not None and sigma_s <= 0:
+        if self.sigma_s is not None and self.sigma_s <= 0:
             raise ValueError("sigma must be positive")
-        self.power_w = float(power_w)
-        self.lifetime_s = float(lifetime_s)
-        self.sigma_s = None if sigma_s is None else float(sigma_s)
 
     def __repr__(self):
         return "LifetimeRecord(power_w=%g, lifetime_s=%g, sigma_s=%s)" % (

@@ -12,7 +12,7 @@ does not load scipy.
 """
 
 from ._numpy import np
-from ._tables import read_rows
+from ._tables import finite, read_rows
 from .constants import CM1_TO_MHZ
 
 DEFAULT_SIGMA_MHZ = 4.0
@@ -29,8 +29,8 @@ class EnergyRecord:
 
     def __init__(self, n, energy_cm1, sigma_mhz=DEFAULT_SIGMA_MHZ):
         self.n = int(n)
-        self.energy_cm1 = float(energy_cm1)
-        self.sigma_mhz = float(sigma_mhz)
+        self.energy_cm1 = finite("energy_cm1", energy_cm1)
+        self.sigma_mhz = finite("sigma_mhz", sigma_mhz)
         if self.n < 1:
             raise ValueError("n must be positive")
         if self.sigma_mhz <= 0:

@@ -201,6 +201,16 @@ class TestExitCodes:
         assert captured.err.startswith("error:")
         assert captured.out == ""
 
+    def test_non_finite_lifetime_row_is_data_error(self, tmp_path, capsys):
+        # refused when the row is read, not when the JSON is written
+        path = tmp_path / "nan.csv"
+        path.write_text("power_mw,lifetime_us\n2,73.2\nnan,64.5\n"
+                        "6,57.7\n9,49.8\n")
+        assert cli.main(["pi-fit", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: power_w must be finite, got nan\n"
+        assert captured.out == ""
+
     def test_single_cell_row_is_data_error(self, tmp_path, capsys):
         # the error names the physical line, comment lines counted
         path = tmp_path / "short_row.csv"

@@ -86,6 +86,23 @@ ECHO_FREQS = {"33-33-6kHz": (33e3, 33e3, 6e3), "10-10-2kHz": (10e3, 10e3, 2e3),
               "80-80-15kHz": (80e3, 80e3, 15e3)}
 
 
+class TestTangentPhasor:
+    """coherence._cos_sin, cos and sin of 2h from tan h, against numpy."""
+
+    MAGNITUDES = np.geomspace(1e-8, 1e6, 100001)
+    # pi/2 is the half angle where tan is largest (1.6e16, not inf)
+    EXACT = [0.0, np.pi, -np.pi, 3.0 * np.pi, np.nextafter(np.pi, 4.0),
+             np.nextafter(np.pi, 0.0)]
+
+    def test_matches_numpy_cos_sin(self):
+        phi = np.concatenate([self.MAGNITUDES, -self.MAGNITUDES, self.EXACT])
+        sin = phi / 2.0
+        cos = np.empty_like(phi)
+        coherence._cos_sin(sin, cos)
+        assert np.max(np.abs(cos - np.cos(phi))) <= 4e-16
+        assert np.max(np.abs(sin - np.sin(phi))) <= 4e-16
+
+
 class TestContrastCurve:
     def test_interpolated_crossing(self):
         t = np.linspace(0.0, 5.0, 501)
@@ -303,6 +320,19 @@ class TestChunkedAccumulation:
         sc = scenario(n_atoms=2000, trap_frequencies_hz=freqs)
         got = echo_contrast(sc, TIMES).contrast
         assert np.max(np.abs(got - dense_echo(sc, TIMES))) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["ramsey", "echo"])
+    def test_large_phases_match_dense_reference(self, kind):
+        # -2 MHz at 40 uK: Ramsey phases reach 2e4 rad by 1 ms
+        times = cli._time_grid(cli.time_range("0:1000us:5us"))
+        if kind == "ramsey":
+            sc = scenario(dnu0_hz=-2e6, temperature_k=40e-6, n_atoms=2000)
+            gap = ramsey_contrast(sc, times).contrast - dense_ramsey(sc, times)
+        else:
+            sc = scenario(dnu0_hz=-2e6, temperature_k=40e-6, n_atoms=2000,
+                          trap_frequencies_hz=(33e3, 33e3, 6e3))
+            gap = echo_contrast(sc, times).contrast - dense_echo(sc, times)
+        assert np.max(np.abs(gap)) <= 1e-12
 
     @pytest.mark.parametrize("budget", [1, 7 * len(TIMES)])
     def test_chunk_size_does_not_change_contrast(self, monkeypatch, budget):

@@ -55,6 +55,16 @@ class TestLoading:
         with pytest.raises(ValueError):
             LifetimeRecord(1e-3, 50e-6, -1e-6)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["power_w", "lifetime_s", "sigma_s"])
+    def test_non_finite_record_names_field(self, field, value):
+        kw = dict(power_w=1e-3, lifetime_s=50e-6, sigma_s=1e-6)
+        kw[field] = value
+        with pytest.raises(ValueError, match="%s must be finite, got %r"
+                           % (field, value)):
+            LifetimeRecord(**kw)
+
 
 class TestPhotoionizationFit:
     def test_noiseless_recovery_is_exact(self, beam9):

@@ -51,6 +51,16 @@ class TestLoading:
         with pytest.raises(ValueError):
             load_energy_csv(io.StringIO("level,value\n50,50390.0\n"))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["energy_cm1", "sigma_mhz"])
+    def test_non_finite_record_names_field(self, field, value):
+        kw = dict(n=50, energy_cm1=50390.0, sigma_mhz=10.0)
+        kw[field] = value
+        with pytest.raises(ValueError, match="%s must be finite, got %r"
+                           % (field, value)):
+            EnergyRecord(**kw)
+
 
 class TestDefectEvaluation:
     def test_defect_from_energy_reference_point(self):
