@@ -134,7 +134,8 @@ class TensorField:
     TweezerBeam they were decomposed from. refinement_residual is the
     largest profile move, over peak intensity, that decompose's refinement
     check saw. element_cache maps (n, l) to the row of radial elements
-    e_k(n, l) against profiles, filled by the radial module.
+    e_k(n, l) against profiles, each divided by the wavefunction's norm on
+    the grid, filled by the radial module.
     """
 
     def __init__(self, grid, profiles, beam, refinement_residual):
@@ -175,9 +176,9 @@ def _intensity_sums(beam, position, r_m, nhat, weights):
     transpose beam.intensity receives: each Cartesian component is then
     contiguous, and a block's temporaries (256 kB per array) stay in L2. A
     node's value does not depend on the layout. So memory does not grow
-    with the grid: on the CLI grids of n = 40, 140 and 300 (4,000, 5,720
-    and 12,120 radii) an on-axis decompose traces a 3.5-4.2 MB peak, and
-    an on-axis oracle call for an s state 3.3 MB.
+    with the grid: on grids of 4,000, 5,720 and 12,120 radii an on-axis
+    decompose traces a 3.5-4.2 MB peak, and an on-axis oracle call for an
+    s state on its 4,000-point grid 3.3 MB.
     """
     n_nodes = nhat.shape[1]
     node_step = min(n_nodes, _NODE_CHUNK)

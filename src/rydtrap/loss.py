@@ -43,10 +43,11 @@ class LifetimeRecord:
 
 def load_lifetime_csv(source):
     """Read records from CSV with header power_mw,lifetime_us[,sigma_us]."""
-    return [LifetimeRecord(float(power) * 1e-3, float(lifetime) * 1e-6,
-                           None if sigma is None else float(sigma) * 1e-6)
-            for power, lifetime, sigma in read_rows(
-                source, "lifetime", ("power_mw", "lifetime_us", "sigma_us"))]
+    return [record for _, record in read_rows(
+        source, "lifetime", ("power_mw", "lifetime_us", "sigma_us"),
+        lambda power, lifetime, sigma: LifetimeRecord(
+            power * 1e-3, lifetime * 1e-6,
+            None if sigma is None else sigma * 1e-6))]
 
 
 class PhotoionizationFit:

@@ -28,6 +28,9 @@ class EnergyRecord:
     __slots__ = ("n", "energy_cm1", "sigma_mhz")
 
     def __init__(self, n, energy_cm1, sigma_mhz=DEFAULT_SIGMA_MHZ):
+        n = finite("n", n)
+        if not n.is_integer():
+            raise ValueError("n must be an integer, got %r" % n)
         self.n = int(n)
         self.energy_cm1 = finite("energy_cm1", energy_cm1)
         self.sigma_mhz = finite("sigma_mhz", sigma_mhz)
@@ -45,14 +48,15 @@ def load_energy_csv(source):
     """Records sorted by n, from CSV with header n,energy_cm1[,sigma_mhz]."""
     records = []
     seen = set()
-    for n, energy, sigma in read_rows(source, "energy",
-                                      ("n", "energy_cm1", "sigma_mhz")):
-        n = int(n)
-        if n in seen:
-            raise ValueError("duplicate n=%d in energy file" % n)
-        seen.add(n)
-        records.append(EnergyRecord(n, float(energy), DEFAULT_SIGMA_MHZ
-                                    if sigma is None else float(sigma)))
+    for line, record in read_rows(
+            source, "energy", ("n", "energy_cm1", "sigma_mhz"),
+            lambda n, energy, sigma: EnergyRecord(
+                n, energy, DEFAULT_SIGMA_MHZ if sigma is None else sigma)):
+        if record.n in seen:
+            raise ValueError("energy file line %d: duplicate n=%d"
+                             % (line, record.n))
+        seen.add(record.n)
+        records.append(record)
     records.sort(key=lambda rec: rec.n)
     return records
 

@@ -78,7 +78,8 @@ def beam9():
 
 @pytest.fixture(scope="session")
 def grid80():
-    # covers wavefunctions up to n = 83; matches the CLI sizing rule
+    # covers wavefunctions up to n = 83, at 40 points per n and no fewer
+    # than 4000 (the field commands use 10 points per n)
     return RadialGrid.default(83, npoints=max(4000, 40 * 83))
 
 

@@ -80,9 +80,9 @@ def test_02_tensor_vs_quadrature(species, beam9):
     for label in ("3S1", "1D2"):
         term = Term(label)
         for n in (40, 60, 75, 100):
+            state = RydbergState(species, n, term, reference_m(term))
             tensor_hz, brute_hz = oracle_compare(
-                RydbergState(species, n, term, reference_m(term)),
-                cli._field_for(beam9, n, 4))
+                state, cli._field_for(beam9, [state]))
             rel = abs(tensor_hz - brute_hz) / abs(brute_hz)
             assert rel < 1e-6, "%s n=%d: tensor %.6g Hz vs quadrature " \
                 "%.6g Hz (rel %.2e)" % (label, n, tensor_hz, brute_hz, rel)

@@ -10,7 +10,6 @@ from scipy.integrate import quad
 from numpy.polynomial.legendre import leggauss, legval, legvander
 from scipy.special import lpmv
 
-from rydtrap.cli import _grid_for
 from rydtrap.angular import Term, reference_m
 from rydtrap.beam import (ParaxialValidityWarning, QuadratureConvergenceError,
                           TweezerBeam, _axial_profiles, _intensity_sums,
@@ -179,7 +178,7 @@ class TestDecompose:
     def test_retained_field_is_one_stack(self, beam9):
         # on the 12,120 points of n = 300 one (3, npts) float64 stack is
         # 0.291 MB; a second copy of it would take the field past 0.58 MB
-        grid = _grid_for(300)
+        grid = RadialGrid.default(303, npoints=12120)
         tracemalloc.start()
         try:
             field = decompose(beam9, grid, k_max=4)
@@ -222,10 +221,10 @@ class TestDecompose:
 
     def test_memory_bounded_on_cli_grids(self, beam9):
         # the axial rule evaluates the intensity in fixed-size node blocks,
-        # so the traced peak barely grows with the grid: 4,000 points at
-        # n = 40, 5,720 at 140 and 12,120 at 300
-        for n in (40, 140, 300):
-            grid = _grid_for(n)
+        # so the traced peak barely grows with the grid: 4,000, 5,720 and
+        # 12,120 points out to n = 43, 143 and 303
+        for n, npoints in ((43, 4000), (143, 5720), (303, 12120)):
+            grid = RadialGrid.default(n, npoints=npoints)
             tracemalloc.start()
             try:
                 decompose(beam9, grid, k_max=4)
@@ -339,10 +338,14 @@ class TestBruteForceAverage:
 
     def test_memory_bounded_on_cli_grids(self, beam9):
         # the intensity goes in fixed-size node chunks, so the traced peak
-        # does not grow with the grid: 4,000 points at n = 40, 5,720 at 140
+        # does not grow with the grid: on oracle_compare's grids, 4,000
+        # points at n = 40, 5,720 at 140
+        def oracle_grid(n):
+            return RadialGrid.default(n + 3, npoints=max(4000, 40 * (n + 3)))
+
         peaks = {}
         for n in (40, 140):
-            wf = hydrogen_radial(n, 0, _grid_for(n))
+            wf = hydrogen_radial(n, 0, oracle_grid(n))
             tracemalloc.start()
             try:
                 brute_force_average(beam9, wf, (0.0, 0.0, 0.0),
@@ -350,8 +353,8 @@ class TestBruteForceAverage:
                 peaks[n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert len(_grid_for(40).points) == 4000
-        assert len(_grid_for(140).points) == 5720
+        assert len(oracle_grid(40)) == 4000
+        assert len(oracle_grid(140)) == 5720
         assert max(peaks.values()) <= 16e6
         assert peaks[140] <= 1.5 * peaks[40]
 

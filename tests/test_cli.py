@@ -20,6 +20,7 @@ from rydtrap.beam import QuadratureConvergenceError, decompose
 from rydtrap.constants import constants_hash
 from rydtrap.potential import (RydbergState, ground_depth, potential_breakdown,
                                yb174)
+from rydtrap.radial import _N_MAX, RadialGrid, _fill_element_memo
 
 GAMMA0 = 1.0 / 83e-6
 GAMMA_PI = 3.7e5
@@ -208,7 +209,37 @@ class TestExitCodes:
                         "6,57.7\n9,49.8\n")
         assert cli.main(["pi-fit", "--input", str(path)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: power_w must be finite, got nan\n"
+        assert captured.err == \
+            "error: lifetime file line 3: power_mw must be finite, got nan\n"
+        assert captured.out == ""
+
+    def test_non_finite_energy_row_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("# n = 41 unmeasured\nn,energy_cm1\n40,50350.0\n"
+                        "41,nan\n42,50360.0\n")
+        assert cli.main(["ritz-fit", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == \
+            "error: energy file line 4: energy_cm1 must be finite, got nan\n"
+        assert captured.out == ""
+
+    def test_non_numeric_cell_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "text.csv"
+        path.write_text("power_mw,lifetime_us\n2,73.2\n4,n/a\n6,57.7\n")
+        assert cli.main(["pi-fit", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: lifetime file line 3: lifetime_us " \
+            "must be a number, got 'n/a'\n"
+        assert captured.out == ""
+
+    def test_non_integer_energy_n_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "half.csv"
+        path.write_text("n,energy_cm1\n40,50350.0\n40.5,50350.0\n"
+                        "42,50360.0\n")
+        assert cli.main(["ritz-fit", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == \
+            "error: energy file line 3: n must be an integer, got 40.5\n"
         assert captured.out == ""
 
     def test_single_cell_row_is_data_error(self, tmp_path, capsys):
@@ -403,6 +434,68 @@ class TestAngularTable:
         rows = doc["data"]["rows"]
         assert [r["term"] for r in rows] == ["3S1", "1D2"]
         assert set(rows[0]) == {"term", "M", "k0", "k2"}
+
+
+class TestFieldGrid:
+    """The radial grid of the field commands and the element rows on it."""
+
+    @pytest.mark.parametrize("n_max", [3, 30, 148])
+    def test_rows_meet_the_accuracy_target(self, beam9, n_max):
+        # every integer-n row, l <= 2, that a command on this grid can
+        # bracket, against the rows at 40 points per n: within 1e-9 of e_0,
+        # and for n >= 30 each element within 5e-10 of itself
+        fine = RadialGrid.default(n_max + 3, npoints=40 * (n_max + 3))
+        levels = [(n + 0.5, l) for l in range(3)
+                  for n in range(l + 2, min(n_max, _N_MAX - 2) + 1)]
+        memos = []
+        for grid in (cli._grid_for(n_max), fine):
+            field = decompose(beam9, grid, k_max=4)
+            _fill_element_memo(field, levels)
+            memos.append(field.element_cache)
+        coarse, reference = memos
+        assert coarse.keys() == reference.keys()
+        assert max(n for n, _ in reference) == min(n_max + 2, _N_MAX)
+        for key, want in reference.items():
+            err = np.abs(coarse[key] - want)
+            assert np.all(err <= 1e-9 * abs(want[0])), key
+            if key[0] >= 30:
+                assert np.all(err <= 5e-10 * np.abs(want)), key
+
+    @pytest.mark.parametrize("argv", [
+        ["trap-depth", "--n-min", "30", "--n-max", "140"],
+        ["trap-depth", "--n", "75", "--series", "1D2"],
+        ["tensor-shift", "--n", "74", "--series", "3P2"],
+        ["magic-scan", "--n-range", "40:80", "--series-b", "1D2"],
+    ], ids=["trap-depth-range", "trap-depth-1D2", "tensor-shift",
+            "magic-scan"])
+    def test_each_row_computed_once(self, argv, monkeypatch, tmp_path):
+        # the kernel sees each (n, l) row once, in blocks of at most 16
+        # rows, all before _field_for returns; the states' brackets then
+        # only read the memo
+        kernel, field_for = rydtrap.radial._laguerre_block, cli._field_for
+        rows, sizes, fields = [], [], []
+
+        def recording_kernel(k, alpha, x, live):
+            sizes.append(len(k))
+            rows.extend((int(k_i) + (alpha + 1) // 2, (alpha - 1) // 2)
+                        for k_i in k)
+            return kernel(k, alpha, x, live)
+
+        def recording_field_for(beam, states):
+            field = field_for(beam, states)
+            fields.append((states, len(rows)))
+            return field
+
+        monkeypatch.setattr("rydtrap.radial._laguerre_block",
+                            recording_kernel)
+        monkeypatch.setattr(cli, "_field_for", recording_field_for)
+        run_json(argv + ["--power", "9mW"], tmp_path)
+        (states, filled), = fields
+        assert filled == len(rows)
+        assert len(rows) == len(set(rows))
+        assert max(sizes) <= 16
+        assert set(rows) == {(n, s.l) for s in states for n in range(
+            int(s.n_star) - 1, int(s.n_star) + 3)}
 
 
 class TestFieldCommands:

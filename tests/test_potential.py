@@ -10,8 +10,9 @@ from rydtrap.beam import decompose
 from rydtrap.constants import AU_POLARIZABILITY, EPS0, C, H, SPECIES_DATA
 from rydtrap.potential import (RydbergState, TruncationError,
                                core_shift, differential_shift, ground_depth,
-                               polarizability_shift_hz, pond_prefactor,
-                               ponderomotive_shift, potential_breakdown,
+                               oracle_compare, polarizability_shift_hz,
+                               pond_prefactor, ponderomotive_shift,
+                               potential_breakdown,
                                power_for_ground_depth, rb87,
                                tensor_splitting, yb174)
 from rydtrap.radial import RadialGrid
@@ -216,3 +217,29 @@ class TestDifferentialShift:
         b = RydbergState(rb87(), 75, "2S1/2")
         with pytest.raises(ValueError):
             differential_shift(a, b, field_op)
+
+
+class TestOracleCompare:
+    def test_grid_does_not_depend_on_field_grid(self, species, beam9,
+                                                field9, monkeypatch):
+        # the Numerov wavefunction gets the same grid whatever the field's:
+        # sqrt spaced to n + 3 at max(4000, 40 (n + 3)) points
+        seen = []
+
+        def brute(beam, wf, position, angular_density):
+            seen.append(wf.grid.points)
+            return 1.0
+
+        monkeypatch.setattr("rydtrap.potential.brute_force_average", brute)
+        for n, npoints in ((60, 4000), (78, 4000), (140, 5720)):
+            state = RydbergState(species, n, "3S1")
+            coarse = RadialGrid.default(n + 3, npoints=10 * (n + 3))
+            fields = [decompose(beam9, coarse, k_max=0)]
+            if field9.grid.covers(n + 2):
+                fields.append(field9)
+            for field in fields:
+                oracle_compare(state, field)
+            want = RadialGrid.default(n + 3, npoints=npoints).points
+            assert len(seen) == len(fields)
+            assert all(np.array_equal(points, want) for points in seen)
+            seen.clear()

@@ -155,15 +155,42 @@ class TestLaguerreKernel:
                 assert np.max(np.abs(got - want)) \
                     <= 1e-13 * np.max(np.abs(want)), (n, l, len(grid))
 
+    # blocks of rows of one l: one row, 16 rows, degrees that end early
+    # (k = 0 and 1 among long rows) and rows up to the cap
+    BLOCKS = {"one": [60], "sixteen": list(range(40, 56)),
+              "early": [1, 2, 3, 4, 5, 10, 80, 120],
+              "cap": list(range(_N_MAX - 15, _N_MAX + 1))}
+
+    @pytest.mark.parametrize("l", range(4))
+    @pytest.mark.parametrize("block", sorted(BLOCKS))
+    def test_block_matches_plain_recurrence(self, wide, block, l):
+        ns = [n for n in self.BLOCKS[block] if n > l]
+        cli_grid = RadialGrid.default(_N_MAX, npoints=40 * _N_MAX)
+        for grid in (wide, cli_grid):
+            rows = rydtrap.radial._radial_rows(ns, l, grid)
+            assert rows.shape == (len(ns), rows.shape[1])
+            for n, row in zip(ns, rows):
+                log_r, sign = reference_log_radial(n, l, grid)
+                want = np.nan_to_num(sign * np.exp(log_r))
+                got = np.zeros(len(grid))
+                got[:len(row)] = row
+                assert np.max(np.abs(got - want)) \
+                    <= 1e-13 * np.max(np.abs(want)), (n, l, len(grid))
+                # point by point too, so that a row's rescaling offsets,
+                # which reach only samples far below its peak, are checked
+                normal = np.abs(want) > 1e-290
+                assert np.all(np.abs(got - want)[normal]
+                              <= 1e-12 * np.abs(want[normal])), (n, l)
+
     def test_dropped_tail_is_negligible(self, wide, monkeypatch):
-        kernel = rydtrap.radial._laguerre_log
+        kernel = rydtrap.radial._laguerre_block
         seen = []
 
-        def recorded(k, alpha, x):
-            seen.append(len(x))
-            return kernel(k, alpha, x)
+        def recorded(k, alpha, x, live):
+            seen.extend(live)
+            return kernel(k, alpha, x, live)
 
-        monkeypatch.setattr("rydtrap.radial._laguerre_log", recorded)
+        monkeypatch.setattr("rydtrap.radial._laguerre_block", recorded)
         dropped = 0
         for n, l in self.STATES:
             wf = hydrogen_radial(n, l, wide)
@@ -239,8 +266,8 @@ class TestRadialIntegral:
 
 class TestInterpolatedElement:
     def test_integer_nstar_is_exact(self, field9):
-        direct = radial_integral(hydrogen_radial(71, 0, field9.grid),
-                                 field9.profile(0))
+        wf = hydrogen_radial(71, 0, field9.grid)
+        direct = radial_integral(wf, field9.profile(0)) / wf.norm()
         assert interpolated_reduced_element(71.0, 0, field9)[0] == \
             pytest.approx(direct, rel=1e-14)
 
@@ -286,9 +313,9 @@ class TestInterpolatedElement:
                 nodes = range(n_lo - 1, n_lo + 3)
                 for n in nodes:
                     if (n, l, k) not in integer_n:
+                        wf = hydrogen_radial(n, l, field9.grid)
                         integer_n[n, l, k] = radial_integral(
-                            hydrogen_radial(n, l, field9.grid),
-                            field9.profile(k))
+                            wf, field9.profile(k)) / wf.norm()
                 values = [integer_n[n, l, k] for n in nodes]
                 x = Fraction(float(n_star))
                 want = Fraction(0)

@@ -61,6 +61,17 @@ class TestLoading:
                            % (field, value)):
             EnergyRecord(**kw)
 
+    @pytest.mark.parametrize("n, message", [
+        (40.7, "n must be an integer, got 40.7"),
+        (np.inf, "n must be finite, got inf"),
+        (np.nan, "n must be finite, got nan"),
+        ("forty", "n must be a number, got 'forty'")],
+        ids=["fraction", "inf", "nan", "text"])
+    def test_non_integer_n_names_n(self, n, message):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            EnergyRecord(n, 50390.0)
+        assert EnergyRecord(40.0, 50390.0).n == 40
+
 
 class TestDefectEvaluation:
     def test_defect_from_energy_reference_point(self):
