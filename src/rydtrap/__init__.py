@@ -25,11 +25,10 @@ from .spectroscopy import (EnergyRecord, FitConvergenceError, RitzModel,
                            bundled_energy_path, defect_from_energy,
                            fit_ritz, fit_threshold, forster_defect,
                            load_energy_csv, ritz_delta)
-from .potential import (AtomicSpecies, PotentialBreakdown, RydbergState,
-                        SPECIES_PRESETS, TruncationError, differential_shift,
+from .potential import (AtomicSpecies, RydbergState, SPECIES_PRESETS,
+                        TruncationError, differential_shift, field_for,
                         ground_depth, pond_prefactor, ponderomotive_shift,
-                        potential_breakdown, power_for_ground_depth, rb87,
-                        tensor_splitting, yb174)
+                        power_for_ground_depth, rb87, tensor_splitting, yb174)
 from .loss import (InsufficientDataError, LifetimeRecord, PhotoionizationFit,
                    autoionization_coefficient, autoionization_rate,
                    fit_photoionization, load_lifetime_csv,
@@ -51,10 +50,10 @@ __all__ = [
     "EnergyRecord", "FitConvergenceError", "RitzModel",
     "bundled_energy_path", "defect_from_energy", "fit_ritz", "fit_threshold",
     "forster_defect", "load_energy_csv", "ritz_delta",
-    "AtomicSpecies", "PotentialBreakdown", "RydbergState", "SPECIES_PRESETS",
-    "TruncationError", "differential_shift", "ground_depth",
-    "pond_prefactor", "ponderomotive_shift", "potential_breakdown",
-    "power_for_ground_depth", "rb87", "tensor_splitting", "yb174",
+    "AtomicSpecies", "RydbergState", "SPECIES_PRESETS", "TruncationError",
+    "differential_shift", "field_for", "ground_depth", "pond_prefactor",
+    "ponderomotive_shift", "power_for_ground_depth", "rb87",
+    "tensor_splitting", "yb174",
     "InsufficientDataError", "LifetimeRecord", "PhotoionizationFit",
     "autoionization_coefficient", "autoionization_rate",
     "fit_photoionization", "load_lifetime_csv", "trapped_lifetime_reduction",

@@ -6,7 +6,8 @@ never be misread. Each command hands its data and any CSV table to
 _emit: a JSON envelope (command, config, data, provenance with a hash of
 the constants table) or CSV with that metadata as comments; only the six
 table commands take --format, and they default to csv. Exit codes:
-1 usage, 2 bad data (non-positive power, non-finite result), 3 nonconvergence.
+1 usage, 2 bad data (non-positive power, non-finite result, a refused
+allocation), 3 nonconvergence.
 """
 
 import argparse
@@ -20,13 +21,12 @@ from fractions import Fraction
 from ._numpy import np
 from . import __version__
 from .constants import CM1_TO_MHZ, constants_hash
-from .angular import (Term, angular_table, max_rank, reference_m,
+from .angular import (Term, angular_table, reference_m,
                       UnsupportedTermError, TABLE_TERMS, _twice)
-from .beam import (TweezerBeam, decompose, QuadratureConvergenceError,
+from .beam import (TweezerBeam, QuadratureConvergenceError,
                    ParaxialValidityWarning)
-from .radial import RadialGrid, _fill_element_memo
 from . import potential
-from .potential import RydbergState, SPECIES_PRESETS
+from .potential import RydbergState, SPECIES_PRESETS, _checked
 from . import spectroscopy
 from .spectroscopy import FitConvergenceError
 from . import loss as loss_mod
@@ -35,8 +35,6 @@ from .coherence import DephasingScenario, ramsey_contrast, echo_contrast
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NONCONVERGENCE = 3
-# radial grid points per unit of n, see _grid_for
-_POINTS_PER_N = 10
 
 _UNIT_SCALES = {
     "length": {"nm": 1e-9, "um": 1e-6, "mm": 1e-3, "m": 1.0},
@@ -269,27 +267,6 @@ def _energy_records(args):
     return species, ry, spectroscopy.load_energy_csv(args.input)
 
 
-def _grid_for(n_max):
-    """The radial grid of a field command whose states reach n_max.
-
-    It covers n_max + 3 at _POINTS_PER_N = 10 points per n, the fewest
-    that meet the element accuracy target stated in the radial module:
-    7 points per n meet its bound on e_0 alone (6 miss it at 1.2e-9), and
-    at 9 the rank-2 and rank-4 elements of n >= 30 move by 8.5e-10.
-    """
-    return RadialGrid.default(n_max + 3, npoints=_POINTS_PER_N * (n_max + 3))
-
-
-def _field_for(beam, states):
-    """The field of a command's states: the beam decomposed on the grid for
-    their largest n to the highest rank their terms couple to, with the
-    element memo filled for every integer-n bracket they need."""
-    field = decompose(beam, _grid_for(max(s.n for s in states)),
-                      k_max=max(max_rank(s.term) for s in states))
-    _fill_element_memo(field, [(s.n_star, s.l) for s in states])
-    return field
-
-
 def _table(header, rows):
     """The JSON form of a CSV table: one dict per row, keyed by header."""
     return {"rows": [dict(zip(header, row)) for row in rows]}
@@ -377,32 +354,35 @@ def _cmd_trap_depth(args):
         if args.n_min > args.n_max:
             raise ValueError("backwards n range: --n-min %d is above "
                              "--n-max %d" % (args.n_min, args.n_max))
-        n_values = list(range(args.n_min, args.n_max + 1))
+        n_values = range(args.n_min, args.n_max + 1)
     else:
         args.parser.error("pass --n alone or both --n-min and --n-max")
     species = _species_from_args(args)
     beam = _beam_from_args(args, species)
     ground_hz = potential.ground_depth(species, beam)
-    states = [RydbergState(species, n, args.series, args.m)
+    # each state is checked as it is built: n* rises with n, so a range
+    # past the hydrogenic cap stops at its first n past it
+    states = [_checked(RydbergState(species, n, args.series, args.m))
               for n in n_values]
-    field = _field_for(beam, states)
+    field = potential.field_for(beam, states)
+    u_core = potential.core_shift(species, beam)
     header = ["n", "n_star", "u_core_hz", "u_pond_hz", "u_total_hz",
               "depth_hz", "ratio_to_ground"]
     rows = []
     for state in states:
-        breakdown = potential.potential_breakdown(state, field,
+        u_pond, _ = potential.ponderomotive_shift(state, field,
                                                   args.axis_angle)
-        depth_hz = -breakdown.u_total_hz
-        rows.append([state.n, state.n_star, breakdown.u_core_hz,
-                     sum(breakdown.u_pond_by_k_hz.values()),
-                     breakdown.u_total_hz, depth_hz, depth_hz / ground_hz])
+        u_total = u_core + u_pond
+        rows.append([state.n, state.n_star, u_core, u_pond, u_total,
+                     -u_total, -u_total / ground_hz])
     _emit(args, _table(header, rows), header, rows)
 
 
 def _cmd_tensor_shift(args):
     species = _species_from_args(args)
     beam = _beam_from_args(args, species)
-    field = _field_for(beam, [RydbergState(species, args.n, args.series)])
+    field = potential.field_for(beam,
+                                [RydbergState(species, args.n, args.series)])
     shifts = potential.tensor_splitting(species, args.n, args.series, field,
                                         args.axis_angle)
     header = ["M", "shift_hz"]
@@ -418,10 +398,12 @@ def _cmd_magic_scan(args):
     species = _species_from_args(args)
     beam = _beam_from_args(args, species)
     n_lo, n_hi = args.n_range
-    pairs = [(RydbergState(species, n, args.series_a),
-              RydbergState(species, n + args.offset, args.series_b))
+    # checked as built, as in trap-depth
+    pairs = [(_checked(RydbergState(species, n, args.series_a)),
+              _checked(RydbergState(species, n + args.offset, args.series_b)))
              for n in range(n_lo, n_hi + 1)]
-    field = _field_for(beam, [state for pair in pairs for state in pair])
+    field = potential.field_for(beam,
+                                [state for pair in pairs for state in pair])
     header = ["n_a", "n_b", "n_star_a", "n_star_b", "differential_hz"]
     rows = []
     for state_a, state_b in pairs:
@@ -552,7 +534,7 @@ def _cmd_oracle_check(args):
     for n in args.n:
         state = RydbergState(species, n, args.series)
         tensor_hz, brute_hz = potential.oracle_compare(
-            state, _field_for(beam, [state]))
+            state, potential.field_for(beam, [state]))
         results.append({"n": n, "tensor_hz": tensor_hz, "brute_hz": brute_hz,
                         "relative_difference": abs(tensor_hz - brute_hz)
                         / abs(brute_hz)})
@@ -688,7 +670,7 @@ def main(argv=None):
     except (QuadratureConvergenceError, FitConvergenceError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except (ValueError, KeyError, OSError, UnsupportedTermError,
+    except (ValueError, KeyError, OSError, MemoryError, UnsupportedTermError,
             loss_mod.InsufficientDataError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DATA

@@ -14,14 +14,14 @@ reproducible and independent of evaluation order.
 
 A Ramsey phase is rate_i t_j, so exp(i r t) = exp(i r a) exp(i r d) for
 any split t = a + d. The T times fall in blocks of width K = ceil(sqrt T),
-each starting at an anchor a; offsets d that agree within 8 eps max|t|
-share one column, so an evenly spaced grid has about K anchors and K
-columns. The ensemble sum at every (anchor, column) pair is one real
-matrix product of per-atom cos/sin tables, and each time reads its own
-pair: one phasor per atom at ~2 sqrt(T) points instead of T. An uneven
-grid whose offsets leave more than 2K columns falls back to width 1, each
-time its own anchor with the single offset 0, which is the cost of
-evaluating every phase directly.
+each starting at an anchor a, and time j takes the offset d of column
+j mod K, so an evenly spaced grid has about K anchors and K columns. The
+ensemble sum at every (anchor, column) pair is one real matrix product of
+per-atom cos/sin tables, and each time reads its own pair: one phasor per
+atom at ~2 sqrt(T) points instead of T. A grid that is not evenly
+spaced, so that some anchor plus offset misses its time by more than
+8 eps max|t|, falls back to width 1, each time its own anchor with the
+single offset 0, which is the cost of evaluating every phase directly.
 
 The net echo phase of axis i is 4 sin^2(w_i tau) sin(2 w_i tau + 2 phi_i)
 times a per-atom weight, so over all axes it is a rank-6 product of a
@@ -155,31 +155,20 @@ def _anchor_offset_split(times):
     """Write each time as an anchor plus an offset column.
 
     Returns (anchors, offsets, block, column) with times[j] equal to
-    anchors[block[j]] + offsets[column[j]] within 8 eps max|t|. Blocks of
-    K = ceil(sqrt T) consecutive times start at their first time; the
-    offsets from it are sorted, and a run of offsets with steps of at most
-    8 eps max|t| is one column, valued at its smallest member. If that
-    leaves more than 2K columns, or a run spreads further than the
-    tolerance from its smallest member, every time is its own anchor with
-    the single offset 0.
+    anchors[block[j]] + offsets[column[j]] within 8 eps max|t|. Time j is
+    in block j // K and column j % K, K = ceil(sqrt T): the anchors are
+    every K-th time from the first, and the offsets the first K times less
+    the first. That meets the tolerance on an evenly spaced grid; on any
+    other, every time is its own anchor with the single offset 0.
     """
     n = len(times)
     width = math.isqrt(max(n - 1, 0)) + 1
-    block = np.arange(n) // width
-    anchors = times[::width]
-    delta = times - anchors[block]
-    order = np.argsort(delta, kind="stable")
-    ordered = delta[order]
+    block, column = np.divmod(np.arange(n), width)
+    anchors, offsets = times[::width], times[:width] - times[:1]
     tol = 8.0 * np.finfo(float).eps * np.max(np.abs(times), initial=0.0)
-    starts = np.ones(n, dtype=bool)
-    starts[1:] = np.diff(ordered) > tol
-    run = np.cumsum(starts) - 1
-    offsets = ordered[starts]
-    if len(offsets) > 2 * width or np.any(ordered - offsets[run] > tol):
-        return times, np.zeros(1), np.arange(n), np.zeros(n, dtype=int)
-    column = np.empty(n, dtype=int)
-    column[order] = run
-    return anchors, offsets, block, column
+    if np.all(np.abs(anchors[block] + offsets[column] - times) <= tol):
+        return anchors, offsets, block, column
+    return times, np.zeros(1), np.arange(n), np.zeros(n, dtype=int)
 
 
 def _cos_sin(half, cos):

@@ -9,8 +9,9 @@ assembled per tensor rank k from exact angular factors and radial
 elements of the intensity decomposition, so state dependence enters only
 through (term, M) geometry and the effective quantum number n*.
 
-Energies cross the interface in h*Hz; a positive trap depth means the
-state is trapped at the focus. oracle_compare checks the tensor path
+field_for builds the field a set of states needs, after checking every
+state. Energies cross the interface in h*Hz; a positive trap depth means
+the state is trapped at the focus. oracle_compare checks the tensor path
 against the direct 3D quadrature of a Numerov wavefunction.
 """
 
@@ -21,10 +22,16 @@ from ._numpy import np
 from .constants import (AU_POLARIZABILITY, C, E_CHARGE, EPS0, H, M_E, AMU,
                         SPECIES_DATA)
 from .angular import Term, angular_factor, max_rank, reference_m, wigner_3j
-from .beam import brute_force_average, _ylm_theta
-from .radial import (RadialGrid, interpolated_reduced_element,
-                     numerov_radial)
+from .beam import brute_force_average, decompose, _ylm_theta
+from .radial import (RadialGrid, _bracket, _fill_element_memo,
+                     interpolated_reduced_element, numerov_radial)
 from .spectroscopy import ritz_delta
+
+# radial grid points per unit of n in field_for, the fewest that meet the
+# element accuracy target stated in the radial module: 7 points per n meet
+# its bound on e_0 alone (6 miss it at 1.2e-9), and at 9 the rank-2 and
+# rank-4 elements of n >= 30 move by 8.5e-10
+_POINTS_PER_N = 10
 
 
 class TruncationError(ValueError):
@@ -192,6 +199,33 @@ def power_for_ground_depth(species, beam, depth_hz):
     return depth_hz / per_watt
 
 
+def _checked(state):
+    """state, once its n* is known to have the integer-n bracket of its
+    cubic above l + 1 and within the hydrogenic cap; else radial's
+    ValueError."""
+    _bracket(state.n_star, state.l)
+    return state
+
+
+def field_for(beam, states):
+    """The field that states need: beam decomposed on a grid covering their
+    largest n + 3 at _POINTS_PER_N points per n, to the highest rank their
+    terms couple to, with every element row their cubics read computed.
+
+    Every state is checked (_checked) before the grid is built, so a state
+    past the hydrogenic cap raises its ValueError before anything is
+    allocated.
+    """
+    for state in states:
+        _checked(state)
+    n_cover = max(state.n for state in states) + 3
+    grid = RadialGrid.default(n_cover, npoints=_POINTS_PER_N * n_cover)
+    field = decompose(beam, grid,
+                      k_max=max(max_rank(state.term) for state in states))
+    _fill_element_memo(field, [(state.n_star, state.l) for state in states])
+    return field
+
+
 def ponderomotive_shift(state, field, axis_angle_deg=0.0):
     """Ponderomotive expectation for a state, total and per rank, h*Hz.
 
@@ -224,22 +258,6 @@ def ponderomotive_shift(state, field, axis_angle_deg=0.0):
         by_k[k] = pref * angular_factor(term, k, state.M) * p_k * e[k // 2] / H
     total = float(sum(by_k.values()))
     return total, by_k
-
-
-class PotentialBreakdown:
-    """Core and per-rank ponderomotive parts of the potential at the focus;
-    the trap depth is -u_total_hz, the ground's is ground_depth()."""
-
-    def __init__(self, u_core_hz, u_pond_by_k_hz):
-        self.u_core_hz = float(u_core_hz)
-        self.u_pond_by_k_hz = dict(u_pond_by_k_hz)
-        self.u_total_hz = self.u_core_hz + float(sum(u_pond_by_k_hz.values()))
-
-
-def potential_breakdown(state, field, axis_angle_deg=0.0):
-    """Core + per-rank ponderomotive contributions at the focus."""
-    _, by_k = ponderomotive_shift(state, field, axis_angle_deg)
-    return PotentialBreakdown(core_shift(state.species, field.beam), by_k)
 
 
 def tensor_splitting(species, n, term, field, axis_angle_deg=0.0):

@@ -20,13 +20,13 @@ the field's stack of even-rank profiles, divided by the same quadrature of
 r^2 R_nl^2 alone, the wavefunction's norm on the grid, so that the grid's
 error in the norm cancels. _fill_element_memo computes the rows that a
 set of states needs, one l at a time in blocks of _BLOCK = 16 rows, each
-row once; the field commands fill every row before the first state is
+row once; potential.field_for fills every row before the first state is
 evaluated. The cubic through the four integer-n rows around n* gives the
 row at n*, with closed-form Lagrange weights.
 
-The field commands' grid (cli._grid_for) covers n_max + 3 at 10 points
-per n, the fewest that meet this target against rows at 40 points per n:
-every integer-n row of n <= 150 and l <= 2 within 1e-9 of its e_0
+The grid of potential.field_for covers n_max + 3 at 10 points per n, the
+fewest that meet this target against rows at 40 points per n: every
+integer-n row of n <= 150 and l <= 2 within 1e-9 of its e_0
 (3.8e-11 at most), and each rank-2 and rank-4 element of n >= 30 within
 5e-10 of itself (4.3e-10 at most). RadialGrid.default keeps 4000 points
 unless told otherwise.
@@ -368,9 +368,9 @@ def radial_integral(wf, profile):
     return wf.grid.integrate(wf.density() * profile)
 
 
-def _bracket(n_star, l, field):
+def _bracket(n_star, l):
     """n0 = floor(n*), once the integer-n rows n0 - 1 .. n0 + 2 of the
-    cubic at n* are known to exist and to lie on the field's grid."""
+    cubic at n* are known to exist: above l + 1 and within the cap."""
     if n_star <= l:
         raise ValueError("require n* > l")
     n_lo = math.floor(n_star)
@@ -381,9 +381,6 @@ def _bracket(n_star, l, field):
         raise ValueError("n* = %.3f at l=%d needs integer n up to %d, past "
                          "the hydrogenic cap n <= %d"
                          % (n_star, l, n_lo + 2, _N_MAX))
-    if not field.grid.covers(n_lo + 2):
-        raise ValueError("field grid does not cover the n=%d bracket"
-                         % (n_lo + 2))
     return n_lo
 
 
@@ -401,7 +398,10 @@ def _fill_element_memo(field, levels):
     missing = {}
     for n_star, l in levels:
         n_star, l = float(n_star), int(l)
-        n_lo = _bracket(n_star, l, field)
+        n_lo = _bracket(n_star, l)
+        if not field.grid.covers(n_lo + 2):
+            raise ValueError("field grid does not cover the n=%d bracket"
+                             % (n_lo + 2))
         missing.setdefault(l, set()).update(
             n for n in range(n_lo - 1, n_lo + 3)
             if (n, l) not in field.element_cache)

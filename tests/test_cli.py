@@ -18,8 +18,8 @@ from rydtrap import __version__, cli, potential
 from rydtrap.angular import TABLE_TERMS, Term, angular_table
 from rydtrap.beam import QuadratureConvergenceError, decompose
 from rydtrap.constants import constants_hash
-from rydtrap.potential import (RydbergState, ground_depth, potential_breakdown,
-                               yb174)
+from rydtrap.potential import (RydbergState, core_shift, field_for,
+                               ground_depth, ponderomotive_shift, yb174)
 from rydtrap.radial import _N_MAX, RadialGrid, _fill_element_memo
 
 GAMMA0 = 1.0 / 83e-6
@@ -290,6 +290,45 @@ class TestExitCodes:
             "hydrogenic cap n <= 150" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        # a billion n would make a command that lists its n values first
+        # allocate that list before any guard below could stop it
+        ["trap-depth", "--n-min", "30", "--n-max", "1000000"],
+        ["magic-scan", "--n-range", "100:1000000000"],
+        ["tensor-shift", "--n", "100000000", "--series", "3P2"],
+    ], ids=["trap-depth", "magic-scan", "tensor-shift"])
+    def test_past_the_cap_exits_before_it_allocates(self, argv, monkeypatch,
+                                                    capsys):
+        # no grid is built, and no more states than the cap lets through:
+        # a command that built either first fails here instead of running
+        built = []
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a grid was built")
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            if len(built) > 1000:
+                raise AssertionError("more than 1,000 states built")
+            return RydbergState(*args, **kwargs)
+        monkeypatch.setattr(RadialGrid, "default", no_grid)
+        monkeypatch.setattr(cli, "RydbergState", counted)
+        assert cli.main(argv + ["--power", "9mW"]) == 2
+        captured = capsys.readouterr()
+        assert "past the hydrogenic cap n <= 150" in captured.err
+        assert captured.out == ""
+
+    def test_refused_allocation_is_data_error(self, capsys):
+        # 1e13 atoms x 3 motional energies is 240 TB, past a 47-bit address
+        # space, so the draw is refused whatever the overcommit setting
+        rc = cli.main(["ramsey-sim", "--dnu", "90kHz", "--temp", "13uK",
+                       "--depth", "2MHz", "--t1", "108us",
+                       "--n", "10000000000000"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "allocate" in captured.err
+        assert captured.out == ""
+
     def test_backwards_n_range_is_data_error(self, capsys):
         rc = cli.main(["trap-depth", "--power", "9mW", "--n-min", "40",
                        "--n-max", "30"])
@@ -448,7 +487,8 @@ class TestFieldGrid:
         levels = [(n + 0.5, l) for l in range(3)
                   for n in range(l + 2, min(n_max, _N_MAX - 2) + 1)]
         memos = []
-        for grid in (cli._grid_for(n_max), fine):
+        coarse_grid = RadialGrid.default(n_max + 3, npoints=10 * (n_max + 3))
+        for grid in (coarse_grid, fine):
             field = decompose(beam9, grid, k_max=4)
             _fill_element_memo(field, levels)
             memos.append(field.element_cache)
@@ -470,9 +510,9 @@ class TestFieldGrid:
             "magic-scan"])
     def test_each_row_computed_once(self, argv, monkeypatch, tmp_path):
         # the kernel sees each (n, l) row once, in blocks of at most 16
-        # rows, all before _field_for returns; the states' brackets then
+        # rows, all before field_for returns; the states' brackets then
         # only read the memo
-        kernel, field_for = rydtrap.radial._laguerre_block, cli._field_for
+        kernel, original = rydtrap.radial._laguerre_block, potential.field_for
         rows, sizes, fields = [], [], []
 
         def recording_kernel(k, alpha, x, live):
@@ -482,13 +522,13 @@ class TestFieldGrid:
             return kernel(k, alpha, x, live)
 
         def recording_field_for(beam, states):
-            field = field_for(beam, states)
+            field = original(beam, states)
             fields.append((states, len(rows)))
             return field
 
         monkeypatch.setattr("rydtrap.radial._laguerre_block",
                             recording_kernel)
-        monkeypatch.setattr(cli, "_field_for", recording_field_for)
+        monkeypatch.setattr(potential, "field_for", recording_field_for)
         run_json(argv + ["--power", "9mW"], tmp_path)
         (states, filled), = fields
         assert filled == len(rows)
@@ -506,15 +546,14 @@ class TestFieldCommands:
         assert row["n"] == 40
         assert doc["config"]["power_w"] == pytest.approx(9e-3)
         # the library decomposition must reproduce the emitted numbers
-        field = decompose(beam9, cli._grid_for(40), k_max=4)
+        field = decompose(beam9, RadialGrid.default(43, npoints=430), k_max=4)
         state = RydbergState(yb174(), 40, Term("3S1"))
-        breakdown = potential_breakdown(state, field, 0.0)
-        assert row["u_total_hz"] == pytest.approx(breakdown.u_total_hz,
-                                                  rel=1e-12)
-        assert row["depth_hz"] == pytest.approx(-breakdown.u_total_hz,
-                                                rel=1e-12)
+        u_total = core_shift(yb174(), beam9) \
+            + ponderomotive_shift(state, field, 0.0)[0]
+        assert row["u_total_hz"] == pytest.approx(u_total, rel=1e-12)
+        assert row["depth_hz"] == pytest.approx(-u_total, rel=1e-12)
         assert row["ratio_to_ground"] == pytest.approx(
-            -breakdown.u_total_hz / ground_depth(yb174(), beam9), rel=1e-12)
+            -u_total / ground_depth(yb174(), beam9), rel=1e-12)
 
     def test_tensor_shift_symmetry(self, tmp_path):
         doc = run_json(["tensor-shift", "--power", "9mW", "--n", "40",
@@ -547,7 +586,7 @@ class TestFieldCommands:
         def recording(*args, k_max, **kwargs):
             seen.append(k_max)
             return decompose(*args, k_max=k_max, **kwargs)
-        monkeypatch.setattr(cli, "decompose", recording)
+        monkeypatch.setattr(potential, "decompose", recording)
         assert cli.main(argv + ["--power", "9mW"]) == 0
         assert seen == [rank]
 

@@ -9,12 +9,11 @@ from rydtrap.angular import Term
 from rydtrap.beam import decompose
 from rydtrap.constants import AU_POLARIZABILITY, EPS0, C, H, SPECIES_DATA
 from rydtrap.potential import (RydbergState, TruncationError,
-                               core_shift, differential_shift, ground_depth,
-                               oracle_compare, polarizability_shift_hz,
-                               pond_prefactor, ponderomotive_shift,
-                               potential_breakdown,
-                               power_for_ground_depth, rb87,
-                               tensor_splitting, yb174)
+                               core_shift, differential_shift, field_for,
+                               ground_depth, oracle_compare,
+                               polarizability_shift_hz, pond_prefactor,
+                               ponderomotive_shift, power_for_ground_depth,
+                               rb87, tensor_splitting, yb174)
 from rydtrap.radial import RadialGrid
 
 from conftest import MEASURED_GROUND_DEPTH_HZ, POWER
@@ -145,17 +144,52 @@ class TestPonderomotiveShift:
 
     def test_breakdown_identity(self, species, field9):
         state = RydbergState(species, 75, "3S1")
-        bd = potential_breakdown(state, field9)
-        assert bd.u_total_hz == pytest.approx(
-            bd.u_core_hz + sum(bd.u_pond_by_k_hz.values()), rel=1e-12)
+        total, by_k = ponderomotive_shift(state, field9)
+        assert total == pytest.approx(sum(by_k.values()), rel=1e-12)
         assert ground_depth(species, field9.beam) == pytest.approx(
             17.4797e6, rel=1e-4)
 
 
+class TestFieldFor:
+    def test_grid_rank_and_rows(self, species, beam9):
+        # the grid covers the largest n + 3 at 10 points per n, the rank is
+        # the highest the terms couple to, and every bracket row is filled
+        states = [RydbergState(species, 40, "3S1"),
+                  RydbergState(species, 60, "1D2")]
+        field = field_for(beam9, states)
+        assert np.array_equal(field.grid.points,
+                              RadialGrid.default(63, npoints=630).points)
+        assert field.k_max == 4
+        assert set(field.element_cache) == {
+            (n, s.l) for s in states
+            for n in range(int(s.n_star) - 1, int(s.n_star) + 3)}
+
+    @pytest.mark.parametrize("n, defects, message", [
+        (160, None, r"n\* = 155\.562 at l=0 needs integer n up to 157, "
+                    r"past the hydrogenic cap n <= 150"),
+        (6, {"3S1": 4.44}, r"n\* = 1\.560 too low for a 4-point bracket "
+                           r"at l=0"),
+    ], ids=["past-the-cap", "too-low"])
+    def test_refuses_a_state_before_it_allocates(self, beam9, n, defects,
+                                                 message, monkeypatch):
+        species = yb174()
+        if defects is not None:
+            species.defects = defects
+        states = [RydbergState(species, 40, "3S1"),
+                  RydbergState(species, n, "3S1")]
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a grid was built")
+        monkeypatch.setattr(RadialGrid, "default", no_grid)
+        with pytest.raises(ValueError, match=message):
+            field_for(beam9, states)
+
+
 class TestTrapDepth:
     def test_75_3s1_depth_and_ratio(self, species, field9):
-        depth = -potential_breakdown(RydbergState(species, 75, "3S1"),
-                                     field9).u_total_hz
+        pond, _ = ponderomotive_shift(RydbergState(species, 75, "3S1"),
+                                      field9)
+        depth = -(core_shift(species, field9.beam) + pond)
         ratio = depth / ground_depth(species, field9.beam)
         assert depth == pytest.approx(1.44832e6, rel=1e-4)
         assert ratio == pytest.approx(0.082857, rel=1e-4)

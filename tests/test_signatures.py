@@ -27,8 +27,8 @@ SIGNATURES = {
                               "alpha_ground_au", "rydberg_cm1",
                               "ionization_cm1", "defects", "core_lines",
                               "measured_ground_depth"],
+    potential.field_for: ["beam", "states"],
     potential.ponderomotive_shift: ["state", "field", "axis_angle_deg"],
-    potential.potential_breakdown: ["state", "field", "axis_angle_deg"],
     potential.yb174: [],
     potential.rb87: [],
     potential.tensor_splitting: ["species", "n", "term", "field",
@@ -130,7 +130,6 @@ DEFAULTS = {
     ("RydbergState", "M"),
     ("differential_shift", "axis_angle_deg"),
     ("ponderomotive_shift", "axis_angle_deg"),
-    ("potential_breakdown", "axis_angle_deg"),
     ("tensor_splitting", "axis_angle_deg"),
     ("LifetimeRecord", "sigma_s"),
     ("autoionization_coefficient", "core_depth_hz"),
