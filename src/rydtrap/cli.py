@@ -530,12 +530,15 @@ def _cmd_contrast(args):
 def _cmd_oracle_check(args):
     species = _species_from_args(args)
     beam = _beam_from_args(args, species)
+    # every n is checked before the first oracle runs
+    states = [_checked(RydbergState(species, n, args.series))
+              for n in args.n]
     results = []
-    for n in args.n:
-        state = RydbergState(species, n, args.series)
+    for state in states:
         tensor_hz, brute_hz = potential.oracle_compare(
             state, potential.field_for(beam, [state]))
-        results.append({"n": n, "tensor_hz": tensor_hz, "brute_hz": brute_hz,
+        results.append({"n": state.n, "tensor_hz": tensor_hz,
+                        "brute_hz": brute_hz,
                         "relative_difference": abs(tensor_hz - brute_hz)
                         / abs(brute_hz)})
     _emit(args, {"comparisons": results})

@@ -336,6 +336,43 @@ class TestBruteForceAverage:
             assert np.allclose(got, direct if w.ndim == 2 else direct[:, 0],
                                rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("position", [
+        (0.3e-6, -0.2e-6, 0.9e-6), (0.4e-6, 0.3e-6, -0.1e-6)])
+    def test_intensity_sums_match_textbook_formula(self, beam9, position):
+        # unit weights give each node's intensity; the reference is
+        # 2P/(pi w(z)^2) exp(-2 rho^2/w(z)^2) in 80-bit extended precision
+        # at the same points p + r nhat, out to the deep tail at 10 um
+        position = np.array(position)
+        _, _, nhat = _product_nodes(np.linspace(-0.95, 0.95, 7),
+                                    0.3 + 2.0 * np.pi * np.arange(5) / 5)
+        # a ray back through the axis, where r^2 c2 + r c1 + c0 cancels
+        back = np.array([-position[0], -position[1], 0.2e-6])
+        back /= np.linalg.norm(back)
+        nhat = np.concatenate([nhat, back[:, None]], axis=1)
+        crossing = np.hypot(*position[:2]) / np.hypot(*back[:2])
+        r_m = np.sort(np.append(np.linspace(0.0, 10e-6, 41), crossing))
+        got = _intensity_sums(beam9, position, r_m, nhat,
+                              np.eye(nhat.shape[1]))
+
+        ld = np.longdouble
+        pi = 4 * np.arctan(ld(1))
+        pts = position.astype(ld) + r_m.astype(ld)[:, None, None] \
+            * nhat.T.astype(ld)
+        rho2 = pts[..., 0]**2 + pts[..., 1]**2
+        z_r = pi * ld(WAIST)**2 / ld(WAVELENGTH)
+        w2 = ld(WAIST)**2 * (1 + (pts[..., 2] / z_r)**2)
+        want = 2 * ld(POWER) / (pi * w2) * np.exp(-2 * rho2 / w2)
+        assert want.min() < 1e-190 * beam9.peak_intensity
+        assert np.min(rho2) < 1e-26 * WAIST**2
+
+        # an absolute error in the exponent is a relative error in I; the
+        # kernel's roundings in it are each within eps of
+        # 2 (|p_perp| + r |nhat_perp|)^2/w(z)^2, the size of its terms
+        terms = 2.0 * (np.hypot(*position[:2]) + r_m[:, None]
+                       * np.hypot(nhat[0], nhat[1]))**2 / w2.astype(float)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(got - want) <= 8 * eps * (1 + terms) * want)
+
     def test_memory_bounded_on_cli_grids(self, beam9):
         # the intensity goes in fixed-size node chunks, so the traced peak
         # does not grow with the grid: on oracle_compare's grids, 4,000
@@ -359,22 +396,22 @@ class TestBruteForceAverage:
         assert peaks[140] <= 1.5 * peaks[40]
 
 
-def phi_nodes_seen(monkeypatch, position):
-    """Count the distinct phi angles about position at which the beam's
-    intensity is evaluated; the returned set fills as the oracle runs."""
-    seen = set()
-    intensity = TweezerBeam.intensity
+def phi_nodes_seen(monkeypatch):
+    """The distinct phi angles of the oracle's nodes about its position,
+    and the (radius, node) points of each call to the intensity kernel;
+    both fill as the oracle runs."""
+    seen, points = set(), []
+    kernel = _intensity_sums
 
-    def counted(self, points):
-        # every node of a call appears at its largest radius
-        rel = np.asarray(points)[-1] - position
-        far = np.hypot(rel[:, 0], rel[:, 1]) > 1e-9  # phi well defined
-        phi = np.arctan2(rel[far, 1], rel[far, 0])
+    def counted(beam, position, r_m, nhat, weights):
+        far = np.hypot(nhat[0], nhat[1]) > 1e-9  # phi well defined
+        phi = np.arctan2(nhat[1, far], nhat[0, far])
         seen.update(np.round(phi, 6).tolist())
-        return intensity(self, points)
+        points.append(len(r_m) * nhat.shape[1])
+        return kernel(beam, position, r_m, nhat, weights)
 
-    monkeypatch.setattr(TweezerBeam, "intensity", counted)
-    return seen
+    monkeypatch.setattr("rydtrap.beam._intensity_sums", counted)
+    return seen, points
 
 
 class TestSelfRefiningOracle:
@@ -390,7 +427,7 @@ class TestSelfRefiningOracle:
         position = np.array([0.2e-6, 0.0, 0.0])
         grid = RadialGrid.default(63, npoints=40 * 63)
         wf = hydrogen_radial(60, 0, grid)
-        seen = phi_nodes_seen(monkeypatch, position)
+        seen, _ = phi_nodes_seen(monkeypatch)
         direct = brute_force_average(beam9, wf, position, ylm_density(0, 0))
         assert len(seen) > 16
         reference = sphere_profiles(beam9, position, grid.points * A0,
@@ -403,9 +440,11 @@ class TestSelfRefiningOracle:
         # it fail to converge there and refine past 16 nodes
         wf = hydrogen_radial(40, 0, grid40)
         focus = np.zeros(3)
-        seen = phi_nodes_seen(monkeypatch, focus)
+        seen, points = phi_nodes_seen(monkeypatch)
         plain = brute_force_average(beam9, wf, focus, ylm_density(0, 0))
         assert len(seen) == 16  # on the axis phi stops at its first check
+        # 32 theta x 16 phi, then 64 x 16: 1,536 nodes at every radius
+        assert sum(points) == 1536 * len(grid40)
         seen.clear()
         ripple = brute_force_average(
             beam9, wf, focus,

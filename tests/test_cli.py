@@ -290,6 +290,19 @@ class TestExitCodes:
             "hydrogenic cap n <= 150" in captured.err
         assert captured.out == ""
 
+    def test_oracle_check_refuses_past_cap_n_before_any_oracle(
+            self, monkeypatch, capsys):
+        # the valid 60 and 95 come first; no oracle may run for them
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an oracle ran")
+        monkeypatch.setattr(potential, "brute_force_average", forbidden)
+        rc = cli.main(["oracle-check", "--power", "9mW",
+                       "--n", "60", "95", "100000000"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "past the hydrogenic cap n <= 150" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv", [
         # a billion n would make a command that lists its n values first
         # allocate that list before any guard below could stop it
