@@ -35,7 +35,7 @@ from .loss import (InsufficientDataError, LifetimeRecord, PhotoionizationFit,
                    trapped_lifetime_reduction)
 from .coherence import (ContrastCurve, DephasingScenario, echo_contrast,
                         orbit_averaged_shift_hz, ramsey_contrast,
-                        ramsey_contrast_analytic)
+                        ramsey_contrast_analytic, trap_frequencies_hz)
 
 __all__ = [
     "__version__",
@@ -59,4 +59,5 @@ __all__ = [
     "fit_photoionization", "load_lifetime_csv", "trapped_lifetime_reduction",
     "ContrastCurve", "DephasingScenario", "echo_contrast",
     "orbit_averaged_shift_hz", "ramsey_contrast", "ramsey_contrast_analytic",
+    "trap_frequencies_hz",
 ]

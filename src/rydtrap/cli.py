@@ -30,7 +30,8 @@ from .potential import RydbergState, SPECIES_PRESETS, _checked
 from . import spectroscopy
 from .spectroscopy import FitConvergenceError
 from . import loss as loss_mod
-from .coherence import DephasingScenario, ramsey_contrast, echo_contrast
+from .coherence import (DephasingScenario, echo_contrast, ramsey_contrast,
+                        trap_frequencies_hz)
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -103,6 +104,9 @@ def time_range(text):
     if start < 0:
         # a free-evolution time is a duration: exp(-t/T1) > 1 below 0
         raise argparse.ArgumentTypeError("time range %r starts before 0" % text)
+    if not math.isfinite((stop - start) / step):
+        raise argparse.ArgumentTypeError(
+            "time range %r has more steps than a float holds" % text)
     return start, stop, step
 
 
@@ -502,22 +506,23 @@ def _cmd_contrast(args):
     """ramsey-sim, or echo-sim, whose orbits need the trap frequencies:
     both given, or else derived from the beam and the species mass."""
     echo = args.command == "echo-sim"
-    motion = {}
     if echo:
         radial, axial = args.trap_freq_radial, args.trap_freq_axial
-        if radial is None and axial is None:
-            motion = {"beam": _beam_from_args(args),
-                      "mass_kg": _species_from_args(args).mass_kg}
-        elif radial is None or axial is None:
+        if (radial is None) != (axial is None):
             args.parser.error(
                 "pass both --trap-freq-radial and --trap-freq-axial")
-        else:
-            motion = {"trap_frequencies_hz": (radial, radial, axial)}
     scenario = DephasingScenario(
         dnu0_hz=args.dnu, temperature_k=args.temp, depth_hz=args.depth,
-        t1_s=args.t1, n_atoms=args.n, seed=args.seed, **motion)
-    curve = (echo_contrast if echo else ramsey_contrast)(
-        scenario, _time_grid(args.times))
+        t1_s=args.t1, n_atoms=args.n, seed=args.seed)
+    times = _time_grid(args.times)
+    if not echo:
+        curve = ramsey_contrast(scenario, times)
+    else:  # scenario and times positional: perfbench/traced.py reads them
+        if radial is None:
+            radial, _, axial = trap_frequencies_hz(
+                _beam_from_args(args), _species_from_args(args).mass_kg,
+                scenario.depth_hz)
+        curve = echo_contrast(scenario, times, (radial, radial, axial))
     header = ["time_us", "contrast"]
     rows = [[t * 1e6, c] for t, c in zip(curve.times_s, curve.contrast)]
     t_e = curve.one_over_e_time_s
@@ -676,6 +681,9 @@ def main(argv=None):
     except (ValueError, KeyError, OSError, MemoryError, UnsupportedTermError,
             loss_mod.InsufficientDataError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_DATA
+    except OverflowError as exc:  # a float ** or int past 1.8e308
+        print("error: a value overflowed: %s" % exc, file=sys.stderr)
         return EXIT_DATA
     return 0
 

@@ -9,8 +9,10 @@ orbit-averaged shift is linear in the per-axis energies,
 
 which dephases a Ramsey sequence; an echo refocuses the static part and
 is limited by trajectory evolution between the pulses and by T1. The
-ensemble is sampled with a counter-based generator so results are
-reproducible and independent of evaluation order.
+orbit frequencies, which only the echo needs, are an argument of
+echo_contrast, not part of the shared DephasingScenario. The ensemble is
+sampled with a counter-based generator so results are reproducible and
+independent of evaluation order.
 
 A Ramsey phase is rate_i t_j, so exp(i r t) = exp(i r a) exp(i r d) for
 any split t = a + d. The T times fall in blocks of width K = ceil(sqrt T),
@@ -79,16 +81,11 @@ class ContrastCurve:
 
 
 class DephasingScenario:
-    """Inputs of a dephasing simulation.
-
-    trap_frequencies_hz is (radial, radial, axial); when omitted it is
-    derived from the depth and the beam geometry as
-    nu_r = sqrt(4 U0/(m w0^2))/2pi and nu_z = sqrt(2 U0/(m zR^2))/2pi.
-    """
+    """Inputs that Ramsey and echo share: peak differential shift,
+    temperature, trap depth, T1, ensemble size and the seed of its draw."""
 
     def __init__(self, dnu0_hz, temperature_k, depth_hz, t1_s,
-                 n_atoms=100000, seed=0, trap_frequencies_hz=None,
-                 beam=None, mass_kg=None):
+                 n_atoms=100000, seed=0):
         if temperature_k < 0:
             raise ValueError("temperature must be nonnegative")
         if depth_hz <= 0:
@@ -103,28 +100,6 @@ class DephasingScenario:
         self.t1_s = float(t1_s)
         self.n_atoms = int(n_atoms)
         self.seed = int(seed)
-        self.beam = beam
-        self.mass_kg = mass_kg
-        if trap_frequencies_hz is not None:
-            freqs = tuple(float(f) for f in trap_frequencies_hz)
-            if len(freqs) != 3 or any(f <= 0 for f in freqs):
-                raise ValueError("trap_frequencies_hz must be 3 positive values")
-            self.trap_frequencies_hz = freqs
-        else:
-            self.trap_frequencies_hz = None
-
-    def frequencies_hz(self):
-        """Trap frequencies, deriving them from beam geometry if needed."""
-        if self.trap_frequencies_hz is not None:
-            return self.trap_frequencies_hz
-        if self.beam is None or self.mass_kg is None:
-            raise ValueError("provide trap_frequencies_hz or beam and mass_kg")
-        u0 = H * self.depth_hz
-        w0 = self.beam.waist
-        zr = self.beam.rayleigh_range
-        nu_r = math.sqrt(4.0 * u0 / (self.mass_kg * w0 ** 2)) / (2 * math.pi)
-        nu_z = math.sqrt(2.0 * u0 / (self.mass_kg * zr ** 2)) / (2 * math.pi)
-        return (nu_r, nu_r, nu_z)
 
     def _rng(self):
         return np.random.Generator(np.random.Philox(key=self.seed))
@@ -149,6 +124,17 @@ class DephasingScenario:
         energies = self._sample_energies(rng)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=(self.n_atoms, 3))
         return energies, phases
+
+
+def trap_frequencies_hz(beam, mass_kg, depth_hz):
+    """(radial, radial, axial) harmonic frequencies of a Gaussian trap of
+    depth_hz for echo_contrast: nu_r = sqrt(4 U0/(m w0^2))/2pi and
+    nu_z = sqrt(2 U0/(m zR^2))/2pi."""
+    u0 = H * depth_hz
+    nu_r = math.sqrt(4.0 * u0 / (mass_kg * beam.waist ** 2)) / (2 * math.pi)
+    nu_z = math.sqrt(2.0 * u0 / (mass_kg * beam.rayleigh_range ** 2)) \
+        / (2 * math.pi)
+    return (nu_r, nu_r, nu_z)
 
 
 def _anchor_offset_split(times):
@@ -263,8 +249,9 @@ def ramsey_contrast_analytic(scenario, times_s):
     return ContrastCurve(times, mag * _t1_envelope(times, scenario.t1_s))
 
 
-def echo_contrast(scenario, times_s):
-    """Hahn-echo contrast at each total sequence time 2 tau.
+def echo_contrast(scenario, times_s, trap_frequencies_hz):
+    """Hahn-echo contrast at each total sequence time 2 tau, for orbits at
+    trap_frequencies_hz, three positive values (radial, radial, axial).
 
     Along a harmonic trajectory x_i(t) = A_i cos(w_i t + phi_i) the
     instantaneous shift of axis i is -(dnu0 E_i/(2 U0)) (1 + cos(2 w_i t
@@ -284,6 +271,9 @@ def echo_contrast(scenario, times_s):
     Static dephasing cancels exactly; both the frozen (w -> 0) and the
     fast-orbit (w -> infinity) limits refocus fully.
     """
+    freqs = tuple(float(f) for f in trap_frequencies_hz)
+    if len(freqs) != 3 or not all(0.0 < f < math.inf for f in freqs):
+        raise ValueError("trap_frequencies_hz must be 3 positive values")
     times = np.asarray(times_s, dtype=float)
     weight, phases = scenario.sample_energies_and_phases()
     weight /= 2.0 * H * scenario.depth_hz                     # E_i/(2 U0)
@@ -293,7 +283,7 @@ def echo_contrast(scenario, times_s):
     np.sin(phases, out=coef[:, 3:])
     coef[:, :3] *= weight
     coef[:, 3:] *= weight
-    omega = 2.0 * np.pi * np.asarray(scenario.frequencies_hz())
+    omega = 2.0 * np.pi * np.asarray(freqs)
     wt = omega[:, None] * (times / 2.0)[None, :]              # (3, times)
     amplitude = -2.0 * np.pi * scenario.dnu0_hz / (2.0 * omega)[:, None] \
         * 4.0 * np.sin(wt) ** 2

@@ -16,6 +16,7 @@ import math
 
 from ._tables import finite, read_rows
 from .constants import C, HBAR
+from .potential import _alpha_ground
 
 
 class InsufficientDataError(ValueError):
@@ -141,10 +142,7 @@ def default_core_depth_hz(species, power_w):
     if anchor is None:
         raise ValueError("species %s has no measured ground-depth anchor"
                          % species.name)
-    if species.alpha_ground_au is None:
-        raise ValueError("species %s has no ground-state polarizability"
-                         % species.name)
-    ratio = species.alpha_core_au / species.alpha_ground_au
+    ratio = species.alpha_core_au / _alpha_ground(species)
     return anchor["depth_hz"] * ratio * power_w / anchor["power_w"]
 
 

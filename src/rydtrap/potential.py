@@ -25,7 +25,7 @@ from .angular import Term, angular_factor, max_rank, reference_m, wigner_3j
 from .beam import brute_force_average, decompose, _ylm_theta
 from .radial import (RadialGrid, _bracket, _fill_element_memo,
                      interpolated_reduced_element, numerov_radial)
-from .spectroscopy import ritz_delta
+from .spectroscopy import _level_energy, ritz_delta
 
 # radial grid points per unit of n in field_for, the fewest that meet the
 # element accuracy target stated in the radial module: 7 points per n meet
@@ -67,7 +67,7 @@ class AtomicSpecies:
         n* = n - delta(n) stops growing with n (d delta/dn >= 1): below
         that point a model fitted at high n sends n* off without bound.
         """
-        label = _term_label(term)
+        label = Term(term).label
         try:
             model = self.defects[label]
         except KeyError:
@@ -78,9 +78,9 @@ class AtomicSpecies:
         params = model["ritz"]
         gap = n - params[0]
         if gap > 0:
-            # d delta/dn of d0 + sum_i d_2i (n - d0)^(-2i)
-            slope = sum(-2.0 * i * coeff / gap ** (2 * i + 1)
-                        for i, coeff in enumerate(params[1:], start=1))
+            x = 1.0 / (gap * gap)  # d delta/dn of sum d_2i x^i: no overflow
+            slope = sum(-2.0 * i * coeff * x ** i
+                        for i, coeff in enumerate(params[1:], start=1)) / gap
         if gap <= 0 or slope >= 1.0:
             raise ValueError(
                 "n=%s is outside the range of the %s Ritz model: n <= d0 or "
@@ -94,10 +94,6 @@ class AtomicSpecies:
     def __repr__(self):
         return "AtomicSpecies(%r, alpha_core=%g au)" % (self.name,
                                                         self.alpha_core_au)
-
-
-def _term_label(term):
-    return term.label if isinstance(term, Term) else str(term)
 
 
 def _build_species(data):
@@ -135,7 +131,7 @@ class RydbergState:
     def __init__(self, species, n, term, M=None):
         self.species = species
         self.n = int(n)
-        self.term = term if isinstance(term, Term) else Term(term)
+        self.term = Term(term)
         self.M = reference_m(self.term) if M is None else Fraction(M)
         # M - J is an integer only for a half-integer M of J's parity
         if (self.M - self.term.J).denominator != 1 \
@@ -155,8 +151,8 @@ class RydbergState:
 
     def energy_cm1(self):
         """Level energy E_I - Ry/n*^2."""
-        return self.species.ionization_cm1 \
-            - self.species.rydberg_cm1 / self.n_star ** 2
+        return _level_energy(self.species.ionization_cm1,
+                             self.species.rydberg_cm1, self.n_star)
 
     def __repr__(self):
         return "RydbergState(%s, n=%d, %s, M=%s)" % (
@@ -266,7 +262,7 @@ def tensor_splitting(species, n, term, field, axis_angle_deg=0.0):
     The M-average removes the scalar (k=0) part, leaving the rank k >= 2
     light shift with its M^2 pattern; shift(M) = shift(-M) exactly.
     """
-    term = term if isinstance(term, Term) else Term(term)
+    term = Term(term)
     totals = {}
     for i in range(int(2 * term.J) + 1):
         m = i - term.J

@@ -110,12 +110,9 @@ class RitzModel:
             return None
         return np.sqrt(np.diag(self.covariance))
 
-    def delta(self, n):
-        return ritz_delta(self.params, n)
-
     def energy_cm1(self, n):
-        n = np.asarray(n, dtype=float)
-        e = self.ionization_cm1 - self.rydberg_cm1 / (n - self.delta(n)) ** 2
+        e = _model_energy(self.params, np.asarray(n, dtype=float),
+                          self.ionization_cm1, self.rydberg_cm1)
         return e if e.ndim else float(e)
 
     def rms_residual_mhz(self):
@@ -124,8 +121,14 @@ class RitzModel:
         return float(np.sqrt(np.mean(np.square(self.residuals_mhz))))
 
 
+def _level_energy(ionization_cm1, rydberg_cm1, n_star):
+    """E_I - Ry/n*^2, the one formula for a level's energy."""
+    return ionization_cm1 - rydberg_cm1 / n_star ** 2
+
+
 def _model_energy(params, n, ionization_cm1, rydberg_cm1):
-    return ionization_cm1 - rydberg_cm1 / (n - ritz_delta(params, n)) ** 2
+    return _level_energy(ionization_cm1, rydberg_cm1,
+                         n - ritz_delta(params, n))
 
 
 def _select(records, fit_range):
@@ -224,8 +227,8 @@ def fit_threshold(records, fit_range=None, *, rydberg_cm1):
 
     def residuals(x):
         e_i, d0 = x
-        model = e_i - rydberg_cm1 / (n - d0) ** 2
-        return (model - energy) * CM1_TO_MHZ / sigma
+        return (_level_energy(e_i, rydberg_cm1, n - d0) - energy) \
+            * CM1_TO_MHZ / sigma
 
     def jacobian(x):
         _, d0 = x
@@ -238,7 +241,7 @@ def fit_threshold(records, fit_range=None, *, rydberg_cm1):
                                  e_i_guess, rydberg_cm1)
     (e_i, d0), cov = _least_squares(
         residuals, np.array([e_i_guess, d0_init]), jacobian, "threshold")
-    res_mhz = (e_i - rydberg_cm1 / (n - d0) ** 2 - energy) * CM1_TO_MHZ
+    res_mhz = (_level_energy(e_i, rydberg_cm1, n - d0) - energy) * CM1_TO_MHZ
     return RitzModel([d0], e_i, rydberg_cm1, residuals_mhz=res_mhz,
                      record_n=n.astype(int),
                      threshold_sigma_cm1=None if cov is None

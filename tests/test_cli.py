@@ -16,7 +16,8 @@ import pytest
 import rydtrap
 from rydtrap import __version__, cli, potential
 from rydtrap.angular import TABLE_TERMS, Term, angular_table
-from rydtrap.beam import QuadratureConvergenceError, decompose
+from rydtrap.beam import QuadratureConvergenceError, TweezerBeam, decompose
+from rydtrap.coherence import trap_frequencies_hz
 from rydtrap.constants import constants_hash
 from rydtrap.potential import (RydbergState, core_shift, field_for,
                                ground_depth, ponderomotive_shift, yb174)
@@ -439,6 +440,40 @@ class TestExitCodes:
         assert "power must be positive" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, code", [
+        # the Ritz slope at n = 10^43 underflows to 0 rather than overflowing
+        (["autoion", "--power", "9mW", "--n", str(10 ** 43)], 0),
+        (["trap-depth", "--power", "9mW", "--n", "75", "--waist", "1e200m"],
+         2),
+        (["pi-fit", "--input", "LIFETIMES", "--waist", "1e200m"], 2),
+        (["echo-sim", "--dnu", "90kHz", "--temp", "13uK", "--depth", "2MHz",
+          "--t1", "108us", "--n", "10", "--waist", "1e200m"], 2),
+        (["forster", "--channel",
+          "%d 3P2 + 80 3S1 -> 80 3P2 + 79 3P2" % 10 ** 200], 2),
+        (["autoion", "--power", "9mW", "--series", "3P2",
+          "--n", str(10 ** 200)], 2),
+    ], ids=["autoion-n-1e43", "trap-depth-waist", "pi-fit-waist",
+            "echo-sim-waist", "forster-n-1e200", "autoion-n-1e200"])
+    def test_overflow_is_data_error(self, argv, code, tmp_path, capsys):
+        lifetimes = tmp_path / "lifetimes.csv"
+        lifetimes.write_text(
+            "power_mw,lifetime_us\n2,73.2\n4,64.5\n6,57.7\n9,49.8\n")
+        argv = [str(lifetimes) if a == "LIFETIMES" else a for a in argv]
+        assert cli.main(argv + ["--output", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: a value overflowed")
+        else:
+            assert err == ""
+
+    def test_time_range_past_float_steps_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ramsey-sim", "--dnu", "90kHz", "--temp", "13uK",
+                      "--depth", "2MHz", "--t1", "108us",
+                      "--times", "0:1us:1e-320s"])
+        assert exc.value.code == 1
+        assert "time range '0:1us:1e-320s'" in capsys.readouterr().err
+
     def test_non_finite_result_is_data_error(self, tmp_path):
         args = cli.build_parser().parse_args(
             ["angular-table", "--format", "json", "--output",
@@ -707,6 +742,20 @@ class TestCoherenceCommands:
         contrast = np.array(doc["data"]["contrast"])
         assert contrast[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(contrast <= 1.0 + 1e-12)
+
+    def test_echo_derived_and_explicit_frequencies_agree(self, tmp_path):
+        species = yb174()
+        beam = TweezerBeam(532e-9, 650e-9, 1.0)
+        radial, _, axial = trap_frequencies_hz(beam, species.mass_kg, 2e6)
+        derived = run_json(["echo-sim"] + self.ARGS, tmp_path, name="d.json")
+        explicit = run_json(["echo-sim"] + self.ARGS
+                            + ["--trap-freq-radial", "%rHz" % radial,
+                               "--trap-freq-axial", "%rHz" % axial],
+                            tmp_path, name="e.json")
+        assert explicit["config"]["trap_freq_radial_hz"] == radial
+        assert np.max(np.abs(np.subtract(derived["data"]["contrast"],
+                                         explicit["data"]["contrast"]))) \
+            <= 1e-12
 
     def test_trap_frequencies_are_in_the_config(self, tmp_path):
         # two runs that differ in their results differ in their config

@@ -9,7 +9,8 @@ import pytest
 from rydtrap import cli, coherence
 from rydtrap.coherence import (ContrastCurve, DephasingScenario,
                                echo_contrast, orbit_averaged_shift_hz,
-                               ramsey_contrast, ramsey_contrast_analytic)
+                               ramsey_contrast, ramsey_contrast_analytic,
+                               trap_frequencies_hz)
 from rydtrap.constants import H, KB
 
 DNU0 = 90e3
@@ -44,14 +45,14 @@ def dense_ramsey(sc, times):
     return np.abs(np.mean(np.exp(1j * phase), axis=0)) * np.exp(-times / sc.t1_s)
 
 
-def dense_echo(sc, times):
+def dense_echo(sc, times, freqs):
     """Reference: the echo phase summed over axes from four sines per axis,
 
     -2 pi dnu0 (E_i/(2 U0)) [2 S(tau) - S(2 tau)] / (2 w_i),
     S(t) = sin(2 w_i t + 2 phi_i) - sin(2 phi_i), on (atoms, times) arrays.
     """
     energies, phases = sc.sample_energies_and_phases()
-    omega = 2.0 * np.pi * np.asarray(sc.frequencies_hz())
+    omega = 2.0 * np.pi * np.asarray(freqs)
     u0 = H * sc.depth_hz
     weight = energies / (2.0 * u0)
     tau = times / 2.0
@@ -66,7 +67,7 @@ def dense_echo(sc, times):
     return np.abs(np.mean(np.exp(1j * total), axis=0)) * np.exp(-times / sc.t1_s)
 
 
-def echo_closed_form(sc, times):
+def echo_closed_form(sc, times, freqs):
     """Exact echo contrast for exponential per-axis energies.
 
     Axis i's echo phase is A_i (E_i/(2 U0)) sin(theta) with theta uniform,
@@ -75,7 +76,7 @@ def echo_closed_form(sc, times):
     (1 + x^2 A_i^2)^(-1/2) with x = k_B T/(2 U0); the axes multiply.
     """
     x = KB * sc.temperature_k / (2.0 * H * sc.depth_hz)
-    omega = 2.0 * np.pi * np.asarray(sc.frequencies_hz())[:, None]
+    omega = 2.0 * np.pi * np.asarray(freqs)[:, None]
     a = 2.0 * np.pi * sc.dnu0_hz / (2.0 * omega) \
         * 4.0 * np.sin(omega * times / 2.0) ** 2
     return np.exp(-times / sc.t1_s) * np.prod((1.0 + (x * a) ** 2) ** -0.5,
@@ -129,10 +130,6 @@ class TestScenario:
             scenario(n_atoms=0)
         with pytest.raises(ValueError):
             scenario(t1_s=0.0)
-        with pytest.raises(ValueError):
-            scenario(trap_frequencies_hz=(1e3, 1e3))
-        with pytest.raises(ValueError):
-            scenario(trap_frequencies_hz=(1e3, -1e3, 1e3))
 
     def test_infinite_t1_allowed(self):
         sc = scenario(t1_s=math.inf)
@@ -140,8 +137,7 @@ class TestScenario:
         assert np.all(np.isfinite(curve.contrast))
 
     def test_derived_frequencies(self, species, beam9):
-        sc = scenario(beam=beam9, mass_kg=species.mass_kg)
-        nu_r, nu_r2, nu_z = sc.frequencies_hz()
+        nu_r, nu_r2, nu_z = trap_frequencies_hz(beam9, species.mass_kg, DEPTH)
         u0 = H * DEPTH
         assert nu_r == nu_r2
         assert nu_r == pytest.approx(
@@ -149,14 +145,6 @@ class TestScenario:
             / (2 * math.pi), rel=1e-12)
         assert nu_r == pytest.approx(33.2e3, rel=5e-3)
         assert nu_z == pytest.approx(6.11e3, rel=5e-3)
-
-    def test_explicit_frequencies_pass_through(self):
-        sc = scenario(trap_frequencies_hz=(30e3, 31e3, 6e3))
-        assert sc.frequencies_hz() == (30e3, 31e3, 6e3)
-
-    def test_frequencies_require_beam_and_mass(self):
-        with pytest.raises(ValueError):
-            scenario().frequencies_hz()
 
     def test_energy_sampling(self):
         sc = scenario(n_atoms=200000)
@@ -222,29 +210,37 @@ class TestRamsey:
 
 class TestEcho:
     def test_echo_beats_ramsey(self, species, beam9):
-        sc = scenario(beam=beam9, mass_kg=species.mass_kg)
+        sc = scenario()
+        freqs = trap_frequencies_hz(beam9, species.mass_kg, DEPTH)
         times = np.linspace(0.0, 120e-6, 61)
-        echo = echo_contrast(sc, times).contrast
+        echo = echo_contrast(sc, times, freqs).contrast
         ram = ramsey_contrast(sc, times).contrast
         assert np.all(echo >= ram - 1e-9)
-        assert echo_contrast(sc, times).one_over_e_time_s > \
+        assert echo_contrast(sc, times, freqs).one_over_e_time_s > \
             ramsey_contrast(sc, times).one_over_e_time_s
+
+    @pytest.mark.parametrize("freqs", [
+        (1e3, 1e3), (1e3, -1e3, 1e3), (1e3, math.nan, 1e3),
+        (math.inf, 1e3, 1e3)], ids=["two", "negative", "nan", "inf"])
+    def test_refuses_bad_trap_frequencies(self, freqs):
+        with pytest.raises(ValueError, match="must be 3 positive values"):
+            echo_contrast(scenario(), TIMES, freqs)
 
     def test_frozen_orbits_refocus_fully(self):
         # w -> 0: the shift is static over the sequence, the echo cancels it
-        sc = scenario(trap_frequencies_hz=(1e-3, 1e-3, 1e-3), n_atoms=20000)
-        curve = echo_contrast(sc, TIMES)
+        sc = scenario(n_atoms=20000)
+        curve = echo_contrast(sc, TIMES, (1e-3, 1e-3, 1e-3))
         assert np.allclose(curve.contrast, np.exp(-TIMES / T1), atol=1e-6)
 
     def test_fast_orbits_refocus_fully(self):
         # w -> infinity: the orbit average is reached in both halves
-        sc = scenario(trap_frequencies_hz=(1e12, 1e12, 1e12), n_atoms=20000)
-        curve = echo_contrast(sc, TIMES)
+        sc = scenario(n_atoms=20000)
+        curve = echo_contrast(sc, TIMES, (1e12, 1e12, 1e12))
         assert np.allclose(curve.contrast, np.exp(-TIMES / T1), atol=1e-6)
 
     def test_zero_temperature_is_pure_t1(self):
-        sc = scenario(temperature_k=0.0, trap_frequencies_hz=(33e3, 33e3, 6e3))
-        curve = echo_contrast(sc, TIMES)
+        sc = scenario(temperature_k=0.0)
+        curve = echo_contrast(sc, TIMES, (33e3, 33e3, 6e3))
         assert np.allclose(curve.contrast, np.exp(-TIMES / T1), rtol=1e-12)
 
     @pytest.mark.parametrize("freqs", list(ECHO_FREQS.values()),
@@ -252,26 +248,24 @@ class TestEcho:
     @pytest.mark.parametrize("dnu, temp", [(90e3, 13e-6), (-90e3, 40e-6)],
                              ids=["+90kHz-13uK", "-90kHz-40uK"])
     def test_matches_closed_form(self, freqs, dnu, temp):
-        sc = scenario(dnu0_hz=dnu, temperature_k=temp,
-                      trap_frequencies_hz=freqs)
+        sc = scenario(dnu0_hz=dnu, temperature_k=temp)
         times = EVEN_GRIDS["range-61"]
-        gap = echo_contrast(sc, times).contrast - echo_closed_form(sc, times)
+        gap = echo_contrast(sc, times, freqs).contrast \
+            - echo_closed_form(sc, times, freqs)
         assert np.max(np.abs(gap)) < 5.0 / math.sqrt(sc.n_atoms)
 
     def test_closed_form_is_exact_without_dephasing(self):
         times = EVEN_GRIDS["range-61"]
         for freqs in ECHO_FREQS.values():
             for still in ({"temperature_k": 0.0}, {"dnu0_hz": 0.0}):
-                sc = scenario(trap_frequencies_hz=freqs, n_atoms=1000, **still)
-                assert np.array_equal(echo_contrast(sc, times).contrast,
-                                      echo_closed_form(sc, times))
+                sc = scenario(n_atoms=1000, **still)
+                assert np.array_equal(echo_contrast(sc, times, freqs).contrast,
+                                      echo_closed_form(sc, times, freqs))
 
     def test_seed_determinism(self):
         freqs = (33e3, 33e3, 6e3)
-        a = echo_contrast(scenario(seed=5, trap_frequencies_hz=freqs),
-                          TIMES).contrast
-        b = echo_contrast(scenario(seed=5, trap_frequencies_hz=freqs),
-                          TIMES).contrast
+        a = echo_contrast(scenario(seed=5), TIMES, freqs).contrast
+        b = echo_contrast(scenario(seed=5), TIMES, freqs).contrast
         assert np.array_equal(a, b)
 
 
@@ -317,9 +311,9 @@ class TestChunkedAccumulation:
 
     @pytest.mark.parametrize("freqs", ECHO_FREQS)
     def test_echo_matches_dense_reference(self, freqs):
-        sc = scenario(n_atoms=2000, trap_frequencies_hz=freqs)
-        got = echo_contrast(sc, TIMES).contrast
-        assert np.max(np.abs(got - dense_echo(sc, TIMES))) <= 1e-12
+        sc = scenario(n_atoms=2000)
+        got = echo_contrast(sc, TIMES, freqs).contrast
+        assert np.max(np.abs(got - dense_echo(sc, TIMES, freqs))) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["ramsey", "echo"])
     def test_large_phases_match_dense_reference(self, kind):
@@ -329,29 +323,31 @@ class TestChunkedAccumulation:
             sc = scenario(dnu0_hz=-2e6, temperature_k=40e-6, n_atoms=2000)
             gap = ramsey_contrast(sc, times).contrast - dense_ramsey(sc, times)
         else:
-            sc = scenario(dnu0_hz=-2e6, temperature_k=40e-6, n_atoms=2000,
-                          trap_frequencies_hz=(33e3, 33e3, 6e3))
-            gap = echo_contrast(sc, times).contrast - dense_echo(sc, times)
+            sc = scenario(dnu0_hz=-2e6, temperature_k=40e-6, n_atoms=2000)
+            freqs = (33e3, 33e3, 6e3)
+            gap = echo_contrast(sc, times, freqs).contrast \
+                - dense_echo(sc, times, freqs)
         assert np.max(np.abs(gap)) <= 1e-12
 
     @pytest.mark.parametrize("budget", [1, 7 * len(TIMES)])
     def test_chunk_size_does_not_change_contrast(self, monkeypatch, budget):
         # 3000 atoms: one row per chunk, then 7-row chunks with a partial last
-        ram = scenario(n_atoms=3000)
-        echo = scenario(n_atoms=3000, trap_frequencies_hz=(33e3, 33e3, 6e3))
-        want_ram = ramsey_contrast(ram, TIMES).contrast
-        want_echo = echo_contrast(echo, TIMES).contrast
+        sc = scenario(n_atoms=3000)
+        freqs = (33e3, 33e3, 6e3)
+        want_ram = ramsey_contrast(sc, TIMES).contrast
+        want_echo = echo_contrast(sc, TIMES, freqs).contrast
         monkeypatch.setattr(coherence, "_CHUNK_ELEMENTS", budget)
-        assert np.max(np.abs(ramsey_contrast(ram, TIMES).contrast
+        assert np.max(np.abs(ramsey_contrast(sc, TIMES).contrast
                              - want_ram)) <= 1e-13
-        assert np.max(np.abs(echo_contrast(echo, TIMES).contrast
+        assert np.max(np.abs(echo_contrast(sc, TIMES, freqs).contrast
                              - want_echo)) <= 1e-13
 
     def test_echo_memory_is_flat_in_times(self):
-        sc = scenario(n_atoms=20000, trap_frequencies_hz=(33e3, 33e3, 6e3))
+        sc = scenario(n_atoms=20000)
+        freqs = (33e3, 33e3, 6e3)
         # a dense (atoms, 1001) float64 phase alone would be 160 MB
-        peak_61 = traced_peak(echo_contrast, sc, 61)
-        peak_1001 = traced_peak(echo_contrast, sc, 1001)
+        peak_61 = traced_peak(echo_contrast, sc, 61, freqs)
+        peak_1001 = traced_peak(echo_contrast, sc, 1001, freqs)
         assert peak_1001 < 32e6
         assert peak_1001 <= 1.5 * peak_61
 
@@ -363,12 +359,13 @@ class TestChunkedAccumulation:
         assert peak_1001 <= 1.5 * peak_61
 
 
-def traced_peak(contrast, sc, n_times):
-    """Peak traced bytes of one contrast call at n_times points up to 1 ms."""
+def traced_peak(contrast, sc, n_times, *more):
+    """Peak traced bytes of one contrast call at n_times points up to 1 ms,
+    with any more arguments after the times."""
     times = np.linspace(0.0, 1e-3, n_times)
     tracemalloc.start()
     try:
-        contrast(sc, times)
+        contrast(sc, times, *more)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -48,6 +48,10 @@ class TestSpeciesPresets:
                 species.defect("3S1", n)
         assert species.n_star("3S1", 20) == pytest.approx(16.6118, abs=1e-4)
         assert species.n_star("3S1", 21) > species.n_star("3S1", 20)
+        # far above its range the model is d0: the slope's (n - d0)^-9
+        # underflows to 0 rather than overflowing
+        d0 = species.defects["3S1"]["ritz"][0]
+        assert species.defect("3S1", 10 ** 45) == pytest.approx(d0, abs=1e-15)
 
     def test_rb_preset_defects(self):
         rb = rb87()

@@ -12,7 +12,8 @@ import re
 import pytest
 
 import rydtrap
-from rydtrap import angular, beam, cli, loss, potential, radial, spectroscopy
+from rydtrap import (angular, beam, cli, coherence, loss, potential, radial,
+                     spectroscopy)
 
 SIGNATURES = {
     beam.TweezerBeam: ["wavelength", "waist", "power"],
@@ -42,6 +43,10 @@ SIGNATURES = {
                              "covariance", "residuals_mhz", "record_n",
                              "threshold_sigma_cm1"],
     loss.fit_photoionization: ["records", "beam"],
+    coherence.DephasingScenario: ["dnu0_hz", "temperature_k", "depth_hz",
+                                  "t1_s", "n_atoms", "seed"],
+    coherence.trap_frequencies_hz: ["beam", "mass_kg", "depth_hz"],
+    coherence.echo_contrast: ["scenario", "times_s", "trap_frequencies_hz"],
 }
 
 _BEAM = ["--wavelength", "--waist", "--power", "--ground-depth"]
@@ -135,8 +140,6 @@ DEFAULTS = {
     ("autoionization_coefficient", "core_depth_hz"),
     ("autoionization_rate", "core_depth_hz"),
     ("DephasingScenario", "n_atoms"), ("DephasingScenario", "seed"),
-    ("DephasingScenario", "trap_frequencies_hz"),
-    ("DephasingScenario", "beam"), ("DephasingScenario", "mass_kg"),
 }
 
 
