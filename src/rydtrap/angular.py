@@ -46,6 +46,16 @@ def _twice(value):
     return twice.numerator
 
 
+def _sublevel(J, M):
+    """M as a Fraction, once it is a sublevel of J: |M| <= J with M - J an
+    integer, so a half-integer of J's parity; ValueError otherwise."""
+    M = Fraction(M)
+    if (M - J).denominator != 1 or abs(M) > J:
+        raise ValueError("M=%s invalid for J=%s%s" % (
+            M, J, "" if (2 * M).denominator == 1 else ": not a half-integer"))
+    return M
+
+
 def _triangle_ok(ta, tb, tc):
     # triangle inequality plus integer perimeter, on twice-integer arguments
     if (ta + tb + tc) % 2 != 0:
@@ -231,9 +241,8 @@ def angular_factor_exact(term, k, M):
     k = int(k)
     if k < 0:
         raise ValueError("rank k must be >= 0")
-    tS, tL, tJ, tM = _twice(term.S), 2 * term.L, _twice(term.J), _twice(M)
-    if abs(tM) > tJ or (tM + tJ) % 2 != 0:
-        raise ValueError("M=%s invalid for J=%s" % (Fraction(tM, 2), term.J))
+    tS, tL, tJ = _twice(term.S), 2 * term.L, _twice(term.J)
+    tM = _twice(_sublevel(term.J, M))
     if k % 2 == 1 or k > max_rank(term):
         return Fraction(0)
 

@@ -150,8 +150,8 @@ def _ylm_theta(l, m, cos_theta):
 class TensorField:
     """Even-rank Legendre profiles f_k(r) of the intensity about the focus.
 
-    profiles is the contiguous (k_max/2 + 1, npts) stack, row k/2 on the
-    grid's radii, and profile(k) is a view of that row. beam is the
+    profiles is the contiguous (k_max/2 + 1, npts) stack, and its row
+    profiles[k // 2] is f_k on the grid's radii. beam is the
     TweezerBeam they were decomposed from. refinement_residual is the
     largest profile move, over peak intensity, that decompose's refinement
     check saw. element_cache maps (n, l) to the row of radial elements
@@ -169,12 +169,6 @@ class TensorField:
     @property
     def k_max(self):
         return 2 * (len(self.profiles) - 1)
-
-    def profile(self, k):
-        if k % 2 or not 0 <= k <= self.k_max:
-            raise IndexError("rank k=%d is not one of the field's even "
-                             "ranks 0..%d" % (k, self.k_max))
-        return self.profiles[k // 2]
 
 
 def _product_nodes(cos_theta, phi):

@@ -277,10 +277,9 @@ def echo_contrast(scenario, times_s, trap_frequencies_hz):
     times = np.asarray(times_s, dtype=float)
     weight, phases = scenario.sample_energies_and_phases()
     weight /= 2.0 * H * scenario.depth_hz                     # E_i/(2 U0)
-    phases *= 2.0
     coef = np.empty((len(weight), 6))                         # (atoms, 6)
-    np.cos(phases, out=coef[:, :3])
-    np.sin(phases, out=coef[:, 3:])
+    _cos_sin(phases, coef[:, :3])             # phi_i is the half of 2 phi_i
+    coef[:, 3:] = phases                                      # sin 2 phi_i
     coef[:, :3] *= weight
     coef[:, 3:] *= weight
     omega = 2.0 * np.pi * np.asarray(freqs)

@@ -16,7 +16,7 @@ import math
 
 from ._tables import finite, read_rows
 from .constants import C, HBAR
-from .potential import _alpha_ground
+from .potential import _alpha
 
 
 class InsufficientDataError(ValueError):
@@ -142,7 +142,7 @@ def default_core_depth_hz(species, power_w):
     if anchor is None:
         raise ValueError("species %s has no measured ground-depth anchor"
                          % species.name)
-    ratio = species.alpha_core_au / _alpha_ground(species)
+    ratio = _alpha(species, "alpha_core") / _alpha(species, "alpha_ground")
     return anchor["depth_hz"] * ratio * power_w / anchor["power_w"]
 
 

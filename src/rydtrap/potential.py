@@ -16,12 +16,12 @@ against the direct 3D quadrature of a Numerov wavefunction.
 """
 
 import math
-from fractions import Fraction
 
 from ._numpy import np
 from .constants import (AU_POLARIZABILITY, C, E_CHARGE, EPS0, H, M_E, AMU,
                         SPECIES_DATA)
-from .angular import Term, angular_factor, max_rank, reference_m, wigner_3j
+from .angular import (Term, _sublevel, angular_factor, max_rank,
+                      reference_m, wigner_3j)
 from .beam import brute_force_average, decompose, _ylm_theta
 from .radial import (RadialGrid, _bracket, _fill_element_memo,
                      interpolated_reduced_element, numerov_radial)
@@ -48,11 +48,10 @@ class AtomicSpecies:
     def __init__(self, name, mass_kg, alpha_core_au, alpha_ground_au,
                  rydberg_cm1, ionization_cm1, defects, core_lines=(),
                  measured_ground_depth=None):
-        if alpha_core_au <= 0:
-            raise ValueError("alpha_core must be positive (red-detuned regime)")
         self.name = name
         self.mass_kg = float(mass_kg)
         self.alpha_core_au = float(alpha_core_au)
+        _alpha(self, "alpha_core")
         self.alpha_ground_au = None if alpha_ground_au is None else float(alpha_ground_au)
         self.rydberg_cm1 = float(rydberg_cm1)
         self.ionization_cm1 = float(ionization_cm1)
@@ -132,11 +131,8 @@ class RydbergState:
         self.species = species
         self.n = int(n)
         self.term = Term(term)
-        self.M = reference_m(self.term) if M is None else Fraction(M)
-        # M - J is an integer only for a half-integer M of J's parity
-        if (self.M - self.term.J).denominator != 1 \
-                or abs(self.M) > self.term.J:
-            raise ValueError("M=%s invalid for J=%s" % (self.M, self.term.J))
+        self.M = _sublevel(self.term.J,
+                           reference_m(self.term) if M is None else M)
         n_star = species.n_star(self.term, self.n)
         if n_star <= self.term.L:
             raise ValueError(
@@ -171,22 +167,30 @@ def polarizability_shift_hz(alpha_au, intensity):
     return -alpha_au * AU_POLARIZABILITY * intensity / (2.0 * EPS0 * C) / H
 
 
-def core_shift(species, beam):
-    """Ion-core polarizability shift at the focus, h*Hz (negative)."""
-    return polarizability_shift_hz(species.alpha_core_au, beam.peak_intensity)
-
-
-def _alpha_ground(species):
-    """The species' ground-state polarizability in au; ValueError if none."""
-    if species.alpha_ground_au is None:
+def _alpha(species, name):
+    """The species' "alpha_core" or "alpha_ground" in au, once positive and
+    finite, as each reader divides by it or takes it as red-detuned;
+    ValueError otherwise, or if it is None (rb87's blue-detuned ground)."""
+    alpha = getattr(species, name + "_au")
+    if alpha is None:
         raise ValueError("species %s has no ground-state polarizability"
                          % species.name)
-    return species.alpha_ground_au
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("%s of species %s must be positive and finite, "
+                         "got %r au" % (name, species.name, alpha))
+    return alpha
+
+
+def core_shift(species, beam):
+    """Ion-core polarizability shift at the focus, h*Hz (negative)."""
+    return polarizability_shift_hz(_alpha(species, "alpha_core"),
+                                   beam.peak_intensity)
 
 
 def ground_depth(species, beam):
     """Ground-state trap depth U(inf) - U(focus) in Hz (positive = trapping)."""
-    return -polarizability_shift_hz(_alpha_ground(species), beam.peak_intensity)
+    return -polarizability_shift_hz(_alpha(species, "alpha_ground"),
+                                    beam.peak_intensity)
 
 
 def power_for_ground_depth(species, beam, depth_hz):
@@ -223,14 +227,14 @@ def field_for(beam, states):
 
 
 def ponderomotive_shift(state, field, axis_angle_deg=0.0):
-    """Ponderomotive expectation for a state, total and per rank, h*Hz.
+    """Ponderomotive expectation for a state, h*Hz.
 
-    U_pond[k] = pref * A_k(term, M) * P_k(cos beta) * e_k(n*, L), where
-    pref is the free-electron energy per intensity, A_k the exact angular
-    factor, e_k the interpolated radial element of the rank-k intensity
-    profile about the focus, and beta the angle of the quantization axis
-    against the beam axis (the P_k factor rotates the axially symmetric
-    q=0 component onto the diagonal of a tilted basis).
+    U_pond = sum over even k of pref * A_k(term, M) * P_k(cos beta)
+    * e_k(n*, L), where pref is the free-electron energy per intensity, A_k
+    the exact angular factor, e_k the interpolated radial element of the
+    rank-k intensity profile about the focus, and beta the angle of the
+    quantization axis against the beam axis (the P_k factor rotates the
+    axially symmetric q=0 component onto the diagonal of a tilted basis).
 
     The shifts are therefore the diagonal of the light shift in the tilted
     frame. They are its eigenvalues only under a bias field along that
@@ -248,27 +252,23 @@ def ponderomotive_shift(state, field, axis_angle_deg=0.0):
     pref = pond_prefactor(field.beam.angular_frequency)
     cos_beta = math.cos(math.radians(axis_angle_deg))
     e = interpolated_reduced_element(state.n_star, term.L, field)
-    by_k = {}
-    for k in range(0, needed + 1, 2):
-        p_k = np.polynomial.legendre.legval(cos_beta, [0.0] * k + [1.0])
-        by_k[k] = pref * angular_factor(term, k, state.M) * p_k * e[k // 2] / H
-    total = float(sum(by_k.values()))
-    return total, by_k
+    return float(sum(
+        pref * angular_factor(term, k, state.M)
+        * np.polynomial.legendre.legval(cos_beta, [0.0] * k + [1.0])
+        * e[k // 2] / H
+        for k in range(0, needed + 1, 2)))
 
 
-def tensor_splitting(species, n, term, field, axis_angle_deg=0.0):
-    """Per-M shifts relative to the M-average for one (n, term) manifold, Hz.
+def tensor_splitting(state, field, axis_angle_deg=0.0):
+    """Per-M shifts from the M-average of state's (n, term) manifold, Hz.
 
     The M-average removes the scalar (k=0) part, leaving the rank k >= 2
     light shift with its M^2 pattern; shift(M) = shift(-M) exactly.
     """
-    term = Term(term)
-    totals = {}
-    for i in range(int(2 * term.J) + 1):
-        m = i - term.J
-        state = RydbergState(species, n, term, m)
-        total, _ = ponderomotive_shift(state, field, axis_angle_deg)
-        totals[m] = total
+    J = state.term.J
+    totals = {m: ponderomotive_shift(
+        RydbergState(state.species, state.n, state.term, m), field,
+        axis_angle_deg) for m in (i - J for i in range(int(2 * J) + 1))}
     avg = sum(totals.values()) / len(totals)
     return {m: total - avg for m, total in totals.items()}
 
@@ -282,9 +282,8 @@ def differential_shift(a, b, field, axis_angle_deg=0.0):
     if a.species.name != b.species.name:
         raise ValueError("states belong to different species (%s vs %s)"
                          % (a.species.name, b.species.name))
-    total_a, _ = ponderomotive_shift(a, field, axis_angle_deg)
-    total_b, _ = ponderomotive_shift(b, field, axis_angle_deg)
-    return total_a - total_b
+    return (ponderomotive_shift(a, field, axis_angle_deg)
+            - ponderomotive_shift(b, field, axis_angle_deg))
 
 
 def _term_angular_density(term, m):
@@ -319,7 +318,7 @@ def oracle_compare(state, field):
     spaced to 2.5 (n + 3)^2 with max(4000, 40 (n + 3)) points for the
     state's integer n.
     """
-    tensor_hz, _ = ponderomotive_shift(state, field)
+    tensor_hz = ponderomotive_shift(state, field)
     n_cover = state.n + 3
     grid = RadialGrid.default(n_cover, npoints=max(4000, 40 * n_cover))
     wf = numerov_radial(state.n_star, state.term.L, grid)

@@ -149,7 +149,7 @@ class TestRealSphHarm:
 class TestDecompose:
     def test_monopole_limit_at_origin(self, beam9, field9):
         # f_00 at vanishing radius is the on-axis peak intensity
-        assert field9.profile(0)[0] == pytest.approx(
+        assert field9.profiles[0][0] == pytest.approx(
             beam9.peak_intensity, rel=1e-6)
 
     def test_axisymmetric_q_terms_vanish(self, beam9, sphere9):
@@ -169,11 +169,6 @@ class TestDecompose:
 
     def test_profile_is_a_row_of_the_stack(self, field9):
         assert field9.profiles.flags.c_contiguous
-        assert np.shares_memory(field9.profile(2), field9.profiles)
-        assert np.array_equal(field9.profile(2), field9.profiles[1])
-        for k in (-2, -1, 1, 3, 5, 6):
-            with pytest.raises(IndexError):
-                field9.profile(k)
 
     def test_retained_field_is_one_stack(self, beam9):
         # on the 12,120 points of n = 300 one (3, npts) float64 stack is
@@ -195,7 +190,7 @@ class TestDecompose:
         reference = sphere_profiles(beam9, np.array([0.0, 0.0, z]),
                                     grid80.points * A0, 4, 48, 48)
         for k in (0, 2, 4):
-            assert np.max(np.abs(field.profile(k) - reference[k, 0])) \
+            assert np.max(np.abs(field.profiles[k // 2] - reference[k, 0])) \
                 <= 1e-12 * beam9.peak_intensity, k
 
     @pytest.mark.parametrize("chunk", [7, 40, 1 << 15])
@@ -272,13 +267,13 @@ class TestDecompose:
                 return beam9.intensity((r_m * st, 0.0, r_m * ct))
 
             want, _ = quad(slice_intensity, -1.0, 1.0, limit=100)
-            assert field.profile(0)[idx] == pytest.approx(
+            assert field.profiles[0][idx] == pytest.approx(
                 0.5 * want, rel=1e-8)
 
     def test_power_linearity(self, beam9, grid80, field9):
         field2 = decompose(beam9.with_power(2 * POWER), grid80, k_max=4)
-        f1 = field9.profile(2)
-        f2 = field2.profile(2)
+        f1 = field9.profiles[1]
+        f2 = field2.profiles[1]
         assert f2 == pytest.approx(2.0 * f1, rel=1e-12)
 
     def test_convergence_guard_raises(self, beam9, monkeypatch):
@@ -302,7 +297,7 @@ class TestBruteForceAverage:
         wf = hydrogen_radial(71, 0, field9.grid)
         direct = brute_force_average(beam9, wf, (0.0, 0.0, 0.0),
                                      ylm_density(0, 0))
-        via_tensor = radial_integral(wf, field9.profile(0))
+        via_tensor = radial_integral(wf, field9.profiles[0])
         assert direct == pytest.approx(via_tensor, rel=1e-9)
 
     def test_m_dependence_for_p_state(self, beam9, field9):
@@ -312,8 +307,8 @@ class TestBruteForceAverage:
                                    ylm_density(1, 0))
         avg1 = brute_force_average(beam9, wf, (0.0, 0.0, 0.0),
                                    ylm_density(1, 1))
-        e0 = radial_integral(wf, field9.profile(0))
-        e2 = radial_integral(wf, field9.profile(2))
+        e0 = radial_integral(wf, field9.profiles[0])
+        e2 = radial_integral(wf, field9.profiles[1])
         # |l=1 m> averages pick up the single-orbital rank-2 factors -+ 2/5
         assert avg0 == pytest.approx(e0 + 0.4 * e2, rel=1e-9)
         assert avg1 == pytest.approx(e0 - 0.2 * e2, rel=1e-9)

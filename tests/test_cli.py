@@ -466,6 +466,43 @@ class TestExitCodes:
         else:
             assert err == ""
 
+    @pytest.mark.parametrize("argv, named", [
+        (["trap-depth", "--power", "9mW", "--n", "75", "--alpha-core", "0au"],
+         "alpha_core"),
+        (["trap-depth", "--power", "9mW", "--n", "75", "--alpha-core=-50au"],
+         "alpha_core"),
+        (["autoion", "--power", "9mW", "--n", "75", "--alpha-core=-50au"],
+         "alpha_core"),
+        (["trap-depth", "--power", "9mW", "--n", "75",
+          "--alpha-ground=-50au"], "alpha_ground"),
+        (["trap-depth", "--power", "9mW", "--n", "75",
+          "--alpha-ground", "0au"], "alpha_ground"),
+        (["trap-depth", "--ground-depth", "12MHz", "--n", "75",
+          "--alpha-ground", "0au"], "alpha_ground"),
+        (["tensor-shift", "--ground-depth", "12MHz", "--n", "74",
+          "--series", "3P2", "--alpha-ground", "0au"], "alpha_ground"),
+        (["autoion", "--power", "9mW", "--n", "75", "--alpha-ground", "0au"],
+         "alpha_ground"),
+        # the waist squares to 0.0: the peak intensity, and echo's derived
+        # trap frequencies, divide by it
+        (["trap-depth", "--power", "9mW", "--n", "75", "--waist", "1e-300m"],
+         "divided by zero"),
+        (["echo-sim", "--dnu", "90kHz", "--temp", "13uK", "--depth", "2MHz",
+          "--t1", "108us", "--n", "10", "--waist", "1e-300m"],
+         "divided by zero"),
+    ], ids=["trap-depth-core-0", "trap-depth-core-negative",
+            "autoion-core-negative", "trap-depth-ground-negative",
+            "trap-depth-ground-0", "trap-depth-ground-depth-ground-0",
+            "tensor-shift-ground-depth-ground-0", "autoion-ground-0",
+            "trap-depth-waist-1e-300", "echo-sim-waist-1e-300"])
+    def test_unusable_input_is_data_error(self, argv, named, capsys):
+        # a zero polarizability or waist would divide by zero, and a
+        # negative polarizability would give an anti-trapping number
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and named in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_time_range_past_float_steps_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["ramsey-sim", "--dnu", "90kHz", "--temp", "13uK",
@@ -473,6 +510,26 @@ class TestExitCodes:
                       "--times", "0:1us:1e-320s"])
         assert exc.value.code == 1
         assert "time range '0:1us:1e-320s'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ramsey-sim", "echo-sim"])
+    def test_time_range_past_the_cap_is_usage_error(self, command,
+                                                    monkeypatch, capsys):
+        # 1e9 times would need about 455 GB (about 455 B per time), so the
+        # range is refused as it is parsed, before any grid is built
+        def no_grid(times):
+            raise AssertionError("a time grid was built")
+        monkeypatch.setattr(cli, "_time_grid", no_grid)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--dnu", "90kHz", "--temp", "1uK",
+                      "--depth", "1MHz", "--t1", "1us",
+                      "--times", "0:1s:1ns"])
+        assert exc.value.code == 1
+        assert re.search(r"time range '0:1s:1ns' holds 10{8}\d times, more "
+                         r"than the cap of 1048576", capsys.readouterr().err)
+
+    def test_time_range_cap_admits_ten_ms_at_ten_ns(self):
+        start, stop, step = cli.time_range("0:10ms:10ns")
+        assert cli._time_count(start, stop, step) == 1000001 <= cli._MAX_TIMES
 
     def test_non_finite_result_is_data_error(self, tmp_path):
         args = cli.build_parser().parse_args(
@@ -597,7 +654,7 @@ class TestFieldCommands:
         field = decompose(beam9, RadialGrid.default(43, npoints=430), k_max=4)
         state = RydbergState(yb174(), 40, Term("3S1"))
         u_total = core_shift(yb174(), beam9) \
-            + ponderomotive_shift(state, field, 0.0)[0]
+            + ponderomotive_shift(state, field, 0.0)
         assert row["u_total_hz"] == pytest.approx(u_total, rel=1e-12)
         assert row["depth_hz"] == pytest.approx(-u_total, rel=1e-12)
         assert row["ratio_to_ground"] == pytest.approx(

@@ -1,13 +1,15 @@
 """Core plus ponderomotive trapping potentials and their state dependence."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rydtrap.angular import Term
+from rydtrap.angular import angular_factor_exact
 from rydtrap.beam import decompose
 from rydtrap.constants import AU_POLARIZABILITY, EPS0, C, H, SPECIES_DATA
+from rydtrap.loss import default_core_depth_hz
 from rydtrap.potential import (RydbergState, TruncationError,
                                core_shift, differential_shift, field_for,
                                ground_depth, oracle_compare,
@@ -61,6 +63,25 @@ class TestSpeciesPresets:
         with pytest.raises(ValueError):
             yb174().__class__("x", 1e-25, -5.0, 100.0, 109737.0, 50443.0, {})
 
+    @pytest.mark.parametrize("alpha", [0.0, -50.0, math.inf, math.nan],
+                             ids=["zero", "negative", "inf", "nan"])
+    def test_polarizability_checked_on_every_read(self, beam9, alpha):
+        # a value set on a preset after construction, as --alpha-core and
+        # --alpha-ground do, meets the constructor's rule at each reader
+        for name, readers in [
+                ("alpha_core", [lambda sp: core_shift(sp, beam9),
+                                lambda sp: default_core_depth_hz(sp, POWER)]),
+                ("alpha_ground", [
+                    lambda sp: ground_depth(sp, beam9),
+                    lambda sp: power_for_ground_depth(sp, beam9, 12e6),
+                    lambda sp: default_core_depth_hz(sp, POWER)])]:
+            species = yb174()
+            setattr(species, name + "_au", alpha)
+            for read in readers:
+                with pytest.raises(ValueError, match="%s of species yb174 "
+                                   "must be positive and finite" % name):
+                    read(species)
+
 
 class TestRydbergState:
     def test_effective_quantum_number(self, species):
@@ -84,6 +105,21 @@ class TestRydbergState:
     def test_non_half_integer_m_raises(self, species, m):
         with pytest.raises(ValueError, match="invalid for J=2"):
             RydbergState(species, 75, "3P2", m)
+
+    @pytest.mark.parametrize("term, m, message", [
+        ("3P2", 3, "M=3 invalid for J=2"),
+        ("3S1", Fraction(1, 2), "M=1/2 invalid for J=1"),
+        ("1D2", Fraction(1, 4), "M=1/4 invalid for J=2: not a half-integer"),
+        ("3P2", "-5/2", "M=-5/2 invalid for J=2"),
+    ], ids=["above-J", "wrong-parity", "quarter", "wrong-parity-text"])
+    def test_sublevel_rule_is_shared(self, species, term, m, message):
+        # RydbergState and angular_factor_exact refuse the same M with the
+        # same message
+        with pytest.raises(ValueError) as state_error:
+            RydbergState(species, 75, term, m)
+        with pytest.raises(ValueError) as factor_error:
+            angular_factor_exact(term, 2, m)
+        assert str(state_error.value) == str(factor_error.value) == message
 
     def test_low_n_star_rejected(self, species):
         with pytest.raises(ValueError):
@@ -121,15 +157,9 @@ class TestScalarShifts:
 class TestPonderomotiveShift:
     def test_75_3s1_total(self, species, field9):
         state = RydbergState(species, 75, "3S1")
-        total, by_k = ponderomotive_shift(state, field9)
+        total = ponderomotive_shift(state, field9)
+        assert type(total) is float
         assert total == pytest.approx(5.352893e6, rel=1e-5)
-        assert set(by_k) == {0}
-
-    def test_rank_content_follows_term(self, species, field9):
-        state = RydbergState(species, 70, "1D2")
-        total, by_k = ponderomotive_shift(state, field9)
-        assert set(by_k) == {0, 2, 4}
-        assert total == pytest.approx(sum(by_k.values()))
 
     def test_truncation_error_and_override(self, species, beam9):
         grid = RadialGrid.default(73, npoints=1500)
@@ -139,19 +169,16 @@ class TestPonderomotiveShift:
             ponderomotive_shift(state, low_field)
 
     def test_axis_angle_scales_rank2_by_legendre(self, species, field9):
-        state = RydbergState(species, 70, "1D2", 0)
-        _, upright = ponderomotive_shift(state, field9, axis_angle_deg=0.0)
-        _, tilted = ponderomotive_shift(state, field9, axis_angle_deg=90.0)
-        assert tilted[0] == pytest.approx(upright[0], rel=1e-12)
-        assert tilted[2] == pytest.approx(-0.5 * upright[2], rel=1e-12)
-        assert tilted[4] == pytest.approx(0.375 * upright[4], rel=1e-12)
-
-    def test_breakdown_identity(self, species, field9):
-        state = RydbergState(species, 75, "3S1")
-        total, by_k = ponderomotive_shift(state, field9)
-        assert total == pytest.approx(sum(by_k.values()), rel=1e-12)
-        assert ground_depth(species, field9.beam) == pytest.approx(
-            17.4797e6, rel=1e-4)
+        # 3P2 couples to ranks 0 and 2 only, so U(beta) = U_0 + P_2(cos beta)
+        # U_2; at the magic angle P_2 = 0, so U(90 deg) - U(beta_m) is
+        # P_2(0) = -1/2 times U(0) - U(beta_m)
+        magic = math.degrees(math.acos(1.0 / math.sqrt(3.0)))
+        for m in (2, 0):
+            state = RydbergState(species, 70, "3P2", m)
+            at_magic = ponderomotive_shift(state, field9, magic)
+            upright = ponderomotive_shift(state, field9, 0.0) - at_magic
+            tilted = ponderomotive_shift(state, field9, 90.0) - at_magic
+            assert tilted == pytest.approx(-0.5 * upright, rel=1e-12), m
 
 
 class TestFieldFor:
@@ -191,8 +218,7 @@ class TestFieldFor:
 
 class TestTrapDepth:
     def test_75_3s1_depth_and_ratio(self, species, field9):
-        pond, _ = ponderomotive_shift(RydbergState(species, 75, "3S1"),
-                                      field9)
+        pond = ponderomotive_shift(RydbergState(species, 75, "3S1"), field9)
         depth = -(core_shift(species, field9.beam) + pond)
         ratio = depth / ground_depth(species, field9.beam)
         assert depth == pytest.approx(1.44832e6, rel=1e-4)
@@ -201,14 +227,17 @@ class TestTrapDepth:
 
 class TestTensorSplitting:
     def test_74_3p2_spread_at_operating_point(self, species, field_op):
-        shifts = tensor_splitting(species, 74, "3P2", field_op,
-                                  axis_angle_deg=90.0)
+        shifts = tensor_splitting(RydbergState(species, 74, "3P2"),
+                                  field_op, axis_angle_deg=90.0)
         spread = max(shifts.values()) - min(shifts.values())
         assert spread == pytest.approx(356.52e3, rel=1e-3)
+        # the whole manifold, whichever sublevel the state is in
+        assert tensor_splitting(RydbergState(species, 74, "3P2", -1),
+                                field_op, axis_angle_deg=90.0) == shifts
 
     def test_m_squared_pattern_and_zero_sum(self, species, field_op):
-        shifts = tensor_splitting(species, 74, "3P2", field_op,
-                                  axis_angle_deg=90.0)
+        shifts = tensor_splitting(RydbergState(species, 74, "3P2"),
+                                  field_op, axis_angle_deg=90.0)
         assert sum(shifts.values()) == pytest.approx(0.0, abs=1e-6)
         for m, value in shifts.items():
             assert value == pytest.approx(shifts[-m], rel=1e-12)
@@ -219,7 +248,7 @@ class TestTensorSplitting:
         assert m2[1] - m2[0] == pytest.approx(slope, rel=1e-6)
 
     def test_scalar_term_has_no_splitting(self, species, field_op):
-        shifts = tensor_splitting(species, 75, "3S1", field_op)
+        shifts = tensor_splitting(RydbergState(species, 75, "3S1"), field_op)
         assert all(v == pytest.approx(0.0, abs=1e-9) for v in shifts.values())
 
 

@@ -267,7 +267,7 @@ class TestRadialIntegral:
 class TestInterpolatedElement:
     def test_integer_nstar_is_exact(self, field9):
         wf = hydrogen_radial(71, 0, field9.grid)
-        direct = radial_integral(wf, field9.profile(0)) / wf.norm()
+        direct = radial_integral(wf, field9.profiles[0]) / wf.norm()
         assert interpolated_reduced_element(71.0, 0, field9)[0] == \
             pytest.approx(direct, rel=1e-14)
 
@@ -276,7 +276,7 @@ class TestInterpolatedElement:
             n_star = 70.56
             interp = interpolated_reduced_element(n_star, l, field9)[k // 2]
             wf = numerov_radial(n_star, l, field9.grid)
-            direct = radial_integral(wf, field9.profile(k))
+            direct = radial_integral(wf, field9.profiles[k // 2])
             assert interp == pytest.approx(direct, rel=1e-3), (l, k)
 
     def test_bracket_and_coverage_errors(self, field9):
@@ -315,7 +315,7 @@ class TestInterpolatedElement:
                     if (n, l, k) not in integer_n:
                         wf = hydrogen_radial(n, l, field9.grid)
                         integer_n[n, l, k] = radial_integral(
-                            wf, field9.profile(k)) / wf.norm()
+                            wf, field9.profiles[k // 2]) / wf.norm()
                 values = [integer_n[n, l, k] for n in nodes]
                 x = Fraction(float(n_star))
                 want = Fraction(0)
