@@ -7,9 +7,13 @@ denominators kept self-consistent with the leading coefficient. Fits are
 weighted Levenberg-Marquardt with an analytic Jacobian in the expansion
 coefficients; the ionization threshold can be fit jointly on a high-n
 window. Pair-state Foerster defects come from the same energy model.
-The fits import scipy.optimize when they run, so importing this module
-does not load scipy.
+The fits run MINPACK's lmder from scipy's compiled extension
+scipy/optimize/_minpack, loaded by file the first time a fit runs: it
+imports scipy's top-level package but never runs scipy.optimize's
+__init__, and importing this module loads no scipy at all.
 """
+
+from functools import cache
 
 from ._numpy import np
 from ._tables import finite, read_rows
@@ -138,25 +142,72 @@ def _select(records, fit_range):
     return [rec for rec in records if lo <= rec.n <= hi]
 
 
+# What MINPACK lmder's failing exit codes mean (More, Garbow & Hillstrom,
+# ANL-80-74); codes 1-4 are convergence, as in least_squares(method="lm")
+_LMDER_FAILURES = {
+    0: "improper input parameters",
+    5: "the residuals were evaluated maxfev times",
+    6: "ftol is too small: the sum of squares cannot be reduced further",
+    7: "xtol is too small: x cannot be improved further",
+    8: "gtol is too small: the residuals are orthogonal to the Jacobian "
+       "columns to machine precision",
+}
+
+
+@cache
+def _minpack():
+    """scipy's compiled MINPACK extension, without scipy.optimize.
+
+    The module is found by file in scipy's optimize directory and loaded
+    under its bare name _minpack, so scipy.optimize's __init__ (0.5 s of
+    imports) never runs and no scipy.optimize module enters sys.modules.
+    """
+    import os
+    from importlib.machinery import PathFinder
+    from importlib.util import module_from_spec
+
+    import scipy
+
+    spec = PathFinder.find_spec(
+        "_minpack", [os.path.join(os.path.dirname(scipy.__file__), "optimize")])
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _least_squares(residuals, x0, jacobian, name):
     """Levenberg-Marquardt solution of a weighted fit and its covariance.
 
-    The covariance is inv(J^T J) at the solution, None when singular. A
-    failed fit raises FitConvergenceError naming the fit.
+    This is the call scipy.optimize.least_squares(method="lm") makes, with
+    xtol = ftol = gtol = 1e-14, maxfev = 100 n, factor 100 and diag None:
+    MINPACK's lmder from scipy's compiled core (see _minpack), so the
+    solution is bit-equal to least_squares'. The covariance is inv(J^T J)
+    at the solution, None when singular. An lmder exit code outside 1-4
+    raises FitConvergenceError naming the fit, the code and its meaning,
+    the residual evaluations and the final cost; residuals that are not
+    finite at x0 raise ValueError, as least_squares does.
     """
-    from scipy.optimize import least_squares
-
-    result = least_squares(residuals, x0, jac=jacobian, method="lm",
-                           xtol=1e-14, ftol=1e-14, gtol=1e-14)
-    if not result.success:
-        raise FitConvergenceError("%s fit did not converge: %s"
-                                  % (name, result.message))
-    jac = jacobian(result.x)
+    if not np.all(np.isfinite(residuals(x0))):
+        raise ValueError("%s fit: residuals are not finite at the starting "
+                         "point" % name)
+    # (fun, jac, x0, args, full_output, col_deriv, ftol, xtol, gtol,
+    #  maxfev, factor, diag)
+    x, report, info = _minpack()._lmder(
+        residuals, jacobian, np.array(x0, dtype=float), (), True, False,
+        1e-14, 1e-14, 1e-14, 100 * len(x0), 100.0, None)
+    if not 1 <= info <= 4:
+        fvec = report["fvec"]
+        raise FitConvergenceError(
+            "%s fit did not converge: MINPACK info %d (%s) after %d residual "
+            "evaluations, cost %.6g" % (
+                name, info, _LMDER_FAILURES[info],
+                report["nfev"], 0.5 * float(fvec @ fvec)))
+    jac = jacobian(x)
     try:
         cov = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
         cov = None
-    return result.x, cov
+    return x, cov
 
 
 def fit_ritz(records, order=8, fit_range=None, *, ionization_cm1,

@@ -2,10 +2,13 @@
 and the (theta, phi) product rule the axial decomposition is checked
 against."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+from rydtrap import spectroscopy
 from rydtrap.beam import (TweezerBeam, _intensity_sums, _product_nodes,
                           _ylm_theta, decompose)
 from rydtrap.constants import A0
@@ -105,3 +108,19 @@ def operating_power(species, beam9):
 @pytest.fixture(scope="session")
 def field_op(beam9, grid80, operating_power):
     return decompose(beam9.with_power(operating_power), grid80, k_max=4)
+
+
+@pytest.fixture
+def lmder_exit(monkeypatch):
+    """Make MINPACK's lmder return a chosen exit code: the real core runs
+    the fit, and its (x, report) comes back with info replaced. Returns
+    the setter; the last report is in setter.report."""
+    core = spectroscopy._minpack()
+
+    def set_info(info):
+        def lmder(*args):
+            x, set_info.report, _ = core._lmder(*args)
+            return x, set_info.report, info
+        monkeypatch.setattr(spectroscopy, "_minpack",
+                            lambda: SimpleNamespace(_lmder=lmder))
+    return set_info

@@ -270,6 +270,17 @@ class TestExitCodes:
         assert rc == 3
         assert "did not converge" in capsys.readouterr().err
 
+    def test_fit_nonconvergence_exits_3(self, lmder_exit, capsys):
+        # MINPACK's maxfev exit: one error line, no traceback, no output
+        lmder_exit(5)
+        assert cli.main(["ritz-fit"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: Ritz fit did not converge: "
+                                       "MINPACK info 5 (")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_oracle_nonconvergence_exits_3(self, monkeypatch, capsys):
         # one doubling per angle, and a tol below rounding
         monkeypatch.setattr("rydtrap.beam._MAX_DOUBLINGS", 1)
@@ -894,8 +905,9 @@ def test_readme_command_lines_parse():
 
 
 # A fresh process per command: importing rydtrap.cli and running any of
-# these must load no scipy module. Only ritz-fit and threshold-fit import
-# scipy, inside the fits that need it.
+# these must load no scipy module. Only ritz-fit and threshold-fit load
+# scipy, inside the fits: its top-level package, to find the compiled
+# MINPACK core, which they load by file without any scipy.optimize module.
 NO_SCIPY_COMMANDS = {
     "version": ["--version"],
     "angular-table": ["angular-table"],
@@ -970,10 +982,14 @@ def test_command_loads_no_scipy(name, tmp_path):
 
 
 def test_scipy_probe_sees_a_fit_import(tmp_path):
-    # the probe is not blind: ritz-fit imports scipy.optimize when it runs
-    report = modules_after(["ritz-fit"], tmp_path)
-    assert report["result"] == 0
-    assert "scipy.optimize" in report["scipy"]
+    # the probe is not blind: both fits load scipy when they run, and they
+    # load MINPACK's core with no scipy.optimize module
+    for command in ("ritz-fit", "threshold-fit"):
+        report = modules_after([command], tmp_path)
+        assert report["result"] == 0
+        assert "scipy" in report["scipy"]
+        assert [m for m in report["scipy"]
+                if m.startswith("scipy.optimize")] == []
 
 
 @pytest.mark.parametrize("name", sorted(NO_NUMPY_COMMANDS))

@@ -5,12 +5,13 @@ import io
 import numpy as np
 import pytest
 
+from rydtrap import spectroscopy
 from rydtrap.constants import CM1_TO_MHZ
 from rydtrap.potential import RydbergState, yb174
-from rydtrap.spectroscopy import (EnergyRecord, RitzModel,
-                                  bundled_energy_path, defect_from_energy,
-                                  fit_ritz, fit_threshold, forster_defect,
-                                  load_energy_csv, ritz_delta)
+from rydtrap.spectroscopy import (EnergyRecord, FitConvergenceError,
+                                  RitzModel, bundled_energy_path,
+                                  defect_from_energy, fit_ritz, fit_threshold,
+                                  forster_defect, load_energy_csv, ritz_delta)
 
 RY_CM1 = 109736.96959
 EI_CM1 = 50443.07074
@@ -178,6 +179,71 @@ class TestThresholdFit:
         assert model.covariance is None
         # a model with a fixed threshold has no threshold uncertainty
         assert RitzModel([4.4], EI_CM1, RY_CM1).threshold_sigma_cm1 is None
+
+
+# the quick-cli windows of perfbench (ritz-fit --range a:a+40, threshold-fit
+# --range a:a+20) and the bundled default window of each command
+RITZ_WINDOWS = [(a, a + 40) for a in range(30, 41)] + [None]
+THRESHOLD_WINDOWS = [(a, a + 20) for a in range(55, 66)] + [None]
+
+
+class TestMinpackCore:
+    def test_bit_equal_to_least_squares(self, records, monkeypatch):
+        # the oracle: scipy.optimize.least_squares(method="lm") runs the
+        # same MINPACK lmder; a scipy whose private _lmder signature or
+        # arithmetic changed fails here
+        from scipy.optimize import least_squares
+        own = spectroscopy._least_squares
+        compared = []
+
+        def both(residuals, x0, jacobian, name):
+            x, cov = own(residuals, x0, jacobian, name)
+            ref = least_squares(residuals, x0, jac=jacobian, method="lm",
+                                xtol=1e-14, ftol=1e-14, gtol=1e-14)
+            assert ref.success, ref.message
+            jac = jacobian(ref.x)
+            assert np.array_equal(x, ref.x)
+            assert np.array_equal(cov, np.linalg.inv(jac.T @ jac))
+            compared.append(name)
+            return x, cov
+
+        monkeypatch.setattr(spectroscopy, "_least_squares", both)
+        yb = yb174()
+        for window in RITZ_WINDOWS:
+            fit_ritz(records, fit_range=window,
+                     ionization_cm1=yb.ionization_cm1,
+                     rydberg_cm1=yb.rydberg_cm1)
+        for window in THRESHOLD_WINDOWS:
+            fit_threshold(records, fit_range=window,
+                          rydberg_cm1=yb.rydberg_cm1)
+        assert compared == ["Ritz"] * 12 + ["threshold"] * 12
+
+    @pytest.mark.parametrize("info, meaning", [
+        (0, "improper input parameters"),
+        (5, "the residuals were evaluated maxfev times")],
+        ids=["info-0", "info-5"])
+    def test_failed_exit_code_raises(self, records, lmder_exit, info,
+                                     meaning):
+        lmder_exit(info)
+        with pytest.raises(FitConvergenceError) as exc:
+            fit_ritz(records, fit_range=(35, 75), ionization_cm1=EI_CM1,
+                     rydberg_cm1=RY_CM1)
+        fvec = lmder_exit.report["fvec"]
+        assert str(exc.value) == (
+            "Ritz fit did not converge: MINPACK info %d (%s) after %d "
+            "residual evaluations, cost %.6g" % (
+                info, meaning, lmder_exit.report["nfev"],
+                0.5 * float(fvec @ fvec)))
+
+    def test_non_finite_start_is_value_error(self):
+        # n = 40 lies 1e305 cm-1 below the rest: its residual overflows
+        recs = [EnergyRecord(40, -1e305)] + [
+            EnergyRecord(n, EI_CM1 - RY_CM1 / (n - 4.44) ** 2)
+            for n in range(41, 47)]
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="threshold fit: residuals are not finite "
+                                  "at the starting point"):
+            fit_threshold(recs, rydberg_cm1=RY_CM1)
 
 
 class TestForsterDefect:
