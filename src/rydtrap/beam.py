@@ -26,14 +26,18 @@ path does not use it.
 Both the axial rule and the oracle sum the intensity over their nodes
 through one kernel, _intensity_sums, which works along each node's ray in
 scaled coordinates and in fixed-size blocks, so that memory does not grow
-with the radial grid. It evaluates the intensity by _gaussian_profile, the
-formula TweezerBeam.intensity also uses, so the package has one intensity
-formula. The kernel is the one piece the oracle shares with the tensor
-path; the tests check it against the textbook Gaussian in extended
-precision, and in every blocking against the direct sum of
-TweezerBeam.intensity over the whole point array.
+with the radial grid: two matrix products form each block's coordinates
+from [r^2, r, 1] and per-node coefficients. It evaluates the intensity by
+_gaussian_profile, the formula TweezerBeam.intensity also uses, so the
+package has one intensity formula. Besides numpy's Gauss-Legendre rules,
+which both read from _gauss_legendre, built once per node count, the
+kernel is the one piece the oracle shares with the tensor path; the tests
+check it against the textbook Gaussian in extended precision, and in
+every blocking against the direct sum of TweezerBeam.intensity over the
+whole point array.
 """
 
+import functools
 import math
 import warnings
 
@@ -103,24 +107,22 @@ class TweezerBeam:
         points = np.asarray(points, dtype=float)
         rho2 = np.asarray((points[..., 0]**2 + points[..., 1]**2)
                           * (2.0 / self.waist**2))
-        zt = np.asarray(points[..., 2] / self.rayleigh_range)
-        return -self.peak_intensity * _gaussian_profile(rho2, zt)
+        neg_q = np.asarray(-1.0 - (points[..., 2] / self.rayleigh_range)**2)
+        return -self.peak_intensity * _gaussian_profile(rho2, neg_q)
 
 
-def _gaussian_profile(rho2, zt):
+def _gaussian_profile(rho2, neg_q):
     """-I/I0 of the paraxial Gaussian, written over rho2 and returned.
 
     In scaled coordinates, rho2 = 2 rho^2/w0^2 off the axis and
-    zt = z/z_R along it, I/I0 = exp(-rho2/q)/q with q = 1 + zt^2. zt is
-    overwritten with -q = -1 - zt^2, which folds the sign into the pass
-    that forms q. The five passes are in place and make no temporary; the
-    caller multiplies by -I0 once.
+    q = 1 + (z/z_R)^2 along it, I/I0 = exp(-rho2/q)/q. The caller passes
+    -q, which folds the sign into the divisions. The three passes, divide,
+    exp and divide, are in place and make no temporary; the caller
+    multiplies by -I0 once.
     """
-    np.multiply(zt, zt, out=zt)
-    np.subtract(-1.0, zt, out=zt)
-    np.divide(rho2, zt, out=rho2)
+    np.divide(rho2, neg_q, out=rho2)
     np.exp(rho2, out=rho2)
-    np.divide(rho2, zt, out=rho2)
+    np.divide(rho2, neg_q, out=rho2)
     return rho2
 
 
@@ -186,22 +188,23 @@ def _intensity_sums(beam, position, r_m, nhat, weights):
     nhat is (3, nodes) and weights is (nodes,) or (nodes, columns). The
     axial decomposition and the oracle both sum through here, and so
     through _gaussian_profile, the formula TweezerBeam.intensity uses.
-    No point is formed: along the ray of a node, 2 rho^2/w0^2 is the
-    quadratic r^2 c2 + r c1 + c0 and z/z_R is r a_z + b_z, whose per-node
-    constants are computed once per call. The zero off-axis terms of a
-    ray on the axis are computed like any other, so nothing branches on
-    the position.
+    No point is formed: along the ray of a node, 2 rho^2/w0^2 and
+    -q = -1 - (z/z_R)^2 are quadratics in r. Each is one matrix product
+    of a (radii, 3) table of [r^2, r, 1] with a (3, nodes) table of its
+    per-node coefficients, both built once per call. The zero off-axis
+    terms of a ray on the axis are computed like any other, so nothing
+    branches on the position.
 
     The points go in blocks of at most _NODE_CHUNK = 2^15 (radius, node)
     pairs, whole radii at a time when a radius has fewer nodes than that.
     Each block is two contiguous (radii, nodes) arrays cut from two
-    reused 256 kB buffers, which stay in L2, and takes twelve passes over
-    them, all in place: two form z/z_R, four the quadratic, five
-    _gaussian_profile and one the product with weights. The sums are
-    scaled by -I0 once at the end. So memory does not grow with the grid:
-    on grids of 430, 1,430 and 12,120 radii an on-axis decompose traces a
-    0.69, 0.74 and 1.34 MB peak, and an on-axis oracle call for an s
-    state 0.83 MB on its 4,000-point grid and 0.88 MB on 5,720 points.
+    reused 256 kB buffers, which stay in L2: two matrix products write
+    them, _gaussian_profile takes three passes over them in place, and
+    one product with weights sums them. The sums are scaled by -I0 once
+    at the end. So memory does not grow with the grid: on grids of 430,
+    1,430 and 12,120 radii an on-axis decompose traces a 0.58, 0.67 and
+    1.53 MB peak, and an on-axis oracle call for an s state 0.81 MB on
+    its 4,000-point grid and 0.90 MB on 5,720 points.
     """
     n_nodes = nhat.shape[1]
     node_step = min(n_nodes, _NODE_CHUNK)
@@ -209,32 +212,41 @@ def _intensity_sums(beam, position, r_m, nhat, weights):
     scale = 2.0 / beam.waist**2
     px, py, pz = position
     nx, ny, nz = nhat
-    c2 = scale * (nx * nx + ny * ny)
-    c1 = (2.0 * scale) * (px * nx + py * ny)
-    c0 = scale * (px * px + py * py)
     a_z = nz / beam.rayleigh_range
     b_z = pz / beam.rayleigh_range
+    powers = np.stack([r_m * r_m, r_m, np.ones_like(r_m)], axis=1)
+    rho2_rows = np.stack([scale * (nx * nx + ny * ny),
+                          (2.0 * scale) * (px * nx + py * ny),
+                          np.full(n_nodes, scale * (px * px + py * py))])
+    neg_q_rows = np.stack([-(a_z * a_z), (-2.0 * b_z) * a_z,
+                           np.full(n_nodes, -1.0 - b_z * b_z)])
     rho2_buf = np.empty(radius_step * node_step)
-    zt_buf = np.empty(radius_step * node_step)
+    neg_q_buf = np.empty(radius_step * node_step)
     out = np.zeros((len(r_m),) + weights.shape[1:])
     for j in range(0, n_nodes, node_step):
         cols = slice(j, j + node_step)
         width = min(node_step, n_nodes - j)
         for i in range(0, len(r_m), radius_step):
-            r = r_m[i:i + radius_step, None]
-            size = len(r) * width
-            zt = zt_buf[:size].reshape(len(r), width)
-            np.multiply(r, a_z[cols], out=zt)
-            zt += b_z
-            rho2 = rho2_buf[:size].reshape(len(r), width)
-            np.multiply(r, c2[cols], out=rho2)
-            rho2 += c1[cols]
-            rho2 *= r
-            rho2 += c0
-            out[i:i + radius_step] += _gaussian_profile(rho2, zt) \
+            rows = powers[i:i + radius_step]
+            size = len(rows) * width
+            rho2 = np.matmul(rows, rho2_rows[:, cols],
+                             out=rho2_buf[:size].reshape(len(rows), width))
+            neg_q = np.matmul(rows, neg_q_rows[:, cols],
+                              out=neg_q_buf[:size].reshape(len(rows), width))
+            out[i:i + radius_step] += _gaussian_profile(rho2, neg_q) \
                 @ weights[cols]
     out *= -beam.peak_intensity
     return out
+
+
+@functools.cache
+def _gauss_legendre(n):
+    """numpy's n-node Gauss-Legendre rule on [-1, 1], (nodes, weights),
+    built once per n and handed out read-only."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
 def _axial_profiles(beam, r_m, k_max, n_theta):
@@ -243,7 +255,7 @@ def _axial_profiles(beam, r_m, k_max, n_theta):
     There the intensity does not depend on phi, so, by Gauss-Legendre,
     f_k(r) = (2k+1)/2 sum_i w_i I(r, x_i) P_k(x_i) with x = cos(theta).
     """
-    ct, w_theta = np.polynomial.legendre.leggauss(n_theta)
+    ct, w_theta = _gauss_legendre(n_theta)
     st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
     nhat = np.stack([st, np.zeros_like(ct), ct])
     wmat = np.polynomial.legendre.legvander(ct, k_max)[:, ::2] \
@@ -328,7 +340,7 @@ def brute_force_average(beam, wf, position, angular_density):
         return abs(value - previous) / max(abs(value), floor)
 
     def phi_refined(n_theta):
-        cos_theta, w_theta = np.polynomial.legendre.leggauss(n_theta)
+        cos_theta, w_theta = _gauss_legendre(n_theta)
         n_phi, residual = _PHI_START, np.inf
         sums = node_sums(cos_theta, w_theta, _PHI_OFFSET
                          + 2.0 * np.pi * np.arange(n_phi) / n_phi)

@@ -313,19 +313,22 @@ def numerov_radial(n_star, l, grid):
         f = l * (l + 1) / r**2 - 2.0 / r + 1.0 / n_star**2
         g = 4.0 * r * f + 3.0 / (4.0 * r)      # G(x) with r = x^2
 
+    # the recurrence runs on Python floats, which take the same IEEE
+    # double steps in the same order as numpy scalars at a fraction of
+    # the cost per element
     npts = len(x)
-    v = np.zeros(npts)
-    v[-1] = 0.0
+    v = [0.0] * npts
     v[-2] = 1e-12
-    w = 1.0 - (h * h / 12.0) * g
+    w = (1.0 - (h * h / 12.0) * g).tolist()
     # Numerov: v_{i-1} = ((12 - 10 w_i) v_i - w_{i+1} v_{i+1}) / w_{i-1}
     for i in range(npts - 2, 0, -1):
         v[i - 1] = ((12.0 - 10.0 * w[i]) * v[i] - w[i + 1] * v[i + 1]) / w[i - 1]
         if abs(v[i - 1]) > _HUGE:
-            # rescale the whole array so finished outer samples stay on the
-            # same scale as the still-running inner ones
-            v /= _HUGE
-    u = np.sqrt(x) * v
+            # rescale every finished sample so the outer ones stay on the
+            # same scale as the still-running inner ones; those inside
+            # are still 0.0
+            v[i - 1:] = [value / _HUGE for value in v[i - 1:]]
+    u = np.sqrt(x) * np.array(v)
     with np.errstate(divide="ignore", invalid="ignore"):
         R = np.where(r > 0, u / r, 0.0)
 

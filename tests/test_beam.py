@@ -1,5 +1,6 @@
 """Gaussian beam optics and the spherical-tensor intensity decomposition."""
 
+import json
 import math
 import tracemalloc
 import warnings
@@ -10,11 +11,12 @@ from scipy.integrate import quad
 from numpy.polynomial.legendre import leggauss, legval, legvander
 from scipy.special import lpmv
 
+from rydtrap import cli
 from rydtrap.angular import Term, reference_m
 from rydtrap.beam import (ParaxialValidityWarning, QuadratureConvergenceError,
-                          TweezerBeam, _axial_profiles, _intensity_sums,
-                          _product_nodes, _ylm_theta, brute_force_average,
-                          decompose)
+                          TweezerBeam, _axial_profiles, _gauss_legendre,
+                          _gaussian_profile, _intensity_sums, _product_nodes,
+                          _ylm_theta, brute_force_average, decompose)
 from rydtrap.constants import A0, C
 from rydtrap.potential import _term_angular_density
 from rydtrap.radial import (RadialGrid, hydrogen_radial, numerov_radial,
@@ -390,6 +392,24 @@ class TestBruteForceAverage:
         assert max(peaks.values()) <= 16e6
         assert peaks[140] <= 1.5 * peaks[40]
 
+    def test_one_intensity_formula(self, beam9, monkeypatch):
+        # the kernel and TweezerBeam.intensity both evaluate the Gaussian
+        # through _gaussian_profile, so neither can hold a second copy
+        calls = []
+
+        def counted(rho2, neg_q):
+            calls.append(rho2.shape)
+            return _gaussian_profile(rho2, neg_q)
+
+        monkeypatch.setattr("rydtrap.beam._gaussian_profile", counted)
+        _, _, nhat = _product_nodes(np.linspace(-0.9, 0.9, 5),
+                                    np.linspace(0.1, 6.0, 3))
+        r_m = np.linspace(0.0, 1e-6, 23)
+        _intensity_sums(beam9, np.zeros(3), r_m, nhat, np.ones(15))
+        assert calls == [(23, 15)]
+        beam9.intensity(np.zeros((4, 3)))
+        assert calls == [(23, 15), (4,)]
+
 
 def phi_nodes_seen(monkeypatch):
     """The distinct phi angles of the oracle's nodes about its position,
@@ -491,3 +511,37 @@ class TestSelfRefiningOracle:
                 beam9, wf, (0.0, 0.0, 0.0),
                 angular_density=lambda ct, ph: np.sqrt(1.0 - ct * ct)
                 / np.pi**2 * np.ones_like(ph))
+
+
+class TestGaussLegendre:
+    """The axial rule and the oracle read each Gauss-Legendre rule from one
+    cache, built once per node count and shared read-only."""
+
+    @pytest.mark.parametrize("n", [32, 48, 64])
+    def test_bit_equal_to_numpy(self, n):
+        for got, want in zip(_gauss_legendre(n), leggauss(n)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_arrays_refuse_writes(self):
+        nodes, weights = _gauss_legendre(32)
+        for array in (nodes, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_oracle_check_builds_three_rules(self, monkeypatch, capsys):
+        # two states, each a decompose (48 and 32 nodes) and an oracle
+        # (32 and 64 theta nodes): eight rules, three distinct
+        sizes = []
+
+        def counted(n):
+            sizes.append(n)
+            return leggauss(n)
+
+        _gauss_legendre.cache_clear()
+        monkeypatch.setattr("numpy.polynomial.legendre.leggauss", counted)
+        assert cli.main(["oracle-check", "--power", "9mW",
+                         "--n", "60", "95"]) == 0
+        assert len(json.loads(capsys.readouterr().out)
+                   ["data"]["comparisons"]) == 2
+        assert sorted(sizes) == [32, 48, 64]

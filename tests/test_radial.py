@@ -233,6 +233,33 @@ class TestNumerov:
         with pytest.raises(ValueError):
             numerov_radial(2.0, 2, grid120)
 
+    # n* of 3S1 n = 60, 95 and 1D2 n = 45, 100 on oracle_compare's grids
+    @pytest.mark.parametrize("n, n_star, l", [
+        (60, 55.561, 0), (95, 90.561, 0), (45, 42.287, 2), (100, 97.287, 2)])
+    def test_rescale_is_exact(self, monkeypatch, n, n_star, l):
+        # here peak |v| is 2^9 to 2^28, far below _HUGE = 2^498,
+        # so only a lowered threshold reaches the rescale. Each rescale
+        # divides by a power of two and no value goes subnormal, so the
+        # samples must come back bit for bit.
+        dividends = []
+
+        class Threshold(float):
+            """2^4, recording every value divided by it."""
+
+            def __rtruediv__(self, value):
+                dividends.append(value)
+                return value / float(self)
+
+        grid = RadialGrid.default(n + 3, npoints=max(4000, 40 * (n + 3)))
+        want = numerov_radial(n_star, l, grid).samples
+        monkeypatch.setattr("rydtrap.radial._HUGE", Threshold(2.0 ** 4))
+        got = numerov_radial(n_star, l, grid).samples
+        # each rescale divides the one sample past the threshold
+        assert sum(abs(value) > 2.0 ** 4 for value in dividends) >= 2
+        assert min(abs(value) for value in dividends if value) / 2.0 ** 4 \
+            >= np.finfo(float).tiny
+        assert got.tobytes() == want.tobytes()
+
 
 class TestRadialIntegral:
     def test_uniform_profile_is_norm(self, grid120):
