@@ -5,9 +5,9 @@ Laguerre representation with a dynamically rescaled three-term recurrence
 (everything assembled in log space), which is stable to n well above 100;
 n is capped at _N_MAX = 150. One kernel, _laguerre_block, runs the
 recurrence on a block of rows of one l sorted by n: step m updates only
-the contiguous suffix of rows whose degree is above m, in reused buffers,
-with an overflow test every 8 steps, and each row keeps its own tail cut,
-the radius past which a bound puts |R| below the smallest double.
+the contiguous suffix of rows whose degree is above m, over the whole grid,
+in reused buffers, with an overflow test every 8 steps; far out, exp
+underflows R to 0.0.
 hydrogen_radial is a block of one row.
 Fractional effective quantum numbers n* are handled two ways: the production
 path interpolates the radial integrals across integer n (they vary slowly
@@ -154,21 +154,20 @@ class RadialWavefunction:
         return int(np.sum(signs[1:] * signs[:-1] < 0))
 
 
-def _laguerre_block(k, alpha, x, live):
+def _laguerre_block(k, alpha, x):
     """log|L_(k_i)^alpha(x_i)| and sign for a block of rows, via the rescaled
     recurrence.
 
     Row i of the (rows, W) array x >= 0 holds the arguments of degree
-    k[i], and is wanted only at its first live[i] <= W points, its tail
-    cut; past them it comes back as log|L| = -inf. The degrees must not
-    decrease down the block, so the rows with k > m form a contiguous
-    suffix, and step m of the three-term recurrence in the degree,
+    k[i]. The degrees must not decrease down the block, so the rows with
+    k > m form a contiguous suffix, and step m of the three-term
+    recurrence in the degree,
     (m+1) L_(m+1) = (2m+1+alpha-x) L_m - (m+alpha) L_(m-1),
-    runs on that suffix alone, over the columns up to its widest tail cut.
-    A row whose degree is reached keeps L_k, and its log-scale offset, in
-    a result buffer; the steps rotate three reused buffers through out=
-    ufuncs and compute, point by point, the same expression in the same
-    order as the plain recurrence.
+    runs on that suffix alone, over the whole grid. A row whose degree is
+    reached keeps L_k, and its log-scale offset, in a result buffer; the
+    steps rotate three reused buffers through out= ufuncs and compute,
+    point by point, the same expression in the same order as the plain
+    recurrence.
 
     The values overflow for the k ~ n seen here, so each point carries a
     log-scale offset. Every _CHECK_EVERY = 8 steps, a point where |L_m| or
@@ -184,18 +183,13 @@ def _laguerre_block(k, alpha, x, live):
     < 3 + alpha + X/2 for m >= 1. Right after a check (and at the start,
     |L_1| = |1+alpha-x| <= 1+alpha+X) every value is at most 2^498, so
     eight steps later it is at most 2^498 g^8, finite while g < 2^65; a
-    rescaled value is then at most g^8 <= 2^498 again. _radial_rows wants
-    of row n only the rho = 2r/n below max(2(n-1), 1) or with
-    2^(n+l) rho^(n-1) e^(-rho/2)/(n-l-1)! >= e^(-747) (its tail bound with
-    the normalization, at most 2, taken out); for n <= _N_MAX = 150 that
-    means rho < 4500, so r < 2250 n <= 337,500. A row that runs past its
-    own cut, to the cut of a larger n further down the block, sees
-    rho = 2r/n <= 675,000 at n >= 1. With alpha = 2l+1 < 300 that gives
-    g < 2^19, so every value, wanted or not, stays below 2^650.
+    rescaled value is then at most g^8 <= 2^498 again. _radial_rows passes
+    x = rho = 2r/n <= 2 r_max/n, bounded by the grid alone: on
+    RadialGrid.default(303), r_max = 2.5 * 303^2, so rho <= 459,045 for
+    every n >= 1, and for n <= 303, alpha = 2l+1 < 606, that gives
+    g < 2^18, so every value stays below 2^642. The bound does not depend
+    on _N_MAX.
     """
-    width = x.shape[1]
-    # widest tail cut of each suffix of the block
-    cols = np.maximum.accumulate(np.asarray(live)[::-1])[::-1]
     value = np.ones_like(x)                    # L_0
     offset = np.zeros_like(x)
     value_offset = np.zeros_like(x)
@@ -207,68 +201,46 @@ def _laguerre_block(k, alpha, x, live):
     stop = int(np.searchsorted(k, 1, side="right"))
     value[done:stop] = cur[done:stop]
     for m in range(1, k[-1]):
-        start, w = stop, cols[stop]
-        x_m, t = x[start:, :w], tmp[start:, :w]
-        np.subtract(2 * m + 1 + alpha, x_m, out=t)
-        np.multiply(t, cur[start:, :w], out=t)
-        q = nxt[start:, :w]
-        np.multiply(m + alpha, prev[start:, :w], out=q)
+        start = stop
+        t = tmp[start:]
+        np.subtract(2 * m + 1 + alpha, x[start:], out=t)
+        np.multiply(t, cur[start:], out=t)
+        q = nxt[start:]
+        np.multiply(m + alpha, prev[start:], out=q)
         np.subtract(t, q, out=q)
         np.divide(q, m + 1, out=q)
         prev, cur, nxt = cur, nxt, prev
         if m % _CHECK_EVERY == 0:
-            c, p = cur[start:, :w], prev[start:, :w]
+            c, p = cur[start:], prev[start:]
             big = (np.abs(c) > _HUGE) | (np.abs(p) > _HUGE)
             if big.any():
                 c[big] /= _HUGE
                 p[big] /= _HUGE
-                offset[start:, :w][big] += _LOG_HUGE
+                offset[start:][big] += _LOG_HUGE
         stop = int(np.searchsorted(k, m + 1, side="right"))
-        value[start:stop, :w] = cur[start:stop, :w]
-        value_offset[start:stop, :w] = offset[start:stop, :w]
+        value[start:stop] = cur[start:stop]
+        value_offset[start:stop] = offset[start:stop]
     sign = np.where(value >= 0, 1.0, -1.0)
     with np.errstate(divide="ignore"):
         logmag = np.log(np.abs(value)) + value_offset
-    logmag[np.arange(width) >= np.asarray(live)[:, None]] = -np.inf
     return logmag, sign
 
 
 def _radial_rows(ns, l, grid):
-    """R_nl for n in ns (nondecreasing) on the grid's first W points, W the
-    widest tail cut; each row is 0.0 past its own cut.
+    """R_nl on the grid for n in ns (nondecreasing), one row per n.
 
     Stable at high n: the Laguerre polynomial, the r^l power and the
-    exponential are combined in log space point by point.
-
-    The recurrence runs only where R can be representable. With
-    rho = 2r/n, k = n-l-1 and alpha = 2l+1, the explicit sum
-    L_k^alpha(rho) = sum_j (-1)^j C(k+alpha, k-j) rho^j/j! gives
-    |L| <= sum_j C(n+l, k-j) rho^j/j! <= 2^(n+l) rho^k/k! for rho >= k
-    (the binomials sum to at most 2^(n+l), and rho^j/j! grows up to j = k).
-    So log|R| <= lognorm + (n-1) log rho - rho/2 + (n+l) log 2 - log k!,
-    which falls with rho for rho >= 2(n-1). Past the first radius there
-    where it is below -746 every sample is below e^(-746), which rounds
-    to 0.0 (exp underflows below -745.2), and is set to 0.0 unevaluated.
+    exponential are combined in log space point by point. Far past the
+    outer turning point the sum falls below -745.2 and exp underflows to
+    exactly 0.0.
     """
-    r = grid.points
-    lognorm, live = [], []
-    for n in ns:
-        rho = 2.0 * r / n
-        norm = 0.5 * (3 * np.log(2.0 / n) + math.lgamma(n - l)
-                      - np.log(2.0 * n) - math.lgamma(n + l + 1))
-        start = int(np.searchsorted(rho, max(2.0 * (n - 1), 1.0)))
-        tail = rho[start:]
-        bound = norm + (n - 1) * np.log(tail) - tail / 2.0 \
-            + (n + l) * np.log(2.0) - math.lgamma(n - l)
-        lognorm.append(norm)
-        live.append(start + int(np.count_nonzero(bound >= -746.0)))
-    width = max(live)
+    lognorm = [0.5 * (3 * np.log(2.0 / n) + math.lgamma(n - l)
+                      - np.log(2.0 * n) - math.lgamma(n + l + 1)) for n in ns]
     ns = np.asarray(ns)
-    rho = 2.0 * r[:width] / ns[:, None]
-    loglag, sign = _laguerre_block(ns - l - 1, 2 * l + 1, rho, live)
+    rho = 2.0 * grid.points / ns[:, None]
+    loglag, sign = _laguerre_block(ns - l - 1, 2 * l + 1, rho)
     with np.errstate(divide="ignore", invalid="ignore"):
         logpow = l * np.log(rho) if l > 0 else np.zeros_like(rho)
-        logpow = np.where(rho > 0, logpow, -np.inf if l > 0 else 0.0)
         samples = sign * np.exp(np.asarray(lognorm)[:, None] + logpow
                                 - rho / 2.0 + loglag)
     return np.where(np.isfinite(samples), samples, 0.0)
@@ -276,16 +248,14 @@ def _radial_rows(ns, l, grid):
 
 def hydrogen_radial(n, l, grid):
     """Normalized hydrogen R_nl sampled on grid (atomic units): a block of
-    one row of _radial_rows, zero past its tail cut."""
+    one row of _radial_rows."""
     n, l = int(n), int(l)
     if not 1 <= n <= _N_MAX:
         raise ValueError("n out of supported range [1, %d]" % _N_MAX)
     if not 0 <= l < n:
         raise ValueError("require 0 <= l < n, got l=%d n=%d" % (l, n))
-    row = _radial_rows([n], l, grid)[0]
-    samples = np.zeros(len(grid))
-    samples[:len(row)] = row
-    return RadialWavefunction(n, l, float(n), samples, grid)
+    return RadialWavefunction(n, l, float(n), _radial_rows([n], l, grid)[0],
+                              grid)
 
 
 def numerov_radial(n_star, l, grid):
@@ -408,16 +378,14 @@ def _fill_element_memo(field, levels):
         missing.setdefault(l, set()).update(
             n for n in range(n_lo - 1, n_lo + 3)
             if (n, l) not in field.element_cache)
-    r, weights = field.grid.points, field.grid.weights
+    density_weights = field.grid.points ** 2 * field.grid.weights
     for l, ns in sorted(missing.items()):
         ns = sorted(ns)
         for i in range(0, len(ns), _BLOCK):
             block = ns[i:i + _BLOCK]
             samples = _radial_rows(block, l, field.grid)
-            width = samples.shape[1]
-            weighted = samples * samples \
-                * (r[:width] ** 2 * weights[:width])
-            rows = weighted @ field.profiles[:, :width].T
+            weighted = samples * samples * density_weights
+            rows = weighted @ field.profiles.T
             for n, row, norm in zip(block, rows, weighted.sum(axis=1)):
                 field.element_cache[n, l] = row / norm
 

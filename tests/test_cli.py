@@ -631,11 +631,11 @@ class TestFieldGrid:
         kernel, original = rydtrap.radial._laguerre_block, potential.field_for
         rows, sizes, fields = [], [], []
 
-        def recording_kernel(k, alpha, x, live):
+        def recording_kernel(k, alpha, x):
             sizes.append(len(k))
             rows.extend((int(k_i) + (alpha + 1) // 2, (alpha - 1) // 2)
                         for k_i in k)
-            return kernel(k, alpha, x, live)
+            return kernel(k, alpha, x)
 
         def recording_field_for(beam, states):
             field = original(beam, states)

@@ -22,7 +22,7 @@ def expectation_radius(n, l):
 
 def reference_log_radial(n, l, grid):
     """log|R_nl| and sign at every grid point from the plain recurrence:
-    a new array per step, a rescaling check at every step, no tail cut."""
+    a new array per step and a rescaling check at every step."""
     rho = 2.0 * grid.points / n
     k, alpha = n - l - 1, 2 * l + 1
     prev = np.ones_like(rho)
@@ -134,10 +134,11 @@ class TestHydrogenRadial:
 
 
 class TestLaguerreKernel:
-    """The in-place, every-8-steps-checked recurrence with its tail cut."""
+    """The in-place, every-8-steps-checked recurrence over the whole grid."""
 
     # a grid as wide as the CLI's at n = 300: far past the outer turning
-    # point of every n <= 150, so the tail cut drops many points
+    # point of every n <= 150, so most rows end in samples that underflow
+    # to 0.0
     @pytest.fixture(scope="class")
     def wide(self):
         return RadialGrid.default(303, npoints=12120)
@@ -168,12 +169,10 @@ class TestLaguerreKernel:
         cli_grid = RadialGrid.default(_N_MAX, npoints=40 * _N_MAX)
         for grid in (wide, cli_grid):
             rows = rydtrap.radial._radial_rows(ns, l, grid)
-            assert rows.shape == (len(ns), rows.shape[1])
-            for n, row in zip(ns, rows):
+            assert rows.shape == (len(ns), len(grid))
+            for n, got in zip(ns, rows):
                 log_r, sign = reference_log_radial(n, l, grid)
                 want = np.nan_to_num(sign * np.exp(log_r))
-                got = np.zeros(len(grid))
-                got[:len(row)] = row
                 assert np.max(np.abs(got - want)) \
                     <= 1e-13 * np.max(np.abs(want)), (n, l, len(grid))
                 # point by point too, so that a row's rescaling offsets,
@@ -182,26 +181,20 @@ class TestLaguerreKernel:
                 assert np.all(np.abs(got - want)[normal]
                               <= 1e-12 * np.abs(want[normal])), (n, l)
 
-    def test_dropped_tail_is_negligible(self, wide, monkeypatch):
-        kernel = rydtrap.radial._laguerre_block
-        seen = []
-
-        def recorded(k, alpha, x, live):
-            seen.extend(live)
-            return kernel(k, alpha, x, live)
-
-        monkeypatch.setattr("rydtrap.radial._laguerre_block", recorded)
-        dropped = 0
-        for n, l in self.STATES:
-            wf = hydrogen_radial(n, l, wide)
-            live = seen.pop()
-            log_r, _ = reference_log_radial(n, l, wide)
-            assert np.all(wf.samples[live:] == 0.0), (n, l)
-            if live < len(wide):
-                assert np.max(log_r[live:]) \
-                    <= np.log(1e-300) + np.max(log_r), (n, l)
-                dropped += 1
-        assert dropped >= len(self.STATES) // 2
+    # the rows of the largest rho = 2 r_max/n, n = 1-16, and of the
+    # largest degrees, up to the cap on the wide grid and up to n = 300 on
+    # the grid that covers it; _radial_rows checks no cap
+    @pytest.mark.parametrize("l", range(4))
+    def test_rows_never_overflow(self, wide, l):
+        grid303 = RadialGrid.default(303, npoints=3030)
+        for first, grid in ((1, wide), (135, wide), (285, grid303)):
+            ns = [n for n in range(first, first + 16) if n > l]
+            # a step that overflowed or met inf - inf would raise here,
+            # before the isfinite guard of _radial_rows could zero it
+            with np.errstate(over="raise", invalid="raise"):
+                rows = rydtrap.radial._radial_rows(ns, l, grid)
+            assert rows.shape == (len(ns), len(grid))
+            assert np.all(np.isfinite(rows)), (first, l)
 
 
 class TestNumerov:
