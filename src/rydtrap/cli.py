@@ -506,7 +506,8 @@ def _cmd_autoion(args):
     species = _species_from_args(args)
     beam = _beam_from_args(args, species)
     state = RydbergState(species, args.n, args.series)
-    core_depth = args.core_depth
+    core_depth = (potential.core_depth(species, beam, args.ground_depth)
+                  if args.core_depth is None else args.core_depth)
     rate = loss_mod.autoionization_rate(state, beam, core_depth)
     coeff = loss_mod.autoionization_coefficient(species, beam, core_depth)
     data = {"rate_per_s": rate,
@@ -692,6 +693,9 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_NONCONVERGENCE
     except (ValueError, KeyError, OSError, MemoryError) as exc:
+        # str() of a KeyError is the repr of its message, quotes and all
+        if isinstance(exc, KeyError) and exc.args:
+            exc = exc.args[0]
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DATA
     except ArithmeticError as exc:  # a float past 1.8e308, or squared to 0

@@ -40,9 +40,6 @@ YB174_DATA = {
     # Yb 1S0 ground-state polarizability: two published calculations.
     "alpha_ground_au": {"primary": 275.0, "alternative": 226.0},
     "alpha_ground_default": "primary",
-    # ratio alpha(3P1)/alpha(1S0) that backs the ground trap depth out of
-    # the measured 3P1-1S0 light shift; reference data, no model reads it
-    "alpha_ratio_3p1": 0.39,
     "rydberg_cm1": 109736.96959,
     "ionization_cm1": 50443.07074,
     # Series quantum defects. 3S1 carries a full Ritz expansion fitted over
@@ -65,7 +62,8 @@ YB174_DATA = {
     "core_lines": [[369e-9, 1.2e15], [329e-9, 2.4e15]],
     # Measured calibration anchor: ground-state trap depth of 12 MHz at
     # 9 mW in the w0 = 650 nm tweezer.
-    "measured_ground_depth": {"depth_hz": 12e6, "power_w": 9e-3},
+    "measured_ground_depth": {"depth_hz": 12e6, "power_w": 9e-3,
+                              "waist_m": 650e-9},
 }
 
 RB87_DATA = {
@@ -78,7 +76,6 @@ RB87_DATA = {
     "alpha_core_default": "static",
     "alpha_ground_au": {},
     "alpha_ground_default": None,
-    "alpha_ratio_3p1": None,
     "rydberg_cm1": 109736.605,
     "ionization_cm1": 33690.79890,
     # Standard measured Rb series defects (delta_0 only).

@@ -9,14 +9,14 @@ Autoionization of a doubly excited core happens when the trap light
 couples the ion-core transition: in the isolated-core approximation the
 loss rate is the core transition linewidth gamma' scaled by n*^-3, the
 admixture set by the core trap depth over the detuning from each core
-line, summed over lines.
+line, summed over lines; the caller gives the core depth, as from
+potential.core_depth.
 """
 
 import math
 
 from ._tables import finite, read_rows
 from .constants import C, HBAR
-from .potential import _alpha
 
 
 class InsufficientDataError(ValueError):
@@ -130,35 +130,17 @@ def trapped_lifetime_reduction(fit, power_w):
     return 1.0 - fit.gamma0 / fit.rate(power_w)
 
 
-def default_core_depth_hz(species, power_w):
-    """Core trap depth anchored to the species' measured ground depth.
-
-    The measured ground-state depth at its reference power is scaled by
-    the core-to-ground polarizability ratio and linearly in power; this
-    matches how the trap is calibrated in practice (the model peak
-    intensity overstates the measured depth).
-    """
-    anchor = species.measured_ground_depth
-    if anchor is None:
-        raise ValueError("species %s has no measured ground-depth anchor"
-                         % species.name)
-    ratio = _alpha(species, "alpha_core") / _alpha(species, "alpha_ground")
-    return anchor["depth_hz"] * ratio * power_w / anchor["power_w"]
-
-
-def autoionization_coefficient(species, beam, core_depth_hz=None):
+def autoionization_coefficient(species, beam, core_depth_hz):
     """n*-independent autoionization prefactor: rate = coefficient * n*^-3.
 
     coefficient = U_core/h * sum_j gamma'_j / Delta_nu_j over the stored
     core transitions, with detunings taken from the trap frequency.
-    core_depth_hz >= 0 defaults to default_core_depth_hz at the beam power.
+    U_core/h = core_depth_hz >= 0 is given, as by potential.core_depth.
     """
     if not species.core_lines:
         raise ValueError("species %s has no core transition lines"
                          % species.name)
-    if core_depth_hz is None:
-        core_depth_hz = default_core_depth_hz(species, beam.power)
-    elif core_depth_hz < 0:
+    if core_depth_hz < 0:
         raise ValueError("core trap depth must be >= 0, got %g Hz"
                          % core_depth_hz)
     nu_trap = C / beam.wavelength
@@ -173,7 +155,7 @@ def autoionization_coefficient(species, beam, core_depth_hz=None):
     return core_depth_hz * total
 
 
-def autoionization_rate(state, beam, core_depth_hz=None):
+def autoionization_rate(state, beam, core_depth_hz):
     """Autoionization loss rate of a state in the trap light, s^-1."""
     coeff = autoionization_coefficient(state.species, beam, core_depth_hz)
     return coeff / state.n_star ** 3

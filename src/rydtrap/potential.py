@@ -199,6 +199,21 @@ def power_for_ground_depth(species, beam, depth_hz):
     return depth_hz / per_watt
 
 
+def core_depth(species, beam, ground_depth_hz):
+    """Core trap depth, Hz: ground_depth_hz times alpha_core/alpha_ground,
+    or with None the species' measured ground depth scaled by the beam's
+    peak intensity, I0 ~ P/w0^2 (the model I0 overstates that depth)."""
+    anchor = species.measured_ground_depth
+    if ground_depth_hz is None and anchor is None:
+        raise ValueError("species %s has no measured ground-depth anchor"
+                         % species.name)
+    ratio = _alpha(species, "alpha_core") / _alpha(species, "alpha_ground")
+    if ground_depth_hz is not None:
+        return ground_depth_hz * ratio
+    return (anchor["depth_hz"] * ratio * beam.power / anchor["power_w"]
+            * (anchor["waist_m"] / beam.waist) ** 2)
+
+
 def _checked(state):
     """state, once its n* is known to have the integer-n bracket of its
     cubic above l + 1 and within the hydrogenic cap; else radial's

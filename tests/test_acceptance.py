@@ -22,10 +22,10 @@ from rydtrap.constants import AU_POLARIZABILITY, C, CM1_TO_MHZ, H
 from rydtrap.loss import (LifetimeRecord, autoionization_coefficient,
                           autoionization_rate, fit_photoionization,
                           trapped_lifetime_reduction)
-from rydtrap.potential import (RydbergState, core_shift, differential_shift,
-                               field_for, ground_depth, oracle_compare,
-                               pond_prefactor, ponderomotive_shift,
-                               tensor_splitting, yb174)
+from rydtrap.potential import (RydbergState, core_depth, core_shift,
+                               differential_shift, field_for, ground_depth,
+                               oracle_compare, pond_prefactor,
+                               ponderomotive_shift, tensor_splitting, yb174)
 from rydtrap.radial import RadialGrid, hydrogen_radial, numerov_radial
 from rydtrap import spectroscopy as sp
 
@@ -274,10 +274,11 @@ def test_08_photoionization_pipeline(beam9):
 
 def test_09_autoionization(species, beam9):
     """Isolated-core estimate: coefficient and the n=75 lifetime."""
-    coeff = autoionization_coefficient(species, beam9)
+    depth = core_depth(species, beam9, None)
+    coeff = autoionization_coefficient(species, beam9, depth)
     assert abs(coeff - 58e6) <= 0.10 * 58e6, coeff
     state = RydbergState(species, 75, "3S1")
-    lifetime = 1.0 / autoionization_rate(state, beam9)
+    lifetime = 1.0 / autoionization_rate(state, beam9, depth)
     assert abs(lifetime - 7e-3) <= 0.15 * 7e-3, lifetime
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: unit grammar, envelopes, exit codes."""
 
 import argparse
+import importlib.util
 import json
 import os
 import re
@@ -514,6 +515,21 @@ class TestExitCodes:
         assert captured.err.startswith("error: ") and named in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("argv, term", [
+        (["forster", "--channel", "80 3S1 + 80 3S1 -> 80 3P2 + 79 3D1"],
+         "3D1"),
+        (["magic-scan", "--power", "9mW", "--n-range", "70:72",
+          "--series-b", "2S1/2"], "2S1/2"),
+    ], ids=["forster", "magic-scan"])
+    def test_missing_defect_model_is_data_error(self, argv, term, capsys):
+        # str() of a KeyError is the repr of its message, quotes and all
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: no quantum-defect model for term %s in species yb174"
+            % term]
+        assert captured.out == ""
+
     def test_time_range_past_float_steps_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["ramsey-sim", "--dnu", "90kHz", "--temp", "13uK",
@@ -761,6 +777,22 @@ class TestLossCommands:
         assert doc["data"]["coefficient_per_s"] == pytest.approx(
             54.7e6, rel=1e-3)
 
+    @pytest.mark.parametrize("argv, reference, scale", [
+        # the measured anchor is a 12 MHz ground depth at 9 mW in a 650 nm
+        # waist: naming that depth gives the anchor's rate, a given depth
+        # scales the rate linearly, and the anchor scales by I0 ~ P/w0^2
+        (["--ground-depth", "12MHz"], ["--power", "9mW"], 1.0),
+        (["--ground-depth", "6MHz"], ["--ground-depth", "12MHz"], 0.5),
+        (["--power", "9mW", "--waist", "1000nm"], ["--power", "9mW"],
+         0.4225),
+    ], ids=["ground-depth-anchor", "ground-depth-half", "waist"])
+    def test_autoion_core_depth_routes(self, argv, reference, scale,
+                                       tmp_path):
+        def rate(depth_args):
+            doc = run_json(["autoion", "--n", "75"] + depth_args, tmp_path)
+            return doc["data"]["rate_per_s"]
+        assert rate(argv) == pytest.approx(scale * rate(reference), rel=1e-12)
+
     def test_autoion_zero_rate_has_null_lifetime(self, tmp_path):
         argv = ["autoion", "--power", "9mW", "--n", "40",
                 "--core-depth", "0MHz", "--output", str(tmp_path / "out.json")]
@@ -772,6 +804,28 @@ class TestLossCommands:
                          parse_constant=reject)
         assert doc["data"]["rate_per_s"] == 0.0
         assert doc["data"]["lifetime_s"] is None
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, loaded from its path: perfbench is no
+    package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_quick_anchors_match_the_benchmark_reference(capsys):
+    # the check the quick-cli workload makes of every ritz-fit,
+    # threshold-fit, forster and autoion anchor against reference.json
+    workloads = _perfbench_workloads()
+    argvs = workloads.quick_anchor_argvs()
+    assert len(argvs) == 146
+    for argv in argvs:
+        assert cli.main(argv) == 0, argv
+        envelope = json.loads(capsys.readouterr().out)
+        assert workloads._matches_reference(argv)(envelope) == [], argv
 
 
 class TestCoherenceCommands:

@@ -26,4 +26,4 @@ def test_literal_matches_scipy_bit_for_bit(name, reference):
 def test_constants_hash_is_pinned():
     # the hash every CLI envelope carries as provenance.constants_sha256
     assert constants.constants_hash() == (
-        "f7714ca3811d948e93d460521a6391263bbacbdd1ba9a6e28db713a49bfa0eb4")
+        "985b4eead3232c06b4cfc034c3960ce80f0ac7520350d558fbcf78024a3ed347")

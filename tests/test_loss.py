@@ -9,9 +9,9 @@ from rydtrap.beam import TweezerBeam
 from rydtrap.constants import HBAR
 from rydtrap.loss import (InsufficientDataError, LifetimeRecord,
                           autoionization_coefficient, autoionization_rate,
-                          default_core_depth_hz, fit_photoionization,
-                          load_lifetime_csv, trapped_lifetime_reduction)
-from rydtrap.potential import RydbergState
+                          fit_photoionization, load_lifetime_csv,
+                          trapped_lifetime_reduction)
+from rydtrap.potential import RydbergState, core_depth, rb87
 
 from conftest import POWER, WAIST
 
@@ -145,31 +145,55 @@ class TestPhotoionizationFit:
 
 
 class TestAutoionization:
-    def test_default_core_depth_tracks_power(self, species):
-        depth9 = default_core_depth_hz(species, POWER)
-        assert depth9 == pytest.approx(12e6 * 107.0 / 275.0, rel=1e-12)
-        assert default_core_depth_hz(species, POWER / 3) == pytest.approx(
-            depth9 / 3.0, rel=1e-12)
+    @pytest.fixture
+    def depth9(self, species, beam9):
+        return core_depth(species, beam9, None)
 
-    def test_coefficient_value(self, species, beam9):
-        coeff = autoionization_coefficient(species, beam9)
+    def test_default_core_depth_tracks_power(self, species, beam9, depth9):
+        assert depth9 == pytest.approx(12e6 * 107.0 / 275.0, rel=1e-12)
+        assert core_depth(species, beam9.with_power(POWER / 3), None) \
+            == pytest.approx(depth9 / 3.0, rel=1e-12)
+
+    def test_core_depth_tracks_peak_intensity(self, species, depth9):
+        # the anchor was measured at a 650 nm waist: I0 ~ P/w0^2
+        wide = TweezerBeam(532e-9, 1000e-9, POWER)
+        assert core_depth(species, wide, None) == pytest.approx(
+            depth9 * (650.0 / 1000.0) ** 2, rel=1e-12)
+
+    def test_core_depth_from_a_given_ground_depth(self, species, beam9):
+        # the anchor's rule applied to the given depth, at any power
+        for beam in (beam9, beam9.with_power(POWER / 3)):
+            assert core_depth(species, beam, 5e6) == pytest.approx(
+                5e6 * 107.0 / 275.0, rel=1e-12)
+
+    def test_core_depth_needs_an_anchor(self, beam9):
+        with pytest.raises(ValueError, match="species rb87 has no measured "
+                           "ground-depth anchor"):
+            core_depth(rb87(), beam9, None)
+
+    def test_coefficient_value(self, species, beam9, depth9):
+        coeff = autoionization_coefficient(species, beam9, depth9)
         assert coeff == pytest.approx(54.7e6, rel=1e-3)
 
-    def test_rate_and_lifetime_at_75(self, species, beam9):
+    def test_rate_and_lifetime_at_75(self, species, beam9, depth9):
         state = RydbergState(species, 75, "3S1")
-        rate = autoionization_rate(state, beam9)
+        rate = autoionization_rate(state, beam9, depth9)
         assert 1.0 / rate == pytest.approx(6.42e-3, rel=1e-3)
 
-    def test_nstar_cubed_scaling(self, species, beam9):
-        r60 = autoionization_rate(RydbergState(species, 60, "3S1"), beam9)
-        r80 = autoionization_rate(RydbergState(species, 80, "3S1"), beam9)
+    def test_nstar_cubed_scaling(self, species, beam9, depth9):
+        r60 = autoionization_rate(RydbergState(species, 60, "3S1"), beam9,
+                                  depth9)
+        r80 = autoionization_rate(RydbergState(species, 80, "3S1"), beam9,
+                                  depth9)
         n60 = RydbergState(species, 60, "3S1").n_star
         n80 = RydbergState(species, 80, "3S1").n_star
         assert r60 / r80 == pytest.approx((n80 / n60) ** 3, rel=1e-12)
 
     def test_zero_power_gives_zero_rate(self, species, beam9):
         state = RydbergState(species, 75, "3S1")
-        assert autoionization_rate(state, beam9.with_power(0.0)) == 0.0
+        beam0 = beam9.with_power(0.0)
+        assert autoionization_rate(state, beam0,
+                                   core_depth(species, beam0, None)) == 0.0
 
     def test_rate_linear_in_core_depth(self, species, beam9):
         state = RydbergState(species, 75, "3S1")
@@ -182,7 +206,8 @@ class TestAutoionization:
         # line, not a ZeroDivisionError
         on_line = TweezerBeam(species.core_lines[0][0], WAIST, POWER)
         with pytest.raises(ValueError, match="yb174 core line at 3.69e-07 m"):
-            autoionization_coefficient(species, on_line)
+            autoionization_coefficient(species, on_line,
+                                       core_depth(species, on_line, None))
 
     def test_negative_core_depth_refused(self, species, beam9):
         assert autoionization_coefficient(species, beam9, 0.0) == 0.0

@@ -9,8 +9,7 @@ import pytest
 from rydtrap.angular import angular_factor_exact
 from rydtrap.beam import decompose
 from rydtrap.constants import AU_POLARIZABILITY, EPS0, C, H, SPECIES_DATA
-from rydtrap.loss import default_core_depth_hz
-from rydtrap.potential import (RydbergState, TruncationError,
+from rydtrap.potential import (RydbergState, TruncationError, core_depth,
                                core_shift, differential_shift, field_for,
                                ground_depth, oracle_compare,
                                polarizability_shift_hz, pond_prefactor,
@@ -18,7 +17,7 @@ from rydtrap.potential import (RydbergState, TruncationError,
                                rb87, tensor_splitting, yb174)
 from rydtrap.radial import RadialGrid
 
-from conftest import MEASURED_GROUND_DEPTH_HZ, POWER
+from conftest import MEASURED_GROUND_DEPTH_HZ
 
 
 class TestSpeciesPresets:
@@ -70,11 +69,13 @@ class TestSpeciesPresets:
         # --alpha-ground do, meets the constructor's rule at each reader
         for name, readers in [
                 ("alpha_core", [lambda sp: core_shift(sp, beam9),
-                                lambda sp: default_core_depth_hz(sp, POWER)]),
+                                lambda sp: core_depth(sp, beam9, None),
+                                lambda sp: core_depth(sp, beam9, 12e6)]),
                 ("alpha_ground", [
                     lambda sp: ground_depth(sp, beam9),
                     lambda sp: power_for_ground_depth(sp, beam9, 12e6),
-                    lambda sp: default_core_depth_hz(sp, POWER)])]:
+                    lambda sp: core_depth(sp, beam9, None),
+                    lambda sp: core_depth(sp, beam9, 12e6)])]:
             species = yb174()
             setattr(species, name + "_au", alpha)
             for read in readers:

@@ -31,6 +31,7 @@ SIGNATURES = {
                               "ionization_cm1", "defects", "core_lines",
                               "measured_ground_depth"],
     potential.field_for: ["beam", "states"],
+    potential.core_depth: ["species", "beam", "ground_depth_hz"],
     potential.ponderomotive_shift: ["state", "field", "axis_angle_deg"],
     potential.yb174: [],
     potential.rb87: [],
@@ -44,6 +45,8 @@ SIGNATURES = {
                              "covariance", "residuals_mhz", "record_n",
                              "threshold_sigma_cm1"],
     loss.fit_photoionization: ["records", "beam"],
+    loss.autoionization_coefficient: ["species", "beam", "core_depth_hz"],
+    loss.autoionization_rate: ["state", "beam", "core_depth_hz"],
     coherence.DephasingScenario: ["dnu0_hz", "temperature_k", "depth_hz",
                                   "t1_s", "n_atoms", "seed"],
     coherence.trap_frequencies_hz: ["beam", "mass_kg", "depth_hz"],
@@ -138,8 +141,6 @@ DEFAULTS = {
     ("ponderomotive_shift", "axis_angle_deg"),
     ("tensor_splitting", "axis_angle_deg"),
     ("LifetimeRecord", "sigma_s"),
-    ("autoionization_coefficient", "core_depth_hz"),
-    ("autoionization_rate", "core_depth_hz"),
     ("DephasingScenario", "n_atoms"), ("DephasingScenario", "seed"),
 }
 
