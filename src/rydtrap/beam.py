@@ -16,12 +16,18 @@ them onto a tilted quantization axis by P_k(cos beta).
 
 brute_force_average is the independent oracle: the direct 3D quadrature of
 the wavefunction-averaged intensity over a (theta, phi) product rule that
-refines each angle by doubling until two levels agree. It assumes no
-symmetry and does not branch on the axis; it uses nothing of the tensor
-path (no profiles, Legendre projection, angular factors or n*
-interpolation), so a fault there cannot cancel in the comparison. The
-|Y_lm| helper _ylm_theta builds the densities it is handed; the tensor
-path does not use it.
+refines each angle by doubling until two levels agree. The angular rule
+runs at nested Chebyshev-Lobatto radii, not at every radius of the
+wavefunction's grid: the angular sum is smooth in sqrt(r) on the scale of
+the waist, so its interpolant through 17, 33, 65, ... radii, refined the
+same way, is integrated against the density by the grid's own Simpson
+rule, with per-node weights from the density's Chebyshev moments
+(_chebyshev_moments, _lobatto_weights), so its cost does not grow with
+the grid. It assumes no symmetry and does not branch on the axis; it uses
+nothing of the tensor path (no profiles, Legendre projection, angular
+factors or n* interpolation), so a fault there cannot cancel in the
+comparison. The |Y_lm| helper _ylm_theta builds the densities it is
+handed; the tensor path does not use it.
 
 Both the axial rule and the oracle sum the intensity over their nodes
 through one kernel, _intensity_sums, which works along each node's ray in
@@ -38,15 +44,17 @@ whole point array.
 """
 
 import functools
+import itertools
 import math
 import warnings
 
 from ._numpy import np
 from .constants import A0, C
 
-# brute_force_average's rule: its first theta and phi node counts, the phi
-# offset in rad, and the doublings of either angle before it gives up
-_THETA_START, _PHI_START = 32, 8
+# brute_force_average's rule: its first theta and phi node counts and
+# radial degree, the phi offset in rad, and the doublings of any of the
+# three before it gives up
+_THETA_START, _PHI_START, _RADIAL_START = 32, 8, 16
 _PHI_OFFSET = math.sqrt(2.0) - 1.0
 _MAX_DOUBLINGS = 5
 # largest profile move, over I0, decompose allows from 32 to 48 nodes
@@ -203,8 +211,8 @@ def _intensity_sums(beam, position, r_m, nhat, weights):
     one product with weights sums them. The sums are scaled by -I0 once
     at the end. So memory does not grow with the grid: on grids of 430,
     1,430 and 12,120 radii an on-axis decompose traces a 0.58, 0.67 and
-    1.53 MB peak, and an on-axis oracle call for an s state 0.81 MB on
-    its 4,000-point grid and 0.90 MB on 5,720 points.
+    1.53 MB peak, and an on-axis oracle call for an s state 0.72 MB on
+    its 4,000-point grid and 0.78 MB on 5,720 points.
     """
     n_nodes = nhat.shape[1]
     node_step = min(n_nodes, _NODE_CHUNK)
@@ -290,6 +298,34 @@ def decompose(beam, grid, k_max):
     return TensorField(grid, fine, beam, residual)
 
 
+def _chebyshev_moments(x, mass):
+    """mass @ T_k(x) for k = 0, 1, 2, ..., one per next(), by the
+    three-term recurrence T_(k+1) = 2 x T_k - T_(k-1); no (points, k)
+    array is formed, and the first M + 1 moments do not depend on how many
+    more are drawn."""
+    previous, current = np.ones_like(x), x
+    yield mass.sum()
+    while True:
+        yield mass @ current
+        previous, current = current, 2.0 * x * current - previous
+
+
+def _lobatto_weights(moments):
+    """Weights W_j of the Chebyshev-Lobatto nodes x_j = cos(j pi/M),
+    M = len(moments) - 1: sum_j W_j f(x_j) is the integral of f's
+    degree-M interpolant against the measure whose Chebyshev moments are
+    given. That interpolant is sum_k'' c_k T_k with
+    c_k = (2/M) sum_j'' f(x_j) cos(jk pi/M), the primes halving the end
+    terms, so W is one (M+1)^2 cosine transform of the moments; jk is
+    reduced mod 2M before it meets pi."""
+    m = len(moments) - 1
+    j = np.arange(m + 1)
+    half = np.ones(m + 1)
+    half[[0, m]] = 0.5
+    cosines = np.cos(np.outer(j, j) % (2 * m) * (np.pi / m))
+    return (2.0 / m) * half * (cosines @ (half * np.asarray(moments)))
+
+
 def brute_force_average(beam, wf, position, angular_density):
     """Direct 3D quadrature of the wavefunction-averaged intensity.
 
@@ -308,65 +344,104 @@ def brute_force_average(beam, wf, position, angular_density):
     sqrt(2) - 1 rad, not a rational multiple of pi, so none lies on a
     mirror plane of a symmetric beam or density. Harmonics in phi below
     order 8 are exact at 8 nodes, and one of order 8, which 8 nodes alias,
-    moves the first check (8 against 16 nodes). Each angle refines until
-    two successive averages agree to _ORACLE_TOL relative; if
-    _MAX_DOUBLINGS doublings do not get there, QuadratureConvergenceError
-    names the angle and the residual reached. On the beam axis the rule
+    moves the first check (8 against 16 nodes). On the beam axis the rule
     stops at 32 -> 64 theta and 8 -> 16 phi nodes, 1,536 evaluations per
     radius.
 
+    The angular rule runs only at a few radii, not at every radius of the
+    wavefunction's grid. Its result A(r) = sum rho I(position + r nhat)
+    varies on the scale of the waist, not of the wavefunction's nodes, so
+    in s = sqrt(r/r_max) it is a smooth function that a polynomial of a
+    few dozen degrees reproduces to rounding. The radii are the
+    Chebyshev-Lobatto points r_j = r_max s_j^2, s_j = (1 + cos(j pi/M))/2,
+    of degree M = 16, doubling, which nest as Clenshaw-Curtis rules do.
+    Each A(r_j) meets the weight W_j = sum_i w_i D_i l_j(s_i): the grid's
+    Simpson weights w_i and radial density D_i times the Lagrange basis
+    polynomial of node j, so the radial integral is the grid's Simpson
+    rule applied to the density times the degree-M interpolant of A. W
+    is the cosine transform (_lobatto_weights) of the Chebyshev moments
+    sum_i w_i D_i T_k(2 s_i - 1), which the recurrence
+    (_chebyshev_moments) gives one grid pass at a time, degree M's being
+    a prefix of degree 2M's; no (grid, node) array is formed, and the
+    number of intensity evaluations does not depend on the grid's size.
+    At each degree the whole (theta, phi) rule refines again.
+
+    Each of r, theta and phi refines until two successive averages agree
+    to _ORACLE_TOL relative; if _MAX_DOUBLINGS doublings do not get there,
+    QuadratureConvergenceError names the variable and the residual
+    reached.
+
     Every value is the paraxial intensity at a quadrature point, from
-    _intensity_sums, summed against the density and the weights, and the
-    radial integral is the grid's Simpson rule. Nothing here uses the
-    tensor path's profiles, its Legendre projection, its angular factors
-    or its n* interpolation, so the oracle shares none of the shortcuts
-    it checks.
+    _intensity_sums, summed against the density and the weights. The
+    radial nodes and weights come from the wavefunction's grid alone, and
+    the Chebyshev helpers serve only the oracle: the tensor path takes
+    its profiles at every radius of the field's grid and interpolates
+    nothing in r. Nothing here uses the tensor path's profiles, its
+    Legendre projection, its angular factors or its n* interpolation, so
+    the oracle shares none of the shortcuts it checks.
     """
     position = np.asarray(position, dtype=float)
-    r_m = wf.grid.points * A0
-    radial_density = wf.density()
+    grid = wf.grid
+    moments = _chebyshev_moments(
+        2.0 * np.sqrt(grid.points / grid.r_max) - 1.0,
+        grid.weights * wf.density())
+    known = []
     floor = max(beam.peak_intensity * 1e-12, 1e-300)
-
-    def node_sums(cos_theta, w_theta, phi):
-        ct, ph, nhat = _product_nodes(cos_theta, phi)
-        weights = np.repeat(w_theta, len(phi)) * angular_density(ct, ph)
-        return _intensity_sums(beam, position, r_m, nhat, weights)
-
-    def average(sums, n_phi):
-        return wf.grid.integrate(radial_density * sums) \
-            * (2.0 * np.pi / n_phi)
 
     def moved(value, previous):
         return abs(value - previous) / max(abs(value), floor)
 
-    def phi_refined(n_theta):
-        cos_theta, w_theta = _gauss_legendre(n_theta)
-        n_phi, residual = _PHI_START, np.inf
-        sums = node_sums(cos_theta, w_theta, _PHI_OFFSET
-                         + 2.0 * np.pi * np.arange(n_phi) / n_phi)
-        value = average(sums, n_phi)
+    def refined(evaluate, count, name, nodes):
+        """evaluate(count) at doubling counts until two agree; nodes(count)
+        names the rule in the error."""
+        residual = np.inf
+        value = evaluate(count)
         for _ in range(_MAX_DOUBLINGS):
-            sums += node_sums(cos_theta, w_theta, _PHI_OFFSET
-                              + 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi)
-            n_phi *= 2
-            previous, value = value, average(sums, n_phi)
+            count *= 2
+            previous, value = value, evaluate(count)
             residual = moved(value, previous)
             if residual <= _ORACLE_TOL:
                 return value
         raise QuadratureConvergenceError(
-            "3D quadrature not converged in phi: at %d theta nodes, %d phi "
-            "nodes moved the average by %.3g relative (tol %.3g)"
-            % (n_theta, n_phi, residual, _ORACLE_TOL))
+            "3D quadrature not converged in %s: %s moved the average by "
+            "%.3g relative (tol %.3g)"
+            % (name, nodes(count), residual, _ORACLE_TOL))
 
-    n_theta, residual = _THETA_START, np.inf
-    value = phi_refined(n_theta)
-    for _ in range(_MAX_DOUBLINGS):
-        n_theta *= 2
-        previous, value = value, phi_refined(n_theta)
-        residual = moved(value, previous)
-        if residual <= _ORACLE_TOL:
-            return value
-    raise QuadratureConvergenceError(
-        "3D quadrature not converged in theta: %d theta nodes moved the "
-        "average by %.3g relative (tol %.3g)"
-        % (n_theta, residual, _ORACLE_TOL))
+    def at_degree(degree):
+        known.extend(itertools.islice(moments, degree + 1 - len(known)))
+        radial = _lobatto_weights(known)
+        s = 0.5 + 0.5 * np.cos(np.pi * np.arange(degree + 1) / degree)
+        r_m = (grid.r_max * A0) * s * s
+
+        def node_sums(cos_theta, w_theta, phi):
+            ct, ph, nhat = _product_nodes(cos_theta, phi)
+            weights = np.repeat(w_theta, len(phi)) * angular_density(ct, ph)
+            return _intensity_sums(beam, position, r_m, nhat, weights)
+
+        def average(sums, n_phi):
+            return (radial @ sums) * (2.0 * np.pi / n_phi)
+
+        def phi_refined(n_theta):
+            cos_theta, w_theta = _gauss_legendre(n_theta)
+            n_phi, residual = _PHI_START, np.inf
+            sums = node_sums(cos_theta, w_theta, _PHI_OFFSET
+                             + 2.0 * np.pi * np.arange(n_phi) / n_phi)
+            value = average(sums, n_phi)
+            for _ in range(_MAX_DOUBLINGS):
+                sums += node_sums(cos_theta, w_theta, _PHI_OFFSET + 2.0
+                                  * np.pi * (np.arange(n_phi) + 0.5) / n_phi)
+                n_phi *= 2
+                previous, value = value, average(sums, n_phi)
+                residual = moved(value, previous)
+                if residual <= _ORACLE_TOL:
+                    return value
+            raise QuadratureConvergenceError(
+                "3D quadrature not converged in phi: at %d theta nodes, %d "
+                "phi nodes moved the average by %.3g relative (tol %.3g)"
+                % (n_theta, n_phi, residual, _ORACLE_TOL))
+
+        return refined(phi_refined, _THETA_START, "theta",
+                       lambda n: "%d theta nodes" % n)
+
+    return refined(at_degree, _RADIAL_START, "r",
+                   lambda m: "%d radial nodes" % (m + 1))

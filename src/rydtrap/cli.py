@@ -191,6 +191,10 @@ def pair_channel(text):
     return side(sides[0]), side(sides[1])
 
 
+# the beam waist when --waist is not given
+_WAIST = 650e-9
+
+
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that exits with the documented usage code."""
 
@@ -200,11 +204,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_beam_args(parser, power=True):
+    """--wavelength, --waist and, with power, the required --power |
+    --ground-depth group, which is returned."""
     parser.add_argument("--wavelength", type=unit_quantity("length"),
                         default=532e-9, metavar="L[nm]",
                         help="trap wavelength (default 532nm)")
     parser.add_argument("--waist", type=unit_quantity("length"),
-                        default=650e-9, metavar="W[nm]",
+                        default=_WAIST, metavar="W[nm]",
                         help="beam 1/e^2 waist radius (default 650nm)")
     if power:
         group = parser.add_mutually_exclusive_group(required=True)
@@ -214,6 +220,7 @@ def _add_beam_args(parser, power=True):
                            metavar="F[MHz]",
                            help="choose the power giving this model "
                                 "ground-state trap depth")
+        return group
 
 
 def _add_species_args(parser, alpha_ground=True):
@@ -234,15 +241,17 @@ def _add_core_arg(parser):
 
 
 def _add_state_args(parser, series=None, axis_angle=True):
-    """Species, beam, --series (series: its keywords) and --axis-angle."""
+    """Species, beam, --series (series: its keywords) and --axis-angle;
+    returns the required --power | --ground-depth group."""
     _add_species_args(parser)
-    _add_beam_args(parser)
+    group = _add_beam_args(parser)
     if series is not None:
         parser.add_argument("--series", type=term_type, **series)
     if axis_angle:
         parser.add_argument("--axis-angle", type=unit_quantity("angle"),
                             default=0.0, metavar="A[deg]",
                             help="quantization axis tilt from the beam axis")
+    return group
 
 
 def _add_energy_args(parser):
@@ -503,11 +512,27 @@ def _cmd_pi_fit(args):
 
 
 def _cmd_autoion(args):
-    species = _species_from_args(args)
-    beam = _beam_from_args(args, species)
+    """The rate at the core depth that --core-depth sets, or else that
+    potential.core_depth gives for the beam. A set depth leaves only
+    --wavelength of the beam options, the detunings from the core lines;
+    --waist, --alpha-core and --alpha-ground are refused with it."""
+    if args.core_depth is None:
+        if args.waist is None:
+            args.waist = _WAIST
+        species = _species_from_args(args)
+        beam = _beam_from_args(args, species)
+        core_depth = potential.core_depth(species, beam, args.ground_depth)
+    else:
+        for flag, value in (("--waist", args.waist),
+                            ("--alpha-core", args.alpha_core),
+                            ("--alpha-ground", args.alpha_ground)):
+            if value is not None:
+                args.parser.error("argument %s: not allowed with argument "
+                                  "--core-depth" % flag)
+        species = SPECIES_PRESETS[args.species]()
+        beam = TweezerBeam(args.wavelength, _WAIST, 1.0)
+        core_depth = args.core_depth
     state = RydbergState(species, args.n, args.series)
-    core_depth = (potential.core_depth(species, beam, args.ground_depth)
-                  if args.core_depth is None else args.core_depth)
     rate = loss_mod.autoionization_rate(state, beam, core_depth)
     coeff = loss_mod.autoionization_coefficient(species, beam, core_depth)
     data = {"rate_per_s": rate,
@@ -642,12 +667,15 @@ def build_parser():
 
     p = add("autoion", _cmd_autoion,
             "isolated-core autoionization rate estimate")
-    _add_state_args(p, {"default": Term("3S1")}, axis_angle=False)
+    group = _add_state_args(p, {"default": Term("3S1")}, axis_angle=False)
     _add_core_arg(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--core-depth", type=unit_quantity("frequency"),
-                   default=None, metavar="F[MHz]",
-                   help="override the core trap depth")
+    group.add_argument("--core-depth", type=unit_quantity("frequency"),
+                       metavar="F[MHz]",
+                       help="set the core trap depth; of the beam options "
+                            "only --wavelength then applies")
+    # an unset --waist stays None, so that --core-depth can refuse a set one
+    p.set_defaults(waist=None)
 
     for name, help_text in [
             ("ramsey-sim",

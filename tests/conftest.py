@@ -1,5 +1,6 @@
 """Shared fixtures: the standard tweezer, its tensor decomposition, species,
-and the (theta, phi) product rule the axial decomposition is checked
+the (theta, phi) product rule the axial decomposition is checked against,
+and the all-radii 3D quadrature the oracle's radial rule is checked
 against."""
 
 from types import SimpleNamespace
@@ -9,7 +10,9 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from rydtrap import spectroscopy
-from rydtrap.beam import (TweezerBeam, _intensity_sums, _product_nodes,
+from rydtrap.beam import (_MAX_DOUBLINGS, _ORACLE_TOL, _PHI_OFFSET,
+                          _PHI_START, _THETA_START, TweezerBeam,
+                          _gauss_legendre, _intensity_sums, _product_nodes,
                           _ylm_theta, decompose)
 from rydtrap.constants import A0
 from rydtrap.potential import yb174, power_for_ground_depth
@@ -67,6 +70,55 @@ def sphere_profiles(beam, position, r_m, k_max, n_theta, n_phi):
         wmat[:, i] = scale * real_sph_harm(k, q, ct, ph) * weights
     block = _intensity_sums(beam, position, r_m, nhat, wmat)
     return {kq: block[:, i].copy() for i, kq in enumerate(kq_list)}
+
+
+def all_radii_average(beam, wf, position, angular_density):
+    """brute_force_average with the (theta, phi) rule at every grid radius.
+
+    The same self-refining product rule, from the same node counts, with
+    the same checks, but the angular sums are taken at every radius of
+    wf's grid and integrated by the grid's Simpson rule: the oracle's
+    rule before its radial nodes, kept as their reference.
+    """
+    position = np.asarray(position, dtype=float)
+    r_m = wf.grid.points * A0
+    radial_density = wf.density()
+    floor = max(beam.peak_intensity * 1e-12, 1e-300)
+
+    def average(sums, n_phi):
+        return wf.grid.integrate(radial_density * sums) \
+            * (2.0 * np.pi / n_phi)
+
+    def converged(value, previous):
+        return abs(value - previous) <= _ORACLE_TOL * max(abs(value), floor)
+
+    def node_sums(cos_theta, w_theta, phi):
+        ct, ph, nhat = _product_nodes(cos_theta, phi)
+        weights = np.repeat(w_theta, len(phi)) * angular_density(ct, ph)
+        return _intensity_sums(beam, position, r_m, nhat, weights)
+
+    def phi_refined(n_theta):
+        cos_theta, w_theta = _gauss_legendre(n_theta)
+        n_phi = _PHI_START
+        sums = node_sums(cos_theta, w_theta, _PHI_OFFSET
+                         + 2.0 * np.pi * np.arange(n_phi) / n_phi)
+        value = average(sums, n_phi)
+        for _ in range(_MAX_DOUBLINGS):
+            sums += node_sums(cos_theta, w_theta, _PHI_OFFSET
+                              + 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi)
+            n_phi *= 2
+            previous, value = value, average(sums, n_phi)
+            if converged(value, previous):
+                return value
+        raise AssertionError("reference not converged in phi")
+
+    n_theta, value = _THETA_START, phi_refined(_THETA_START)
+    for _ in range(_MAX_DOUBLINGS):
+        n_theta *= 2
+        previous, value = value, phi_refined(n_theta)
+        if converged(value, previous):
+            return value
+    raise AssertionError("reference not converged in theta")
 
 
 @pytest.fixture(scope="session")

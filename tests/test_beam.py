@@ -1,5 +1,6 @@
 """Gaussian beam optics and the spherical-tensor intensity decomposition."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -14,16 +15,17 @@ from scipy.special import lpmv
 from rydtrap import cli
 from rydtrap.angular import Term, reference_m
 from rydtrap.beam import (ParaxialValidityWarning, QuadratureConvergenceError,
-                          TweezerBeam, _axial_profiles, _gauss_legendre,
-                          _gaussian_profile, _intensity_sums, _product_nodes,
+                          TweezerBeam, _axial_profiles, _chebyshev_moments,
+                          _gauss_legendre, _gaussian_profile,
+                          _intensity_sums, _lobatto_weights, _product_nodes,
                           _ylm_theta, brute_force_average, decompose)
 from rydtrap.constants import A0, C
-from rydtrap.potential import _term_angular_density
+from rydtrap.potential import RydbergState, _term_angular_density
 from rydtrap.radial import (RadialGrid, hydrogen_radial, numerov_radial,
                             radial_integral)
 
-from conftest import (POWER, WAIST, WAVELENGTH, real_sph_harm,
-                      sphere_profiles, ylm_density)
+from conftest import (POWER, WAIST, WAVELENGTH, all_radii_average,
+                      real_sph_harm, sphere_profiles, ylm_density)
 
 
 class TestTweezerBeam:
@@ -458,8 +460,9 @@ class TestSelfRefiningOracle:
         seen, points = phi_nodes_seen(monkeypatch)
         plain = brute_force_average(beam9, wf, focus, ylm_density(0, 0))
         assert len(seen) == 16  # on the axis phi stops at its first check
-        # 32 theta x 16 phi, then 64 x 16: 1,536 nodes at every radius
-        assert sum(points) == 1536 * len(grid40)
+        # 32 theta x 16 phi, then 64 x 16: 1,536 nodes at each radial node,
+        # 17 at degree 16 and 33 at degree 32
+        assert sum(points) == 1536 * (17 + 33)
         seen.clear()
         ripple = brute_force_average(
             beam9, wf, focus,
@@ -511,6 +514,69 @@ class TestSelfRefiningOracle:
                 beam9, wf, (0.0, 0.0, 0.0),
                 angular_density=lambda ct, ph: np.sqrt(1.0 - ct * ct)
                 / np.pi**2 * np.ones_like(ph))
+
+    def test_cap_raises_naming_r(self, beam9, monkeypatch):
+        # at n = 95 the average moves by more than the tol from 17 to 33
+        # radial nodes, while on the axis both angles stop at their first
+        # check
+        monkeypatch.setattr("rydtrap.beam._MAX_DOUBLINGS", 1)
+        wf = hydrogen_radial(95, 0, RadialGrid.default(98))
+        with pytest.raises(QuadratureConvergenceError,
+                           match=r"in r: 33 radial nodes moved the average "
+                                 r"by \S+ relative \(tol 1e-10\)"):
+            brute_force_average(beam9, wf, (0.0, 0.0, 0.0),
+                                ylm_density(0, 0))
+
+
+class TestRadialNodes:
+    """The oracle runs its angular rule at nested Chebyshev-Lobatto radii
+    and integrates their interpolant by the grid's Simpson rule."""
+
+    @pytest.mark.parametrize("position", [(0.0, 0.0, 0.0),
+                                          (0.2e-6, 0.0, 0.0)],
+                             ids=["axis", "off-axis"])
+    @pytest.mark.parametrize("n", [40, 95, 150])
+    @pytest.mark.parametrize("label", ["3S1", "1D2"])
+    def test_matches_the_all_radii_rule(self, beam9, species, label, n,
+                                        position):
+        # oracle_compare's case: a Numerov wavefunction at n* on its own
+        # grid, against the same (theta, phi) rule at every grid radius
+        state = RydbergState(species, n, label)
+        n_cover = n + 3
+        grid = RadialGrid.default(n_cover, npoints=max(4000, 40 * n_cover))
+        wf = numerov_radial(state.n_star, state.term.L, grid)
+        density = _term_angular_density(state.term, state.M)
+        assert brute_force_average(beam9, wf, position, density) \
+            == pytest.approx(all_radii_average(beam9, wf, position, density),
+                             rel=1e-12, abs=0.0)
+
+    def test_node_count_does_not_grow_with_the_grid(self, beam9,
+                                                    monkeypatch):
+        counts = []
+        for npoints in (40 * 43, 4 * 40 * 43):
+            wf = hydrogen_radial(40, 0, RadialGrid.default(43, npoints))
+            _, points = phi_nodes_seen(monkeypatch)
+            brute_force_average(beam9, wf, (0.0, 0.0, 0.0),
+                                ylm_density(0, 0))
+            counts.append(sum(points))
+        assert counts == [1536 * (17 + 33)] * 2
+
+    def test_weights_integrate_the_interpolant_by_simpson(self):
+        # the degree-M weights integrate every polynomial of degree <= M in
+        # s = sqrt(r/r_max) as the grid's Simpson rule integrates the
+        # density times it
+        grid = RadialGrid.default(43, npoints=40 * 43)
+        mass = grid.weights * hydrogen_radial(40, 0, grid).density()
+        s = np.sqrt(grid.points / grid.r_max)
+        moments = list(itertools.islice(_chebyshev_moments(2.0 * s - 1.0,
+                                                           mass), 33))
+        for degree in (16, 32):
+            weights = _lobatto_weights(moments[:degree + 1])
+            nodes = 0.5 + 0.5 * np.cos(np.pi * np.arange(degree + 1)
+                                       / degree)
+            for k in range(degree + 1):
+                assert weights @ nodes**k == pytest.approx(
+                    mass @ s**k, rel=1e-12, abs=0.0), (degree, k)
 
 
 class TestGaussLegendre:

@@ -379,7 +379,7 @@ class TestExitCodes:
         assert captured.out == ""
 
     @pytest.mark.parametrize("argv, named", [
-        (["autoion", "--power", "9mW", "--n", "75", "--core-depth=-5MHz"],
+        (["autoion", "--n", "75", "--core-depth=-5MHz"],
          "core trap depth must be >= 0, got -5e+06 Hz"),
         (["pi-fit", "--input", "tau.csv", "--at-power=-5mW"],
          "trap power must be >= 0, got -0.005 W"),
@@ -794,8 +794,8 @@ class TestLossCommands:
         assert rate(argv) == pytest.approx(scale * rate(reference), rel=1e-12)
 
     def test_autoion_zero_rate_has_null_lifetime(self, tmp_path):
-        argv = ["autoion", "--power", "9mW", "--n", "40",
-                "--core-depth", "0MHz", "--output", str(tmp_path / "out.json")]
+        argv = ["autoion", "--n", "40", "--core-depth", "0MHz",
+                "--output", str(tmp_path / "out.json")]
         assert cli.main(argv) == 0
 
         def reject(name):
@@ -804,6 +804,43 @@ class TestLossCommands:
                          parse_constant=reject)
         assert doc["data"]["rate_per_s"] == 0.0
         assert doc["data"]["lifetime_s"] is None
+
+    def test_autoion_core_depth_needs_no_beam_depth(self, tmp_path):
+        # the set depth is the whole calibration; the wavelength still
+        # sets the detunings from the core lines
+        def run(extra):
+            return run_json(["autoion", "--n", "75", "--core-depth", "4MHz"]
+                            + extra, tmp_path)
+        doc = run([])
+        assert doc["data"]["rate_per_s"] == pytest.approx(
+            133.47695784066667, rel=1e-12)
+        assert doc["config"]["waist_m"] is None
+        assert doc["config"]["alpha_core_au"] is None
+        assert run(["--wavelength", "800nm"])["data"]["rate_per_s"] \
+            != doc["data"]["rate_per_s"]
+
+    @pytest.mark.parametrize("extra", [
+        ["--power", "9mW"], ["--ground-depth", "3MHz"],
+        ["--waist", "650nm"], ["--alpha-core", "50au"],
+        ["--alpha-ground", "300au"],
+    ], ids=["power", "ground-depth", "waist", "alpha-core", "alpha-ground"])
+    def test_autoion_core_depth_refuses_what_it_overrides(self, extra,
+                                                          capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["autoion", "--n", "75", "--core-depth", "4MHz"]
+                     + extra)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert "argument %s: not allowed with argument --core-depth" \
+            % extra[0] in captured.err
+        assert captured.out == ""
+
+    def test_autoion_needs_a_depth_route(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["autoion", "--n", "75"])
+        assert exc.value.code == 1
+        assert "one of the arguments --power --ground-depth --core-depth " \
+            "is required" in capsys.readouterr().err
 
 
 def _perfbench_workloads():
@@ -826,6 +863,19 @@ def test_quick_anchors_match_the_benchmark_reference(capsys):
         assert cli.main(argv) == 0, argv
         envelope = json.loads(capsys.readouterr().out)
         assert workloads._matches_reference(argv)(envelope) == [], argv
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_oracle_check_rounds_meet_the_test_02_bound(seed, capsys):
+    # the oracle-check workload's calls, held to test_02's 1e-6 rather than
+    # to the workload's own, looser output check
+    for call in _perfbench_workloads().WORKLOADS["oracle-check"].round(seed):
+        assert cli.main(call.argv) == 0, call.argv
+        envelope = json.loads(capsys.readouterr().out)
+        assert call.check(envelope) == [], call.argv
+        for comparison in envelope["data"]["comparisons"]:
+            assert comparison["relative_difference"] < 1e-6, \
+                (call.argv, comparison)
 
 
 class TestCoherenceCommands:
