@@ -87,6 +87,22 @@ def finite_float(text):
 _MAX_TIMES = 1 << 20
 
 
+# the most atoms --n may ask for: the draw streams in blocks, so memory
+# does not refuse a larger ensemble, but at the cap a ramsey-sim at 61
+# times already runs for minutes
+_MAX_ATOMS = 1 << 30
+
+
+def ensemble_size(text):
+    """argparse type: an integer --n of at most _MAX_ATOMS; one below 1
+    is left to DephasingScenario, which refuses it as bad data."""
+    n = int(text)
+    if n > _MAX_ATOMS:
+        raise argparse.ArgumentTypeError(
+            "%d atoms is more than the cap of %d" % (n, _MAX_ATOMS))
+    return n
+
+
 def _time_count(start, stop, step):
     """Times in start:stop:step to the last step not past stop, inclusive;
     the slack absorbs rounding in span/step."""
@@ -530,11 +546,11 @@ def _cmd_autoion(args):
                 args.parser.error("argument %s: not allowed with argument "
                                   "--core-depth" % flag)
         species = SPECIES_PRESETS[args.species]()
-        beam = TweezerBeam(args.wavelength, _WAIST, 1.0)
         core_depth = args.core_depth
     state = RydbergState(species, args.n, args.series)
-    rate = loss_mod.autoionization_rate(state, beam, core_depth)
-    coeff = loss_mod.autoionization_coefficient(species, beam, core_depth)
+    rate = loss_mod.autoionization_rate(state, args.wavelength, core_depth)
+    coeff = loss_mod.autoionization_coefficient(species, args.wavelength,
+                                                core_depth)
     data = {"rate_per_s": rate,
             "lifetime_s": None if rate == 0 else 1.0 / rate,
             "coefficient_per_s": coeff, "n_star": state.n_star}
@@ -691,7 +707,9 @@ def build_parser():
                        required=True, metavar="F[MHz]", help="trap depth")
         p.add_argument("--t1", type=unit_quantity("time"), required=True,
                        metavar="T[us]")
-        p.add_argument("--n", type=int, default=100000, help="ensemble size")
+        p.add_argument("--n", type=ensemble_size, default=100000,
+                       help="ensemble size, at most 2^30 = %d (default "
+                            "%%(default)s)" % _MAX_ATOMS)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--times", type=time_range, default=time_range("0:60us:1us"),
                        metavar="START:STOP:STEP")

@@ -12,7 +12,8 @@ is limited by trajectory evolution between the pulses and by T1. The
 orbit frequencies, which only the echo needs, are an argument of
 echo_contrast, not part of the shared DephasingScenario. The ensemble is
 sampled with a counter-based generator so results are reproducible and
-independent of evaluation order.
+independent of evaluation order, and it is drawn in blocks of a few
+thousand atoms (_ensemble_blocks), each consumed before the next is drawn.
 
 A Ramsey phase is rate_i t_j, so exp(i r t) = exp(i r a) exp(i r d) for
 any split t = a + d. The T times fall in blocks of width K = ceil(sqrt T),
@@ -35,13 +36,15 @@ Each phasor comes from one tangent of the half angle (_cos_sin): numpy's
 float64 tan is vectorised where its cos and sin may not be (numpy 2.4 on
 an AVX-512 Xeon, phases within 50 rad: 2.4 ns per element against 26 ns
 each for cos and sin, and 4.7 ns for both from _cos_sin). The per-time
-inputs are halved once, before the atoms. Both contrasts draw
-the ensemble once and work over fixed-size chunks of atoms in two reused
-buffers, so no (atoms x times) array is ever held: memory is flat in the
-number of times and linear in the number of atoms. Ramsey draws only the
-energies, echo also the orbital phases and per-atom echo factors; their
-traced peaks are about 40 B and 100 B per atom, set by the draw, and the
-chunk buffers add 1 MB.
+inputs are halved once, before the atoms. Both contrasts work over
+fixed-size chunks of atoms in two reused buffers, and each drawn block is
+a whole number of chunks, so neither an (atoms x times) array nor any
+array over the whole ensemble is ever held: memory is flat in the number
+of times and in the number of atoms. A block bit-matches the same rows of
+one whole-ensemble draw and every chunk sum is the same float operation,
+so the contrasts do not depend on the block size. At 61 to 1001 times the
+traced peaks are 1.3-1.4 MB for Ramsey and 1.7-1.9 MB for echo, the same
+from 2e4 to 2e6 atoms: the 1 MB of chunk buffers plus a block's arrays.
 """
 
 import math
@@ -53,6 +56,11 @@ from .constants import KB, H
 # float64 values (1 MB), which stay in a 2 MB L2 cache from the tangent
 # to the sums
 _CHUNK_ELEMENTS = 1 << 16
+# atoms per drawn block, rounded down to whole chunks but never below one
+# chunk: echo's per-atom arrays take 96 B an atom, 0.4 MB a block, however
+# large the ensemble (more only where one chunk holds more atoms, below
+# 16 times)
+_BLOCK_ATOMS = 1 << 12
 
 
 class ContrastCurve:
@@ -101,29 +109,45 @@ class DephasingScenario:
         self.n_atoms = int(n_atoms)
         self.seed = int(seed)
 
-    def _rng(self):
-        return np.random.Generator(np.random.Philox(key=self.seed))
 
-    def _sample_energies(self, rng):
-        """Per-axis motional energies (J), (n_atoms, 3), drawn first from rng.
+def _ensemble_blocks(scenario, rows, phases=False):
+    """The ensemble in consecutive blocks of a whole number of rows atoms
+    (the last block takes what is left): per-axis motional energies (J),
+    (atoms, 3), or with phases the pair (energies, orbital phases).
 
-        Each axis energy is an independent 1D harmonic Boltzmann energy
-        (exponential with mean k_B T).
-        """
-        if self.temperature_k == 0.0:
-            return np.zeros((self.n_atoms, 3))
-        return rng.exponential(KB * self.temperature_k, size=(self.n_atoms, 3))
+    One Philox stream keyed by the seed holds every atom's three energies,
+    then every atom's three phases, and a block drawn from it holds the
+    values one whole-ensemble draw would. Each axis energy is an
+    independent 1D harmonic Boltzmann energy (exponential with mean
+    k_B T), none drawn at T = 0, so the phases, uniform in [0, 2 pi),
+    then start the stream. The exponential sampler takes a varying number
+    of words per value, so the phases come from a second generator on the
+    same key that first draws every energy and discards it.
+    """
+    n, scale = scenario.n_atoms, KB * scenario.temperature_k
+    step = rows * max(1, _BLOCK_ATOMS // rows)
+    thermal = scenario.temperature_k != 0.0
 
-    def sample_energies_and_phases(self):
-        """Per-axis motional energies (J) and orbital phases, both (n_atoms, 3).
+    def sizes():
+        return (min(step, n - a) for a in range(0, n, step))
 
-        The energies are those of _sample_energies on the same stream; the
-        phases, drawn after them, are uniform in [0, 2 pi).
-        """
-        rng = self._rng()
-        energies = self._sample_energies(rng)
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=(self.n_atoms, 3))
-        return energies, phases
+    def stream():
+        return np.random.Generator(np.random.Philox(key=scenario.seed))
+
+    energy_rng = stream()
+    if phases:
+        phase_rng = stream()
+        if thermal:
+            for size in sizes():
+                phase_rng.exponential(scale, size=(size, 3))
+    for size in sizes():
+        energies = energy_rng.exponential(scale, size=(size, 3)) \
+            if thermal else np.zeros((size, 3))
+        if phases:
+            yield energies, phase_rng.uniform(0.0, 2.0 * np.pi,
+                                              size=(size, 3))
+        else:
+            yield energies
 
 
 def trap_frequencies_hz(beam, mass_kg, depth_hz):
@@ -207,13 +231,11 @@ def ramsey_contrast(scenario, times_s):
     accumulated over chunks of atoms as one real matrix product of the
     [cos; sin] tables at the anchors and at the offsets. Any grid is
     accepted; sharing a column moves a phase by at most 8 eps |r| max|t|.
-    The accumulators hold about 4T sums, so the traced peak is flat in T:
-    about 40 B per atom from the draw (4.4 MB at 1e5 atoms for 61 to 1001
-    times, 13 MB at 100,001, where the per-time index arrays dominate).
+    The accumulators hold about 4T sums, so the traced peak is flat in T
+    and in the number of atoms: 1.3 MB at 1e5 atoms for 61 to 1001 times,
+    10 MB at 100,001, where the per-time index arrays dominate.
     """
     times = np.asarray(times_s, dtype=float)
-    energies = scenario._sample_energies(scenario._rng())
-    rate = 2.0 * np.pi * orbit_averaged_shift_hz(scenario, energies)
     anchors, offsets, block, column = _anchor_offset_split(times)
     n_offsets = len(offsets)
     rows = max(1, _CHUNK_ELEMENTS // max(1, len(anchors) + n_offsets))
@@ -224,14 +246,17 @@ def ramsey_contrast(scenario, times_s):
     # [sum cos(r a) cos(r d), sum cos(r a) sin(r d);
     #  sum sin(r a) cos(r d), sum sin(r a) sin(r d)]
     sums = np.zeros((2 * len(anchors), 2 * n_offsets))
-    for a in range(0, len(rate), rows):
-        r = rate[a:a + rows]
-        sums += _phasor_table(r, half_anchors, anchor_buf) \
-            @ _phasor_table(r, half_offsets, offset_buf).T
+    for energies in _ensemble_blocks(scenario, rows):
+        rate = 2.0 * np.pi * orbit_averaged_shift_hz(scenario, energies)
+        for a in range(0, len(rate), rows):
+            r = rate[a:a + rows]
+            sums += _phasor_table(r, half_anchors, anchor_buf) \
+                @ _phasor_table(r, half_offsets, offset_buf).T
     cos_a, sin_a = np.vsplit(sums, 2)
     re = cos_a[:, :n_offsets] - sin_a[:, n_offsets:]
     im = sin_a[:, :n_offsets] + cos_a[:, n_offsets:]
-    coherence = np.hypot(re[block, column], im[block, column]) / len(rate)
+    coherence = np.hypot(re[block, column], im[block, column]) \
+        / scenario.n_atoms
     return ContrastCurve(times, coherence * _t1_envelope(times, scenario.t1_s))
 
 
@@ -264,9 +289,10 @@ def echo_contrast(scenario, times_s, trap_frequencies_hz):
     2 phi_i). Expanding the last sine, the phase summed over axes is
     coef @ basis: per atom, coef = [w_i cos 2phi_i, w_i sin 2phi_i] with
     w_i = E_i/(2 U0); per time, basis = c_i 4 sin^2(w_i tau) [sin 2 w_i tau,
-    cos 2 w_i tau] with c_i = -2 pi dnu0/(2 w_i). It is accumulated over
-    chunks of atoms, one tangent per atom and time (_cos_sin). The sin^2
-    form has no cancellation as w -> 0.
+    cos 2 w_i tau] with c_i = -2 pi dnu0/(2 w_i). coef is formed one
+    drawn block at a time, and the phasors are accumulated over its chunks
+    of atoms, one tangent per atom and time (_cos_sin). The sin^2 form has
+    no cancellation as w -> 0.
 
     Static dephasing cancels exactly; both the frozen (w -> 0) and the
     fast-orbit (w -> infinity) limits refocus fully.
@@ -275,13 +301,6 @@ def echo_contrast(scenario, times_s, trap_frequencies_hz):
     if len(freqs) != 3 or not all(0.0 < f < math.inf for f in freqs):
         raise ValueError("trap_frequencies_hz must be 3 positive values")
     times = np.asarray(times_s, dtype=float)
-    weight, phases = scenario.sample_energies_and_phases()
-    weight /= 2.0 * H * scenario.depth_hz                     # E_i/(2 U0)
-    coef = np.empty((len(weight), 6))                         # (atoms, 6)
-    _cos_sin(phases, coef[:, :3])             # phi_i is the half of 2 phi_i
-    coef[:, 3:] = phases                                      # sin 2 phi_i
-    coef[:, :3] *= weight
-    coef[:, 3:] *= weight
     omega = 2.0 * np.pi * np.asarray(freqs)
     wt = omega[:, None] * (times / 2.0)[None, :]              # (3, times)
     amplitude = -2.0 * np.pi * scenario.dnu0_hz / (2.0 * omega)[:, None] \
@@ -293,13 +312,20 @@ def echo_contrast(scenario, times_s, trap_frequencies_hz):
     cos_buf = np.empty_like(sin_buf)
     re = np.zeros(len(times))
     im = np.zeros(len(times))
-    for a in range(0, len(coef), rows):
-        chunk = coef[a:a + rows]
-        sin_p, cos_p = sin_buf[:len(chunk)], cos_buf[:len(chunk)]
-        np.matmul(chunk, half_basis, out=sin_p)
-        _cos_sin(sin_p, cos_p)
-        re += cos_p.sum(axis=0)
-        im += sin_p.sum(axis=0)
-    coherence = np.hypot(re, im) / len(coef)
+    for weight, phases in _ensemble_blocks(scenario, rows, phases=True):
+        weight /= 2.0 * H * scenario.depth_hz                 # E_i/(2 U0)
+        coef = np.empty((len(weight), 6))                     # (atoms, 6)
+        _cos_sin(phases, coef[:, :3])         # phi_i is the half of 2 phi_i
+        coef[:, 3:] = phases                                  # sin 2 phi_i
+        coef[:, :3] *= weight
+        coef[:, 3:] *= weight
+        for a in range(0, len(coef), rows):
+            chunk = coef[a:a + rows]
+            sin_p, cos_p = sin_buf[:len(chunk)], cos_buf[:len(chunk)]
+            np.matmul(chunk, half_basis, out=sin_p)
+            _cos_sin(sin_p, cos_p)
+            re += cos_p.sum(axis=0)
+            im += sin_p.sum(axis=0)
+    coherence = np.hypot(re, im) / scenario.n_atoms
     return ContrastCurve(times, coherence * _t1_envelope(times, scenario.t1_s))
 

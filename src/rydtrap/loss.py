@@ -130,32 +130,38 @@ def trapped_lifetime_reduction(fit, power_w):
     return 1.0 - fit.gamma0 / fit.rate(power_w)
 
 
-def autoionization_coefficient(species, beam, core_depth_hz):
+def autoionization_coefficient(species, wavelength_m, core_depth_hz):
     """n*-independent autoionization prefactor: rate = coefficient * n*^-3.
 
     coefficient = U_core/h * sum_j gamma'_j / Delta_nu_j over the stored
-    core transitions, with detunings taken from the trap frequency.
-    U_core/h = core_depth_hz >= 0 is given, as by potential.core_depth.
+    core transitions, with detunings taken from the frequency of trap
+    light of wavelength_m > 0. U_core/h = core_depth_hz >= 0 is given, as
+    by potential.core_depth.
     """
     if not species.core_lines:
         raise ValueError("species %s has no core transition lines"
                          % species.name)
+    if not wavelength_m > 0:
+        raise ValueError("trap wavelength must be positive, got %g m"
+                         % wavelength_m)
     if core_depth_hz < 0:
         raise ValueError("core trap depth must be >= 0, got %g Hz"
                          % core_depth_hz)
-    nu_trap = C / beam.wavelength
+    nu_trap = C / wavelength_m
     total = 0.0
-    for wavelength_m, gamma_prime in species.core_lines:
-        detuning_hz = abs(nu_trap - C / wavelength_m)
+    for line_m, gamma_prime in species.core_lines:
+        detuning_hz = abs(nu_trap - C / line_m)
         if detuning_hz == 0.0:
             raise ValueError("trap light at %g m is on the %s core line at "
                              "%g m, where the rate diverges"
-                             % (beam.wavelength, species.name, wavelength_m))
+                             % (wavelength_m, species.name, line_m))
         total += gamma_prime / detuning_hz
     return core_depth_hz * total
 
 
-def autoionization_rate(state, beam, core_depth_hz):
-    """Autoionization loss rate of a state in the trap light, s^-1."""
-    coeff = autoionization_coefficient(state.species, beam, core_depth_hz)
+def autoionization_rate(state, wavelength_m, core_depth_hz):
+    """Autoionization loss rate of a state in trap light of wavelength_m
+    (m), s^-1."""
+    coeff = autoionization_coefficient(state.species, wavelength_m,
+                                       core_depth_hz)
     return coeff / state.n_star ** 3

@@ -275,10 +275,10 @@ def test_08_photoionization_pipeline(beam9):
 def test_09_autoionization(species, beam9):
     """Isolated-core estimate: coefficient and the n=75 lifetime."""
     depth = core_depth(species, beam9, None)
-    coeff = autoionization_coefficient(species, beam9, depth)
+    coeff = autoionization_coefficient(species, beam9.wavelength, depth)
     assert abs(coeff - 58e6) <= 0.10 * 58e6, coeff
     state = RydbergState(species, 75, "3S1")
-    lifetime = 1.0 / autoionization_rate(state, beam9, depth)
+    lifetime = 1.0 / autoionization_rate(state, beam9.wavelength, depth)
     assert abs(lifetime - 7e-3) <= 0.15 * 7e-3, lifetime
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import rydtrap
-from rydtrap import __version__, cli, potential
+from rydtrap import __version__, cli, coherence, potential
 from rydtrap.angular import TABLE_TERMS, Term, angular_table
 from rydtrap.beam import QuadratureConvergenceError, TweezerBeam, decompose
 from rydtrap.coherence import trap_frequencies_hz
@@ -344,12 +344,14 @@ class TestExitCodes:
         assert "past the hydrogenic cap n <= 150" in captured.err
         assert captured.out == ""
 
-    def test_refused_allocation_is_data_error(self, capsys):
-        # 1e13 atoms x 3 motional energies is 240 TB, past a 47-bit address
-        # space, so the draw is refused whatever the overcommit setting
+    def test_refused_allocation_is_data_error(self, monkeypatch, capsys):
+        # a draw asking for 2^45 atoms x 3 motional energies, 768 TiB, past
+        # a 47-bit address space, is refused whatever the overcommit setting
+        def refused_draw(scenario, rows, phases=False):
+            yield np.empty((1 << 45, 3))
+        monkeypatch.setattr(coherence, "_ensemble_blocks", refused_draw)
         rc = cli.main(["ramsey-sim", "--dnu", "90kHz", "--temp", "13uK",
-                       "--depth", "2MHz", "--t1", "108us",
-                       "--n", "10000000000000"])
+                       "--depth", "2MHz", "--t1", "108us", "--n", "1000"])
         assert rc == 2
         captured = capsys.readouterr()
         assert "allocate" in captured.err
@@ -553,6 +555,41 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert re.search(r"time range '0:1s:1ns' holds 10{8}\d times, more "
                          r"than the cap of 1048576", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["ramsey-sim", "echo-sim"])
+    def test_ensemble_past_the_cap_is_usage_error(self, command,
+                                                  monkeypatch, capsys):
+        # streamed, 1e13 atoms would not run out of memory but would run
+        # for days, so --n is refused as it is parsed, before any draw
+        def no_draw(*args, **kwargs):
+            raise AssertionError("the ensemble was drawn")
+        monkeypatch.setattr(coherence, "_ensemble_blocks", no_draw)
+        for n in ("1073741825", "10000000000000"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, "--dnu", "90kHz", "--temp", "13uK",
+                          "--depth", "2MHz", "--t1", "108us", "--n", n])
+            assert exc.value.code == 1
+            captured = capsys.readouterr()
+            assert "argument --n: %s atoms is more than the cap of " \
+                "1073741824" % n in captured.err
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["ramsey-sim", "echo-sim"])
+    def test_ensemble_cap_admits_two_to_the_thirty(self, command,
+                                                   monkeypatch, capsys):
+        # the cap itself reaches the contrast; a stand-in returns at once
+        seen = []
+
+        def contrast(scenario, times, *more):
+            seen.append(scenario.n_atoms)
+            return coherence.ContrastCurve(times, np.ones(len(times)))
+        monkeypatch.setattr(cli, "ramsey_contrast", contrast)
+        monkeypatch.setattr(cli, "echo_contrast", contrast)
+        assert cli.main([command, "--dnu", "90kHz", "--temp", "13uK",
+                         "--depth", "2MHz", "--t1", "108us",
+                         "--n", "1073741824", "--times", "0:2us:1us"]) == 0
+        assert seen == [2 ** 30] == [cli._MAX_ATOMS]
+        assert '"n": 1073741824' in capsys.readouterr().out
 
     def test_time_range_cap_admits_ten_ms_at_ten_ns(self):
         start, stop, step = cli.time_range("0:10ms:10ns")
@@ -863,6 +900,37 @@ def test_quick_anchors_match_the_benchmark_reference(capsys):
         assert cli.main(argv) == 0, argv
         envelope = json.loads(capsys.readouterr().out)
         assert workloads._matches_reference(argv)(envelope) == [], argv
+
+
+@pytest.mark.parametrize("command, span", [
+    ("ramsey-sim", "coherence.ramsey_contrast"),
+    ("echo-sim", "coherence.echo_contrast")], ids=["ramsey", "echo"])
+def test_perfbench_traced_mode_records_the_contrast(command, span, tmp_path):
+    # perfbench/traced.py wraps each contrast by name and reads
+    # scenario.n_atoms and the positional (scenario, times) of its call
+    traced = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(rydtrap.__file__).resolve().parents[1]))
+    argv = [command, "--format", "json", "--dnu", "90kHz", "--temp", "13uK",
+            "--depth", "2MHz", "--t1", "108us", "--n", "2000",
+            "--times", "0:60us:1us", "--output", str(tmp_path / "out.json")]
+    proc = subprocess.run([sys.executable, str(traced),
+                           str(tmp_path / "spans.json"), "--"] + argv,
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads((tmp_path / "spans.json").read_text())
+    # these three no longer exist in the package; the contrasts must not
+    # join them
+    assert set(trace["missing"]) <= {"beam.TensorField.from_json",
+                                     "beam.TensorField.to_json",
+                                     "radial._element_at_integer_n"}
+    names = [name for name, *_ in trace["spans"]]
+    assert names.count("cli.main") == 1
+    assert names.count(span) == 1
+    extra = trace["spans"][names.index(span)][4]
+    assert extra["computed_bytes"] == 2000 * 61 * 16
+    assert 0 < extra["traced_peak_bytes"] < 4e6
 
 
 @pytest.mark.parametrize("seed", range(6))

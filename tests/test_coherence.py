@@ -37,9 +37,31 @@ def scenario(**kw):
     return DephasingScenario(**base)
 
 
+def reference_draw(sc):
+    """The whole ensemble in one draw: per-axis energies (J), then orbital
+    phases, both (n_atoms, 3), from one Philox stream keyed by the seed.
+
+    The energies are exponential with mean k_B T, and none are drawn at
+    T = 0, so the phases start the stream there.
+    """
+    rng = np.random.Generator(np.random.Philox(key=sc.seed))
+    if sc.temperature_k == 0.0:
+        energies = np.zeros((sc.n_atoms, 3))
+    else:
+        energies = rng.exponential(KB * sc.temperature_k, size=(sc.n_atoms, 3))
+    return energies, rng.uniform(0.0, 2.0 * np.pi, size=(sc.n_atoms, 3))
+
+
+def whole_ensemble_blocks(sc, rows, phases=False):
+    """A stand-in for coherence._ensemble_blocks that yields reference_draw
+    as one block, so a contrast sums its chunks over whole-ensemble arrays."""
+    energies, angles = reference_draw(sc)
+    yield (energies, angles) if phases else energies
+
+
 def dense_ramsey(sc, times):
     """Reference: the complex mean of exp(i phi) over an (atoms, times) array."""
-    energies, _ = sc.sample_energies_and_phases()
+    energies, _ = reference_draw(sc)
     dnu = orbit_averaged_shift_hz(sc, energies)
     phase = 2.0 * np.pi * dnu[:, None] * times[None, :]
     return np.abs(np.mean(np.exp(1j * phase), axis=0)) * np.exp(-times / sc.t1_s)
@@ -51,7 +73,7 @@ def dense_echo(sc, times, freqs):
     -2 pi dnu0 (E_i/(2 U0)) [2 S(tau) - S(2 tau)] / (2 w_i),
     S(t) = sin(2 w_i t + 2 phi_i) - sin(2 phi_i), on (atoms, times) arrays.
     """
-    energies, phases = sc.sample_energies_and_phases()
+    energies, phases = reference_draw(sc)
     omega = 2.0 * np.pi * np.asarray(freqs)
     u0 = H * sc.depth_hz
     weight = energies / (2.0 * u0)
@@ -148,16 +170,20 @@ class TestScenario:
 
     def test_energy_sampling(self):
         sc = scenario(n_atoms=200000)
-        e = sc.sample_energies_and_phases()[0]
+        e = reference_draw(sc)[0]
         assert e.shape == (200000, 3)
         assert np.mean(e) == pytest.approx(KB * TEMP, rel=5e-3)
-        assert np.array_equal(
-            e, scenario(n_atoms=200000).sample_energies_and_phases()[0])
+        assert np.array_equal(e, reference_draw(scenario(n_atoms=200000))[0])
         assert not np.array_equal(e[:, 0], e[:, 1])
+        streamed = np.concatenate(list(coherence._ensemble_blocks(sc, 1000)))
+        assert np.array_equal(streamed, e)
 
     def test_zero_temperature_energies(self):
-        energies = scenario(temperature_k=0.0).sample_energies_and_phases()[0]
+        sc = scenario(temperature_k=0.0, n_atoms=10000)
+        energies = reference_draw(sc)[0]
         assert np.all(energies == 0.0)
+        streamed = np.concatenate(list(coherence._ensemble_blocks(sc, 1000)))
+        assert np.array_equal(streamed, energies)
 
 
 class TestRamsey:
@@ -202,8 +228,7 @@ class TestRamsey:
         x = KB * TEMP / (2.0 * H * DEPTH)
         mean = DNU0 * (1.0 - 3.0 * x)
         std = abs(DNU0) * math.sqrt(3.0) * x
-        shifts = orbit_averaged_shift_hz(sc,
-                                         sc.sample_energies_and_phases()[0])
+        shifts = orbit_averaged_shift_hz(sc, reference_draw(sc)[0])
         assert np.mean(shifts) == pytest.approx(mean, abs=4 * std / 600.0)
         assert np.std(shifts) == pytest.approx(std, rel=1e-2)
 
@@ -358,6 +383,70 @@ class TestChunkedAccumulation:
         assert peak_1001 < 32e6
         assert peak_1001 <= 1.5 * peak_61
 
+    def test_echo_memory_is_flat_in_atoms(self):
+        # a whole-ensemble draw with its echo factors would hold about
+        # 100 B per atom, 200 MB at 2e6 atoms
+        freqs = (33e3, 33e3, 6e3)
+        peaks = atom_peaks(echo_contrast, freqs)
+        assert max(peaks) < 4e6
+        assert max(peaks) <= 1.5 * min(peaks)
+
+    def test_ramsey_memory_is_flat_in_atoms(self):
+        # a whole-ensemble draw of the energies alone would be 48 MB at 2e6
+        peaks = atom_peaks(ramsey_contrast)
+        assert max(peaks) < 4e6
+        assert max(peaks) <= 1.5 * min(peaks)
+
+
+class TestEnsembleStream:
+    """coherence._ensemble_blocks against one whole-ensemble draw."""
+
+    BLOCK = coherence._BLOCK_ATOMS
+    SIZES = [1, BLOCK - 1, BLOCK + 1, 123457]
+    SIZE_IDS = ["1", "block-1", "block+1", "123457"]
+
+    @pytest.mark.parametrize("rows", [1, 271, 1074, 4096, 7281, 65536])
+    @pytest.mark.parametrize("n", SIZES, ids=SIZE_IDS)
+    def test_blocks_are_whole_chunks(self, rows, n):
+        sizes = [len(e) for e in coherence._ensemble_blocks(
+            scenario(n_atoms=n), rows)]
+        assert sum(sizes) == n
+        assert all(size % rows == 0 for size in sizes[:-1])
+        assert max(sizes) <= max(rows, self.BLOCK)
+
+    @pytest.mark.parametrize("temp", [0.0, TEMP], ids=["0K", "13uK"])
+    @pytest.mark.parametrize("n", SIZES, ids=SIZE_IDS)
+    def test_stream_is_the_whole_draw(self, temp, n):
+        # at T = 0 no energy is drawn, so the phases start the stream
+        sc = scenario(temperature_k=temp, n_atoms=n)
+        energies, phases = reference_draw(sc)
+        blocks = list(coherence._ensemble_blocks(sc, 1074, phases=True))
+        assert np.array_equal(np.concatenate([e for e, _ in blocks]),
+                              energies)
+        assert np.array_equal(np.concatenate([p for _, p in blocks]), phases)
+        assert np.array_equal(
+            np.concatenate(list(coherence._ensemble_blocks(sc, 4096))),
+            energies)
+
+    @pytest.mark.parametrize("kind", ["ramsey", "echo"])
+    @pytest.mark.parametrize("times", [EVEN_GRIDS["range-61"], UNEVEN],
+                             ids=["range-61", "uneven"])
+    @pytest.mark.parametrize("temp", [0.0, TEMP], ids=["0K", "13uK"])
+    @pytest.mark.parametrize("n", SIZES, ids=SIZE_IDS)
+    def test_contrast_matches_whole_draw(self, monkeypatch, kind, times,
+                                         temp, n):
+        # the same chunk sums over one whole-ensemble block: bit for bit
+        sc = scenario(temperature_k=temp, n_atoms=n)
+
+        def contrast():
+            if kind == "ramsey":
+                return ramsey_contrast(sc, times).contrast
+            return echo_contrast(sc, times, (33e3, 33e3, 6e3)).contrast
+        streamed = contrast()
+        monkeypatch.setattr(coherence, "_ensemble_blocks",
+                            whole_ensemble_blocks)
+        assert np.array_equal(streamed, contrast())
+
 
 def traced_peak(contrast, sc, n_times, *more):
     """Peak traced bytes of one contrast call at n_times points up to 1 ms,
@@ -369,3 +458,11 @@ def traced_peak(contrast, sc, n_times, *more):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def atom_peaks(contrast, *more):
+    """traced_peak at 61 times for 2e4, 2e5 and 2e6 atoms, after one call
+    that imports what the first draw needs."""
+    traced_peak(contrast, scenario(n_atoms=1), 61, *more)
+    return [traced_peak(contrast, scenario(n_atoms=n), 61, *more)
+            for n in (20000, 200000, 2000000)]

@@ -172,19 +172,19 @@ class TestAutoionization:
             core_depth(rb87(), beam9, None)
 
     def test_coefficient_value(self, species, beam9, depth9):
-        coeff = autoionization_coefficient(species, beam9, depth9)
+        coeff = autoionization_coefficient(species, beam9.wavelength, depth9)
         assert coeff == pytest.approx(54.7e6, rel=1e-3)
 
     def test_rate_and_lifetime_at_75(self, species, beam9, depth9):
         state = RydbergState(species, 75, "3S1")
-        rate = autoionization_rate(state, beam9, depth9)
+        rate = autoionization_rate(state, beam9.wavelength, depth9)
         assert 1.0 / rate == pytest.approx(6.42e-3, rel=1e-3)
 
     def test_nstar_cubed_scaling(self, species, beam9, depth9):
-        r60 = autoionization_rate(RydbergState(species, 60, "3S1"), beam9,
-                                  depth9)
-        r80 = autoionization_rate(RydbergState(species, 80, "3S1"), beam9,
-                                  depth9)
+        r60 = autoionization_rate(RydbergState(species, 60, "3S1"),
+                                  beam9.wavelength, depth9)
+        r80 = autoionization_rate(RydbergState(species, 80, "3S1"),
+                                  beam9.wavelength, depth9)
         n60 = RydbergState(species, 60, "3S1").n_star
         n80 = RydbergState(species, 80, "3S1").n_star
         assert r60 / r80 == pytest.approx((n80 / n60) ** 3, rel=1e-12)
@@ -192,13 +192,14 @@ class TestAutoionization:
     def test_zero_power_gives_zero_rate(self, species, beam9):
         state = RydbergState(species, 75, "3S1")
         beam0 = beam9.with_power(0.0)
-        assert autoionization_rate(state, beam0,
+        assert autoionization_rate(state, beam0.wavelength,
                                    core_depth(species, beam0, None)) == 0.0
 
     def test_rate_linear_in_core_depth(self, species, beam9):
         state = RydbergState(species, 75, "3S1")
-        base = autoionization_rate(state, beam9, core_depth_hz=2e6)
-        double = autoionization_rate(state, beam9, core_depth_hz=4e6)
+        base = autoionization_rate(state, beam9.wavelength, core_depth_hz=2e6)
+        double = autoionization_rate(state, beam9.wavelength,
+                                     core_depth_hz=4e6)
         assert double == pytest.approx(2.0 * base, rel=1e-12)
 
     def test_trap_on_a_core_line_refused(self, species):
@@ -206,10 +207,19 @@ class TestAutoionization:
         # line, not a ZeroDivisionError
         on_line = TweezerBeam(species.core_lines[0][0], WAIST, POWER)
         with pytest.raises(ValueError, match="yb174 core line at 3.69e-07 m"):
-            autoionization_coefficient(species, on_line,
+            autoionization_coefficient(species, on_line.wavelength,
                                        core_depth(species, on_line, None))
 
     def test_negative_core_depth_refused(self, species, beam9):
-        assert autoionization_coefficient(species, beam9, 0.0) == 0.0
+        assert autoionization_coefficient(species, beam9.wavelength,
+                                          0.0) == 0.0
         with pytest.raises(ValueError, match="-5e\\+06 Hz"):
-            autoionization_coefficient(species, beam9, core_depth_hz=-5e6)
+            autoionization_coefficient(species, beam9.wavelength,
+                                       core_depth_hz=-5e6)
+
+    @pytest.mark.parametrize("wavelength", [0.0, -532e-9, np.nan],
+                             ids=["zero", "negative", "nan"])
+    def test_nonpositive_wavelength_refused(self, species, wavelength):
+        with pytest.raises(ValueError, match="trap wavelength must be "
+                           "positive"):
+            autoionization_coefficient(species, wavelength, 4e6)

@@ -45,8 +45,9 @@ SIGNATURES = {
                              "covariance", "residuals_mhz", "record_n",
                              "threshold_sigma_cm1"],
     loss.fit_photoionization: ["records", "beam"],
-    loss.autoionization_coefficient: ["species", "beam", "core_depth_hz"],
-    loss.autoionization_rate: ["state", "beam", "core_depth_hz"],
+    loss.autoionization_coefficient: ["species", "wavelength_m",
+                                      "core_depth_hz"],
+    loss.autoionization_rate: ["state", "wavelength_m", "core_depth_hz"],
     coherence.DephasingScenario: ["dnu0_hz", "temperature_k", "depth_hz",
                                   "t1_s", "n_atoms", "seed"],
     coherence.trap_frequencies_hz: ["beam", "mass_kg", "depth_hz"],
