@@ -80,10 +80,12 @@ class TweezerBeam:
     """
 
     def __init__(self, wavelength, waist, power):
-        if wavelength <= 0 or waist <= 0:
-            raise ValueError("wavelength and waist must be positive")
-        if power < 0:
-            raise ValueError("power must be nonnegative")
+        if not (0 < wavelength < math.inf and 0 < waist < math.inf):
+            raise ValueError("wavelength and waist must be positive and "
+                             "finite, got %g m and %g m" % (wavelength, waist))
+        if not 0 <= power < math.inf:
+            raise ValueError("power must be nonnegative and finite, got %g W"
+                             % power)
         self.wavelength = float(wavelength)
         self.waist = float(waist)
         self.power = float(power)
@@ -290,7 +292,7 @@ def decompose(beam, grid, k_max):
     coarse = _axial_profiles(beam, r_m, k_max, 32)
     residual = np.max(np.abs(fine - coarse)) \
         / max(beam.peak_intensity, 1e-300)
-    if residual > _DECOMPOSE_TOL:
+    if not residual <= _DECOMPOSE_TOL:  # a NaN residual fails too
         raise QuadratureConvergenceError(
             "angular quadrature not converged: refinement moved a "
             "profile by %.3g of peak intensity (tol %.3g)"
@@ -366,10 +368,14 @@ def brute_force_average(beam, wf, position, angular_density):
     number of intensity evaluations does not depend on the grid's size.
     At each degree the whole (theta, phi) rule refines again.
 
-    Each of r, theta and phi refines until two successive averages agree
-    to _ORACLE_TOL relative; if _MAX_DOUBLINGS doublings do not get there,
-    QuadratureConvergenceError names the variable and the residual
-    reached.
+    r, theta and phi refine through one loop, converged, which draws a
+    variable's estimates, one per doubling, from a generator of (value,
+    rule) pairs and returns the first value within _ORACLE_TOL relative
+    of the one before it; if _MAX_DOUBLINGS doublings do not get there,
+    QuadratureConvergenceError names the variable, the rule and the
+    residual reached. The generators nest: each radial degree's value is
+    the converged theta estimate at its radii, and each theta rule's the
+    converged phi estimate at its nodes.
 
     Every value is the paraxial intensity at a quadrature point, from
     _intensity_sums, summed against the density and the weights. The
@@ -385,63 +391,49 @@ def brute_force_average(beam, wf, position, angular_density):
     moments = _chebyshev_moments(
         2.0 * np.sqrt(grid.points / grid.r_max) - 1.0,
         grid.weights * wf.density())
-    known = []
     floor = max(beam.peak_intensity * 1e-12, 1e-300)
 
-    def moved(value, previous):
-        return abs(value - previous) / max(abs(value), floor)
-
-    def refined(evaluate, count, name, nodes):
-        """evaluate(count) at doubling counts until two agree; nodes(count)
-        names the rule in the error."""
+    def converged(estimates, name):
+        """The first of the (value, rule) estimates, one per doubling, that
+        lies within _ORACLE_TOL of the one before it."""
         residual = np.inf
-        value = evaluate(count)
-        for _ in range(_MAX_DOUBLINGS):
-            count *= 2
-            previous, value = value, evaluate(count)
-            residual = moved(value, previous)
+        value, rule = next(estimates)
+        for estimate, rule in itertools.islice(estimates, _MAX_DOUBLINGS):
+            previous, value = value, estimate
+            residual = abs(value - previous) / max(abs(value), floor)
             if residual <= _ORACLE_TOL:
                 return value
         raise QuadratureConvergenceError(
             "3D quadrature not converged in %s: %s moved the average by "
-            "%.3g relative (tol %.3g)"
-            % (name, nodes(count), residual, _ORACLE_TOL))
+            "%.3g relative (tol %.3g)" % (name, rule, residual, _ORACLE_TOL))
 
-    def at_degree(degree):
-        known.extend(itertools.islice(moments, degree + 1 - len(known)))
-        radial = _lobatto_weights(known)
-        s = 0.5 + 0.5 * np.cos(np.pi * np.arange(degree + 1) / degree)
-        r_m = (grid.r_max * A0) * s * s
+    def doublings(start):
+        return (start << k for k in itertools.count())
 
-        def node_sums(cos_theta, w_theta, phi):
-            ct, ph, nhat = _product_nodes(cos_theta, phi)
-            weights = np.repeat(w_theta, len(phi)) * angular_density(ct, ph)
-            return _intensity_sums(beam, position, r_m, nhat, weights)
+    def radial_estimates():
+        known = []
+        for degree in doublings(_RADIAL_START):
+            known.extend(itertools.islice(moments, degree + 1 - len(known)))
+            s = 0.5 + 0.5 * np.cos(np.pi * np.arange(degree + 1) / degree)
+            r_m = (grid.r_max * A0) * s * s
+            yield (converged(theta_estimates(_lobatto_weights(known), r_m),
+                             "theta"), "%d radial nodes" % (degree + 1))
 
-        def average(sums, n_phi):
-            return (radial @ sums) * (2.0 * np.pi / n_phi)
+    def theta_estimates(radial, r_m):
+        for n_theta in doublings(_THETA_START):
+            yield (converged(phi_estimates(radial, r_m, n_theta), "phi"),
+                   "%d theta nodes" % n_theta)
 
-        def phi_refined(n_theta):
-            cos_theta, w_theta = _gauss_legendre(n_theta)
-            n_phi, residual = _PHI_START, np.inf
-            sums = node_sums(cos_theta, w_theta, _PHI_OFFSET
-                             + 2.0 * np.pi * np.arange(n_phi) / n_phi)
-            value = average(sums, n_phi)
-            for _ in range(_MAX_DOUBLINGS):
-                sums += node_sums(cos_theta, w_theta, _PHI_OFFSET + 2.0
-                                  * np.pi * (np.arange(n_phi) + 0.5) / n_phi)
-                n_phi *= 2
-                previous, value = value, average(sums, n_phi)
-                residual = moved(value, previous)
-                if residual <= _ORACLE_TOL:
-                    return value
-            raise QuadratureConvergenceError(
-                "3D quadrature not converged in phi: at %d theta nodes, %d "
-                "phi nodes moved the average by %.3g relative (tol %.3g)"
-                % (n_theta, n_phi, residual, _ORACLE_TOL))
+    def phi_estimates(radial, r_m, n_theta):
+        cos_theta, w_theta = _gauss_legendre(n_theta)
+        sums, new = 0.0, np.arange(_PHI_START)
+        for n_phi in doublings(_PHI_START):
+            ct, ph, nhat = _product_nodes(
+                cos_theta, _PHI_OFFSET + 2.0 * np.pi * new / n_phi)
+            weights = np.repeat(w_theta, len(new)) * angular_density(ct, ph)
+            sums += _intensity_sums(beam, position, r_m, nhat, weights)
+            yield ((radial @ sums) * (2.0 * np.pi / n_phi),
+                   "at %d theta nodes, %d phi nodes" % (n_theta, n_phi))
+            new = np.arange(1, 2 * n_phi, 2)  # the midpoints
 
-        return refined(phi_refined, _THETA_START, "theta",
-                       lambda n: "%d theta nodes" % n)
-
-    return refined(at_degree, _RADIAL_START, "r",
-                   lambda m: "%d radial nodes" % (m + 1))
+    return converged(radial_estimates(), "r")

@@ -94,13 +94,15 @@ class DephasingScenario:
 
     def __init__(self, dnu0_hz, temperature_k, depth_hz, t1_s,
                  n_atoms=100000, seed=0):
-        if temperature_k < 0:
-            raise ValueError("temperature must be nonnegative")
-        if depth_hz <= 0:
-            raise ValueError("depth must be positive")
+        if not -math.inf < dnu0_hz < math.inf:
+            raise ValueError("differential shift must be finite")
+        if not 0 <= temperature_k < math.inf:
+            raise ValueError("temperature must be nonnegative and finite")
+        if not 0 < depth_hz < math.inf:
+            raise ValueError("depth must be positive and finite")
         if n_atoms < 1:
             raise ValueError("need at least one atom")
-        if t1_s <= 0:
+        if not t1_s > 0:
             raise ValueError("T1 must be positive (math.inf allowed)")
         self.dnu0_hz = float(dnu0_hz)
         self.temperature_k = float(temperature_k)
@@ -275,8 +277,9 @@ def ramsey_contrast_analytic(scenario, times_s):
 
 
 def echo_contrast(scenario, times_s, trap_frequencies_hz):
-    """Hahn-echo contrast at each total sequence time 2 tau, for orbits at
-    trap_frequencies_hz, three positive values (radial, radial, axial).
+    """Hahn-echo contrast at each total sequence time 2 tau, finite and
+    >= 0, for orbits at trap_frequencies_hz, three positive values
+    (radial, radial, axial).
 
     Along a harmonic trajectory x_i(t) = A_i cos(w_i t + phi_i) the
     instantaneous shift of axis i is -(dnu0 E_i/(2 U0)) (1 + cos(2 w_i t
@@ -301,6 +304,9 @@ def echo_contrast(scenario, times_s, trap_frequencies_hz):
     if len(freqs) != 3 or not all(0.0 < f < math.inf for f in freqs):
         raise ValueError("trap_frequencies_hz must be 3 positive values")
     times = np.asarray(times_s, dtype=float)
+    if not np.all((times >= 0.0) & (times < np.inf)):
+        # a sequence time is a duration: exp(-t/T1) > 1 below 0
+        raise ValueError("echo times must be finite and >= 0")
     omega = 2.0 * np.pi * np.asarray(freqs)
     wt = omega[:, None] * (times / 2.0)[None, :]              # (3, times)
     amplitude = -2.0 * np.pi * scenario.dnu0_hz / (2.0 * omega)[:, None] \

@@ -144,7 +144,7 @@ def autoionization_coefficient(species, wavelength_m, core_depth_hz):
     if not wavelength_m > 0:
         raise ValueError("trap wavelength must be positive, got %g m"
                          % wavelength_m)
-    if core_depth_hz < 0:
+    if not core_depth_hz >= 0:
         raise ValueError("core trap depth must be >= 0, got %g Hz"
                          % core_depth_hz)
     nu_trap = C / wavelength_m

@@ -93,6 +93,8 @@ class RadialGrid:
         points = np.asarray(points, dtype=float)
         if points.ndim != 1 or len(points) < 8:
             raise ValueError("grid needs at least 8 points")
+        if not np.all(np.isfinite(points)):
+            raise ValueError("grid points must be finite")
         if np.any(np.diff(points) <= 0):
             raise ValueError("grid points must be strictly increasing")
         if points[0] < 0:

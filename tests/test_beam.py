@@ -83,6 +83,17 @@ class TestTweezerBeam:
         with pytest.raises(ValueError):
             TweezerBeam(532e-9, 650e-9, -2e-3)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf],
+                             ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["wavelength", "waist", "power"])
+    def test_non_finite_input_refused(self, name, value):
+        # a NaN wavelength once gave a finite I0 of 1.5e9 W/m^2, and an
+        # infinite waist I0 = 0
+        inputs = dict(wavelength=WAVELENGTH, waist=WAIST, power=POWER)
+        inputs[name] = value
+        with pytest.raises(ValueError, match="finite"):
+            TweezerBeam(**inputs)
+
     def test_field_keeps_its_beam(self, beam9, field9):
         assert field9.beam is beam9
 
@@ -285,6 +296,14 @@ class TestDecompose:
         grid = RadialGrid.default(10, npoints=100)
         with pytest.raises(QuadratureConvergenceError):
             decompose(beam9, grid, k_max=4)
+
+    def test_nan_residual_fails(self, beam9):
+        # a power made NaN after the beam checked it: the profiles and the
+        # residual are NaN, which must fail the check, not pass it
+        beam = beam9.with_power(POWER)
+        beam.power = math.nan
+        with pytest.raises(QuadratureConvergenceError, match="by nan of"):
+            decompose(beam, RadialGrid.default(10, npoints=100), k_max=4)
 
     def test_refinement_residual_kept(self, field9):
         assert 0.0 <= field9.refinement_residual < 1e-6

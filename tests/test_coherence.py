@@ -153,6 +153,21 @@ class TestScenario:
         with pytest.raises(ValueError):
             scenario(t1_s=0.0)
 
+    @pytest.mark.parametrize("name", ["dnu0_hz", "temperature_k",
+                                      "depth_hz", "t1_s"])
+    def test_nan_refused(self, name):
+        # a NaN input once gave a NaN contrast at every time, t = 0 included
+        with pytest.raises(ValueError):
+            scenario(**{name: math.nan})
+
+    @pytest.mark.parametrize("name, value", [
+        ("dnu0_hz", math.inf), ("dnu0_hz", -math.inf),
+        ("temperature_k", math.inf), ("depth_hz", math.inf)],
+        ids=["dnu0", "minus-dnu0", "temperature", "depth"])
+    def test_infinite_refused(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            scenario(**{name: value})
+
     def test_infinite_t1_allowed(self):
         sc = scenario(t1_s=math.inf)
         curve = ramsey_contrast(sc, [0.0, 10e-6])
@@ -250,6 +265,14 @@ class TestEcho:
     def test_refuses_bad_trap_frequencies(self, freqs):
         with pytest.raises(ValueError, match="must be 3 positive values"):
             echo_contrast(scenario(), TIMES, freqs)
+
+    @pytest.mark.parametrize("late", [-1e-6, math.nan, math.inf],
+                             ids=["negative", "nan", "inf"])
+    def test_refuses_a_time_that_is_not_a_duration(self, late):
+        # at -1 us the echo contrast once read 1.0101: exp(-t/T1) > 1
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            echo_contrast(scenario(n_atoms=10), [0.0, late],
+                          (33e3, 33e3, 6e3))
 
     def test_frozen_orbits_refocus_fully(self):
         # w -> 0: the shift is static over the sequence, the echo cancels it

@@ -217,6 +217,11 @@ class TestAutoionization:
             autoionization_coefficient(species, beam9.wavelength,
                                        core_depth_hz=-5e6)
 
+    def test_nan_core_depth_refused(self, species, beam9):
+        with pytest.raises(ValueError, match="got nan Hz"):
+            autoionization_coefficient(species, beam9.wavelength,
+                                       core_depth_hz=np.nan)
+
     @pytest.mark.parametrize("wavelength", [0.0, -532e-9, np.nan],
                              ids=["zero", "negative", "nan"])
     def test_nonpositive_wavelength_refused(self, species, wavelength):

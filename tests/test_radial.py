@@ -64,6 +64,14 @@ class TestRadialGrid:
         with pytest.raises(ValueError):
             RadialGrid(np.linspace(-1, 5, 20))         # negative radius
 
+    @pytest.mark.parametrize("index, value", [(7, np.nan), (-1, np.inf)],
+                             ids=["nan", "inf"])
+    def test_non_finite_point_refused(self, index, value):
+        points = np.linspace(1.0, 5.0, 20)
+        points[index] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            RadialGrid(points)
+
     def test_integrate_polynomial(self):
         grid = RadialGrid.default(10, npoints=2000)
         r = grid.points
