@@ -8,56 +8,65 @@ ranks with exact angular factors. On top of that sit quantum-defect fits to
 series energies, pair-channel energy mismatches, photoionization and
 autoionization loss estimates, and Monte Carlo Ramsey and echo contrast for
 thermal ensembles.
+
+`import rydtrap` runs none of these modules: each is registered in
+sys.modules as a lazy module, and runs the first time one of its
+attributes, or one of its names in __all__, is used.
 """
 
 __version__ = "0.1.0"
 
-from .constants import CM1_TO_MHZ, CONSTANTS_TABLE, constants_hash
-from .angular import (Term, UnsupportedTermError, angular_factor,
-                      angular_factor_exact, angular_table, reference_m,
-                      wigner_3j, wigner_6j)
-from .radial import (GridMismatchError, RadialGrid, RadialWavefunction,
-                     hydrogen_radial, numerov_radial,
-                     interpolated_reduced_element, radial_integral)
-from .beam import (ParaxialValidityWarning, QuadratureConvergenceError,
-                   TensorField, TweezerBeam, brute_force_average, decompose)
-from .spectroscopy import (EnergyRecord, FitConvergenceError, RitzModel,
-                           bundled_energy_path, defect_from_energy,
-                           fit_ritz, fit_threshold, forster_defect,
-                           load_energy_csv, ritz_delta)
-from .potential import (AtomicSpecies, RydbergState, SPECIES_PRESETS,
-                        TruncationError, differential_shift, field_for,
-                        ground_depth, pond_prefactor, ponderomotive_shift,
-                        power_for_ground_depth, rb87, tensor_splitting, yb174)
-from .loss import (InsufficientDataError, LifetimeRecord, PhotoionizationFit,
-                   autoionization_coefficient, autoionization_rate,
-                   fit_photoionization, load_lifetime_csv,
-                   trapped_lifetime_reduction)
-from .coherence import (ContrastCurve, DephasingScenario, echo_contrast,
-                        orbit_averaged_shift_hz, ramsey_contrast,
-                        ramsey_contrast_analytic, trap_frequencies_hz)
+from ._numpy import lazy_module
 
-__all__ = [
-    "__version__",
-    "CM1_TO_MHZ", "CONSTANTS_TABLE", "constants_hash",
-    "Term", "UnsupportedTermError", "angular_factor", "angular_factor_exact",
-    "angular_table", "reference_m", "wigner_3j", "wigner_6j",
-    "GridMismatchError", "RadialGrid", "RadialWavefunction",
-    "hydrogen_radial", "numerov_radial",
-    "interpolated_reduced_element", "radial_integral",
-    "ParaxialValidityWarning", "QuadratureConvergenceError", "TensorField",
-    "TweezerBeam", "brute_force_average", "decompose",
-    "EnergyRecord", "FitConvergenceError", "RitzModel",
-    "bundled_energy_path", "defect_from_energy", "fit_ritz", "fit_threshold",
-    "forster_defect", "load_energy_csv", "ritz_delta",
-    "AtomicSpecies", "RydbergState", "SPECIES_PRESETS", "TruncationError",
-    "differential_shift", "field_for", "ground_depth", "pond_prefactor",
-    "ponderomotive_shift", "power_for_ground_depth", "rb87",
-    "tensor_splitting", "yb174",
-    "InsufficientDataError", "LifetimeRecord", "PhotoionizationFit",
-    "autoionization_coefficient", "autoionization_rate",
-    "fit_photoionization", "load_lifetime_csv", "trapped_lifetime_reduction",
-    "ContrastCurve", "DephasingScenario", "echo_contrast",
-    "orbit_averaged_shift_hz", "ramsey_contrast", "ramsey_contrast_analytic",
-    "trap_frequencies_hz",
-]
+# the public names, by the module that defines each
+_EXPORTS = {
+    "constants": ("CM1_TO_MHZ", "CONSTANTS_TABLE", "constants_hash"),
+    "angular": ("Term", "UnsupportedTermError", "angular_factor",
+                "angular_factor_exact", "angular_table", "reference_m",
+                "wigner_3j", "wigner_6j"),
+    "radial": ("GridMismatchError", "RadialGrid", "RadialWavefunction",
+               "hydrogen_radial", "numerov_radial",
+               "interpolated_reduced_element", "radial_integral"),
+    "beam": ("ParaxialValidityWarning", "QuadratureConvergenceError",
+             "TensorField", "TweezerBeam", "brute_force_average",
+             "decompose"),
+    "spectroscopy": ("EnergyRecord", "FitConvergenceError", "RitzModel",
+                     "bundled_energy_path", "defect_from_energy", "fit_ritz",
+                     "fit_threshold", "forster_defect", "load_energy_csv",
+                     "ritz_delta"),
+    "potential": ("AtomicSpecies", "RydbergState", "SPECIES_PRESETS",
+                  "TruncationError", "differential_shift", "field_for",
+                  "ground_depth", "pond_prefactor", "ponderomotive_shift",
+                  "power_for_ground_depth", "rb87", "tensor_splitting",
+                  "yb174"),
+    "loss": ("InsufficientDataError", "LifetimeRecord", "PhotoionizationFit",
+             "autoionization_coefficient", "autoionization_rate",
+             "fit_photoionization", "load_lifetime_csv",
+             "trapped_lifetime_reduction"),
+    "coherence": ("ContrastCurve", "DephasingScenario", "echo_contrast",
+                  "orbit_averaged_shift_hz", "ramsey_contrast",
+                  "ramsey_contrast_analytic", "trap_frequencies_hz"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in names}
+
+__all__ = ["__version__", *_HOME]
+
+# every module but cli, which is run as the program, is registered lazily:
+# it runs when one of its attributes is first used
+for _name in ("_tables", *_EXPORTS):
+    globals()[_name] = lazy_module(__name__ + "." + _name)
+del _name
+
+
+def __getattr__(name):
+    """A name of __all__, read from its module (which this runs)."""
+    if name not in _HOME:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    return getattr(globals()[_HOME[name]], name)
+
+
+def __dir__():
+    """The package's own names and those of __all__, which run nothing."""
+    return sorted({*globals(), *_HOME})

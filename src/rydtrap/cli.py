@@ -20,18 +20,10 @@ from fractions import Fraction
 
 from ._numpy import np
 from . import __version__
-from .constants import CM1_TO_MHZ, constants_hash
-from .angular import (Term, angular_table, reference_m,
-                      UnsupportedTermError, TABLE_TERMS, _twice)
-from .beam import (TweezerBeam, QuadratureConvergenceError,
-                   ParaxialValidityWarning)
-from . import potential
-from .potential import RydbergState, SPECIES_PRESETS, _checked
-from . import spectroscopy
-from .spectroscopy import FitConvergenceError
-from . import loss as loss_mod
-from .coherence import (DephasingScenario, echo_contrast, ramsey_contrast,
-                        trap_frequencies_hz)
+# lazy modules, read through the module: each runs when a command first
+# uses it, so building the parser and main run none of them
+from . import angular, coherence, constants, potential, spectroscopy
+from . import beam as beam_mod, loss as loss_mod
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -165,8 +157,8 @@ def n_range(text):
 
 def term_type(text):
     try:
-        return Term(text)
-    except UnsupportedTermError as exc:
+        return angular.Term(text)
+    except angular.UnsupportedTermError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
@@ -174,7 +166,7 @@ def m_type(text):
     """Magnetic quantum number, integer or half-integer like '-3/2'."""
     try:
         m = Fraction(text)
-        _twice(m)
+        angular._twice(m)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError("bad sublevel %r" % text)
     return m
@@ -210,6 +202,10 @@ def pair_channel(text):
 # the beam waist when --waist is not given
 _WAIST = 650e-9
 
+# the names of potential.SPECIES_PRESETS, which the parser cannot read
+# without running potential
+_SPECIES = ("rb87", "yb174")
+
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that exits with the documented usage code."""
@@ -241,7 +237,7 @@ def _add_beam_args(parser, power=True):
 
 def _add_species_args(parser, alpha_ground=True):
     """--species, and --alpha-ground where --ground-depth can use it."""
-    parser.add_argument("--species", choices=sorted(SPECIES_PRESETS),
+    parser.add_argument("--species", choices=_SPECIES,
                         default="yb174", help="species preset (default yb174)")
     if alpha_ground:
         parser.add_argument("--alpha-ground",
@@ -281,7 +277,7 @@ def _add_energy_args(parser):
 
 def _species_from_args(args):
     """Preset with --alpha-core/--alpha-ground; an unset one gets its value."""
-    species = SPECIES_PRESETS[args.species]()
+    species = potential.SPECIES_PRESETS[args.species]()
     for name in ("alpha_core", "alpha_ground"):
         if getattr(args, name, None) is not None:
             setattr(species, name + "_au", getattr(args, name))
@@ -292,7 +288,9 @@ def _species_from_args(args):
 
 def _beam_from_args(args, species=None):
     """Beam at --power, at the args.power found from --ground-depth, or 1 W."""
-    beam = TweezerBeam(args.wavelength, args.waist, 1.0)
+    with warnings.catch_warnings():  # 650 nm waist < 2 x 532 nm
+        warnings.simplefilter("ignore", beam_mod.ParaxialValidityWarning)
+        beam = beam_mod.TweezerBeam(args.wavelength, args.waist, 1.0)
     if getattr(args, "ground_depth", None) is not None:
         args.power = potential.power_for_ground_depth(species, beam,
                                                       args.ground_depth)
@@ -300,6 +298,11 @@ def _beam_from_args(args, species=None):
     if not power > 0:
         raise ValueError("beam power must be positive, got %g W" % power)
     return beam.with_power(power)
+
+
+def _checked_state(species, n, term, m=None):
+    """The RydbergState, once potential._checked has passed it."""
+    return potential._checked(potential.RydbergState(species, n, term, m))
 
 
 def _energy_records(args):
@@ -327,9 +330,10 @@ def _plain(value):
     as their labels."""
     if isinstance(value, (tuple, list)):
         return [_plain(item) for item in value]
-    if isinstance(value, Term):
-        return value.label
-    return str(value) if isinstance(value, Fraction) else value
+    if isinstance(value, Fraction):
+        return str(value)
+    # a Term, told by its label so that no other command runs angular
+    return getattr(value, "label", value)
 
 
 def _config(args):
@@ -349,7 +353,7 @@ def _emit(args, data, header=None, rows=None):
     is encoded either way, so a non-finite value is a ValueError."""
     command, config = args.command, _config(args)
     provenance = {"package": "rydtrap", "version": __version__,
-                  "constants_sha256": constants_hash()}
+                  "constants_sha256": constants.constants_hash()}
     text = json.dumps({"command": command, "config": config, "data": data,
                        "provenance": provenance},
                       indent=2, allow_nan=False) + "\n"
@@ -382,9 +386,12 @@ def _cmd_angular_table(args):
     if len(set(args.ranks)) < len(args.ranks):
         args.parser.error("--ranks repeats a rank: %s"
                           % " ".join(map(str, args.ranks)))
+    if args.terms is None:  # set here: the parser runs no angular code
+        args.terms = [angular.Term(label) for label in angular.TABLE_TERMS]
     rows = []
-    for term, factors in angular_table(tuple(args.terms), tuple(args.ranks)):
-        rows.append([term.label, str(reference_m(term))]
+    for term, factors in angular.angular_table(tuple(args.terms),
+                                               tuple(args.ranks)):
+        rows.append([term.label, str(angular.reference_m(term))]
                     + [str(f) for f in factors])
     header = ["term", "M"] + ["k%d" % k for k in args.ranks]
     _emit(args, {"ranks": list(args.ranks), **_table(header, rows)},
@@ -407,7 +414,7 @@ def _cmd_trap_depth(args):
     u_core = potential.core_shift(species, beam)
     # each state is checked as it is built: n* rises with n, so a range
     # past the hydrogenic cap stops at its first n past it
-    states = [_checked(RydbergState(species, n, args.series, args.m))
+    states = [_checked_state(species, n, args.series, args.m)
               for n in n_values]
     field = potential.field_for(beam, states)
     header = ["n", "n_star", "u_core_hz", "u_pond_hz", "u_total_hz",
@@ -424,7 +431,7 @@ def _cmd_trap_depth(args):
 def _cmd_tensor_shift(args):
     species = _species_from_args(args)
     beam = _beam_from_args(args, species)
-    state = RydbergState(species, args.n, args.series)
+    state = potential.RydbergState(species, args.n, args.series)
     shifts = potential.tensor_splitting(
         state, potential.field_for(beam, [state]), args.axis_angle)
     header = ["M", "shift_hz"]
@@ -441,8 +448,8 @@ def _cmd_magic_scan(args):
     beam = _beam_from_args(args, species)
     n_lo, n_hi = args.n_range
     # checked as built, as in trap-depth
-    pairs = [(_checked(RydbergState(species, n, args.series_a)),
-              _checked(RydbergState(species, n + args.offset, args.series_b)))
+    pairs = [(_checked_state(species, n, args.series_a),
+              _checked_state(species, n + args.offset, args.series_b))
              for n in range(n_lo, n_hi + 1)]
     field = potential.field_for(beam,
                                 [state for pair in pairs for state in pair])
@@ -482,7 +489,7 @@ def _cmd_threshold_fit(args):
     model = spectroscopy.fit_threshold(records, fit_range=args.range,
                                        rydberg_cm1=ry)
     sigma_mhz = None if model.threshold_sigma_cm1 is None \
-        else model.threshold_sigma_cm1 * CM1_TO_MHZ
+        else model.threshold_sigma_cm1 * constants.CM1_TO_MHZ
     data = {"ionization_cm1": model.ionization_cm1,
             "ionization_sigma_mhz": sigma_mhz,
             "delta0": float(model.params[0]),
@@ -494,8 +501,10 @@ def _cmd_threshold_fit(args):
 def _cmd_forster(args):
     species = _species_from_args(args)
     pair_in, pair_out = args.channel
-    states_in = [RydbergState(species, n, term) for n, term in pair_in]
-    states_out = [RydbergState(species, n, term) for n, term in pair_out]
+    states_in = [potential.RydbergState(species, n, term)
+                 for n, term in pair_in]
+    states_out = [potential.RydbergState(species, n, term)
+                  for n, term in pair_out]
     defect_mhz = spectroscopy.forster_defect(states_in, states_out)
     data = {
         "defect_mhz": defect_mhz,
@@ -545,9 +554,9 @@ def _cmd_autoion(args):
             if value is not None:
                 args.parser.error("argument %s: not allowed with argument "
                                   "--core-depth" % flag)
-        species = SPECIES_PRESETS[args.species]()
+        species = potential.SPECIES_PRESETS[args.species]()
         core_depth = args.core_depth
-    state = RydbergState(species, args.n, args.series)
+    state = potential.RydbergState(species, args.n, args.series)
     rate = loss_mod.autoionization_rate(state, args.wavelength, core_depth)
     coeff = loss_mod.autoionization_coefficient(species, args.wavelength,
                                                 core_depth)
@@ -566,18 +575,19 @@ def _cmd_contrast(args):
         if (radial is None) != (axial is None):
             args.parser.error(
                 "pass both --trap-freq-radial and --trap-freq-axial")
-    scenario = DephasingScenario(
+    scenario = coherence.DephasingScenario(
         dnu0_hz=args.dnu, temperature_k=args.temp, depth_hz=args.depth,
         t1_s=args.t1, n_atoms=args.n, seed=args.seed)
     times = _time_grid(args.times)
     if not echo:
-        curve = ramsey_contrast(scenario, times)
+        curve = coherence.ramsey_contrast(scenario, times)
     else:  # scenario and times positional: perfbench/traced.py reads them
         if radial is None:
-            radial, _, axial = trap_frequencies_hz(
+            radial, _, axial = coherence.trap_frequencies_hz(
                 _beam_from_args(args), _species_from_args(args).mass_kg,
                 scenario.depth_hz)
-        curve = echo_contrast(scenario, times, (radial, radial, axial))
+        curve = coherence.echo_contrast(scenario, times,
+                                        (radial, radial, axial))
     header = ["time_us", "contrast"]
     rows = [[t * 1e6, c] for t, c in zip(curve.times_s, curve.contrast)]
     t_e = curve.one_over_e_time_s
@@ -591,8 +601,7 @@ def _cmd_oracle_check(args):
     species = _species_from_args(args)
     beam = _beam_from_args(args, species)
     # every n is checked before the first oracle runs
-    states = [_checked(RydbergState(species, n, args.series))
-              for n in args.n]
+    states = [_checked_state(species, n, args.series) for n in args.n]
     results = []
     for state in states:
         tensor_hz, brute_hz = potential.oracle_compare(
@@ -628,14 +637,14 @@ def build_parser():
 
     p = add("angular-table", _cmd_angular_table,
             "exact angular factors per term and rank", table=True)
-    p.add_argument("--terms", nargs="+", type=term_type,
-                   default=[Term(label) for label in TABLE_TERMS])
+    # the default, angular.TABLE_TERMS, is set by _cmd_angular_table
+    p.add_argument("--terms", nargs="+", type=term_type)
     p.add_argument("--ranks", nargs="+", type=int, default=[0, 2, 4])
 
     p = add("trap-depth", _cmd_trap_depth,
             "total Rydberg trap depth and its ratio to the ground state",
             table=True)
-    _add_state_args(p, {"default": Term("3S1")})
+    _add_state_args(p, {"default": "3S1"})
     _add_core_arg(p)
     p.add_argument("--n", type=int, help="single principal quantum number")
     p.add_argument("--n-min", type=int)
@@ -651,8 +660,8 @@ def build_parser():
     p = add("magic-scan", _cmd_magic_scan,
             "differential shift between two series versus n", table=True)
     _add_state_args(p)
-    p.add_argument("--series-a", type=term_type, default=Term("3S1"))
-    p.add_argument("--series-b", type=term_type, default=Term("3P0"))
+    p.add_argument("--series-a", type=term_type, default="3S1")
+    p.add_argument("--series-b", type=term_type, default="3P0")
     p.add_argument("--offset", type=int, default=-1,
                    help="n_b = n_a + offset (default -1)")
     p.add_argument("--n-range", type=n_range, required=True, metavar="A:B")
@@ -683,7 +692,7 @@ def build_parser():
 
     p = add("autoion", _cmd_autoion,
             "isolated-core autoionization rate estimate")
-    group = _add_state_args(p, {"default": Term("3S1")}, axis_angle=False)
+    group = _add_state_args(p, {"default": "3S1"}, axis_angle=False)
     _add_core_arg(p)
     p.add_argument("--n", type=int, required=True)
     group.add_argument("--core-depth", type=unit_quantity("frequency"),
@@ -722,7 +731,7 @@ def build_parser():
 
     p = add("oracle-check", _cmd_oracle_check,
             "compare the tensor-expansion shift with direct 3D quadrature")
-    _add_state_args(p, {"default": Term("3S1")}, axis_angle=False)
+    _add_state_args(p, {"default": "3S1"}, axis_angle=False)
     p.add_argument("--n", type=int, nargs="+", required=True)
 
     return parser
@@ -732,10 +741,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with warnings.catch_warnings():  # 650 nm waist < 2 x 532 nm
-            warnings.simplefilter("ignore", ParaxialValidityWarning)
-            args.func(args)
-    except (QuadratureConvergenceError, FitConvergenceError) as exc:
+        args.func(args)
+    except RuntimeError as exc:
+        # both nonconvergence errors are RuntimeErrors; their modules are
+        # looked up only once one is raised
+        if not isinstance(exc, (beam_mod.QuadratureConvergenceError,
+                                spectroscopy.FitConvergenceError)):
+            raise
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_NONCONVERGENCE
     except (ValueError, KeyError, OSError, MemoryError) as exc:

@@ -220,8 +220,18 @@ def orbit_averaged_shift_hz(scenario, energies):
     return scenario.dnu0_hz * (1.0 - np.sum(energies, axis=-1) / (2.0 * u0))
 
 
+def _finite_times(times_s):
+    """times_s as a float array; ValueError naming a NaN or infinite time.
+    A negative time is still taken."""
+    times = np.asarray(times_s, dtype=float)
+    bad = times[~np.isfinite(times)]
+    if bad.size:
+        raise ValueError("Ramsey times must be finite, got %g s" % bad[0])
+    return times
+
+
 def ramsey_contrast(scenario, times_s):
-    """Ramsey fringe contrast at each time.
+    """Ramsey fringe contrast at each time, each of them finite.
 
     Each atom accrues phase from its orbit-averaged shift; the ensemble
     coherence magnitude times the T1 envelope gives the contrast. The
@@ -237,7 +247,7 @@ def ramsey_contrast(scenario, times_s):
     and in the number of atoms: 1.3 MB at 1e5 atoms for 61 to 1001 times,
     10 MB at 100,001, where the per-time index arrays dominate.
     """
-    times = np.asarray(times_s, dtype=float)
+    times = _finite_times(times_s)
     anchors, offsets, block, column = _anchor_offset_split(times)
     n_offsets = len(offsets)
     rows = max(1, _CHUNK_ELEMENTS // max(1, len(anchors) + n_offsets))
@@ -268,7 +278,7 @@ def ramsey_contrast_analytic(scenario, times_s):
     |<exp(i phi)>| = (1 + (2 pi dnu0 kBT t / (2 U0))^2)^(-3/2); used as a
     cross-check for the Monte Carlo path.
     """
-    times = np.asarray(times_s, dtype=float)
+    times = _finite_times(times_s)
     u0 = H * scenario.depth_hz
     s = 2.0 * np.pi * scenario.dnu0_hz * KB * scenario.temperature_k \
         / (2.0 * u0) * times

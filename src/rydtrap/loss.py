@@ -135,8 +135,8 @@ def autoionization_coefficient(species, wavelength_m, core_depth_hz):
 
     coefficient = U_core/h * sum_j gamma'_j / Delta_nu_j over the stored
     core transitions, with detunings taken from the frequency of trap
-    light of wavelength_m > 0. U_core/h = core_depth_hz >= 0 is given, as
-    by potential.core_depth.
+    light of wavelength_m > 0. U_core/h = core_depth_hz, finite and >= 0,
+    is given, as by potential.core_depth.
     """
     if not species.core_lines:
         raise ValueError("species %s has no core transition lines"
@@ -144,9 +144,10 @@ def autoionization_coefficient(species, wavelength_m, core_depth_hz):
     if not wavelength_m > 0:
         raise ValueError("trap wavelength must be positive, got %g m"
                          % wavelength_m)
-    if not core_depth_hz >= 0:
-        raise ValueError("core trap depth must be >= 0, got %g Hz"
-                         % core_depth_hz)
+    if not 0 <= core_depth_hz < math.inf:
+        raise ValueError("core trap depth must be %s, got %g Hz"
+                         % ("finite" if core_depth_hz > 0 else ">= 0",
+                            core_depth_hz))
     nu_trap = C / wavelength_m
     total = 0.0
     for line_m, gamma_prime in species.core_lines:

@@ -22,9 +22,9 @@ from .constants import (AU_POLARIZABILITY, C, E_CHARGE, EPS0, H, M_E, AMU,
                         SPECIES_DATA)
 from .angular import (Term, _sublevel, angular_factor, max_rank,
                       reference_m, wigner_3j)
-from .beam import brute_force_average, decompose, _ylm_theta
-from .radial import (RadialGrid, _bracket, _fill_element_memo,
-                     interpolated_reduced_element, numerov_radial)
+# read through the module, so that the presets, states and fits, which use
+# neither, do not run them (beam_mod: `beam` names a beam throughout)
+from . import beam as beam_mod, radial
 from .spectroscopy import _level_energy, ritz_delta
 
 # radial grid points per unit of n in field_for, the fewest that meet the
@@ -218,7 +218,7 @@ def _checked(state):
     """state, once its n* is known to have the integer-n bracket of its
     cubic above l + 1 and within the hydrogenic cap; else radial's
     ValueError."""
-    _bracket(state.n_star, state.l)
+    radial._bracket(state.n_star, state.l)
     return state
 
 
@@ -234,10 +234,12 @@ def field_for(beam, states):
     for state in states:
         _checked(state)
     n_cover = max(state.n for state in states) + 3
-    grid = RadialGrid.default(n_cover, npoints=_POINTS_PER_N * n_cover)
-    field = decompose(beam, grid,
-                      k_max=max(max_rank(state.term) for state in states))
-    _fill_element_memo(field, [(state.n_star, state.l) for state in states])
+    grid = radial.RadialGrid.default(n_cover,
+                                     npoints=_POINTS_PER_N * n_cover)
+    field = beam_mod.decompose(
+        beam, grid, k_max=max(max_rank(state.term) for state in states))
+    radial._fill_element_memo(field,
+                              [(state.n_star, state.l) for state in states])
     return field
 
 
@@ -266,7 +268,7 @@ def ponderomotive_shift(state, field, axis_angle_deg=0.0):
             "with a larger k_max" % (needed, field.k_max))
     pref = pond_prefactor(field.beam.angular_frequency)
     cos_beta = math.cos(math.radians(axis_angle_deg))
-    e = interpolated_reduced_element(state.n_star, term.L, field)
+    e = radial.interpolated_reduced_element(state.n_star, term.L, field)
     return float(sum(
         pref * angular_factor(term, k, state.M)
         * np.polynomial.legendre.legval(cos_beta, [0.0] * k + [1.0])
@@ -316,7 +318,7 @@ def _term_angular_density(term, m):
             weights.append((m_l, cg2))
 
     def density(cos_theta, phi):
-        total = sum(cg2 * _ylm_theta(term.L, m_l, cos_theta) ** 2
+        total = sum(cg2 * beam_mod._ylm_theta(term.L, m_l, cos_theta) ** 2
                     for m_l, cg2 in weights)
         return total * np.ones_like(np.asarray(phi, dtype=float))
 
@@ -335,9 +337,10 @@ def oracle_compare(state, field):
     """
     tensor_hz = ponderomotive_shift(state, field)
     n_cover = state.n + 3
-    grid = RadialGrid.default(n_cover, npoints=max(4000, 40 * n_cover))
-    wf = numerov_radial(state.n_star, state.term.L, grid)
-    avg_intensity = brute_force_average(
+    grid = radial.RadialGrid.default(n_cover,
+                                     npoints=max(4000, 40 * n_cover))
+    wf = radial.numerov_radial(state.n_star, state.term.L, grid)
+    avg_intensity = beam_mod.brute_force_average(
         field.beam, wf, (0.0, 0.0, 0.0),
         angular_density=_term_angular_density(state.term, state.M))
     brute_hz = pond_prefactor(field.beam.angular_frequency) * avg_intensity / H

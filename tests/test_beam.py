@@ -500,8 +500,7 @@ class TestSelfRefiningOracle:
                      "numpy.polynomial.legendre.legvander",
                      "rydtrap.angular.angular_factor",
                      "rydtrap.potential.angular_factor",
-                     "rydtrap.radial.interpolated_reduced_element",
-                     "rydtrap.potential.interpolated_reduced_element"):
+                     "rydtrap.radial.interpolated_reduced_element"):
             monkeypatch.setattr(name, forbidden)
         term = Term("1D2")
         wf = numerov_radial(38.3, term.L, grid40)

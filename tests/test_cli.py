@@ -265,7 +265,7 @@ class TestExitCodes:
     def test_nonconvergence_maps_to_exit_3(self, monkeypatch, capsys):
         def boom(scenario, times):
             raise QuadratureConvergenceError("did not converge")
-        monkeypatch.setattr(cli, "ramsey_contrast", boom)
+        monkeypatch.setattr(coherence, "ramsey_contrast", boom)
         rc = cli.main(["ramsey-sim", "--dnu", "90kHz", "--temp", "13uK",
                        "--depth", "2MHz", "--t1", "108us", "--n", "10"])
         assert rc == 3
@@ -308,7 +308,7 @@ class TestExitCodes:
         # the valid 60 and 95 come first; no oracle may run for them
         def forbidden(*args, **kwargs):
             raise AssertionError("an oracle ran")
-        monkeypatch.setattr(potential, "brute_force_average", forbidden)
+        monkeypatch.setattr(rydtrap.beam, "brute_force_average", forbidden)
         rc = cli.main(["oracle-check", "--power", "9mW",
                        "--n", "60", "95", "100000000"])
         assert rc == 2
@@ -338,7 +338,7 @@ class TestExitCodes:
                 raise AssertionError("more than 1,000 states built")
             return RydbergState(*args, **kwargs)
         monkeypatch.setattr(RadialGrid, "default", no_grid)
-        monkeypatch.setattr(cli, "RydbergState", counted)
+        monkeypatch.setattr(potential, "RydbergState", counted)
         assert cli.main(argv + ["--power", "9mW"]) == 2
         captured = capsys.readouterr()
         assert "past the hydrogenic cap n <= 150" in captured.err
@@ -583,8 +583,8 @@ class TestExitCodes:
         def contrast(scenario, times, *more):
             seen.append(scenario.n_atoms)
             return coherence.ContrastCurve(times, np.ones(len(times)))
-        monkeypatch.setattr(cli, "ramsey_contrast", contrast)
-        monkeypatch.setattr(cli, "echo_contrast", contrast)
+        monkeypatch.setattr(coherence, "ramsey_contrast", contrast)
+        monkeypatch.setattr(coherence, "echo_contrast", contrast)
         assert cli.main([command, "--dnu", "90kHz", "--temp", "13uK",
                          "--depth", "2MHz", "--t1", "108us",
                          "--n", "1073741824", "--times", "0:2us:1us"]) == 0
@@ -755,7 +755,7 @@ class TestFieldCommands:
         def recording(*args, k_max, **kwargs):
             seen.append(k_max)
             return decompose(*args, k_max=k_max, **kwargs)
-        monkeypatch.setattr(potential, "decompose", recording)
+        monkeypatch.setattr(rydtrap.beam, "decompose", recording)
         assert cli.main(argv + ["--power", "9mW"]) == 0
         assert seen == [rank]
 
@@ -902,35 +902,54 @@ def test_quick_anchors_match_the_benchmark_reference(capsys):
         assert workloads._matches_reference(argv)(envelope) == [], argv
 
 
-@pytest.mark.parametrize("command, span", [
-    ("ramsey-sim", "coherence.ramsey_contrast"),
-    ("echo-sim", "coherence.echo_contrast")], ids=["ramsey", "echo"])
-def test_perfbench_traced_mode_records_the_contrast(command, span, tmp_path):
-    # perfbench/traced.py wraps each contrast by name and reads
-    # scenario.n_atoms and the positional (scenario, times) of its call
+def traced_run(argv, tmp_path):
+    """The spans and names perfbench/traced.py records for one command in
+    a new process, with its `missing` names checked."""
     traced = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
     env = dict(os.environ,
                PYTHONPATH=str(Path(rydtrap.__file__).resolve().parents[1]))
-    argv = [command, "--format", "json", "--dnu", "90kHz", "--temp", "13uK",
-            "--depth", "2MHz", "--t1", "108us", "--n", "2000",
-            "--times", "0:60us:1us", "--output", str(tmp_path / "out.json")]
+    argv = argv + ["--output", str(tmp_path / "out")]
     proc = subprocess.run([sys.executable, str(traced),
                            str(tmp_path / "spans.json"), "--"] + argv,
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     trace = json.loads((tmp_path / "spans.json").read_text())
-    # these three no longer exist in the package; the contrasts must not
-    # join them
+    # these three no longer exist in the package; no other name may join
+    # them
     assert set(trace["missing"]) <= {"beam.TensorField.from_json",
                                      "beam.TensorField.to_json",
                                      "radial._element_at_integer_n"}
     names = [name for name, *_ in trace["spans"]]
     assert names.count("cli.main") == 1
+    return trace, names
+
+
+@pytest.mark.parametrize("command, span", [
+    ("ramsey-sim", "coherence.ramsey_contrast"),
+    ("echo-sim", "coherence.echo_contrast")], ids=["ramsey", "echo"])
+def test_perfbench_traced_mode_records_the_contrast(command, span, tmp_path):
+    # perfbench/traced.py wraps each contrast by name and reads
+    # scenario.n_atoms and the positional (scenario, times) of its call
+    trace, names = traced_run(
+        [command, "--format", "json", "--dnu", "90kHz", "--temp", "13uK",
+         "--depth", "2MHz", "--t1", "108us", "--n", "2000",
+         "--times", "0:60us:1us"], tmp_path)
     assert names.count(span) == 1
     extra = trace["spans"][names.index(span)][4]
     assert extra["computed_bytes"] == 2000 * 61 * 16
     assert 0 < extra["traced_peak_bytes"] < 4e6
+
+
+@pytest.mark.parametrize("argv, span", [
+    (["angular-table"], "angular.angular_table"),
+    (["trap-depth", "--power", "9mW", "--n", "40"], "beam.decompose")],
+    ids=["angular-table", "trap-depth"])
+def test_perfbench_traced_mode_spans_a_lazy_module(argv, span, tmp_path):
+    # traced.py finds each module in sys.modules after `import
+    # rydtrap.cli`, not yet run, and its own lookup runs it
+    _, names = traced_run(argv, tmp_path)
+    assert names.count(span) == 1
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -1065,6 +1084,11 @@ def readme_commands():
             if line.startswith("rydtrap ")]
 
 
+def test_species_choices_are_the_presets():
+    # spelled out in cli, so that building the parser runs no potential
+    assert cli._SPECIES == tuple(sorted(potential.SPECIES_PRESETS))
+
+
 def test_readme_command_lines_parse():
     parser = cli.build_parser()
     commands = readme_commands()
@@ -1113,7 +1137,11 @@ LIST_MODULES = """
 print(json.dumps({"result": result, "scipy": sorted(
     m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
     "numpy": sorted(m for m in sys.modules if m.startswith("numpy.")),
-    "importlib_metadata": "importlib.metadata" in sys.modules}))
+    "importlib_metadata": "importlib.metadata" in sys.modules,
+    "rydtrap": sorted(n for n, m in sys.modules.items()
+                      if n.startswith("rydtrap.") and type(m) is type(sys)),
+    "rydtrap_listed": sorted(n for n in sys.modules
+                             if n.startswith("rydtrap."))}))
 """
 
 MODULE_PROBE = """
@@ -1127,7 +1155,9 @@ except SystemExit as exc:
 
 def probe_report(script, argv, tmp_path):
     """The result of a probe in a new process, the scipy and numpy modules
-    it loaded and whether it loaded importlib.metadata."""
+    it loaded, whether it loaded importlib.metadata, the rydtrap modules
+    that ran and those in sys.modules. A lazy module that no attribute
+    lookup has run is still a _LazyModule, so it does not count as run."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(rydtrap.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
@@ -1197,3 +1227,56 @@ def test_version_literal_matches_pyproject():
     project = text.split("[project]", 1)[1].split("\n[", 1)[0]
     assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) \
         == __version__
+
+
+# the modules of rydtrap, each registered in sys.modules by `import rydtrap`
+LAZY_MODULES = ["rydtrap._tables", "rydtrap.angular", "rydtrap.beam",
+                "rydtrap.coherence", "rydtrap.constants", "rydtrap.loss",
+                "rydtrap.potential", "rydtrap.radial", "rydtrap.spectroscopy"]
+
+
+@pytest.mark.parametrize("name", ["version", "help", "usage-error"])
+def test_parser_runs_no_module_but_cli(name, tmp_path):
+    # building and parsing the command line runs no module that a command
+    # uses, but every module is still in sys.modules for perfbench/traced.py
+    argv, code = NO_NUMPY_COMMANDS[name]
+    report = modules_after(argv, tmp_path)
+    assert report["result"] == code
+    assert report["rydtrap"] == ["rydtrap._numpy", "rydtrap.cli"]
+    assert report["rydtrap_listed"] == sorted(
+        LAZY_MODULES + ["rydtrap._numpy", "rydtrap.cli"])
+
+
+FIELD_CODE = ("rydtrap.beam", "rydtrap.radial")
+# modules that each command must leave unrun
+NOT_RUN = {
+    "angular-table": (["angular-table"], FIELD_CODE + (
+        "rydtrap.potential", "rydtrap.spectroscopy", "rydtrap.loss",
+        "rydtrap.coherence")),
+    "forster": (NO_SCIPY_COMMANDS["forster"],
+                FIELD_CODE + ("rydtrap.loss", "rydtrap.coherence")),
+    "ritz-fit": (["ritz-fit"],
+                 FIELD_CODE + ("rydtrap.loss", "rydtrap.coherence")),
+    "threshold-fit": (["threshold-fit"],
+                      FIELD_CODE + ("rydtrap.loss", "rydtrap.coherence")),
+    "ramsey-sim": (NO_SCIPY_COMMANDS["ramsey-sim"],
+                   FIELD_CODE + ("rydtrap.potential",)),
+    **{name: (NO_SCIPY_COMMANDS[name], ("rydtrap.loss", "rydtrap.coherence"))
+       for name in ("trap-depth-single", "trap-depth-range", "tensor-shift",
+                    "magic-scan", "oracle-check")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_RUN))
+def test_command_runs_only_the_modules_it_uses(name, tmp_path):
+    argv, unused = NOT_RUN[name]
+    report = modules_after(argv, tmp_path)
+    assert report["result"] == 0
+    assert sorted(set(unused) & set(report["rydtrap"])) == []
+
+
+def test_module_probe_sees_the_field_code_run(tmp_path):
+    # the probe is not blind: trap-depth runs the field code
+    report = modules_after(NO_SCIPY_COMMANDS["trap-depth-single"], tmp_path)
+    assert report["result"] == 0
+    assert set(FIELD_CODE) <= set(report["rydtrap"])

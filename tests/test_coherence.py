@@ -236,6 +236,18 @@ class TestRamsey:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("contrast", [ramsey_contrast,
+                                          ramsey_contrast_analytic],
+                             ids=["monte-carlo", "analytic"])
+    @pytest.mark.parametrize("late", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_refuses_a_time_that_is_not_finite(self, contrast, late):
+        # at [0, nan] the Monte Carlo contrast once read [1, nan]
+        with pytest.raises(ValueError,
+                           match="Ramsey times must be finite, got %g s"
+                           % late):
+            contrast(scenario(n_atoms=10), [0.0, late])
+
     def test_shift_distribution_matches_samples(self):
         # exponential per-axis energies: mean dnu0 (1 - 3x) and standard
         # deviation |dnu0| sqrt(3) x, with x = kB T / (2 U0)

@@ -222,6 +222,15 @@ class TestAutoionization:
             autoionization_coefficient(species, beam9.wavelength,
                                        core_depth_hz=np.nan)
 
+    def test_infinite_core_depth_refused(self, species, beam9):
+        # an infinite depth once gave an infinite coefficient and rate
+        state = RydbergState(species, 75, "3S1")
+        with pytest.raises(ValueError, match="must be finite, got inf Hz"):
+            autoionization_coefficient(species, beam9.wavelength,
+                                       core_depth_hz=np.inf)
+        with pytest.raises(ValueError, match="must be finite, got inf Hz"):
+            autoionization_rate(state, beam9.wavelength, core_depth_hz=np.inf)
+
     @pytest.mark.parametrize("wavelength", [0.0, -532e-9, np.nan],
                              ids=["zero", "negative", "nan"])
     def test_nonpositive_wavelength_refused(self, species, wavelength):

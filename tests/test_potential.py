@@ -298,7 +298,7 @@ class TestOracleCompare:
             seen.append(wf.grid.points)
             return 1.0
 
-        monkeypatch.setattr("rydtrap.potential.brute_force_average", brute)
+        monkeypatch.setattr("rydtrap.beam.brute_force_average", brute)
         for n, npoints in ((60, 4000), (78, 4000), (140, 5720)):
             state = RydbergState(species, n, "3S1")
             coarse = RadialGrid.default(n + 3, npoints=10 * (n + 3))

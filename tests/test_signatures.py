@@ -184,6 +184,11 @@ def test_every_export_has_a_reader():
     assert unread == set(UNREAD_EXPORTS)
 
 
+def test_dir_lists_every_export():
+    # __all__ is served from the lazy modules, which dir() must not hide
+    assert set(rydtrap.__all__) <= set(dir(rydtrap))
+
+
 def test_public_defaults():
     seen = set()
     for name in rydtrap.__all__:
