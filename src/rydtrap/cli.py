@@ -202,11 +202,6 @@ def pair_channel(text):
 # the beam waist when --waist is not given
 _WAIST = 650e-9
 
-# the names of potential.SPECIES_PRESETS, which the parser cannot read
-# without running potential
-_SPECIES = ("rb87", "yb174")
-
-
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that exits with the documented usage code."""
 
@@ -237,7 +232,7 @@ def _add_beam_args(parser, power=True):
 
 def _add_species_args(parser, alpha_ground=True):
     """--species, and --alpha-ground where --ground-depth can use it."""
-    parser.add_argument("--species", choices=_SPECIES,
+    parser.add_argument("--species", choices=sorted(constants.SPECIES_DATA),
                         default="yb174", help="species preset (default yb174)")
     if alpha_ground:
         parser.add_argument("--alpha-ground",
@@ -742,14 +737,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except RuntimeError as exc:
-        # both nonconvergence errors are RuntimeErrors; their modules are
-        # looked up only once one is raised
-        if not isinstance(exc, (beam_mod.QuadratureConvergenceError,
-                                spectroscopy.FitConvergenceError)):
-            raise
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_NONCONVERGENCE
     except (ValueError, KeyError, OSError, MemoryError) as exc:
         # str() of a KeyError is the repr of its message, quotes and all
         if isinstance(exc, KeyError) and exc.args:
@@ -760,6 +747,12 @@ def main(argv=None):
         print("error: a value overflowed or divided by zero: %s" % exc,
               file=sys.stderr)
         return EXIT_DATA
+    # last, so that beam and spectroscopy are looked up only when some
+    # other exception reaches this clause
+    except (beam_mod.QuadratureConvergenceError,
+            spectroscopy.FitConvergenceError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_NONCONVERGENCE
     return 0
 
 

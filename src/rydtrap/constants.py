@@ -8,7 +8,6 @@ this table is embedded in CLI output provenance so results can be traced
 to the constants they were computed with.
 """
 
-import hashlib
 import json
 
 # CODATA 2022 values as scipy.constants 1.17 holds them, written out so that
@@ -110,5 +109,9 @@ CONSTANTS_TABLE = {
 
 def constants_hash():
     """SHA-256 over the canonical JSON form of the constants table."""
+    # imported here: the CLI parser reads SPECIES_DATA, and hashlib's
+    # OpenSSL binding would add about 3 ms to --version
+    import hashlib
+
     blob = json.dumps(CONSTANTS_TABLE, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()

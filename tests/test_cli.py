@@ -1084,11 +1084,6 @@ def readme_commands():
             if line.startswith("rydtrap ")]
 
 
-def test_species_choices_are_the_presets():
-    # spelled out in cli, so that building the parser runs no potential
-    assert cli._SPECIES == tuple(sorted(potential.SPECIES_PRESETS))
-
-
 def test_readme_command_lines_parse():
     parser = cli.build_parser()
     commands = readme_commands()
@@ -1236,13 +1231,15 @@ LAZY_MODULES = ["rydtrap._tables", "rydtrap.angular", "rydtrap.beam",
 
 
 @pytest.mark.parametrize("name", ["version", "help", "usage-error"])
-def test_parser_runs_no_module_but_cli(name, tmp_path):
+def test_parser_runs_only_cli_and_constants(name, tmp_path):
     # building and parsing the command line runs no module that a command
-    # uses, but every module is still in sys.modules for perfbench/traced.py
+    # uses but constants (the --species choices), and every module is still
+    # in sys.modules for perfbench/traced.py
     argv, code = NO_NUMPY_COMMANDS[name]
     report = modules_after(argv, tmp_path)
     assert report["result"] == code
-    assert report["rydtrap"] == ["rydtrap._numpy", "rydtrap.cli"]
+    assert report["rydtrap"] == ["rydtrap._numpy", "rydtrap.cli",
+                                 "rydtrap.constants"]
     assert report["rydtrap_listed"] == sorted(
         LAZY_MODULES + ["rydtrap._numpy", "rydtrap.cli"])
 
