@@ -609,36 +609,16 @@ def _cmd_oracle_check(args):
 
 
 # ---------------------------------------------------------------- wiring
+# Each command's options, added by build_parser only to the command that
+# argv names: the other commands are listed in --help but left empty.
 
-def build_parser():
-    parser = _Parser(prog="rydtrap",
-                     description="Rydberg tweezer trapping, spectroscopy, "
-                                 "loss, and coherence calculations")
-    parser.add_argument("--version", action="version",
-                        version="rydtrap %s" % __version__)
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    def add(name, func, help_text, table=False):
-        """A subcommand, which its args carry as `parser` for the usage
-        errors found after parsing; a table command also takes --format."""
-        p = sub.add_parser(name, help=help_text, description=help_text)
-        p.set_defaults(func=func, parser=p)
-        p.add_argument("--output", metavar="PATH",
-                       help="write the result here instead of stdout")
-        if table:
-            p.add_argument("--format", choices=("csv", "json"), default="csv",
-                           help="output format (default %(default)s)")
-        return p
-
-    p = add("angular-table", _cmd_angular_table,
-            "exact angular factors per term and rank", table=True)
+def _angular_table_options(p):
     # the default, angular.TABLE_TERMS, is set by _cmd_angular_table
     p.add_argument("--terms", nargs="+", type=term_type)
     p.add_argument("--ranks", nargs="+", type=int, default=[0, 2, 4])
 
-    p = add("trap-depth", _cmd_trap_depth,
-            "total Rydberg trap depth and its ratio to the ground state",
-            table=True)
+
+def _trap_depth_options(p):
     _add_state_args(p, {"default": "3S1"})
     _add_core_arg(p)
     p.add_argument("--n", type=int, help="single principal quantum number")
@@ -647,13 +627,13 @@ def build_parser():
     p.add_argument("--m", type=m_type, default=None,
                    help="magnetic sublevel (default: 0 or 1/2)")
 
-    p = add("tensor-shift", _cmd_tensor_shift,
-            "per-M light shifts relative to the M average", table=True)
+
+def _tensor_shift_options(p):
     _add_state_args(p, {"required": True})
     p.add_argument("--n", type=int, required=True)
 
-    p = add("magic-scan", _cmd_magic_scan,
-            "differential shift between two series versus n", table=True)
+
+def _magic_scan_options(p):
     _add_state_args(p)
     p.add_argument("--series-a", type=term_type, default="3S1")
     p.add_argument("--series-b", type=term_type, default="3P0")
@@ -661,32 +641,28 @@ def build_parser():
                    help="n_b = n_a + offset (default -1)")
     p.add_argument("--n-range", type=n_range, required=True, metavar="A:B")
 
-    p = add("ritz-fit", _cmd_ritz_fit,
-            "fit the extended Ritz defect expansion to series energies")
+
+def _ritz_fit_options(p):
     _add_energy_args(p)
     p.add_argument("--order", type=int, default=8)
     p.add_argument("--ionization-cm1", type=finite_float, default=None)
 
-    p = add("threshold-fit", _cmd_threshold_fit,
-            "joint ionization-threshold and flat-defect fit")
-    _add_energy_args(p)
 
-    p = add("forster", _cmd_forster,
-            "pair-channel energy mismatch from the defect models")
+def _forster_options(p):
     _add_species_args(p, alpha_ground=False)
     p.add_argument("--channel", type=pair_channel, required=True,
                    metavar="'n T + n T -> n T + n T'")
 
-    p = add("pi-fit", _cmd_pi_fit,
-            "photoionization fit of lifetime versus trap power")
+
+def _pi_fit_options(p):
     p.add_argument("--input", required=True, metavar="CSV")
     _add_beam_args(p, power=False)
     p.add_argument("--at-power", type=unit_quantity("power"), nargs="*",
                    default=[9e-3], metavar="P[mW]",
                    help="report lifetime reduction at these powers")
 
-    p = add("autoion", _cmd_autoion,
-            "isolated-core autoionization rate estimate")
+
+def _autoion_options(p):
     group = _add_state_args(p, {"default": "3S1"}, axis_angle=False)
     _add_core_arg(p)
     p.add_argument("--n", type=int, required=True)
@@ -697,44 +673,110 @@ def build_parser():
     # an unset --waist stays None, so that --core-depth can refuse a set one
     p.set_defaults(waist=None)
 
-    for name, help_text in [
-            ("ramsey-sim",
-             "Monte Carlo Ramsey contrast of a trapped thermal ensemble"),
-            ("echo-sim",
-             "Monte Carlo Hahn-echo contrast with orbital dynamics")]:
-        p = add(name, _cmd_contrast, help_text, table=True)
-        p.add_argument("--dnu", type=unit_quantity("frequency"), required=True,
-                       metavar="F[kHz]", help="peak differential shift")
-        p.add_argument("--temp", type=unit_quantity("temperature"),
-                       required=True, metavar="T[uK]")
-        p.add_argument("--depth", type=unit_quantity("frequency"),
-                       required=True, metavar="F[MHz]", help="trap depth")
-        p.add_argument("--t1", type=unit_quantity("time"), required=True,
-                       metavar="T[us]")
-        p.add_argument("--n", type=ensemble_size, default=100000,
-                       help="ensemble size, at most 2^30 = %d (default "
-                            "%%(default)s)" % _MAX_ATOMS)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--times", type=time_range, default=time_range("0:60us:1us"),
-                       metavar="START:STOP:STEP")
-        if name == "echo-sim":  # the orbits: given, or from beam and mass
-            _add_species_args(p, alpha_ground=False)
-            _add_beam_args(p, power=False)
-            for axis in ("radial", "axial"):
-                p.add_argument("--trap-freq-" + axis, metavar="F[kHz]",
-                               type=unit_quantity("frequency"))
 
-    p = add("oracle-check", _cmd_oracle_check,
-            "compare the tensor-expansion shift with direct 3D quadrature")
+def _ramsey_sim_options(p):
+    p.add_argument("--dnu", type=unit_quantity("frequency"), required=True,
+                   metavar="F[kHz]", help="peak differential shift")
+    p.add_argument("--temp", type=unit_quantity("temperature"),
+                   required=True, metavar="T[uK]")
+    p.add_argument("--depth", type=unit_quantity("frequency"),
+                   required=True, metavar="F[MHz]", help="trap depth")
+    p.add_argument("--t1", type=unit_quantity("time"), required=True,
+                   metavar="T[us]")
+    p.add_argument("--n", type=ensemble_size, default=100000,
+                   help="ensemble size, at most 2^30 = %d (default "
+                        "%%(default)s)" % _MAX_ATOMS)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--times", type=time_range, default=time_range("0:60us:1us"),
+                   metavar="START:STOP:STEP")
+
+
+def _echo_sim_options(p):
+    """The Ramsey options and the orbits: given, or from beam and mass."""
+    _ramsey_sim_options(p)
+    _add_species_args(p, alpha_ground=False)
+    _add_beam_args(p, power=False)
+    for axis in ("radial", "axial"):
+        p.add_argument("--trap-freq-" + axis, metavar="F[kHz]",
+                       type=unit_quantity("frequency"))
+
+
+def _oracle_check_options(p):
     _add_state_args(p, {"default": "3S1"}, axis_angle=False)
     p.add_argument("--n", type=int, nargs="+", required=True)
 
+
+# name, function, help, whether it is a table command (takes --format),
+# and the function adding its options
+_COMMANDS = (
+    ("angular-table", _cmd_angular_table,
+     "exact angular factors per term and rank", True, _angular_table_options),
+    ("trap-depth", _cmd_trap_depth,
+     "total Rydberg trap depth and its ratio to the ground state", True,
+     _trap_depth_options),
+    ("tensor-shift", _cmd_tensor_shift,
+     "per-M light shifts relative to the M average", True,
+     _tensor_shift_options),
+    ("magic-scan", _cmd_magic_scan,
+     "differential shift between two series versus n", True,
+     _magic_scan_options),
+    ("ritz-fit", _cmd_ritz_fit,
+     "fit the extended Ritz defect expansion to series energies", False,
+     _ritz_fit_options),
+    ("threshold-fit", _cmd_threshold_fit,
+     "joint ionization-threshold and flat-defect fit", False,
+     _add_energy_args),
+    ("forster", _cmd_forster,
+     "pair-channel energy mismatch from the defect models", False,
+     _forster_options),
+    ("pi-fit", _cmd_pi_fit,
+     "photoionization fit of lifetime versus trap power", False,
+     _pi_fit_options),
+    ("autoion", _cmd_autoion,
+     "isolated-core autoionization rate estimate", False, _autoion_options),
+    ("ramsey-sim", _cmd_contrast,
+     "Monte Carlo Ramsey contrast of a trapped thermal ensemble", True,
+     _ramsey_sim_options),
+    ("echo-sim", _cmd_contrast,
+     "Monte Carlo Hahn-echo contrast with orbital dynamics", True,
+     _echo_sim_options),
+    ("oracle-check", _cmd_oracle_check,
+     "compare the tensor-expansion shift with direct 3D quadrature", False,
+     _oracle_check_options),
+)
+
+
+def build_parser(argv=None):
+    """The parser; given argv, only the command that it names (its first
+    word not starting with '-') gets options, so that building the parser
+    costs a command little more than it uses."""
+    parser = _Parser(prog="rydtrap",
+                     description="Rydberg tweezer trapping, spectroscopy, "
+                                 "loss, and coherence calculations")
+    parser.add_argument("--version", action="version",
+                        version="rydtrap %s" % __version__)
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    named = None if argv is None else next(
+        (word for word in argv if not word.startswith("-")), "")
+    for name, func, help_text, table, add_options in _COMMANDS:
+        # args carry their command's parser for the usage errors found
+        # after parsing
+        p = sub.add_parser(name, help=help_text, description=help_text)
+        p.set_defaults(func=func, parser=p)
+        if named not in (None, name):
+            continue
+        p.add_argument("--output", metavar="PATH",
+                       help="write the result here instead of stdout")
+        if table:
+            p.add_argument("--format", choices=("csv", "json"), default="csv",
+                           help="output format (default %(default)s)")
+        add_options(p)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         args.func(args)
     except (ValueError, KeyError, OSError, MemoryError) as exc:

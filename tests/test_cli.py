@@ -1230,18 +1230,52 @@ LAZY_MODULES = ["rydtrap._tables", "rydtrap.angular", "rydtrap.beam",
                 "rydtrap.potential", "rydtrap.radial", "rydtrap.spectroscopy"]
 
 
-@pytest.mark.parametrize("name", ["version", "help", "usage-error"])
-def test_parser_runs_only_cli_and_constants(name, tmp_path):
-    # building and parsing the command line runs no module that a command
-    # uses but constants (the --species choices), and every module is still
-    # in sys.modules for perfbench/traced.py
+# what building and parsing the command line runs besides cli and _numpy:
+# a command's parser reads the --species choices from constants
+PARSER_RUNS = {"version": [], "help": [], "usage-error": ["rydtrap.constants"]}
+
+
+@pytest.mark.parametrize("name", sorted(PARSER_RUNS))
+def test_parser_runs_no_module_a_command_uses(name, tmp_path):
+    # and every module is still in sys.modules for perfbench/traced.py
     argv, code = NO_NUMPY_COMMANDS[name]
     report = modules_after(argv, tmp_path)
     assert report["result"] == code
-    assert report["rydtrap"] == ["rydtrap._numpy", "rydtrap.cli",
-                                 "rydtrap.constants"]
+    assert report["rydtrap"] == sorted(
+        ["rydtrap._numpy", "rydtrap.cli"] + PARSER_RUNS[name])
     assert report["rydtrap_listed"] == sorted(
         LAZY_MODULES + ["rydtrap._numpy", "rydtrap.cli"])
+
+
+COMMAND_NAMES = ["angular-table", "trap-depth", "tensor-shift", "magic-scan",
+                 "ritz-fit", "threshold-fit", "forster", "pi-fit", "autoion",
+                 "ramsey-sim", "echo-sim", "oracle-check"]
+
+
+@pytest.mark.parametrize("name", COMMAND_NAMES)
+def test_named_command_gets_the_options_of_the_full_parser(name, capsys):
+    # main builds only the named command's options; its help, which lists
+    # every option, is that of the parser built with all of them
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([name, "--help"])
+    full = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        cli.main([name, "--help"])
+    assert capsys.readouterr().out == full
+    assert "--output" in full
+
+
+def test_every_command_is_checked():
+    assert [name for name, *_ in cli._COMMANDS] == COMMAND_NAMES
+
+
+def test_parser_for_one_command_leaves_the_others_empty(capsys):
+    argv = ["trap-depth", "--power", "9mW", "--n", "60"]
+    assert cli.build_parser(argv).parse_args(argv).n == 60
+    with pytest.raises(SystemExit):
+        cli.build_parser(["forster"]).parse_args(argv)
+    assert "unrecognized arguments: --power 9mW --n 60" \
+        in capsys.readouterr().err
 
 
 FIELD_CODE = ("rydtrap.beam", "rydtrap.radial")
