@@ -21,7 +21,8 @@ from fractions import Fraction
 from ._numpy import np
 from . import __version__
 # lazy modules, read through the module: each runs when a command first
-# uses it, so building the parser and main run none of them
+# uses it, so main runs none of them before the command but constants,
+# for --species
 from . import angular, coherence, constants, potential, spectroscopy
 from . import beam as beam_mod, loss as loss_mod
 
