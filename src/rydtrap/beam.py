@@ -35,12 +35,14 @@ scaled coordinates and in fixed-size blocks, so that memory does not grow
 with the radial grid: two matrix products form each block's coordinates
 from [r^2, r, 1] and per-node coefficients. It evaluates the intensity by
 _gaussian_profile, the formula TweezerBeam.intensity also uses, so the
-package has one intensity formula. Besides numpy's Gauss-Legendre rules,
-which both read from _gauss_legendre, built once per node count, the
-kernel is the one piece the oracle shares with the tensor path; the tests
-check it against the textbook Gaussian in extended precision, and in
-every blocking against the direct sum of TweezerBeam.intensity over the
-whole point array.
+package has one intensity formula. Besides the Gauss-Legendre rules,
+which both read from _gauss_legendre, built once per node count by the
+port of numpy's leggauss in _legendre (bit-equal to numpy's), the kernel
+is the one piece the oracle shares with the tensor path; the tests check
+it against the textbook Gaussian in extended precision, and in every
+blocking against the direct sum of TweezerBeam.intensity over the whole
+point array. The axial rule's P_k(x_i) come from _legendre.legvander,
+which the oracle does not use.
 """
 
 import functools
@@ -48,6 +50,7 @@ import itertools
 import math
 import warnings
 
+from . import _legendre
 from ._numpy import np
 from .constants import A0, C
 
@@ -251,9 +254,9 @@ def _intensity_sums(beam, position, r_m, nhat, weights):
 
 @functools.cache
 def _gauss_legendre(n):
-    """numpy's n-node Gauss-Legendre rule on [-1, 1], (nodes, weights),
-    built once per n and handed out read-only."""
-    rule = np.polynomial.legendre.leggauss(n)
+    """The n-node Gauss-Legendre rule on [-1, 1], (nodes, weights), from
+    _legendre.leggauss, built once per n and handed out read-only."""
+    rule = _legendre.leggauss(n)
     for array in rule:
         array.flags.writeable = False
     return rule
@@ -268,7 +271,7 @@ def _axial_profiles(beam, r_m, k_max, n_theta):
     ct, w_theta = _gauss_legendre(n_theta)
     st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
     nhat = np.stack([st, np.zeros_like(ct), ct])
-    wmat = np.polynomial.legendre.legvander(ct, k_max)[:, ::2] \
+    wmat = _legendre.legvander(ct, k_max)[:, ::2] \
         * w_theta[:, None] * (np.arange(0, k_max + 1, 2) + 0.5)
     return np.ascontiguousarray(
         _intensity_sums(beam, np.zeros(3), r_m, nhat, wmat).T)

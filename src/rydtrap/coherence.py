@@ -220,18 +220,20 @@ def orbit_averaged_shift_hz(scenario, energies):
     return scenario.dnu0_hz * (1.0 - np.sum(energies, axis=-1) / (2.0 * u0))
 
 
-def _finite_times(times_s):
-    """times_s as a float array; ValueError naming a NaN or infinite time.
-    A negative time is still taken."""
+def _durations(times_s, name):
+    """times_s as a float array of durations; ValueError naming the first
+    that is not finite and >= 0. A sequence time is a duration: below 0
+    the T1 envelope exp(-t/T1) exceeds 1."""
     times = np.asarray(times_s, dtype=float)
-    bad = times[~np.isfinite(times)]
+    bad = times[~((times >= 0.0) & (times < np.inf))]
     if bad.size:
-        raise ValueError("Ramsey times must be finite, got %g s" % bad[0])
+        raise ValueError("%s times must be finite and >= 0, got %g s"
+                         % (name, bad[0]))
     return times
 
 
 def ramsey_contrast(scenario, times_s):
-    """Ramsey fringe contrast at each time, each of them finite.
+    """Ramsey fringe contrast at each time, each finite and >= 0.
 
     Each atom accrues phase from its orbit-averaged shift; the ensemble
     coherence magnitude times the T1 envelope gives the contrast. The
@@ -247,7 +249,7 @@ def ramsey_contrast(scenario, times_s):
     and in the number of atoms: 1.3 MB at 1e5 atoms for 61 to 1001 times,
     10 MB at 100,001, where the per-time index arrays dominate.
     """
-    times = _finite_times(times_s)
+    times = _durations(times_s, "Ramsey")
     anchors, offsets, block, column = _anchor_offset_split(times)
     n_offsets = len(offsets)
     rows = max(1, _CHUNK_ELEMENTS // max(1, len(anchors) + n_offsets))
@@ -278,7 +280,7 @@ def ramsey_contrast_analytic(scenario, times_s):
     |<exp(i phi)>| = (1 + (2 pi dnu0 kBT t / (2 U0))^2)^(-3/2); used as a
     cross-check for the Monte Carlo path.
     """
-    times = _finite_times(times_s)
+    times = _durations(times_s, "Ramsey")
     u0 = H * scenario.depth_hz
     s = 2.0 * np.pi * scenario.dnu0_hz * KB * scenario.temperature_k \
         / (2.0 * u0) * times
@@ -313,10 +315,7 @@ def echo_contrast(scenario, times_s, trap_frequencies_hz):
     freqs = tuple(float(f) for f in trap_frequencies_hz)
     if len(freqs) != 3 or not all(0.0 < f < math.inf for f in freqs):
         raise ValueError("trap_frequencies_hz must be 3 positive values")
-    times = np.asarray(times_s, dtype=float)
-    if not np.all((times >= 0.0) & (times < np.inf)):
-        # a sequence time is a duration: exp(-t/T1) > 1 below 0
-        raise ValueError("echo times must be finite and >= 0")
+    times = _durations(times_s, "echo")
     omega = 2.0 * np.pi * np.asarray(freqs)
     wt = omega[:, None] * (times / 2.0)[None, :]              # (3, times)
     amplitude = -2.0 * np.pi * scenario.dnu0_hz / (2.0 * omega)[:, None] \

@@ -8,8 +8,6 @@ this table is embedded in CLI output provenance so results can be traced
 to the constants they were computed with.
 """
 
-import json
-
 # CODATA 2022 values as scipy.constants 1.17 holds them, written out so that
 # importing the package does not import scipy; tests/test_constants.py pins
 # each literal to scipy.constants bit for bit.
@@ -108,10 +106,13 @@ CONSTANTS_TABLE = {
 
 
 def constants_hash():
-    """SHA-256 over the canonical JSON form of the constants table."""
-    # imported here: the CLI parser reads SPECIES_DATA, and hashlib's
-    # OpenSSL binding would add about 3 ms to --version
-    import hashlib
+    """SHA-256 over the canonical JSON form of the constants table.
 
-    blob = json.dumps(CONSTANTS_TABLE, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    The canonical form is json.dumps(CONSTANTS_TABLE, sort_keys=True,
+    separators=(",", ":")). The digest is written out, like __version__,
+    so that no command loads hashlib's OpenSSL binding (libcrypto) to hash
+    a table written in this file. tests/test_constants.py recomputes it
+    from the table, and names the new digest when an edit to the table
+    leaves this one stale.
+    """
+    return "985b4eead3232c06b4cfc034c3960ce80f0ac7520350d558fbcf78024a3ed347"

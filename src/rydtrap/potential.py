@@ -20,6 +20,7 @@ import math
 from ._numpy import np
 from .constants import (AU_POLARIZABILITY, C, E_CHARGE, EPS0, H, M_E, AMU,
                         SPECIES_DATA)
+from . import _legendre
 from .angular import (Term, _sublevel, angular_factor, max_rank,
                       reference_m, wigner_3j)
 # read through the module, so that the presets, states and fits, which use
@@ -271,7 +272,7 @@ def ponderomotive_shift(state, field, axis_angle_deg=0.0):
     e = radial.interpolated_reduced_element(state.n_star, term.L, field)
     return float(sum(
         pref * angular_factor(term, k, state.M)
-        * np.polynomial.legendre.legval(cos_beta, [0.0] * k + [1.0])
+        * _legendre.legval(cos_beta, [0.0] * k + [1.0])
         * e[k // 2] / H
         for k in range(0, needed + 1, 2)))
 

@@ -12,9 +12,10 @@ from scipy.integrate import quad
 from numpy.polynomial.legendre import leggauss, legval, legvander
 from scipy.special import lpmv
 
-from rydtrap import cli
+from rydtrap import _legendre, cli
 from rydtrap.angular import Term, reference_m
-from rydtrap.beam import (ParaxialValidityWarning, QuadratureConvergenceError,
+from rydtrap.beam import (_MAX_DOUBLINGS, _THETA_START,
+                          ParaxialValidityWarning, QuadratureConvergenceError,
                           TweezerBeam, _axial_profiles, _chebyshev_moments,
                           _gauss_legendre, _gaussian_profile,
                           _intensity_sums, _lobatto_weights, _product_nodes,
@@ -497,7 +498,7 @@ class TestSelfRefiningOracle:
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle called the tensor path")
         for name in ("rydtrap.beam._axial_profiles",
-                     "numpy.polynomial.legendre.legvander",
+                     "rydtrap._legendre.legvander",
                      "rydtrap.angular.angular_factor",
                      "rydtrap.potential.angular_factor",
                      "rydtrap.radial.interpolated_reduced_element"):
@@ -601,11 +602,36 @@ class TestGaussLegendre:
     """The axial rule and the oracle read each Gauss-Legendre rule from one
     cache, built once per node count and shared read-only."""
 
-    @pytest.mark.parametrize("n", [32, 48, 64])
+    # the axial rule's two and every theta rule the oracle can reach: its
+    # first and each of its doublings
+    @pytest.mark.parametrize("n", sorted(
+        {48} | {_THETA_START << k for k in range(_MAX_DOUBLINGS + 1)}))
     def test_bit_equal_to_numpy(self, n):
         for got, want in zip(_gauss_legendre(n), leggauss(n)):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [32, 48])
+    def test_legvander_bit_equal_to_numpy(self, n):
+        # the P_k(x_i), k <= 12, that weight the axial rule's nodes
+        nodes = _gauss_legendre(n)[0]
+        for k_max in range(13):
+            got = _legendre.legvander(nodes, k_max)
+            want = legvander(nodes, k_max)
+            assert got.shape == want.shape == (n, k_max + 1)
+            assert got.tobytes() == want.tobytes(), k_max
+
+    def test_legval_bit_equal_to_numpy(self):
+        # the P_k(cos beta), k <= 12, that rotate a rank onto a tilted axis
+        for degrees in (0.0, 13.0, 40.0, 45.0, 54.7356103, 90.0, 135.0,
+                        180.0):
+            cos_beta = math.cos(math.radians(degrees))
+            for k in range(13):
+                basis = [0.0] * k + [1.0]
+                got = _legendre.legval(cos_beta, basis)
+                want = legval(cos_beta, basis)
+                assert np.float64(got).tobytes() == want.tobytes(), \
+                    (degrees, k)
 
     def test_arrays_refuse_writes(self):
         nodes, weights = _gauss_legendre(32)
@@ -617,13 +643,14 @@ class TestGaussLegendre:
         # two states, each a decompose (48 and 32 nodes) and an oracle
         # (32 and 64 theta nodes): eight rules, three distinct
         sizes = []
+        port = _legendre.leggauss
 
         def counted(n):
             sizes.append(n)
-            return leggauss(n)
+            return port(n)
 
         _gauss_legendre.cache_clear()
-        monkeypatch.setattr("numpy.polynomial.legendre.leggauss", counted)
+        monkeypatch.setattr("rydtrap._legendre.leggauss", counted)
         assert cli.main(["oracle-check", "--power", "9mW",
                          "--n", "60", "95"]) == 0
         assert len(json.loads(capsys.readouterr().out)

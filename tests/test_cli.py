@@ -1132,6 +1132,9 @@ LIST_MODULES = """
 print(json.dumps({"result": result, "scipy": sorted(
     m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
     "numpy": sorted(m for m in sys.modules if m.startswith("numpy.")),
+    "numpy_polynomial": sorted(m for m in sys.modules
+                               if m.split(".")[:2] == ["numpy", "polynomial"]),
+    "hashlib": "_hashlib" in sys.modules,
     "importlib_metadata": "importlib.metadata" in sys.modules,
     "rydtrap": sorted(n for n, m in sys.modules.items()
                       if n.startswith("rydtrap.") and type(m) is type(sys)),
@@ -1150,9 +1153,11 @@ except SystemExit as exc:
 
 def probe_report(script, argv, tmp_path):
     """The result of a probe in a new process, the scipy and numpy modules
-    it loaded, whether it loaded importlib.metadata, the rydtrap modules
-    that ran and those in sys.modules. A lazy module that no attribute
-    lookup has run is still a _LazyModule, so it does not count as run."""
+    it loaded (numpy.polynomial's also on their own), whether it loaded
+    _hashlib, OpenSSL's binding, and importlib.metadata, the rydtrap
+    modules that ran and those in sys.modules. A lazy module that no
+    attribute lookup has run is still a _LazyModule, so it does not count
+    as run."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(rydtrap.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
@@ -1311,3 +1316,32 @@ def test_module_probe_sees_the_field_code_run(tmp_path):
     report = modules_after(NO_SCIPY_COMMANDS["trap-depth-single"], tmp_path)
     assert report["result"] == 0
     assert set(FIELD_CODE) <= set(report["rydtrap"])
+
+
+# the commands whose Monte Carlo draw imports numpy.random, and with it
+# secrets, hmac and _hashlib
+OPENSSL_COMMANDS = {"ramsey-sim", "echo-sim"}
+COMMAND_ARGVS = {
+    **{name: NO_SCIPY_COMMANDS[name] for name in COMMAND_NAMES
+       if name in NO_SCIPY_COMMANDS},
+    "trap-depth": NO_SCIPY_COMMANDS["trap-depth-single"],
+    "ritz-fit": ["ritz-fit"], "threshold-fit": ["threshold-fit"]}
+
+
+@pytest.mark.parametrize("name", COMMAND_NAMES)
+def test_command_maps_openssl_only_for_numpy_random(name, tmp_path):
+    # the provenance digest is a literal and the Legendre helpers are
+    # rydtrap's own, so no command loads OpenSSL to hash the constants or
+    # numpy.polynomial for a rule of degree <= 12
+    report = modules_after(COMMAND_ARGVS[name], tmp_path)
+    assert report["result"] == 0
+    assert report["numpy_polynomial"] == []
+    assert report["hashlib"] is (name in OPENSSL_COMMANDS)
+
+
+def test_native_code_probe_sees_the_imports(tmp_path):
+    # the probe is not blind to either: a script that imports them is seen
+    report = probe_report("import json, sys, hashlib, numpy.polynomial\n"
+                          "result = 0" + LIST_MODULES, [], tmp_path)
+    assert report["hashlib"] is True
+    assert "numpy.polynomial.legendre" in report["numpy_polynomial"]

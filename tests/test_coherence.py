@@ -19,13 +19,15 @@ DEPTH = 2.0e6
 T1 = 108e-6
 TIMES = np.linspace(0.0, 60e-6, 121)
 UNEVEN = np.sort(np.random.default_rng(11).uniform(0.0, 240e-6, 200))
-# evenly spaced grids: CLI --times ranges, linspace, one below zero
+# evenly spaced grids: CLI --times ranges, linspace, one starting above
+# zero and one from below it, which only the split takes
 EVEN_GRIDS = {
     "range-9": cli._time_grid(cli.time_range("0:60us:7us")),
     "range-61": cli._time_grid(cli.time_range("0:60us:1us")),
     "range-241": cli._time_grid(cli.time_range("0:240us:1us")),
     "range-2001": cli._time_grid(cli.time_range("0:1000us:0.5us")),
     "linspace-121": TIMES,
+    "above-zero": np.linspace(20e-6, 80e-6, 61),
     "below-zero": np.linspace(-20e-6, 40e-6, 61),
 }
 
@@ -239,14 +241,22 @@ class TestRamsey:
     @pytest.mark.parametrize("contrast", [ramsey_contrast,
                                           ramsey_contrast_analytic],
                              ids=["monte-carlo", "analytic"])
-    @pytest.mark.parametrize("late", [math.nan, math.inf, -math.inf],
-                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("late", [math.nan, math.inf, -math.inf, -1e-6],
+                             ids=["nan", "inf", "-inf", "negative"])
     def test_refuses_a_time_that_is_not_finite(self, contrast, late):
-        # at [0, nan] the Monte Carlo contrast once read [1, nan]
+        # or negative: at [0, nan] the Monte Carlo contrast once read
+        # [1, nan], and at -1 us both read above 1, where exp(-t/T1) > 1
         with pytest.raises(ValueError,
-                           match="Ramsey times must be finite, got %g s"
-                           % late):
+                           match="Ramsey times must be finite and >= 0, "
+                           "got %g s" % late):
             contrast(scenario(n_atoms=10), [0.0, late])
+
+    def test_refuses_a_grid_below_zero(self):
+        # the evenly spaced grid from -20 us, which the anchor/offset split
+        # still takes (TestChunkedAccumulation)
+        for contrast in (ramsey_contrast, ramsey_contrast_analytic):
+            with pytest.raises(ValueError, match="got -2e-05 s"):
+                contrast(scenario(n_atoms=10), EVEN_GRIDS["below-zero"])
 
     def test_shift_distribution_matches_samples(self):
         # exponential per-axis energies: mean dnu0 (1 - 3x) and standard
@@ -339,8 +349,8 @@ class TestChunkedAccumulation:
 
     @pytest.mark.parametrize("times", [
         EVEN_GRIDS["range-9"], EVEN_GRIDS["range-61"], EVEN_GRIDS["range-241"],
-        EVEN_GRIDS["below-zero"], UNEVEN, np.array([17e-6]), np.array([])],
-        ids=["range-9", "range-61", "range-241", "below-zero", "uneven",
+        EVEN_GRIDS["above-zero"], UNEVEN, np.array([17e-6]), np.array([])],
+        ids=["range-9", "range-61", "range-241", "above-zero", "uneven",
              "one", "none"])
     def test_ramsey_product_matches_dense_reference(self, times):
         sc = scenario(n_atoms=2000)

@@ -1,5 +1,8 @@
 """The literal CODATA constants against scipy.constants, and the table hash."""
 
+import hashlib
+import json
+
 import pytest
 import scipy.constants as sc
 
@@ -27,3 +30,14 @@ def test_constants_hash_is_pinned():
     # the hash every CLI envelope carries as provenance.constants_sha256
     assert constants.constants_hash() == (
         "985b4eead3232c06b4cfc034c3960ce80f0ac7520350d558fbcf78024a3ed347")
+
+
+def test_constants_hash_is_the_table_digest():
+    # the literal is the digest of the table's canonical JSON, so an edit
+    # to the constants fails here until both literals carry the new digest
+    blob = json.dumps(constants.CONSTANTS_TABLE, sort_keys=True,
+                      separators=(",", ":"))
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    assert constants.constants_hash() == digest, (
+        "the constants table hashes to %s: write it in constants_hash and "
+        "in test_constants_hash_is_pinned" % digest)

@@ -163,6 +163,8 @@ UNREAD_EXPORTS = {
                  "tested against sympy",
     "ramsey_contrast_analytic": "the closed form the Monte Carlo Ramsey "
                                 "contrast is tested and benchmarked against",
+    "CONSTANTS_TABLE": "the table whose canonical JSON constants_hash's "
+                       "literal digests; a test recomputes the digest",
 }
 
 
