@@ -687,7 +687,9 @@ def _ramsey_sim_options(p):
     p.add_argument("--n", type=ensemble_size, default=100000,
                    help="ensemble size, at most 2^30 = %d (default "
                         "%%(default)s)" % _MAX_ATOMS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the ensemble's SplitMix64 stream, an "
+                        "integer in [0, 2^64) (default %(default)s)")
     p.add_argument("--times", type=time_range, default=time_range("0:60us:1us"),
                    metavar="START:STOP:STEP")
 

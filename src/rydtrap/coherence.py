@@ -11,9 +11,11 @@ which dephases a Ramsey sequence; an echo refocuses the static part and
 is limited by trajectory evolution between the pulses and by T1. The
 orbit frequencies, which only the echo needs, are an argument of
 echo_contrast, not part of the shared DephasingScenario. The ensemble is
-sampled with a counter-based generator so results are reproducible and
-independent of evaluation order, and it is drawn in blocks of a few
-thousand atoms (_ensemble_blocks), each consumed before the next is drawn.
+sampled from rydtrap's own counter-based SplitMix64 stream, so results
+are reproducible and independent of evaluation order, and it is drawn in
+blocks of a few thousand atoms (_ensemble_blocks), each consumed before
+the next is drawn. Each word is a function of the seed and its index
+alone, computed on numpy uint64 arrays.
 
 A Ramsey phase is rate_i t_j, so exp(i r t) = exp(i r a) exp(i r d) for
 any split t = a + d. The T times fall in blocks of width K = ceil(sqrt T),
@@ -43,11 +45,12 @@ array over the whole ensemble is ever held: memory is flat in the number
 of times and in the number of atoms. A block bit-matches the same rows of
 one whole-ensemble draw and every chunk sum is the same float operation,
 so the contrasts do not depend on the block size. At 61 to 1001 times the
-traced peaks are 1.3-1.4 MB for Ramsey and 1.7-1.9 MB for echo, the same
+traced peaks are 1.4 MB for Ramsey and 1.7-1.9 MB for echo, the same
 from 2e4 to 2e6 atoms: the 1 MB of chunk buffers plus a block's arrays.
 """
 
 import math
+import operator
 
 from ._numpy import np
 from .constants import KB, H
@@ -90,7 +93,12 @@ class ContrastCurve:
 
 class DephasingScenario:
     """Inputs that Ramsey and echo share: peak differential shift,
-    temperature, trap depth, T1, ensemble size and the seed of its draw."""
+    temperature, trap depth, T1, ensemble size and the seed of its draw.
+
+    n_atoms and seed must be integers (an int or a numpy integer; 1.5 or
+    2.0 is refused), at least one atom and a seed in [0, 2^64), the
+    domain of the SplitMix64 stream that _ensemble_blocks draws.
+    """
 
     def __init__(self, dnu0_hz, temperature_k, depth_hz, t1_s,
                  n_atoms=100000, seed=0):
@@ -100,16 +108,63 @@ class DephasingScenario:
             raise ValueError("temperature must be nonnegative and finite")
         if not 0 < depth_hz < math.inf:
             raise ValueError("depth must be positive and finite")
+        n_atoms, seed = _integer("n_atoms", n_atoms), _integer("seed", seed)
         if n_atoms < 1:
             raise ValueError("need at least one atom")
+        if not 0 <= seed < 1 << 64:
+            raise ValueError("seed must be in [0, 2^64), got %d" % seed)
         if not t1_s > 0:
             raise ValueError("T1 must be positive (math.inf allowed)")
         self.dnu0_hz = float(dnu0_hz)
         self.temperature_k = float(temperature_k)
         self.depth_hz = float(depth_hz)
         self.t1_s = float(t1_s)
-        self.n_atoms = int(n_atoms)
-        self.seed = int(seed)
+        self.n_atoms = n_atoms
+        self.seed = seed
+
+
+def _integer(name, value):
+    """value as an int; ValueError if it is not an integer type."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError("%s must be an integer, not %s"
+                         % (name, type(value).__name__)) from None
+
+
+def _splitmix64(seed, first, count):
+    """Words first to first + count - 1 of SplitMix64 seeded with seed
+    (G. L. Steele, D. Lea and C. H. Flood, "Fast splittable pseudorandom
+    number generators", OOPSLA 2014), as a uint64 array.
+
+    Word i is mix64(seed + (i + 1) gamma mod 2^64), gamma =
+    0x9E3779B97F4A7C15, where mix64 is the finalizer: xor-shift 30,
+    times 0xBF58476D1CE4E5B9, xor-shift 27, times 0x94D049BB133111EB,
+    xor-shift 31. Every operation is in place on uint64 arrays and
+    scalars, so the multiplies and the add wrap modulo 2^64.
+    """
+    u64 = np.uint64
+    words = np.arange(first + 1, first + count + 1, dtype=u64)
+    words *= u64(0x9E3779B97F4A7C15)
+    words += u64(seed)
+    shifted = np.empty_like(words)
+    for shift, multiplier in ((30, 0xBF58476D1CE4E5B9),
+                              (27, 0x94D049BB133111EB)):
+        np.right_shift(words, u64(shift), out=shifted)
+        words ^= shifted
+        words *= u64(multiplier)
+    np.right_shift(words, u64(31), out=shifted)
+    words ^= shifted
+    return words
+
+
+def _uniforms(seed, first, count):
+    """Floats in [0, 1) from the stream's words: (w >> 11) 2^-53."""
+    words = _splitmix64(seed, first, count)
+    words >>= np.uint64(11)
+    uniform = words.astype(float)
+    uniform *= 2.0 ** -53
+    return uniform
 
 
 def _ensemble_blocks(scenario, rows, phases=False):
@@ -117,37 +172,31 @@ def _ensemble_blocks(scenario, rows, phases=False):
     (the last block takes what is left): per-axis motional energies (J),
     (atoms, 3), or with phases the pair (energies, orbital phases).
 
-    One Philox stream keyed by the seed holds every atom's three energies,
-    then every atom's three phases, and a block drawn from it holds the
-    values one whole-ensemble draw would. Each axis energy is an
-    independent 1D harmonic Boltzmann energy (exponential with mean
-    k_B T), none drawn at T = 0, so the phases, uniform in [0, 2 pi),
-    then start the stream. The exponential sampler takes a varying number
-    of words per value, so the phases come from a second generator on the
-    same key that first draws every energy and discards it.
+    Atom j's three energies are the uniforms u of words 3j to 3j + 2 of
+    the seed's SplitMix64 stream (_uniforms), and its three phases those
+    of words 3n + 3j to 3n + 3j + 2, for n atoms. Each axis energy is an
+    independent 1D harmonic Boltzmann energy, exponential with mean
+    k_B T: -k_B T log1p(-u), always finite; at T = 0 the energies are
+    zeros and none is drawn. Each phase is 2 pi u, uniform in [0, 2 pi).
+    A block depends only on the seed, n, its first atom and its size, so
+    it holds the values one whole-ensemble draw would.
     """
     n, scale = scenario.n_atoms, KB * scenario.temperature_k
     step = rows * max(1, _BLOCK_ATOMS // rows)
-    thermal = scenario.temperature_k != 0.0
-
-    def sizes():
-        return (min(step, n - a) for a in range(0, n, step))
-
-    def stream():
-        return np.random.Generator(np.random.Philox(key=scenario.seed))
-
-    energy_rng = stream()
-    if phases:
-        phase_rng = stream()
-        if thermal:
-            for size in sizes():
-                phase_rng.exponential(scale, size=(size, 3))
-    for size in sizes():
-        energies = energy_rng.exponential(scale, size=(size, 3)) \
-            if thermal else np.zeros((size, 3))
+    for a in range(0, n, step):
+        size = min(step, n - a)
+        if scenario.temperature_k != 0.0:
+            energies = _uniforms(scenario.seed, 3 * a, 3 * size)
+            np.negative(energies, out=energies)
+            np.log1p(energies, out=energies)
+            energies *= -scale
+        else:
+            energies = np.zeros(3 * size)
+        energies = energies.reshape(size, 3)
         if phases:
-            yield energies, phase_rng.uniform(0.0, 2.0 * np.pi,
-                                              size=(size, 3))
+            angles = _uniforms(scenario.seed, 3 * (n + a), 3 * size)
+            angles *= 2.0 * np.pi
+            yield energies, angles.reshape(size, 3)
         else:
             yield energies
 
@@ -246,7 +295,7 @@ def ramsey_contrast(scenario, times_s):
     [cos; sin] tables at the anchors and at the offsets. Any grid is
     accepted; sharing a column moves a phase by at most 8 eps |r| max|t|.
     The accumulators hold about 4T sums, so the traced peak is flat in T
-    and in the number of atoms: 1.3 MB at 1e5 atoms for 61 to 1001 times,
+    and in the number of atoms: 1.4 MB at 1e5 atoms for 61 to 1001 times,
     10 MB at 100,001, where the per-time index arrays dominate.
     """
     times = _durations(times_s, "Ramsey")

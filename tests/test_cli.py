@@ -994,6 +994,21 @@ class TestCoherenceCommands:
         assert len(doc["data"]["times_us"]) == 100001
         assert doc["data"]["times_us"][-1] == pytest.approx(1000.0)
 
+    @pytest.mark.parametrize("command", ["ramsey-sim", "echo-sim"])
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_is_data_error(self, command, seed, capsys):
+        assert cli.main([command] + self.ARGS + ["--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == \
+            "error: seed must be in [0, 2^64), got %s\n" % seed
+        assert captured.out == ""
+
+    def test_largest_seed_runs(self, tmp_path):
+        doc = run_json(["ramsey-sim"] + self.ARGS
+                       + ["--seed", "18446744073709551615"], tmp_path)
+        assert doc["config"]["seed"] == 2 ** 64 - 1
+        assert doc["data"]["contrast"][0] == pytest.approx(1.0, abs=1e-12)
+
     def test_echo_with_explicit_frequencies(self, tmp_path):
         doc = run_json(["echo-sim"] + self.ARGS +
                        ["--trap-freq-radial", "33kHz",
@@ -1135,6 +1150,8 @@ print(json.dumps({"result": result, "scipy": sorted(
     "numpy_polynomial": sorted(m for m in sys.modules
                                if m.split(".")[:2] == ["numpy", "polynomial"]),
     "hashlib": "_hashlib" in sys.modules,
+    "numpy_random": sorted(m for m in sys.modules
+                           if m.split(".")[:2] == ["numpy", "random"]),
     "importlib_metadata": "importlib.metadata" in sys.modules,
     "rydtrap": sorted(n for n, m in sys.modules.items()
                       if n.startswith("rydtrap.") and type(m) is type(sys)),
@@ -1153,11 +1170,11 @@ except SystemExit as exc:
 
 def probe_report(script, argv, tmp_path):
     """The result of a probe in a new process, the scipy and numpy modules
-    it loaded (numpy.polynomial's also on their own), whether it loaded
-    _hashlib, OpenSSL's binding, and importlib.metadata, the rydtrap
-    modules that ran and those in sys.modules. A lazy module that no
-    attribute lookup has run is still a _LazyModule, so it does not count
-    as run."""
+    it loaded (numpy.polynomial's and numpy.random's also on their own),
+    whether it loaded _hashlib, OpenSSL's binding, and importlib.metadata,
+    the rydtrap modules that ran and those in sys.modules. A lazy module
+    that no attribute lookup has run is still a _LazyModule, so it does
+    not count as run."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(rydtrap.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
@@ -1318,9 +1335,6 @@ def test_module_probe_sees_the_field_code_run(tmp_path):
     assert set(FIELD_CODE) <= set(report["rydtrap"])
 
 
-# the commands whose Monte Carlo draw imports numpy.random, and with it
-# secrets, hmac and _hashlib
-OPENSSL_COMMANDS = {"ramsey-sim", "echo-sim"}
 COMMAND_ARGVS = {
     **{name: NO_SCIPY_COMMANDS[name] for name in COMMAND_NAMES
        if name in NO_SCIPY_COMMANDS},
@@ -1330,18 +1344,23 @@ COMMAND_ARGVS = {
 
 @pytest.mark.parametrize("name", COMMAND_NAMES)
 def test_command_maps_openssl_only_for_numpy_random(name, tmp_path):
-    # the provenance digest is a literal and the Legendre helpers are
-    # rydtrap's own, so no command loads OpenSSL to hash the constants or
-    # numpy.polynomial for a rule of degree <= 12
+    # OpenSSL comes only with numpy.random, whose bit_generator imports
+    # secrets and so _hashlib, and no command loads either: the
+    # provenance digest is a literal, and the Legendre helpers and the
+    # sims' SplitMix64 stream are rydtrap's own, so no command imports
+    # numpy.polynomial either
     report = modules_after(COMMAND_ARGVS[name], tmp_path)
     assert report["result"] == 0
     assert report["numpy_polynomial"] == []
-    assert report["hashlib"] is (name in OPENSSL_COMMANDS)
+    assert report["numpy_random"] == []
+    assert report["hashlib"] is False
 
 
 def test_native_code_probe_sees_the_imports(tmp_path):
-    # the probe is not blind to either: a script that imports them is seen
-    report = probe_report("import json, sys, hashlib, numpy.polynomial\n"
-                          "result = 0" + LIST_MODULES, [], tmp_path)
+    # the probe is not blind to any: a script that imports them is seen
+    report = probe_report("import json, sys, hashlib, numpy.polynomial, "
+                          "numpy.random\nresult = 0" + LIST_MODULES, [],
+                          tmp_path)
     assert report["hashlib"] is True
     assert "numpy.polynomial.legendre" in report["numpy_polynomial"]
+    assert "numpy.random.bit_generator" in report["numpy_random"]

@@ -39,19 +39,34 @@ def scenario(**kw):
     return DephasingScenario(**base)
 
 
+def splitmix64_words(seed, count):
+    """Words 0 .. count - 1 of SplitMix64 seeded with seed, one shot on a
+    uint64 array: word i is mix64(seed + (i + 1) gamma mod 2^64)."""
+    state = np.uint64(seed) + np.arange(1, count + 1, dtype=np.uint64) \
+        * np.uint64(0x9E3779B97F4A7C15)
+    state = (state ^ (state >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    state = (state ^ (state >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return state ^ (state >> np.uint64(31))
+
+
 def reference_draw(sc):
     """The whole ensemble in one draw: per-axis energies (J), then orbital
-    phases, both (n_atoms, 3), from one Philox stream keyed by the seed.
+    phases, both (n_atoms, 3), from the seed's first 6 n_atoms SplitMix64
+    words.
 
-    The energies are exponential with mean k_B T, and none are drawn at
-    T = 0, so the phases start the stream there.
+    Each word w gives u = (w >> 11) 2^-53 in [0, 1). The first 3 n words
+    are the energies, -k_B T log1p(-u), zeros at T = 0; the next 3 n the
+    phases, 2 pi u.
     """
-    rng = np.random.Generator(np.random.Philox(key=sc.seed))
+    n = sc.n_atoms
+    u = (splitmix64_words(sc.seed, 6 * n) >> np.uint64(11)).astype(float) \
+        * 2.0 ** -53
     if sc.temperature_k == 0.0:
-        energies = np.zeros((sc.n_atoms, 3))
+        energies = np.zeros((n, 3))
     else:
-        energies = rng.exponential(KB * sc.temperature_k, size=(sc.n_atoms, 3))
-    return energies, rng.uniform(0.0, 2.0 * np.pi, size=(sc.n_atoms, 3))
+        energies = (-(KB * sc.temperature_k)
+                    * np.log1p(-u[:3 * n])).reshape(n, 3)
+    return energies, (2.0 * np.pi * u[3 * n:]).reshape(n, 3)
 
 
 def whole_ensemble_blocks(sc, rows, phases=False):
@@ -154,6 +169,32 @@ class TestScenario:
             scenario(n_atoms=0)
         with pytest.raises(ValueError):
             scenario(t1_s=0.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_atoms", 1.5), ("n_atoms", 2.0), ("seed", 2.7), ("seed", 3.0),
+        ("seed", "3")], ids=["n-1.5", "n-2.0", "seed-2.7", "seed-3.0",
+                             "seed-text"])
+    def test_non_integer_refused(self, name, value):
+        # 1.5 atoms once ran as 1 atom, and seed 2.7 as seed 2
+        with pytest.raises(ValueError, match="%s must be an integer, not %s"
+                           % (name, type(value).__name__)):
+            scenario(**{name: value})
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 128 - 1])
+    def test_seed_outside_64_bits_refused(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\), "
+                           "got %d" % seed):
+            scenario(seed=seed)
+
+    @pytest.mark.parametrize("seed", [2 ** 64 - 1, np.uint64(2 ** 64 - 1)],
+                             ids=["int", "uint64"])
+    def test_largest_seed_accepted(self, seed):
+        sc = scenario(seed=seed, n_atoms=1000)
+        assert sc.seed == 2 ** 64 - 1 and type(sc.seed) is int
+        assert np.array_equal(
+            np.concatenate(list(coherence._ensemble_blocks(sc, 271))),
+            reference_draw(sc)[0])
+        assert np.all(ramsey_contrast(sc, TIMES).contrast <= 1.0 + 1e-12)
 
     @pytest.mark.parametrize("name", ["dnu0_hz", "temperature_k",
                                       "depth_hz", "t1_s"])
@@ -443,6 +484,40 @@ class TestChunkedAccumulation:
         assert max(peaks) <= 1.5 * min(peaks)
 
 
+def splitmix64_int(seed, count):
+    """SplitMix64 on Python ints, reduced modulo 2^64 by hand."""
+    mask, state, words = (1 << 64) - 1, seed, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        words.append(z ^ (z >> 31))
+    return words
+
+
+class TestSplitMix64:
+    """coherence._splitmix64 and the tests' one-shot stream against
+    SplitMix64 computed on Python ints."""
+
+    # the generator's published first outputs from seed 0
+    PUBLISHED = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+    def test_seed_zero_gives_the_published_words(self):
+        assert splitmix64_int(0, 3) == self.PUBLISHED
+        assert [int(w) for w in coherence._splitmix64(0, 0, 3)] \
+            == self.PUBLISHED
+        assert [int(w) for w in splitmix64_words(0, 3)] == self.PUBLISHED
+
+    @pytest.mark.parametrize("seed", [7, 2 ** 63, 2 ** 64 - 1])
+    def test_words_wrap_modulo_two_to_the_64(self, seed):
+        words = splitmix64_int(seed, 1000)
+        assert [int(w) for w in splitmix64_words(seed, 1000)] == words
+        assert [int(w) for w in coherence._splitmix64(seed, 0, 1000)] == words
+        assert [int(w) for w in coherence._splitmix64(seed, 617, 383)] \
+            == words[617:]
+
+
 class TestEnsembleStream:
     """coherence._ensemble_blocks against one whole-ensemble draw."""
 
@@ -462,7 +537,7 @@ class TestEnsembleStream:
     @pytest.mark.parametrize("temp", [0.0, TEMP], ids=["0K", "13uK"])
     @pytest.mark.parametrize("n", SIZES, ids=SIZE_IDS)
     def test_stream_is_the_whole_draw(self, temp, n):
-        # at T = 0 no energy is drawn, so the phases start the stream
+        # at T = 0 no energy is drawn, but the phases keep their words
         sc = scenario(temperature_k=temp, n_atoms=n)
         energies, phases = reference_draw(sc)
         blocks = list(coherence._ensemble_blocks(sc, 1074, phases=True))
@@ -472,6 +547,13 @@ class TestEnsembleStream:
         assert np.array_equal(
             np.concatenate(list(coherence._ensemble_blocks(sc, 4096))),
             energies)
+
+    def test_phases_do_not_depend_on_the_temperature(self):
+        cold, warm = (list(coherence._ensemble_blocks(
+            scenario(temperature_k=temp, n_atoms=10000), 1074, phases=True))
+            for temp in (0.0, TEMP))
+        assert np.array_equal(np.concatenate([p for _, p in cold]),
+                              np.concatenate([p for _, p in warm]))
 
     @pytest.mark.parametrize("kind", ["ramsey", "echo"])
     @pytest.mark.parametrize("times", [EVEN_GRIDS["range-61"], UNEVEN],
