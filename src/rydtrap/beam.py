@@ -92,6 +92,11 @@ class TweezerBeam:
         self.wavelength = float(wavelength)
         self.waist = float(waist)
         self.power = float(power)
+        if not math.isfinite(self.peak_intensity):
+            # a finite power on a small waist can still overflow I0
+            raise ValueError("peak intensity 2P/(pi w0^2) must be finite, "
+                             "got %g W/m^2 from %g W on a %g m waist"
+                             % (self.peak_intensity, power, waist))
         if waist < 2 * wavelength:
             warnings.warn(
                 "waist %.3g m is within two wavelengths of %.3g m; the "

@@ -468,12 +468,11 @@ def _cmd_ritz_fit(args):
                                   rydberg_cm1=ry)
     unc = model.uncertainties
     data = {
-        "parameters": list(model.params),
+        "parameters": model.params,
         "parameter_names": ["d%d" % (2 * i) for i in range(len(model.params))],
         "uncertainties": None if unc is None else list(unc),
         "rms_residual_mhz": model.rms_residual_mhz(),
-        "residuals_mhz": {int(n): float(r) for n, r in
-                          zip(model.record_n, model.residuals_mhz)},
+        "residuals_mhz": dict(zip(model.record_n, model.residuals_mhz)),
         "ionization_cm1": e_i,
         "rydberg_cm1": ry,
     }
@@ -488,7 +487,7 @@ def _cmd_threshold_fit(args):
         else model.threshold_sigma_cm1 * constants.CM1_TO_MHZ
     data = {"ionization_cm1": model.ionization_cm1,
             "ionization_sigma_mhz": sigma_mhz,
-            "delta0": float(model.params[0]),
+            "delta0": model.params[0],
             "rms_residual_mhz": model.rms_residual_mhz(),
             "rydberg_cm1": ry}
     _emit(args, data)

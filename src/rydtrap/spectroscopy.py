@@ -7,12 +7,16 @@ denominators kept self-consistent with the leading coefficient. Fits are
 weighted Levenberg-Marquardt with an analytic Jacobian in the expansion
 coefficients; the ionization threshold can be fit jointly on a high-n
 window. Pair-state Foerster defects come from the same energy model.
-The fits run MINPACK's lmder from scipy's compiled extension
-scipy/optimize/_minpack, loaded by file the first time a fit runs: it
+The Ritz fit runs MINPACK's lmder from scipy's compiled extension
+scipy/optimize/_minpack, loaded by file the first time the fit runs: it
 imports scipy's top-level package but never runs scipy.optimize's
-__init__, and importing this module loads no scipy at all.
+__init__, and importing this module loads no scipy at all. The threshold
+fit has one nonlinear parameter, the defect, and runs in plain float
+arithmetic: it loads neither numpy nor scipy.
 """
 
+import math
+from collections import namedtuple
 from functools import cache
 
 from ._numpy import np
@@ -92,19 +96,24 @@ def defect_from_energy(record, ionization_cm1, rydberg_cm1):
     if gap <= 0:
         raise ValueError("energy %.4f cm-1 at or above threshold %.4f cm-1"
                          % (record.energy_cm1, ionization_cm1))
-    return record.n - np.sqrt(rydberg_cm1 / gap)
+    return record.n - math.sqrt(rydberg_cm1 / gap)
 
 
 class RitzModel:
-    """Fitted Ritz expansion with its threshold and series constants."""
+    """Fitted Ritz expansion with its threshold and series constants.
+
+    params, residuals_mhz and record_n are lists of Python numbers, from
+    either fit; only the Ritz fit's covariance is a numpy array.
+    """
 
     def __init__(self, params, ionization_cm1, rydberg_cm1, covariance=None,
                  residuals_mhz=None, record_n=None, threshold_sigma_cm1=None):
-        self.params = np.asarray(params, dtype=float)
+        self.params = [float(p) for p in params]
         self.ionization_cm1 = float(ionization_cm1)
         self.rydberg_cm1 = float(rydberg_cm1)
         self.covariance = covariance
-        self.residuals_mhz = residuals_mhz
+        self.residuals_mhz = None if residuals_mhz is None \
+            else [float(r) for r in residuals_mhz]
         self.record_n = record_n
         self.threshold_sigma_cm1 = threshold_sigma_cm1
 
@@ -122,7 +131,8 @@ class RitzModel:
     def rms_residual_mhz(self):
         if self.residuals_mhz is None:
             return None
-        return float(np.sqrt(np.mean(np.square(self.residuals_mhz))))
+        return math.sqrt(math.fsum(r * r for r in self.residuals_mhz)
+                         / len(self.residuals_mhz))
 
 
 def _level_energy(ionization_cm1, rydberg_cm1, n_star):
@@ -175,21 +185,24 @@ def _minpack():
     return module
 
 
-def _least_squares(residuals, x0, jacobian, name):
-    """Levenberg-Marquardt solution of a weighted fit and its covariance.
+def _least_squares(residuals, x0, jacobian):
+    """Levenberg-Marquardt solution of the weighted Ritz fit and its
+    covariance.
 
     This is the call scipy.optimize.least_squares(method="lm") makes, with
     xtol = ftol = gtol = 1e-14, maxfev = 100 n, factor 100 and diag None:
     MINPACK's lmder from scipy's compiled core (see _minpack), so the
     solution is bit-equal to least_squares'. The covariance is inv(J^T J)
-    at the solution, None when singular. An lmder exit code outside 1-4
-    raises FitConvergenceError naming the fit, the code and its meaning,
-    the residual evaluations and the final cost; residuals that are not
-    finite at x0 raise ValueError, as least_squares does.
+    at the solution, None when singular: when inversion fails, or when
+    rounding leaves a diagonal entry that is not finite and positive. An
+    lmder exit code outside 1-4 raises FitConvergenceError naming the
+    code and its meaning, the residual evaluations and the final cost;
+    residuals that are not finite at x0 raise ValueError, as
+    least_squares does.
     """
     if not np.all(np.isfinite(residuals(x0))):
-        raise ValueError("%s fit: residuals are not finite at the starting "
-                         "point" % name)
+        raise ValueError("Ritz fit: residuals are not finite at the starting "
+                         "point")
     # (fun, jac, x0, args, full_output, col_deriv, ftol, xtol, gtol,
     #  maxfev, factor, diag)
     x, report, info = _minpack()._lmder(
@@ -198,15 +211,18 @@ def _least_squares(residuals, x0, jacobian, name):
     if not 1 <= info <= 4:
         fvec = report["fvec"]
         raise FitConvergenceError(
-            "%s fit did not converge: MINPACK info %d (%s) after %d residual "
-            "evaluations, cost %.6g" % (
-                name, info, _LMDER_FAILURES[info],
+            "Ritz fit did not converge: MINPACK info %d (%s) after %d "
+            "residual evaluations, cost %.6g" % (
+                info, _LMDER_FAILURES[info],
                 report["nfev"], 0.5 * float(fvec @ fvec)))
     jac = jacobian(x)
     try:
         cov = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
-        cov = None
+        return x, None
+    diag = np.diag(cov)
+    if not np.all(np.isfinite(diag) & (diag > 0)):
+        return x, None
     return x, cov
 
 
@@ -253,11 +269,21 @@ def fit_ritz(records, order=8, fit_range=None, *, ionization_cm1,
                                  ionization_cm1, rydberg_cm1)
     x0 = np.zeros(n_params)
     x0[0] = d0_init
-    params, cov = _least_squares(residuals, x0, jacobian, "Ritz")
+    params, cov = _least_squares(residuals, x0, jacobian)
     res_mhz = (_model_energy(params, n, ionization_cm1, rydberg_cm1)
                - energy) * CM1_TO_MHZ
     return RitzModel(params, ionization_cm1, rydberg_cm1, covariance=cov,
-                     residuals_mhz=res_mhz, record_n=n.astype(int))
+                     residuals_mhz=res_mhz, record_n=[rec.n for rec in used])
+
+
+# the most steps the threshold fit may try; fits to windows of the bundled
+# table take 8 to 16
+_THRESHOLD_ITERATIONS = 100
+
+# one d0 of the threshold fit: its best E_I, the n* and the binding
+# energies Ry/n*^2, the residuals in MHz and in sigmas, and their norm
+_Projection = namedtuple("_Projection",
+                         "d0 e_i n_star binding res_mhz z norm")
 
 
 def fit_threshold(records, fit_range=None, *, rydberg_cm1):
@@ -267,36 +293,84 @@ def fit_threshold(records, fit_range=None, *, rydberg_cm1):
     fit_ritz. Returns a RitzModel with params [d0] and the fitted E_I, whose
     threshold_sigma_cm1 is the E_I uncertainty from the joint (E_I, d0)
     covariance (None if singular); the model keeps no covariance.
+
+    The weighted least-squares fit runs by variable projection (Golub &
+    Pereyra 1973) in plain float arithmetic. E_I enters the model
+    E_k = E_I - Ry/(n_k - d0)^2 linearly, so at each d0 the best E_I is
+    the weighted mean of E_k + Ry/(n_k - d0)^2, and only d0 is iterated:
+    a Gauss-Newton step on the projected residuals, halved while it does
+    not lower the cost. d0 enters only through n* = n - d0, so the fit
+    has converged when a step, taken or halved, is within 4 ulp of the
+    smallest n*: the step is then below the model's resolution, or the
+    cost has stopped falling. A fit that has not converged after
+    _THRESHOLD_ITERATIONS steps raises FitConvergenceError naming the
+    steps and the cost; residuals that are not finite at the start raise
+    ValueError. The E_I variance is inv(J^T J)[0, 0] in closed form,
+    mean_w(g^2) / sum_k t_k^2, with g_k = 2 Ry/n*_k^3 the slope of the
+    binding energy in d0 and t_k = (g_k - mean_w(g)) c/sigma_k, c the
+    cm-1 to MHz factor.
     """
     used = _select(records, fit_range)
     if len(used) < 3:
         raise ValueError("need at least 3 records in range, have %d" % len(used))
-    n = np.array([rec.n for rec in used], dtype=float)
-    energy = np.array([rec.energy_cm1 for rec in used])
-    sigma = np.array([rec.sigma_mhz for rec in used])
-    e_i_guess = np.max(energy) + rydberg_cm1 / np.max(n) ** 2
+    n = [rec.n for rec in used]
+    energy = [rec.energy_cm1 for rec in used]
+    sigma = [rec.sigma_mhz for rec in used]
+    # weights relative to the smallest sigma, so that none overflows
+    least = min(sigma)
+    weight = [(least / s) * (least / s) for s in sigma]
+    total = math.fsum(weight)
 
-    def residuals(x):
-        e_i, d0 = x
-        return (_level_energy(e_i, rydberg_cm1, n - d0) - energy) \
-            * CM1_TO_MHZ / sigma
+    def mean(values):
+        return math.fsum(w * v for w, v in zip(weight, values)) / total
 
-    def jacobian(x):
-        _, d0 = x
-        cols = np.empty((len(n), 2))
-        cols[:, 0] = 1.0
-        cols[:, 1] = -2.0 * rydberg_cm1 / (n - d0) ** 3
-        return cols * (CM1_TO_MHZ / sigma)[:, None]
+    def project(d0):
+        """The fit at d0, with E_I the weighted mean that is best there."""
+        n_star = [k - d0 for k in n]
+        # x * x, as numpy squares: a Python float's x ** 2 is pow(x, 2),
+        # which is not always the rounded square
+        binding = [rydberg_cm1 / (x * x) for x in n_star]
+        e_i = mean([e + b for e, b in zip(energy, binding)])
+        res_mhz = [(e_i - b - e) * CM1_TO_MHZ for b, e in zip(binding, energy)]
+        z = [r / s for r, s in zip(res_mhz, sigma)]
+        return _Projection(d0, e_i, n_star, binding, res_mhz, z,
+                           math.hypot(*z))
 
-    d0_init = defect_from_energy(max(used, key=lambda rec: rec.n),
-                                 e_i_guess, rydberg_cm1)
-    (e_i, d0), cov = _least_squares(
-        residuals, np.array([e_i_guess, d0_init]), jacobian, "threshold")
-    res_mhz = (_level_energy(e_i, rydberg_cm1, n - d0) - energy) * CM1_TO_MHZ
-    return RitzModel([d0], e_i, rydberg_cm1, residuals_mhz=res_mhz,
-                     record_n=n.astype(int),
-                     threshold_sigma_cm1=None if cov is None
-                     else float(np.sqrt(cov[0, 0])))
+    def gauss_newton(fit):
+        """The Gauss-Newton step in d0 at a fit, and the E_I variance."""
+        slope = [2.0 * b / x for b, x in zip(fit.binding, fit.n_star)]
+        average = mean(slope)
+        # the residuals' slopes in d0 are -t
+        t = [(g - average) * CM1_TO_MHZ / s for g, s in zip(slope, sigma)]
+        tt = math.fsum(x * x for x in t)
+        return (math.fsum(a * b for a, b in zip(t, fit.z)) / tt,
+                mean([g * g for g in slope]) / tt)
+
+    e_i_guess = max(energy) + rydberg_cm1 / max(n) ** 2
+    fit = project(defect_from_energy(max(used, key=lambda rec: rec.n),
+                                     e_i_guess, rydberg_cm1))
+    if not math.isfinite(fit.norm):
+        raise ValueError("threshold fit: residuals are not finite at the "
+                         "starting point")
+    step, variance = gauss_newton(fit)
+    for _ in range(_THRESHOLD_ITERATIONS):
+        small = abs(step) <= 4 * math.ulp(min(map(abs, fit.n_star)))
+        trial = project(fit.d0 + step)
+        if trial.norm < fit.norm:
+            fit = trial
+            step, variance = gauss_newton(fit)
+        else:
+            step *= 0.5
+        if small:
+            break
+    else:
+        raise FitConvergenceError(
+            "threshold fit did not converge in %d steps, cost %.6g"
+            % (_THRESHOLD_ITERATIONS, 0.5 * fit.norm * fit.norm))
+    return RitzModel([fit.d0], fit.e_i, rydberg_cm1,
+                     residuals_mhz=fit.res_mhz, record_n=n,
+                     threshold_sigma_cm1=math.sqrt(variance)
+                     if 0 < variance < math.inf else None)
 
 
 def forster_defect(pair_in, pair_out):

@@ -95,6 +95,15 @@ class TestTweezerBeam:
         with pytest.raises(ValueError, match="finite"):
             TweezerBeam(**inputs)
 
+    def test_overflowing_peak_intensity_refused(self, beam9):
+        # 1e300 W is finite, but 2P/(pi w0^2) is not: refused as bad data,
+        # not left to stall the angular quadrature on nan
+        message = "peak intensity 2P/\\(pi w0\\^2\\) must be finite, got inf"
+        with pytest.raises(ValueError, match=message):
+            TweezerBeam(WAVELENGTH, WAIST, 1e300)
+        with pytest.raises(ValueError, match=message):
+            beam9.with_power(1e300)
+
     def test_field_keeps_its_beam(self, beam9, field9):
         assert field9.beam is beam9
 

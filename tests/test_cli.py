@@ -282,6 +282,17 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    def test_threshold_fit_past_its_cap_exits_3(self, monkeypatch, capsys):
+        # the bundled window needs more than one step
+        monkeypatch.setattr("rydtrap.spectroscopy._THRESHOLD_ITERATIONS", 1)
+        assert cli.main(["threshold-fit"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: threshold fit did not "
+                                       "converge in 1 steps, cost ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_oracle_nonconvergence_exits_3(self, monkeypatch, capsys):
         # one doubling per angle, and a tol below rounding
         monkeypatch.setattr("rydtrap.beam._MAX_DOUBLINGS", 1)
@@ -504,14 +515,25 @@ class TestExitCodes:
         (["echo-sim", "--dnu", "90kHz", "--temp", "13uK", "--depth", "2MHz",
           "--t1", "108us", "--n", "10", "--waist", "1e-300m"],
          "divided by zero"),
+        # a finite power whose peak intensity overflows
+        (["trap-depth", "--power", "1e300W", "--n", "75"], "peak intensity"),
+        (["trap-depth", "--ground-depth", "1e300MHz", "--n", "75"],
+         "peak intensity"),
+        (["tensor-shift", "--power", "1e300W", "--n", "75", "--series",
+          "3P2"], "peak intensity"),
+        (["oracle-check", "--power", "1e300W", "--n", "40"],
+         "peak intensity"),
     ], ids=["trap-depth-core-0", "trap-depth-core-negative",
             "autoion-core-negative", "trap-depth-ground-negative",
             "trap-depth-ground-0", "trap-depth-ground-depth-ground-0",
             "tensor-shift-ground-depth-ground-0", "autoion-ground-0",
-            "trap-depth-waist-1e-300", "echo-sim-waist-1e-300"])
+            "trap-depth-waist-1e-300", "echo-sim-waist-1e-300",
+            "trap-depth-peak-overflow", "trap-depth-ground-depth-peak-overflow",
+            "tensor-shift-peak-overflow", "oracle-check-peak-overflow"])
     def test_unusable_input_is_data_error(self, argv, named, capsys):
-        # a zero polarizability or waist would divide by zero, and a
-        # negative polarizability would give an anti-trapping number
+        # a zero polarizability or waist would divide by zero, a negative
+        # polarizability would give an anti-trapping number, and an
+        # infinite peak intensity would stall the quadrature on nan
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and named in captured.err
@@ -780,6 +802,14 @@ class TestSpectroscopyCommands:
         assert doc["data"]["parameters"][0] == pytest.approx(4.4384, abs=1e-3)
         assert doc["data"]["rms_residual_mhz"] < 2.0
         assert doc["data"]["parameter_names"][0] == "d0"
+
+    def test_singular_covariance_gives_null_uncertainties(self, tmp_path):
+        # at order 40, rounding leaves inv(J^T J) with non-positive diagonal
+        # entries: no uncertainties, rather than nan in the JSON
+        doc = run_json(["ritz-fit", "--order", "40", "--range", "35:80"],
+                       tmp_path)
+        assert doc["data"]["uncertainties"] is None
+        assert len(doc["data"]["parameters"]) == 21
 
     def test_threshold_fit(self, tmp_path):
         doc = run_json(["threshold-fit", "--range", "60:80"], tmp_path)
@@ -1111,9 +1141,9 @@ def test_readme_command_lines_parse():
 
 
 # A fresh process per command: importing rydtrap.cli and running any of
-# these must load no scipy module. Only ritz-fit and threshold-fit load
-# scipy, inside the fits: its top-level package, to find the compiled
-# MINPACK core, which they load by file without any scipy.optimize module.
+# these must load no scipy module. Only ritz-fit loads scipy, inside the
+# fit: its top-level package, to find the compiled MINPACK core, which it
+# loads by file without any scipy.optimize module.
 NO_SCIPY_COMMANDS = {
     "version": ["--version"],
     "angular-table": ["angular-table"],
@@ -1122,6 +1152,7 @@ NO_SCIPY_COMMANDS = {
                          "--n-max", "33"],
     "tensor-shift": CSV_COMMANDS["tensor-shift"],
     "magic-scan": CSV_COMMANDS["magic-scan"],
+    "threshold-fit": ["threshold-fit"],
     "forster": ["forster", "--channel", "60 3S1 + 60 3S1 -> 60 3P2 + 59 3P2"],
     "autoion": ["autoion", "--power", "9mW", "--n", "60"],
     "pi-fit": ["pi-fit", "--input", "tau.csv", "--at-power", "9mW"],
@@ -1137,6 +1168,7 @@ NO_NUMPY_COMMANDS = {
     "version": (["--version"], 0),
     "help": (["--help"], 0),
     "angular-table": (["angular-table"], 0),
+    "threshold-fit": (NO_SCIPY_COMMANDS["threshold-fit"], 0),
     "forster": (NO_SCIPY_COMMANDS["forster"], 0),
     "autoion": (NO_SCIPY_COMMANDS["autoion"], 0),
     "pi-fit": (NO_SCIPY_COMMANDS["pi-fit"], 0),
@@ -1201,14 +1233,13 @@ def test_command_loads_no_scipy(name, tmp_path):
 
 
 def test_scipy_probe_sees_a_fit_import(tmp_path):
-    # the probe is not blind: both fits load scipy when they run, and they
-    # load MINPACK's core with no scipy.optimize module
-    for command in ("ritz-fit", "threshold-fit"):
-        report = modules_after([command], tmp_path)
-        assert report["result"] == 0
-        assert "scipy" in report["scipy"]
-        assert [m for m in report["scipy"]
-                if m.startswith("scipy.optimize")] == []
+    # the probe is not blind: the Ritz fit loads scipy when it runs, and
+    # it loads MINPACK's core with no scipy.optimize module
+    report = modules_after(["ritz-fit"], tmp_path)
+    assert report["result"] == 0
+    assert "scipy" in report["scipy"]
+    assert [m for m in report["scipy"]
+            if m.startswith("scipy.optimize")] == []
 
 
 @pytest.mark.parametrize("name", sorted(NO_NUMPY_COMMANDS))

@@ -150,6 +150,16 @@ class TestRitzFit:
         pull = abs(pert.params[0] - clean.params[0]) / pert.uncertainties[0]
         assert pull < 5.0
 
+    def test_singular_covariance_is_none(self, records):
+        # at order 40, rounding leaves inv(J^T J) with non-positive
+        # diagonal entries, whose square roots would be nan
+        yb = yb174()
+        model = fit_ritz(records, order=40, fit_range=(35, 80),
+                         ionization_cm1=yb.ionization_cm1,
+                         rydberg_cm1=yb.rydberg_cm1)
+        assert model.covariance is None
+        assert model.uncertainties is None
+
     def test_insufficient_data_rejected(self):
         recs = [EnergyRecord(50, 50390.0), EnergyRecord(51, 50391.0)]
         with pytest.raises(ValueError):
@@ -172,6 +182,23 @@ class TestThresholdFit:
         assert moved.ionization_cm1 - base.ionization_cm1 == pytest.approx(
             shift, abs=1e-9)
         assert moved.params[0] == pytest.approx(base.params[0], abs=1e-9)
+
+    @pytest.mark.parametrize("n_min", [6, 10, 15])
+    def test_low_n_series_from_a_far_start(self, n_min):
+        # the fit starts at d0 ~ 0, and at low n the full Gauss-Newton step
+        # raises the cost: the halved steps still reach the exact series
+        true_d0 = 4.4
+        recs = [EnergyRecord(n, EI_CM1 - RY_CM1 / (n - true_d0) ** 2)
+                for n in range(n_min, n_min + 10)]
+        model = fit_threshold(recs, rydberg_cm1=RY_CM1)
+        assert model.params[0] == pytest.approx(true_d0, abs=1e-12)
+        assert model.ionization_cm1 == pytest.approx(EI_CM1, abs=1e-9)
+
+    def test_past_the_step_cap_raises(self, records, monkeypatch):
+        monkeypatch.setattr(spectroscopy, "_THRESHOLD_ITERATIONS", 2)
+        with pytest.raises(FitConvergenceError, match=r"^threshold fit did "
+                           r"not converge in 2 steps, cost \d"):
+            fit_threshold(records, rydberg_cm1=RY_CM1)
 
     def test_threshold_sigma_is_a_model_field(self, records):
         model = fit_threshold(records, fit_range=(60, 80), rydberg_cm1=RY_CM1)
@@ -196,15 +223,15 @@ class TestMinpackCore:
         own = spectroscopy._least_squares
         compared = []
 
-        def both(residuals, x0, jacobian, name):
-            x, cov = own(residuals, x0, jacobian, name)
+        def both(residuals, x0, jacobian):
+            x, cov = own(residuals, x0, jacobian)
             ref = least_squares(residuals, x0, jac=jacobian, method="lm",
                                 xtol=1e-14, ftol=1e-14, gtol=1e-14)
             assert ref.success, ref.message
             jac = jacobian(ref.x)
             assert np.array_equal(x, ref.x)
             assert np.array_equal(cov, np.linalg.inv(jac.T @ jac))
-            compared.append(name)
+            compared.append(x)
             return x, cov
 
         monkeypatch.setattr(spectroscopy, "_least_squares", both)
@@ -213,10 +240,51 @@ class TestMinpackCore:
             fit_ritz(records, fit_range=window,
                      ionization_cm1=yb.ionization_cm1,
                      rydberg_cm1=yb.rydberg_cm1)
+        assert len(compared) == 12
+
+    def test_threshold_fit_near_least_squares(self, records, monkeypatch):
+        # the oracle: MINPACK's lmder, through least_squares(method="lm"),
+        # on the joint (E_I, d0) residuals and Jacobian from the same
+        # start. Both stop where rounding in E_I - Ry/n*^2 blurs the cost;
+        # the worst relative gaps over these windows were 2.2e-16 in E_I,
+        # 6.6e-13 in d0, 4.4e-14 in the E_I sigma and 1.3e-8 in the rms
+        # residual. The stop rule ends each fit in at most 13 steps, far
+        # below the cap.
+        from scipy.optimize import least_squares
+        monkeypatch.setattr(spectroscopy, "_THRESHOLD_ITERATIONS", 16)
+        ry = yb174().rydberg_cm1
         for window in THRESHOLD_WINDOWS:
-            fit_threshold(records, fit_range=window,
-                          rydberg_cm1=yb.rydberg_cm1)
-        assert compared == ["Ritz"] * 12 + ["threshold"] * 12
+            used = spectroscopy._select(records, window)
+            n = np.array([rec.n for rec in used], dtype=float)
+            energy = np.array([rec.energy_cm1 for rec in used])
+            sigma = np.array([rec.sigma_mhz for rec in used])
+
+            def residuals_mhz(x):
+                return (x[0] - ry / (n - x[1]) ** 2 - energy) * CM1_TO_MHZ
+
+            def jacobian(x):
+                cols = np.column_stack([np.ones_like(n),
+                                        -2.0 * ry / (n - x[1]) ** 3])
+                return cols * (CM1_TO_MHZ / sigma)[:, None]
+
+            e_i = energy.max() + ry / n.max() ** 2
+            x0 = np.array([e_i, defect_from_energy(
+                max(used, key=lambda rec: rec.n), e_i, ry)])
+            ref = least_squares(lambda x: residuals_mhz(x) / sigma, x0,
+                                jac=jacobian, method="lm", xtol=1e-14,
+                                ftol=1e-14, gtol=1e-14)
+            assert ref.success, ref.message
+            jac = jacobian(ref.x)
+            ref_sigma = np.sqrt(np.linalg.inv(jac.T @ jac)[0, 0])
+            ref_rms = np.sqrt(np.mean(np.square(residuals_mhz(ref.x))))
+
+            model = fit_threshold(records, fit_range=window, rydberg_cm1=ry)
+            assert model.ionization_cm1 == pytest.approx(ref.x[0], rel=1e-15)
+            assert model.params[0] == pytest.approx(ref.x[1], rel=3e-12)
+            assert model.threshold_sigma_cm1 == pytest.approx(ref_sigma,
+                                                              rel=2e-13)
+            assert model.rms_residual_mhz() == pytest.approx(ref_rms,
+                                                             rel=5e-8)
 
     @pytest.mark.parametrize("info, meaning", [
         (0, "improper input parameters"),
@@ -240,9 +308,9 @@ class TestMinpackCore:
         recs = [EnergyRecord(40, -1e305)] + [
             EnergyRecord(n, EI_CM1 - RY_CM1 / (n - 4.44) ** 2)
             for n in range(41, 47)]
-        with np.errstate(over="ignore"), pytest.raises(
-                ValueError, match="threshold fit: residuals are not finite "
-                                  "at the starting point"):
+        with pytest.raises(ValueError, match="threshold fit: residuals are "
+                                             "not finite at the starting "
+                                             "point"):
             fit_threshold(recs, rydberg_cm1=RY_CM1)
 
 
