@@ -92,6 +92,20 @@ class TweezerBeam:
         self.wavelength = float(wavelength)
         self.waist = float(waist)
         self.power = float(power)
+        # w0^2, z_R and omega must be floats too: a 1e-300 m waist squares
+        # to 0 and a 1e200 m one to inf, and a 1e-320 m wavelength has
+        # omega = 2 pi c/lambda = inf
+        if not 0 < self.waist * self.waist < math.inf:
+            raise ValueError("waist %g m squares to %g m^2, outside the "
+                             "float range" % (waist, self.waist * self.waist))
+        if not (0 < self.rayleigh_range < math.inf
+                and self.angular_frequency < math.inf):
+            raise ValueError(
+                "wavelength %g m on a %g m waist gives a Rayleigh range of "
+                "%g m and an angular frequency of %g rad/s; both must be "
+                "positive and finite" % (wavelength, waist,
+                                         self.rayleigh_range,
+                                         self.angular_frequency))
         if not math.isfinite(self.peak_intensity):
             # a finite power on a small waist can still overflow I0
             raise ValueError("peak intensity 2P/(pi w0^2) must be finite, "

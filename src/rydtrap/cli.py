@@ -345,8 +345,9 @@ def _config(args):
 
 
 def _emit(args, data, header=None, rows=None):
-    """Write the JSON envelope, or with --format csv the table; the envelope
-    is encoded either way, so a non-finite value is a ValueError."""
+    """Write the JSON envelope, or with --format csv the table, whose rows
+    (any iterable) are read once; the envelope is encoded either way, so a
+    non-finite value is a ValueError."""
     command, config = args.command, _config(args)
     provenance = {"package": "rydtrap", "version": __version__,
                   "constants_sha256": constants.constants_hash()}
@@ -583,13 +584,12 @@ def _cmd_contrast(args):
                 scenario.depth_hz)
         curve = coherence.echo_contrast(scenario, times,
                                         (radial, radial, axial))
-    header = ["time_us", "contrast"]
-    rows = [[t * 1e6, c] for t, c in zip(curve.times_s, curve.contrast)]
     t_e = curve.one_over_e_time_s
     data = {"one_over_e_time_us": None if t_e is None else t_e * 1e6,
-            "times_us": [t * 1e6 for t in curve.times_s],
-            "contrast": list(curve.contrast)}
-    _emit(args, data, header, rows)
+            "times_us": (curve.times_s * 1e6).tolist(),
+            "contrast": curve.contrast.tolist()}
+    _emit(args, data, ["time_us", "contrast"],
+          zip(data["times_us"], data["contrast"]))
 
 
 def _cmd_oracle_check(args):

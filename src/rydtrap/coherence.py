@@ -22,11 +22,12 @@ any split t = a + d. The T times fall in blocks of width K = ceil(sqrt T),
 each starting at an anchor a, and time j takes the offset d of column
 j mod K, so an evenly spaced grid has about K anchors and K columns. The
 ensemble sum at every (anchor, column) pair is one real matrix product of
-per-atom cos/sin tables, and each time reads its own pair: one phasor per
-atom at ~2 sqrt(T) points instead of T. A grid that is not evenly
-spaced, so that some anchor plus offset misses its time by more than
-8 eps max|t|, falls back to width 1, each time its own anchor with the
-single offset 0, which is the cost of evaluating every phase directly.
+per-atom cos/sin tables, whose row-major order is the time order: one
+phasor per atom at ~2 sqrt(T) points instead of T. A grid that is not
+evenly spaced, so that some anchor plus offset misses its time by more
+than 8 eps max|t|, falls back to width 1, each time its own anchor with
+the single offset 0, which is the cost of evaluating every phase
+directly.
 
 The net echo phase of axis i is 4 sin^2(w_i tau) sin(2 w_i tau + 2 phi_i)
 times a per-atom weight, so over all axes it is a rank-6 product of a
@@ -47,6 +48,8 @@ one whole-ensemble draw and every chunk sum is the same float operation,
 so the contrasts do not depend on the block size. At 61 to 1001 times the
 traced peaks are 1.4 MB for Ramsey and 1.7-1.9 MB for echo, the same
 from 2e4 to 2e6 atoms: the 1 MB of chunk buffers plus a block's arrays.
+At 100,001 times Ramsey peaks at 8.3 MB: its 4T sums (3.2 MB) and a
+few T-long arrays.
 """
 
 import math
@@ -176,8 +179,8 @@ def _ensemble_blocks(scenario, rows, phases=False):
     the seed's SplitMix64 stream (_uniforms), and its three phases those
     of words 3n + 3j to 3n + 3j + 2, for n atoms. Each axis energy is an
     independent 1D harmonic Boltzmann energy, exponential with mean
-    k_B T: -k_B T log1p(-u), always finite; at T = 0 the energies are
-    zeros and none is drawn. Each phase is 2 pi u, uniform in [0, 2 pi).
+    k_B T: -k_B T log1p(-u), always finite; at T = 0 every energy is
+    +0.0. Each phase is 2 pi u, uniform in [0, 2 pi).
     A block depends only on the seed, n, its first atom and its size, so
     it holds the values one whole-ensemble draw would.
     """
@@ -185,14 +188,10 @@ def _ensemble_blocks(scenario, rows, phases=False):
     step = rows * max(1, _BLOCK_ATOMS // rows)
     for a in range(0, n, step):
         size = min(step, n - a)
-        if scenario.temperature_k != 0.0:
-            energies = _uniforms(scenario.seed, 3 * a, 3 * size)
-            np.negative(energies, out=energies)
-            np.log1p(energies, out=energies)
-            energies *= -scale
-        else:
-            energies = np.zeros(3 * size)
-        energies = energies.reshape(size, 3)
+        energies = _uniforms(scenario.seed, 3 * a, 3 * size).reshape(size, 3)
+        np.negative(energies, out=energies)
+        np.log1p(energies, out=energies)
+        energies *= -scale
         if phases:
             angles = _uniforms(scenario.seed, 3 * (n + a), 3 * size)
             angles *= 2.0 * np.pi
@@ -213,23 +212,24 @@ def trap_frequencies_hz(beam, mass_kg, depth_hz):
 
 
 def _anchor_offset_split(times):
-    """Write each time as an anchor plus an offset column.
+    """Write each time as an anchor plus an offset.
 
-    Returns (anchors, offsets, block, column) with times[j] equal to
-    anchors[block[j]] + offsets[column[j]] within 8 eps max|t|. Time j is
-    in block j // K and column j % K, K = ceil(sqrt T): the anchors are
+    Returns (anchors, offsets) whose row-major sum, anchors[i] +
+    offsets[k] at index i K + k, K = len(offsets), matches times[j] at
+    index j within 8 eps max|t|. With K = ceil(sqrt T) the anchors are
     every K-th time from the first, and the offsets the first K times less
     the first. That meets the tolerance on an evenly spaced grid; on any
     other, every time is its own anchor with the single offset 0.
     """
     n = len(times)
     width = math.isqrt(max(n - 1, 0)) + 1
-    block, column = np.divmod(np.arange(n), width)
     anchors, offsets = times[::width], times[:width] - times[:1]
     tol = 8.0 * np.finfo(float).eps * np.max(np.abs(times), initial=0.0)
-    if np.all(np.abs(anchors[block] + offsets[column] - times) <= tol):
-        return anchors, offsets, block, column
-    return times, np.zeros(1), np.arange(n), np.zeros(n, dtype=int)
+    gap = np.add.outer(anchors, offsets).ravel()[:n]
+    gap -= times
+    if np.all(np.abs(gap, out=gap) <= tol):
+        return anchors, offsets
+    return times, np.zeros(1)
 
 
 def _cos_sin(half, cos):
@@ -258,9 +258,7 @@ def _phasor_table(rate, half_points, buf):
 
 
 def _t1_envelope(times, t1_s):
-    with np.errstate(invalid="ignore"):
-        env = np.exp(-np.asarray(times, dtype=float) / t1_s)
-    return env
+    return np.exp(-times / t1_s)
 
 
 def orbit_averaged_shift_hz(scenario, energies):
@@ -290,16 +288,17 @@ def ramsey_contrast(scenario, times_s):
     energy spread does.
 
     The sum of exp(i r t) over atoms is sum exp(i r a) exp(i r d) at the
-    anchor a and offset column d of each time (_anchor_offset_split),
+    anchor a and offset d of each time (_anchor_offset_split),
     accumulated over chunks of atoms as one real matrix product of the
-    [cos; sin] tables at the anchors and at the offsets. Any grid is
-    accepted; sharing a column moves a phase by at most 8 eps |r| max|t|.
-    The accumulators hold about 4T sums, so the traced peak is flat in T
-    and in the number of atoms: 1.4 MB at 1e5 atoms for 61 to 1001 times,
-    10 MB at 100,001, where the per-time index arrays dominate.
+    [cos; sin] tables at the anchors and at the offsets, and read in
+    row-major (anchor, offset) order, which is the time order. Any grid is
+    accepted; sharing an offset moves a phase by at most 8 eps |r| max|t|.
+    The accumulators hold about 4T sums, so the traced peak is flat in
+    the number of atoms: 1.4 MB at 1e5 atoms for 61 to 1001 times, and
+    8.3 MB at 100,001, those sums and a few T-long arrays.
     """
     times = _durations(times_s, "Ramsey")
-    anchors, offsets, block, column = _anchor_offset_split(times)
+    anchors, offsets = _anchor_offset_split(times)
     n_offsets = len(offsets)
     rows = max(1, _CHUNK_ELEMENTS // max(1, len(anchors) + n_offsets))
     half_anchors = 0.5 * anchors
@@ -318,8 +317,7 @@ def ramsey_contrast(scenario, times_s):
     cos_a, sin_a = np.vsplit(sums, 2)
     re = cos_a[:, :n_offsets] - sin_a[:, n_offsets:]
     im = sin_a[:, :n_offsets] + cos_a[:, n_offsets:]
-    coherence = np.hypot(re[block, column], im[block, column]) \
-        / scenario.n_atoms
+    coherence = np.hypot(re, im).ravel()[:len(times)] / scenario.n_atoms
     return ContrastCurve(times, coherence * _t1_envelope(times, scenario.t1_s))
 
 

@@ -104,6 +104,23 @@ class TestTweezerBeam:
         with pytest.raises(ValueError, match=message):
             beam9.with_power(1e300)
 
+    @pytest.mark.parametrize("inputs, named", [
+        (dict(waist=1e-300), "waist 1e-300 m squares to 0 m\\^2"),
+        (dict(waist=1e200), "waist 1e\\+200 m squares to inf m\\^2"),
+        (dict(wavelength=1e-320), "wavelength 9.99989e-321 m"),
+        (dict(wavelength=1e-108, waist=1e100),
+         "wavelength 1e-108 m on a 1e\\+100 m waist gives a Rayleigh "
+         "range of inf m"),
+    ], ids=["waist-1e-300", "waist-1e200", "wavelength-1e-320",
+            "rayleigh-range-inf"])
+    def test_focus_outside_the_float_range_refused(self, inputs, named):
+        # these once raised ZeroDivisionError and OverflowError, or built a
+        # beam with omega = 2 pi c/lambda = inf or z_R = pi w0^2/lambda = inf
+        inputs = dict(dict(wavelength=WAVELENGTH, waist=WAIST, power=POWER),
+                      **inputs)
+        with pytest.raises(ValueError, match=named):
+            TweezerBeam(**inputs)
+
     def test_field_keeps_its_beam(self, beam9, field9):
         assert field9.beam is beam9
 

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -465,31 +466,35 @@ class TestExitCodes:
         assert "power must be positive" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("argv, code", [
+    WAIST_SQUARED_TO_INF = "error: waist 1e+200 m squares to inf m^2"
+
+    @pytest.mark.parametrize("argv, code, message", [
         # the Ritz slope at n = 10^43 underflows to 0 rather than overflowing
-        (["autoion", "--power", "9mW", "--n", str(10 ** 43)], 0),
+        (["autoion", "--power", "9mW", "--n", str(10 ** 43)], 0, ""),
+        # TweezerBeam refuses the waist before anything squares it
         (["trap-depth", "--power", "9mW", "--n", "75", "--waist", "1e200m"],
-         2),
-        (["pi-fit", "--input", "LIFETIMES", "--waist", "1e200m"], 2),
+         2, WAIST_SQUARED_TO_INF),
+        (["pi-fit", "--input", "LIFETIMES", "--waist", "1e200m"], 2,
+         WAIST_SQUARED_TO_INF),
         (["echo-sim", "--dnu", "90kHz", "--temp", "13uK", "--depth", "2MHz",
-          "--t1", "108us", "--n", "10", "--waist", "1e200m"], 2),
+          "--t1", "108us", "--n", "10", "--waist", "1e200m"], 2,
+         WAIST_SQUARED_TO_INF),
         (["forster", "--channel",
-          "%d 3P2 + 80 3S1 -> 80 3P2 + 79 3P2" % 10 ** 200], 2),
+          "%d 3P2 + 80 3S1 -> 80 3P2 + 79 3P2" % 10 ** 200], 2,
+         "error: a value overflowed"),
         (["autoion", "--power", "9mW", "--series", "3P2",
-          "--n", str(10 ** 200)], 2),
+          "--n", str(10 ** 200)], 2, "error: a value overflowed"),
     ], ids=["autoion-n-1e43", "trap-depth-waist", "pi-fit-waist",
             "echo-sim-waist", "forster-n-1e200", "autoion-n-1e200"])
-    def test_overflow_is_data_error(self, argv, code, tmp_path, capsys):
+    def test_overflow_is_data_error(self, argv, code, message, tmp_path,
+                                    capsys):
         lifetimes = tmp_path / "lifetimes.csv"
         lifetimes.write_text(
             "power_mw,lifetime_us\n2,73.2\n4,64.5\n6,57.7\n9,49.8\n")
         argv = [str(lifetimes) if a == "LIFETIMES" else a for a in argv]
         assert cli.main(argv + ["--output", str(tmp_path / "o")]) == code
         err = capsys.readouterr().err
-        if code:
-            assert err.startswith("error: a value overflowed")
-        else:
-            assert err == ""
+        assert err.startswith(message) if code else err == ""
 
     @pytest.mark.parametrize("argv, named", [
         (["trap-depth", "--power", "9mW", "--n", "75", "--alpha-core", "0au"],
@@ -508,13 +513,19 @@ class TestExitCodes:
           "--series", "3P2", "--alpha-ground", "0au"], "alpha_ground"),
         (["autoion", "--power", "9mW", "--n", "75", "--alpha-ground", "0au"],
          "alpha_ground"),
-        # the waist squares to 0.0: the peak intensity, and echo's derived
-        # trap frequencies, divide by it
+        # the waist squares to 0.0, which the peak intensity, and echo's
+        # derived trap frequencies, would divide by
         (["trap-depth", "--power", "9mW", "--n", "75", "--waist", "1e-300m"],
-         "divided by zero"),
+         "waist 1e-300 m"),
         (["echo-sim", "--dnu", "90kHz", "--temp", "13uK", "--depth", "2MHz",
           "--t1", "108us", "--n", "10", "--waist", "1e-300m"],
-         "divided by zero"),
+         "waist 1e-300 m"),
+        # 2 pi c/lambda is inf, which gave a ponderomotive shift of 0.0 and,
+        # with the core depth set, an autoionization rate of 0
+        (["trap-depth", "--power", "9mW", "--n", "75", "--wavelength",
+          "1e-320m"], "wavelength 9.99989e-321 m"),
+        (["autoion", "--core-depth", "1MHz", "--n", "75", "--wavelength",
+          "1e-320m"], "wavelength must be positive with a finite frequency"),
         # a finite power whose peak intensity overflows
         (["trap-depth", "--power", "1e300W", "--n", "75"], "peak intensity"),
         (["trap-depth", "--ground-depth", "1e300MHz", "--n", "75"],
@@ -528,6 +539,7 @@ class TestExitCodes:
             "trap-depth-ground-0", "trap-depth-ground-depth-ground-0",
             "tensor-shift-ground-depth-ground-0", "autoion-ground-0",
             "trap-depth-waist-1e-300", "echo-sim-waist-1e-300",
+            "trap-depth-wavelength-1e-320", "autoion-wavelength-1e-320",
             "trap-depth-peak-overflow", "trap-depth-ground-depth-peak-overflow",
             "tensor-shift-peak-overflow", "oracle-check-peak-overflow"])
     def test_unusable_input_is_data_error(self, argv, named, capsys):
@@ -1014,6 +1026,24 @@ class TestCoherenceCommands:
                         "--times", "0:1ms:10ns"], tmp_path)
         assert len(doc["data"]["contrast"]) == 100001
         assert doc["data"]["contrast"][0] == 1
+
+    @pytest.mark.parametrize("command", ["ramsey-sim", "echo-sim"])
+    def test_traced_peak_at_twenty_thousand_times(self, command, tmp_path):
+        # each per-time list is held once: a 5.9 MB peak, most of it the
+        # JSON encoder's chunks, against 8.5 MB with a second [time,
+        # contrast] table and per-time index arrays beside it
+        argv = [command] + self.ARGS[:-6] + ["--n", "200", "--output",
+                                             str(tmp_path / "out.csv")]
+        # a first call imports the modules, so only the run is traced
+        assert cli.main(argv + ["--times", "0:30us:2us"]) == 0
+        tracemalloc.start()
+        try:
+            assert cli.main(argv + ["--times", "0:1ms:50ns"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5e6
+        assert (tmp_path / "out.csv").read_text().count("\n") == 4 + 20001
 
     def test_config_keeps_the_time_range_not_the_grid(self, tmp_path):
         doc = run_json(["ramsey-sim", "--dnu", "90kHz", "--temp", "13uK",

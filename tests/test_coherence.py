@@ -403,10 +403,12 @@ class TestChunkedAccumulation:
     @pytest.mark.parametrize("name", sorted(EVEN_GRIDS))
     def test_even_grid_needs_about_two_sqrt_t_columns(self, name):
         times = EVEN_GRIDS[name]
-        anchors, offsets, block, column = coherence._anchor_offset_split(times)
+        anchors, offsets = coherence._anchor_offset_split(times)
         assert len(anchors) + len(offsets) <= 2.5 * math.sqrt(len(times)) + 2
         tol = 8.0 * np.finfo(float).eps * np.max(np.abs(times))
-        assert np.max(np.abs(anchors[block] + offsets[column] - times)) <= tol
+        # time j is entry j of the row-major anchor + offset sum
+        row_major = np.add.outer(anchors, offsets).ravel()[:len(times)]
+        assert np.max(np.abs(row_major - times)) <= tol
 
     @pytest.mark.parametrize("times", [
         UNEVEN,
@@ -414,11 +416,10 @@ class TestChunkedAccumulation:
         np.array([0.0, 1e-15, 2e-15, 0.0, 1e-15, 2e-15, 1.0, 1.0, 1.0])],
         ids=["uneven", "chained"])
     def test_uneven_grid_takes_width_one(self, times):
-        anchors, offsets, block, column = coherence._anchor_offset_split(times)
+        anchors, offsets = coherence._anchor_offset_split(times)
         assert np.array_equal(anchors, times)
         assert np.array_equal(offsets, [0.0])
-        assert np.array_equal(block, np.arange(len(times)))
-        assert np.array_equal(column, np.zeros(len(times)))
+        assert np.array_equal(np.add.outer(anchors, offsets).ravel(), times)
 
     @pytest.mark.parametrize("freqs", ECHO_FREQS)
     def test_echo_matches_dense_reference(self, freqs):
@@ -537,12 +538,14 @@ class TestEnsembleStream:
     @pytest.mark.parametrize("temp", [0.0, TEMP], ids=["0K", "13uK"])
     @pytest.mark.parametrize("n", SIZES, ids=SIZE_IDS)
     def test_stream_is_the_whole_draw(self, temp, n):
-        # at T = 0 no energy is drawn, but the phases keep their words
+        # at T = 0 every energy is +0.0, -k_B 0 log1p(-u), and the phases
+        # keep their words
         sc = scenario(temperature_k=temp, n_atoms=n)
         energies, phases = reference_draw(sc)
         blocks = list(coherence._ensemble_blocks(sc, 1074, phases=True))
-        assert np.array_equal(np.concatenate([e for e, _ in blocks]),
-                              energies)
+        drawn = np.concatenate([e for e, _ in blocks])
+        assert np.array_equal(drawn, energies)
+        assert np.array_equal(np.signbit(drawn), np.signbit(energies))
         assert np.array_equal(np.concatenate([p for _, p in blocks]), phases)
         assert np.array_equal(
             np.concatenate(list(coherence._ensemble_blocks(sc, 4096))),

@@ -237,3 +237,9 @@ class TestAutoionization:
         with pytest.raises(ValueError, match="trap wavelength must be "
                            "positive"):
             autoionization_coefficient(species, wavelength, 4e6)
+
+    def test_wavelength_with_infinite_frequency_refused(self, species):
+        # c/lambda = inf once gave every core detuning inf and a rate of 0
+        with pytest.raises(ValueError, match="finite frequency c/lambda, "
+                           "got 9.99989e-321 m"):
+            autoionization_coefficient(species, 1e-320, 4e6)
